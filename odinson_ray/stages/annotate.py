@@ -361,8 +361,11 @@ def annotate_stage(docs_ds, annotator_cls=DeterministicAnnotator,
                    concurrency: int = 2, batch_size: int = 128, **ctor_kwargs):
     """Annotation as its own actor-pool stage (two-stage topology:
     annotate pool -> matcher pool). Use for model-backed annotators whose
-    setup cost must amortize per actor; cheap annotators are better run
-    inline in the matcher (see GrammarMatcher)."""
+    setup cost must amortize per actor. The matcher decodes the
+    ``sentences`` column this stage adds in one Arrow-native pass per batch
+    (see GrammarMatcher), as cheaply per document as inline annotation;
+    what this topology adds is the object-store hop of that nested column,
+    which a cheap annotator run inline in the matcher avoids."""
     from .match import clamp_pool
 
     return docs_ds.map_batches(

@@ -15,12 +15,22 @@ distributed state, no shuffle).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..common.normalize import normalize_unicode, sanitize_token
 from ..core.engine import DocumentEngine
-from ..core.sentence import AnnotatedDocument, SentenceIndex
+from ..core.sentence import (
+    TOKEN_FIELDS,
+    AnnotatedDocument,
+    BatchVocab,
+    SentenceIndex,
+    SharedGraphContext,
+)
+from ..core.traversal import DirectedGraph
 from ..lang.rules import RuleReader
 from ..sources.interleaved import build_interleaved
 from ..sources.odinson_json import fields_to_metadata
@@ -54,16 +64,191 @@ MENTIONS_SCHEMA = pa.schema(
 )
 
 
-def sentence_index_from_struct(s: Dict) -> SentenceIndex:
+def sentence_index_from_struct(s: Dict, *, vocab: Optional[BatchVocab] = None,
+                               slot: int = -1,
+                               shared: Optional[SharedGraphContext] = None,
+                               field_loader=None,
+                               lazy_layers: Tuple[str, ...] = ()) -> SentenceIndex:
+    """One ``sentences`` struct -> SentenceIndex.
+
+    Single-dict form: ``s`` is the struct as Python (layers, ``graph``);
+    tokens are sanitized and edge labels normalized here. Batch form
+    (``vocab`` given, from :func:`decode_sentences`): ``s`` holds only the
+    sanitized ``raw`` tokens, the graph comes from ``shared`` and the
+    other layers load lazily through ``field_loader``. A struct whose
+    ``raw`` (display) layer is null raises ValueError."""
+    if vocab is not None:
+        return SentenceIndex(s, take_ownership=True, shared=shared, vocab=vocab,
+                             slot=slot, field_loader=field_loader,
+                             lazy_layers=lazy_layers)
+    if s.get("raw") is None:
+        raise ValueError("sentence has a null raw layer")
     graph = s.get("graph") or {}
     edges = [(e["src"], e["dst"], e["label"]) for e in (graph.get("edges") or [])]
     roots = graph.get("roots") or []
-    fields = {
-        k: s[k]
-        for k in ("raw", "word", "lemma", "tag", "chunk", "entity")
-        if s.get(k) is not None
-    }
+    fields = {k: s[k] for k in TOKEN_FIELDS if s.get(k) is not None}
     return SentenceIndex(fields, edges, roots)
+
+
+def _lengths(lists) -> np.ndarray:
+    """Per-slot list lengths, 0 for a null slot."""
+    return pc.list_value_length(lists).fill_null(0).to_numpy(zero_copy_only=False)
+
+
+def _mark_null_values(bad: np.ndarray, values, lens: np.ndarray):
+    """Flag the slots (``lens`` per slot) that hold a null value."""
+    if values.null_count:
+        owner = np.repeat(np.arange(len(lens)), lens)
+        bad[owner[values.is_null().to_numpy(zero_copy_only=False)]] = True
+
+
+class _Graphs:
+    """The dependency graphs of one batch's ``sentences``: flat edge and
+    root arrays plus one SharedGraphContext per distinct
+    ``(n, src, dst, label, roots)``, built on first use. Edge labels are
+    normalized once per unique label."""
+
+    def __init__(self, sents, names, bad: np.ndarray):
+        self.src = self.dst = self.lbl = self.roots = np.zeros(0, np.int64)
+        self.labels: List[str] = []
+        e_lens = r_lens = np.zeros(len(sents), np.int64)
+        graph = pc.struct_field(sents, "graph") if "graph" in names else None
+        gnames = {f.name for f in graph.type} if graph is not None else ()
+        if "edges" in gnames:
+            edges = pc.struct_field(graph, "edges")
+            e_lens = _lengths(edges)
+            flat = pc.list_flatten(edges)
+            src, dst, lbl = (pc.struct_field(flat, k) for k in ("src", "dst", "label"))
+            for c in (src, dst, lbl):
+                _mark_null_values(bad, c, e_lens)
+            self.src = pc.fill_null(src, 0).to_numpy(zero_copy_only=False)
+            self.dst = pc.fill_null(dst, 0).to_numpy(zero_copy_only=False)
+            enc = pc.dictionary_encode(pc.fill_null(lbl, ""))
+            self.lbl = enc.indices.to_numpy(zero_copy_only=False)
+            self.labels = [normalize_unicode(t) for t in enc.dictionary.to_pylist()]
+        if "roots" in gnames:
+            roots = pc.struct_field(graph, "roots")
+            r_lens = _lengths(roots)
+            flat = pc.list_flatten(roots)
+            _mark_null_values(bad, flat, r_lens)
+            self.roots = pc.fill_null(flat, 0).to_numpy(zero_copy_only=False)
+        self.e_off = np.concatenate(([0], np.cumsum(e_lens))).tolist()
+        self.r_off = np.concatenate(([0], np.cumsum(r_lens))).tolist()
+        self.shared: Dict[tuple, SharedGraphContext] = {}
+
+    def context(self, j: int, n: int) -> SharedGraphContext:
+        """The shared graph context of flat sentence ``j`` (``n`` tokens)."""
+        e0, e1 = self.e_off[j], self.e_off[j + 1]
+        r0, r1 = self.r_off[j], self.r_off[j + 1]
+        src, dst, lbl = self.src[e0:e1], self.dst[e0:e1], self.lbl[e0:e1]
+        roots = self.roots[r0:r1]
+        key = (n, src.tobytes(), dst.tobytes(), lbl.tobytes(), roots.tobytes())
+        ctx = self.shared.get(key)
+        if ctx is None:
+            labels = self.labels
+            edges = list(zip(src.tolist(), dst.tolist(), [labels[i] for i in lbl.tolist()]))
+            ctx = self.shared[key] = SharedGraphContext(
+                DirectedGraph(edges, roots.tolist(), n, prenormalized=True))
+        return ctx
+
+
+def _decode_group(layers: Dict[str, tuple], sel: np.ndarray, n_sents: int,
+                  raw_lens: np.ndarray, graphs: _Graphs, out: list):
+    """Decode the flat sentences ``sel`` (all with the same present
+    ``layers``) into ``out``, backed by one BatchVocab: each layer is
+    dictionary-encoded, sanitized once per unique term and re-uniqued into
+    one sorted term list."""
+    whole = len(sel) == n_sents
+    idx = None if whole else pa.array(sel)
+    dicts, codes = {}, {}
+    for name, (lists, values) in layers.items():
+        enc = pc.dictionary_encode(values if whole else pc.list_flatten(lists.take(idx)))
+        codes[name] = enc.indices.to_numpy(zero_copy_only=False)
+        dicts[name] = np.array([sanitize_token(t) for t in enc.dictionary.to_pylist()],
+                               dtype=object)
+    terms = np.unique(np.concatenate(list(dicts.values())))
+    ids = {name: np.searchsorted(terms, dicts[name]).astype(np.int32)[codes[name]]
+           for name in layers}
+    if "word" in ids and np.array_equal(ids["word"], ids["raw"]):
+        ids["word"] = ids["raw"]  # one array: the norm field reads raw once
+    offsets = np.concatenate(([0], np.cumsum(raw_lens[sel])))
+    vocab = BatchVocab(terms, ids, offsets)
+    off = offsets.tolist()
+    raw = terms[ids["raw"]].tolist()
+    lazy = tuple(name for name in layers if name != "raw")
+    flat_cache: Dict[str, list] = {}
+
+    def field_loader(slot: int, field: str):
+        flat = flat_cache.get(field)
+        if flat is None:
+            flat = flat_cache[field] = terms[ids[field]].tolist()
+        return flat[off[slot]:off[slot + 1]]
+
+    for slot, j in enumerate(sel.tolist()):
+        a, b = off[slot], off[slot + 1]
+        out[j] = sentence_index_from_struct(
+            {"raw": raw[a:b]}, vocab=vocab, slot=slot,
+            shared=graphs.context(j, b - a),
+            field_loader=field_loader, lazy_layers=lazy)
+
+
+def decode_sentences(col, keep: Optional[List[bool]] = None
+                     ) -> List[Optional[List[SentenceIndex]]]:
+    """Arrow-native batch decode of a ``sentences`` list<struct> column:
+    one list of BatchVocab-backed SentenceIndexes per document, ``[]`` for
+    a null cell or a document ``keep`` rejects, and ``None`` for a
+    document outside the clean subset, which the caller decodes struct by
+    struct with :func:`sentence_index_from_struct` (the always-correct
+    path). Outside the clean subset: a null sentence, token, edge label,
+    edge endpoint or root, a null ``raw`` layer, a layer whose length
+    differs from ``raw``. A layer null in every sentence is absent;
+    sentences are grouped by the set of layers they carry, one vocabulary
+    per group. Sentences with identical graphs share one
+    SharedGraphContext."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    n_docs = len(col)
+    per_doc = _lengths(col)
+    sent_doc = np.repeat(np.arange(n_docs), per_doc)
+    sents = pc.list_flatten(col)
+    n_sents = len(sents)
+    names = {f.name for f in sents.type}
+    bad = ~sents.is_valid().to_numpy(zero_copy_only=False)
+    layers: Dict[str, tuple] = {}
+    present: Dict[str, np.ndarray] = {}
+    raw_lens = np.zeros(n_sents, np.int64)
+    for name in TOKEN_FIELDS:  # raw first: the other layers' lengths must match it
+        if name not in names:
+            continue
+        lists = pc.struct_field(sents, name)
+        valid = lists.is_valid().to_numpy(zero_copy_only=False)
+        if not valid.any():
+            continue  # null in every sentence: the layer is absent
+        lens = _lengths(lists)
+        if name == "raw":
+            raw_lens = lens
+        values = pc.list_flatten(lists)
+        _mark_null_values(bad, values, lens)
+        bad |= valid & (lens != raw_lens)
+        layers[name], present[name] = (lists, values), valid
+    bad |= ~present.get("raw", np.zeros(n_sents, bool))
+    graphs = _Graphs(sents, names, bad)
+    doc_bad = np.zeros(n_docs, bool)
+    doc_bad[sent_doc[bad]] = True
+    use = ~doc_bad[sent_doc]
+    kept = np.ones(n_docs, bool) if keep is None else np.asarray(keep, bool)
+    use &= kept[sent_doc]
+    out: List[Optional[SentenceIndex]] = [None] * n_sents
+    sig = np.zeros(n_sents, np.int64)
+    for i, valid in enumerate(present.values()):
+        sig |= valid.astype(np.int64) << i
+    for s in np.unique(sig[use]).tolist():
+        group = {name: layers[name] for i, name in enumerate(present) if s >> i & 1}
+        _decode_group(group, np.flatnonzero(use & (sig == s)), n_sents, raw_lens,
+                      graphs, out)
+    doc_off = np.concatenate(([0], np.cumsum(per_doc))).tolist()
+    return [[] if not kept[d] else None if doc_bad[d] else out[doc_off[d]:doc_off[d + 1]]
+            for d in range(n_docs)]
 
 
 def clamp_pool(requested: int) -> int:
@@ -89,10 +274,13 @@ class GrammarMatcher:
 
     Accepts batches either with a pre-annotated ``sentences`` column or with
     only the ``spans`` column — in the latter case annotation runs inline
-    (per actor, in plain Python), avoiding the Arrow round-trip of the
-    nested annotation column through the object store. Inline is the fast
-    path for deterministic annotation; pre-annotated is for corpora whose
-    annotations were computed by a separate (e.g. model-based) stage."""
+    (per actor), avoiding the Arrow round-trip of the nested annotation
+    column through the object store. Both paths build batch-vocabulary
+    backed sentences: the ``sentences`` column is decoded Arrow-natively
+    per batch (:func:`decode_sentences`), so pre-annotated input (Odinson
+    Document JSON, ``prepare_corpus`` output, a model-annotator stage)
+    costs no more per document than raw text, which must also be
+    annotated."""
 
     #: verbosity tiers (reference: DataGatherer.scala:53-110 VerboseLevels)
     #: minimal -> no mention text at all (cheapest at scale),
@@ -187,8 +375,6 @@ class GrammarMatcher:
         return keep
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         if "spans" not in batch.column_names and "text" in batch.column_names:
             # raw documents table: interleave INSIDE the actor. A separate
             # map_batches(build_interleaved) stage ships the whole corpus's
@@ -217,14 +403,27 @@ class GrammarMatcher:
             if c in batch.column_names:
                 md_cols[c] = batch[c].to_pylist()
         keep = self._keep_mask(md_cols, len(doc_ids))
+        # per document: its SentenceIndexes, or None where that document
+        # takes the per-document fallback inside the loop (containment
+        # stays per document)
+        sents_per_doc: Optional[List[Optional[List[SentenceIndex]]]] = None
+        sentences_col = spans_texts = None
         if "sentences" in batch.column_names:
-            sentences_col = batch["sentences"].to_pylist()
-            spans_texts = None
+            sentences_col = batch["sentences"]
+            try:
+                sents_per_doc = decode_sentences(sentences_col, keep)
+            except Exception as e:  # a column shape the batch decode lacks
+                if self.on_error == "raise":
+                    raise
+                import logging
+
+                logging.getLogger(__name__).warning(
+                    "GrammarMatcher: batch decode of sentences failed (%s: %s); "
+                    "decoding document by document", type(e).__name__, str(e)[:120])
         else:
             # Arrow-native span unpack (no nested to_pylist dict round-trip):
             # flatten the list<struct> column and read only kind/text as flat
             # arrays; regroup text spans per row via list_parent_indices
-            sentences_col = [None] * len(doc_ids)
             flat = pc.list_flatten(batch["spans"]).combine_chunks()
             parents = pc.list_parent_indices(batch["spans"]).to_numpy(
                 zero_copy_only=False
@@ -240,7 +439,6 @@ class GrammarMatcher:
             # flat SentenceIndex list back per document. If the batch-wide
             # pass fails (one poison text), fall back to per-document
             # annotation inside the loop so containment stays per-doc.
-            sents_per_doc: Optional[List[List[SentenceIndex]]] = None
             try:
                 # pushdown: rejected docs contribute no texts to the
                 # vectorized pass — annotation is the dominant per-doc
@@ -269,19 +467,24 @@ class GrammarMatcher:
         col_text: List[Optional[str]] = []
         out_args: List[List[Dict]] = []
         out_fields: List[List[Dict]] = []
-        for row_idx, (doc_id, sents) in enumerate(zip(doc_ids, sentences_col)):
+        columns = (col_doc, col_sent, col_label, col_found, col_start, col_end,
+                   col_text, out_args, out_fields)
+        minimal = self.verbosity == "minimal"
+        want_fields = self.verbosity == "all"
+        for row_idx, doc_id in enumerate(doc_ids):
             if keep is not None and not keep[row_idx]:
                 continue  # every extractor's metadata filter rejected it
+            mark = len(col_doc)
             try:
-                if sents is None:
-                    if sents_per_doc is not None:
-                        sent_indexes = sents_per_doc[row_idx]
-                    else:  # batch-wide annotate failed: per-doc fallback
-                        sent_indexes = self._sentences_from_texts(
-                            spans_texts[row_idx]
-                        )
-                else:
-                    sent_indexes = [sentence_index_from_struct(s) for s in sents]
+                sent_indexes = None if sents_per_doc is None else sents_per_doc[row_idx]
+                if sent_indexes is None and spans_texts is not None:
+                    # batch-wide annotate failed
+                    sent_indexes = self._sentences_from_texts(spans_texts[row_idx])
+                elif sent_indexes is None:
+                    # outside the batch decode's clean subset; a null cell
+                    # is a document with no sentences
+                    sent_indexes = [sentence_index_from_struct(s)
+                                    for s in sentences_col[row_idx].as_py() or ()]
                 metadata = self._doc_metadata(md_cols, row_idx)
                 doc = AnnotatedDocument(doc_id, sent_indexes, metadata)
                 engine = DocumentEngine(doc)
@@ -295,9 +498,51 @@ class GrammarMatcher:
                         self.extractors,
                         allow_trigger_overlaps=self.allow_trigger_overlaps,
                     )
+                for m in mentions:
+                    sent = sent_indexes[m.sent_idx]
+                    toks = sent.tokens()
+                    ms, me = m.start, m.end
+                    col_doc.append(doc_id)
+                    col_sent.append(m.sent_idx)
+                    col_label.append(m.label)
+                    col_found.append(m.found_by)
+                    col_start.append(ms)
+                    col_end.append(me)
+                    if minimal:
+                        col_text.append(None)
+                    else:
+                        col_text.append(
+                            toks[ms] if me == ms + 1 else " ".join(toks[ms:me])
+                        )
+                    caps = m.match.named_captures
+                    if caps:
+                        args = []
+                        for cap in caps:
+                            cs, ce = cap.captured.start, cap.captured.end
+                            args.append(
+                                {
+                                    "name": cap.name,
+                                    "label": cap.label,
+                                    "start": cs,
+                                    "end": ce,
+                                    "text": None if minimal else
+                                        (toks[cs] if ce == cs + 1 else " ".join(toks[cs:ce])),
+                                }
+                            )
+                        out_args.append(args)
+                    else:
+                        out_args.append(EMPTY_ARGS)
+                    if want_fields:
+                        fl = sent.all_fields()
+                        out_fields.append(
+                            [{"name": name, "tokens": list(fl[name][ms:me])}
+                             for name in sorted(fl)]
+                        )
             except Exception as e:  # poison row: skip the DOCUMENT, not the task
                 if self.on_error == "raise":
                     raise
+                for col in columns:  # drop the document's partial rows
+                    del col[mark:]
                 self.error_doc_count += 1
                 import logging
 
@@ -318,51 +563,8 @@ class GrammarMatcher:
                 col_end.append(-1)
                 col_text.append(None)
                 out_args.append(EMPTY_ARGS)
-                if self.verbosity == "all":
-                    out_fields.append([])
-                continue
-            minimal = self.verbosity == "minimal"
-            want_fields = self.verbosity == "all"
-            for m in mentions:
-                sent = sent_indexes[m.sent_idx]
-                toks = sent.tokens()
-                ms, me = m.start, m.end
-                col_doc.append(doc_id)
-                col_sent.append(m.sent_idx)
-                col_label.append(m.label)
-                col_found.append(m.found_by)
-                col_start.append(ms)
-                col_end.append(me)
-                if minimal:
-                    col_text.append(None)
-                else:
-                    col_text.append(
-                        toks[ms] if me == ms + 1 else " ".join(toks[ms:me])
-                    )
-                caps = m.match.named_captures
-                if caps:
-                    args = []
-                    for cap in caps:
-                        cs, ce = cap.captured.start, cap.captured.end
-                        args.append(
-                            {
-                                "name": cap.name,
-                                "label": cap.label,
-                                "start": cs,
-                                "end": ce,
-                                "text": None if minimal else
-                                    (toks[cs] if ce == cs + 1 else " ".join(toks[cs:ce])),
-                            }
-                        )
-                    out_args.append(args)
-                else:
-                    out_args.append(EMPTY_ARGS)
                 if want_fields:
-                    fl = sent.all_fields()
-                    out_fields.append(
-                        [{"name": name, "tokens": list(fl[name][ms:me])}
-                         for name in sorted(fl)]
-                    )
+                    out_fields.append([])
         table = pa.Table.from_pydict(
             {
                 "doc_id": pa.array(col_doc, pa.string()),
