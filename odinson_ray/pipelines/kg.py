@@ -21,14 +21,10 @@ import shutil
 import tempfile
 from typing import Optional
 
-import pyarrow as pa
-
-from ..sources.interleaved import read_interleaved
-from ..stages.annotate import annotate_batch
 from ..stages.canon import canonicalize_dataset
 from ..stages.link import build_alias_table, make_linker
 from ..stages.match import GrammarMatcher
-from ..stages.triples import aggregate_triples, mentions_to_triples
+from ..stages.triples import aggregate_triples
 
 FLAGSHIP_RULES = """
 rules:
@@ -87,7 +83,6 @@ def mentions_dataset(sf_dir: str, rules_yaml: str = FLAGSHIP_RULES,
     # the nested-spans Arrow column ships through the object store — the
     # pool reads the flat raw documents table. Pre-annotated corpora can
     # insert annotate_batch / build_interleaved stages here instead.
-    from ..sources.io import documents_path, read_table
     from ..stages.match import clamp_pool
 
     docs = _read_docs(sf_dir, docs_per_block)
@@ -126,17 +121,11 @@ class TripleCounter(GrammarMatcher):
 
     def __init__(self, rules_yaml: str, variables=None):
         super().__init__(rules_yaml, variables)
-        from ..stages.link import build_alias_table
-
         self._alias = build_alias_table(())  # identity/open-world linking
 
     def __call__(self, batch):
-        import pyarrow.compute as pc
-
         from ..stages.link import canon_key, link_surface, map_unique_strings
-        from ..stages.triples import mentions_to_triples, partial_count_triples
-
-        from ..stages.triples import svo_or_error_triples
+        from ..stages.triples import partial_count_triples, svo_or_error_triples
 
         mentions = super().__call__(batch)
         # failed docs flow as reserved error triples through the SAME
@@ -163,9 +152,7 @@ def fused_triple_counts(sf_dir: str, rules_yaml: str = FLAGSHIP_RULES,
     """Fused flagship: documents -> TripleCounter pool -> combine ->
     one small groupby. Byte-identical aggregated output to the unfused
     chain (pinned by tests + the kg_triples oracle)."""
-    from ..sources.io import documents_path, read_table
     from ..stages.match import clamp_pool
-    from ..stages.triples import aggregate_triples
 
     docs = _read_docs(sf_dir, docs_per_block)
     partials = docs.map_batches(
@@ -216,8 +203,6 @@ def triples_dataset(sf_dir: str, rules_yaml: str = FLAGSHIP_RULES,
                     checkpoint_dir: Optional[str] = None):
     """Full KG pipeline; returns the aggregated triple Dataset."""
     import ray
-
-    import pyarrow.compute as pc
 
     if aggregate and canonicalize and checkpoint_dir is None:
         # fused fast path (identical output, fewer dispatched tasks and

@@ -23,7 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import rename_agg
+from odinson_ray.stages.shuffle import combine_aggregate, partial_aggregate
 
 
 def _rd():
@@ -49,7 +49,6 @@ def q_lineitem_agg(sf_dir: str):
     partial rows first (Mean decomposes into Sum+Count), so the global
     exchange moves ~6 rows per batch instead of the whole table."""
     rd = _rd()
-    from ray.data.aggregate import Sum
 
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -59,26 +58,21 @@ def q_lineitem_agg(sf_dir: str):
 
     def partial(t: pa.Table) -> pa.Table:
         disc = pc.multiply(t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        base = pa.table({
+        return pa.table({
             "l_returnflag": t["l_returnflag"],
             "l_linestatus": t["l_linestatus"],
             "q": t["l_quantity"],
             "p": t["l_extendedprice"],
             "d": disc,
         })
-        agg = pa.TableGroupBy(base, keys).aggregate(
-            [("q", "sum"), ("p", "sum"), ("d", "sum"), ([], "count_all")])
-        return rename_agg(agg, keys, keys + ["_q", "_p", "_d", "_n"])
 
     out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(keys)
-        .aggregate(
-            Sum("_q", alias_name="sum_qty"),
-            Sum("_p", alias_name="sum_base_price"),
-            Sum("_d", alias_name="sum_disc_price"),
-            Sum("_n", alias_name="n"),
-        )
+        combine_aggregate(ds.map_batches(partial, batch_format="pyarrow"),
+                          keys,
+                          [("sum_qty", "q", "sum"),
+                           ("sum_base_price", "p", "sum"),
+                           ("sum_disc_price", "d", "sum"),
+                           ("n", None, "count_all")])
         .to_pandas()
     )
     out["avg_qty"] = (out["sum_qty"] / out["n"]).round(6)
@@ -154,7 +148,6 @@ def q_revenue_by_nation(sf_dir: str):
     import ray
 
     rd = _rd()
-    from ray.data.aggregate import Sum
 
     supp = pd.read_parquet(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"])
     nation = pd.read_parquet(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
@@ -171,22 +164,16 @@ def q_revenue_by_nation(sf_dir: str):
         names = get_broadcast(lookup)
         keys = t["l_suppkey"].to_numpy(zero_copy_only=False)
         rev = pc.multiply(t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        base = pa.table({
+        return pa.table({
             "n_name": pa.array([names[k] for k in keys], pa.string()),
             "revenue": rev,
         })
-        agg = pa.TableGroupBy(base, ["n_name"]).aggregate([("revenue", "sum")])
-        return rename_agg(agg, ["n_name"], ["n_name", "revenue"])
 
-    out = (
-        rd.read_parquet(
-            f"{sf_dir}/lineitem.parquet", columns=["l_suppkey", "l_extendedprice", "l_discount"]
-        )
-        .map_batches(enrich, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(Sum("revenue", alias_name="revenue"))
-        .to_pandas()
-    )
+    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
+                         columns=["l_suppkey", "l_extendedprice", "l_discount"])
+    out = combine_aggregate(li.map_batches(enrich, batch_format="pyarrow"),
+                            "n_name", [("revenue", "revenue", "sum")]
+                            ).to_pandas()
     out["revenue"] = out["revenue"].round(2)
     return out
 
@@ -428,28 +415,19 @@ def q_dedup_exact(sf_dir: str):
     pathology at its worst): a per-batch (fp, min doc, count) combiner,
     then one groupby with Min/Sum aggregates — no group task ever
     forms."""
-    from ray.data.aggregate import Min, Sum
-
     rd = _rd()
 
-    def keyed_partial(t: pa.Table) -> pa.Table:
+    def keyed_project(t: pa.Table) -> pa.Table:
         from odinson_ray.stages.text import content_fingerprints
 
-        base = pa.table({"fp": content_fingerprints(t["text"]),
+        return pa.table({"fp": content_fingerprints(t["text"]),
                          "doc_id": t["doc_id"]})
-        g = pa.TableGroupBy(base, ["fp"]).aggregate(
-            [("doc_id", "min"), ([], "count_all")])
-        return pa.table({"fp": g["fp"], "pd": g["doc_id_min"],
-                         "pn": g["count_all"]})
 
-    return (
+    return combine_aggregate(
         rd.read_parquet(f"{sf_dir}/documents.parquet",
                         columns=["doc_id", "text"])
-        .map_batches(keyed_partial, batch_format="pyarrow")
-        .groupby("fp")
-        .aggregate(Min("pd", alias_name="doc_id"),
-                   Sum("pn", alias_name="n_copies"))
-    )
+        .map_batches(keyed_project, batch_format="pyarrow"),
+        "fp", [("doc_id", "doc_id", "min"), ("n_copies", None, "count_all")])
 
 
 ORACLE_DEDUP_EXACT = """
@@ -2399,20 +2377,20 @@ def q_rollup_lineitem(sf_dir: str):
             "l_linestatus": t["l_linestatus"],
             "q": t["l_quantity"],
         })
-        lvl2 = pa.TableGroupBy(base, ["l_returnflag", "l_linestatus"]).aggregate(
-            [("q", "sum")])
-        lvl1 = pa.TableGroupBy(base.drop_columns(["l_linestatus"]),
-                               ["l_returnflag"]).aggregate([("q", "sum")])
+        lvl2 = partial_aggregate(base, ["l_returnflag", "l_linestatus"],
+                                 [("partial_q", "q", "sum")])
+        lvl1 = partial_aggregate(base, ["l_returnflag"],
+                                 [("partial_q", "q", "sum")])
         n1 = lvl1.num_rows
         lvl1 = lvl1.add_column(1, "l_linestatus",
                                pa.array([ALL] * n1, pa.string()))
         lvl0 = pa.table({
             "l_returnflag": pa.array([ALL], pa.string()),
             "l_linestatus": pa.array([ALL], pa.string()),
-            "q_sum": pa.array([pc.sum(base["q"]).as_py() or 0.0], pa.float64()),
+            "partial_q": pa.array([pc.sum(base["q"]).as_py() or 0.0],
+                                  pa.float64()),
         })
-        out = pa.concat_tables([lvl2, lvl1, lvl0], promote_options="default")
-        return out.rename_columns(["l_returnflag", "l_linestatus", "partial_q"])
+        return pa.concat_tables([lvl2, lvl1, lvl0], promote_options="default")
 
     agg = (
         rd.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -2455,23 +2433,11 @@ def q_value_quantiles(sf_dir: str):
     right tool instead)."""
     import math
 
-    from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.shuffle import rename_agg
-
     rd = _rd()
 
-    def hist_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["event_type", "value"]),
-                            ["event_type", "value"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["event_type", "value"],
-                          ["event_type", "value", "partial_n"])
-
-    hist = (
-        rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
-        .map_batches(hist_partial, batch_format="pyarrow")
-        .groupby(["event_type", "value"]).aggregate(Sum("partial_n", alias_name="c"))
-    )
+    hist = combine_aggregate(
+        rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"]),
+        ["event_type", "value"], [("c", None, "count_all")])
 
     def quantiles(g: pa.Table) -> pa.Table:
         o = pc.sort_indices(g["value"])
@@ -2517,7 +2483,7 @@ def q_pagerank_entities(sf_dir: str, iters: int = 3, damping: float = 0.85,
     option connected_components has — so graphs near object-store
     capacity trade memory residency for re-read bandwidth, and a killed
     run can restart from the last written iteration."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
     from odinson_ray.stages.shuffle import hash_join
 
@@ -2540,25 +2506,20 @@ def q_pagerank_entities(sf_dir: str, iters: int = 3, damping: float = 0.85,
     ds = triples_dataset(sf_dir)
 
     def to_edges(t: pa.Table) -> pa.Table:
-        e = pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-        return pa.TableGroupBy(e, ["src", "dst"]).aggregate([])
+        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
 
-    edges = (
-        ds.map_batches(to_edges, batch_format="pyarrow")
-        .groupby(["src", "dst"]).aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    )
+    edges = combine_aggregate(ds.map_batches(to_edges, batch_format="pyarrow"),
+                              ["src", "dst"], [])
     edges = pin(edges, "edges")  # consumed K+2 times below
     deg = edges.groupby("src").aggregate(Count(alias_name="d"))
 
     def endpoints(t: pa.Table) -> pa.Table:
         v = pa.concat_arrays([t["src"].combine_chunks(), t["dst"].combine_chunks()])
-        return pa.TableGroupBy(pa.table({"v": v}), ["v"]).aggregate([])
+        return pa.table({"v": v})
 
-    nodes = (
-        edges.map_batches(endpoints, batch_format="pyarrow")
-        .groupby("v").aggregate(Count(alias_name="_c")).drop_columns(["_c"])
-    ).materialize()
+    nodes = combine_aggregate(
+        edges.map_batches(endpoints, batch_format="pyarrow"),
+        "v", []).materialize()
     n_nodes = nodes.count()
     base = (1.0 - damping) / n_nodes
 
@@ -2580,16 +2541,13 @@ def q_pagerank_entities(sf_dir: str, iters: int = 3, damping: float = 0.85,
         contrib = hash_join(edges_d, ranks, on="src", right_on="v",
                             left_schema=ed_schema, right_schema=rank_schema)
 
-        def partial_c(t: pa.Table) -> pa.Table:
+        def project_c(t: pa.Table) -> pa.Table:
             c = pc.divide(t["r"], pc.cast(t["d"], f64))
-            g = pa.TableGroupBy(pa.table({"dst": t["dst"], "c": c}),
-                                ["dst"]).aggregate([("c", "sum")])
-            return rename_agg(g, ["dst"], ["dst", "c"])
+            return pa.table({"dst": t["dst"], "c": c})
 
-        sums = (
-            contrib.map_batches(partial_c, batch_format="pyarrow")
-            .groupby("dst").aggregate(Sum("c", alias_name="c"))
-        )
+        sums = combine_aggregate(
+            contrib.map_batches(project_c, batch_format="pyarrow"),
+            "dst", [("c", "c", "sum")])
         joined = hash_join(nodes, sums, on="v", right_on="dst", how="left_outer",
                            left_schema=pa.schema([("v", str_t)]),
                            right_schema=pa.schema([("dst", str_t), ("c", f64)]))
@@ -2647,8 +2605,6 @@ def q_kg_triangles(sf_dir: str):
     high-rank by (degree, id), wedges enumerated over OUT-neighbors only,
     so a degree-d hub costs O(sqrt(m)) amortized out-degree instead of
     d^2 wedge rows in one join group."""
-    from ray.data.aggregate import Count
-
     from odinson_ray.stages.graph import triangle_count
 
     from .kg import triples_dataset
@@ -2660,13 +2616,11 @@ def q_kg_triangles(sf_dir: str):
         hi = pc.max_element_wise(t["subj_canon"], t["obj_canon"])
         e = pa.table({"lo": lo, "hi": hi})
         e = e.filter(pc.not_equal(e["lo"], e["hi"]))  # drop self-loops
-        return pa.TableGroupBy(e, ["lo", "hi"]).aggregate([])
+        return e
 
-    edges = (
-        ds.map_batches(to_undirected, batch_format="pyarrow")
-        .groupby(["lo", "hi"]).aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    )
+    edges = combine_aggregate(
+        ds.map_batches(to_undirected, batch_format="pyarrow"),
+        ["lo", "hi"], [])
     import pandas as _pd
 
     return _pd.DataFrame({"n_triangles": [triangle_count(edges)]})
@@ -2732,14 +2686,12 @@ def q_fuzzy_word_pairs(sf_dir: str):
 
     def vocab(t: pa.Table) -> pa.Table:
         toks = pc.split_pattern(t["p_name"], " ")
-        return pa.TableGroupBy(pa.table({"w": pc.list_flatten(toks)}),
-                               ["w"]).aggregate([])
+        return pa.table({"w": pc.list_flatten(toks)})
 
-    words = (
+    words = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/part.parquet", columns=["p_name"])
-        .map_batches(vocab, batch_format="pyarrow")
-        .groupby("w").aggregate(Count(alias_name="_c")).drop_columns(["_c"])
-    )
+        .map_batches(vocab, batch_format="pyarrow"),
+        "w", [])
 
     def expand(t: pa.Table) -> pa.Table:
         keys: list = []
@@ -2955,11 +2907,11 @@ def q_bm25_topk(sf_dir: str, k: int = 10):
     vectorized map over the document stream feeding global_topk (per-
     batch prune, the final sort sees <= k x batches rows)."""
     import ray
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     from odinson_ray.sources.io import clean_rd as rd
     from odinson_ray.stages.link import get_broadcast
-    from odinson_ray.stages.shuffle import global_topk, rename_agg
+    from odinson_ray.stages.shuffle import global_topk
     from odinson_ray.stages.text import df_partial_batch
 
     terms = sorted(BM25_QUERY)
@@ -3063,10 +3015,6 @@ def q_doc_split_counts(sf_dir: str):
     of the key, so assignment is reproducible at any parallelism, any
     retry, any shard order (the property a 100-TB split must have; no
     RNG state, no coordination). Returns per-split doc counts."""
-    from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.shuffle import rename_agg
-
     rd = _rd()
 
     def assign(t: pa.Table) -> pa.Table:
@@ -3078,16 +3026,12 @@ def q_doc_split_counts(sf_dir: str):
              for i in ids), dtype=np.int64, count=len(ids))
         split = np.where(buckets < 80, "train",
                          np.where(buckets < 90, "val", "test"))
-        g = pa.TableGroupBy(
-            pa.table({"split": pa.array(split.tolist(), pa.string())}),
-            ["split"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["split"], ["split", "partial_n"])
+        return pa.table({"split": pa.array(split.tolist(), pa.string())})
 
-    return (
+    return combine_aggregate(
         rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-        .map_batches(assign, batch_format="pyarrow")
-        .groupby("split").aggregate(Sum("partial_n", alias_name="n_docs"))
-    )
+        .map_batches(assign, batch_format="pyarrow"),
+        "split", [("n_docs", None, "count_all")])
 
 
 ORACLE_DOC_SPLIT_COUNTS = """
@@ -3112,23 +3056,18 @@ def q_top_tokens(sf_dir: str, k: int = 20):
     """Exact corpus-wide top-k tokens by total occurrence count: per-batch
     token-count combiner (one row per distinct token per batch) ->
     groupby sum -> global top-k (count desc, token asc)."""
-    from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.shuffle import global_topk, rename_agg
+    from odinson_ray.stages.shuffle import global_topk
 
     rd = _rd()
 
     def partial(t: pa.Table) -> pa.Table:
         toks = pc.split_pattern(t["text"], " ")
-        g = pa.TableGroupBy(pa.table({"tok": pc.list_flatten(toks)}),
-                            ["tok"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["tok"], ["tok", "partial_n"])
+        return pa.table({"tok": pc.list_flatten(toks)})
 
-    counts = (
+    counts = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("tok").aggregate(Sum("partial_n", alias_name="n"))
-    )
+        .map_batches(partial, batch_format="pyarrow"),
+        "tok", [("n", None, "count_all")])
     return global_topk(counts, ["n", "tok"], [True, False], k)
 
 
@@ -3151,9 +3090,7 @@ def q_bigram_next(sf_dir: str):
     sum over (tok, next) -> per-key argmax via the grouped-topk pattern
     (per-batch prune keeps <= 1 row per tok, so no hot head-word floods
     one reducer)."""
-    from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.shuffle import grouped_topk, rename_agg
+    from odinson_ray.stages.shuffle import grouped_topk
 
     rd = _rd()
 
@@ -3161,22 +3098,16 @@ def q_bigram_next(sf_dir: str):
         toks = pc.split_pattern(t["text"], " ")
         flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False)
         rows = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-        if len(flat) < 2:
-            return pa.table({"tok": pa.array([], pa.string()),
-                             "next": pa.array([], pa.string()),
-                             "partial_n": pa.array([], pa.int64())})
         same_doc = rows[1:] == rows[:-1]
-        g = pa.TableGroupBy(pa.table({
+        return pa.table({
             "tok": pa.array(flat[:-1][same_doc].tolist(), pa.string()),
             "next": pa.array(flat[1:][same_doc].tolist(), pa.string()),
-        }), ["tok", "next"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["tok", "next"], ["tok", "next", "partial_n"])
+        })
 
-    counts = (
+    counts = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["tok", "next"]).aggregate(Sum("partial_n", alias_name="n"))
-    )
+        .map_batches(partial, batch_format="pyarrow"),
+        ["tok", "next"], [("n", None, "count_all")])
     return grouped_topk(counts, "tok", ["n", "next"], [True, False], 1)
 
 
@@ -3204,42 +3135,20 @@ def q_event_type_pmi(sf_dir: str, min_pair: int = 5):
     combiner-first aggregates (pair, user, type marginals) + two
     distributed hash joins attach the marginals — association mining
     shaped exactly like the co-occurrence scoring a KG linker uses."""
-    from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.shuffle import hash_join, rename_agg
+    from odinson_ray.stages.shuffle import hash_join
 
     rd = _rd()
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_type"])
 
-    def pair_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["user_id", "event_type"]),
-                            ["user_id", "event_type"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["user_id", "event_type"],
-                          ["user_id", "event_type", "partial_n"])
-
-    pairs = (
-        ev.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["user_id", "event_type"]).aggregate(Sum("partial_n", alias_name="c_ut"))
-    )
+    pairs = combine_aggregate(ev, ["user_id", "event_type"],
+                              [("c_ut", None, "count_all")])
     pairs = pairs.map_batches(
         lambda t: t.filter(pc.greater_equal(t["c_ut"], min_pair)),
         batch_format="pyarrow")
 
-    def u_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["user_id"]), ["user_id"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(g, ["user_id"], ["user_id", "partial_n"])
-
-    def t_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["event_type"]), ["event_type"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(g, ["event_type"], ["event_type", "partial_n"])
-
-    users = (ev.map_batches(u_partial, batch_format="pyarrow")
-             .groupby("user_id").aggregate(Sum("partial_n", alias_name="c_u")))
-    types = (ev.map_batches(t_partial, batch_format="pyarrow")
-             .groupby("event_type").aggregate(Sum("partial_n", alias_name="c_t")))
+    users = combine_aggregate(ev, "user_id", [("c_u", None, "count_all")])
+    types = combine_aggregate(ev, "event_type", [("c_t", None, "count_all")])
     n_events = ev.count()
 
     i64, s = pa.int64(), pa.string()
@@ -3292,10 +3201,8 @@ def q_value_zscore(sf_dir: str):
     (groups are event TYPES: bounded cardinality, so broadcast is the
     right side)."""
     import ray
-    from ray.data.aggregate import Sum
 
     from odinson_ray.stages.link import get_broadcast
-    from odinson_ray.stages.shuffle import rename_agg
 
     rd = _rd()
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -3303,21 +3210,18 @@ def q_value_zscore(sf_dir: str):
 
     def moments(t: pa.Table) -> pa.Table:
         v = t["value"]
-        base = pa.table({
+        return pa.table({
             "event_type": t["event_type"],
             "_s": v,
             "_s2": pc.multiply(v, v),
         })
-        g = pa.TableGroupBy(base, ["event_type"]).aggregate(
-            [("_s", "sum"), ("_s2", "sum"), ([], "count_all")])
-        return rename_agg(g, ["event_type"], ["event_type", "_s", "_s2", "_n"])
 
     stats = {}
     for r in (
-        ev.map_batches(moments, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("_s", alias_name="s"), Sum("_s2", alias_name="s2"),
-                   Sum("_n", alias_name="n"))
+        combine_aggregate(ev.map_batches(moments, batch_format="pyarrow"),
+                          "event_type",
+                          [("s", "_s", "sum"), ("s2", "_s2", "sum"),
+                           ("n", None, "count_all")])
         .take_all()  # one row per event TYPE (bounded small)
     ):
         mean = r["s"] / r["n"]
@@ -3491,9 +3395,7 @@ def q_doc_perplexity(sf_dir: str):
     exactly the table one must NOT broadcast. A head's group is bounded
     by its distinct-successor count (vocabulary-, not corpus-sized), and
     the per-batch combiner keeps its fan-in to one row per batch."""
-    from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.shuffle import hash_join, rename_agg
+    from odinson_ray.stages.shuffle import hash_join
 
     rd = _rd()
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -3522,9 +3424,8 @@ def q_doc_perplexity(sf_dir: str):
             return pa.table({"head": pa.array([], pa.string()),
                              "next": pa.array([], pa.string()),
                              "partial_n": pa.array([], pa.int64())})
-        g = pa.TableGroupBy(bi.select(["head", "next"]),
-                            ["head", "next"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["head", "next"], ["head", "next", "partial_n"])
+        return partial_aggregate(bi.select(["head", "next"]), ["head", "next"],
+                                 [("partial_n", None, "count_all")])
 
     MODEL_PARTS = 512
 
@@ -3541,12 +3442,9 @@ def q_doc_perplexity(sf_dir: str):
             return pa.table({"bg": pa.array([], pa.string()),
                              "c_bg": pa.array([], pa.int64()),
                              "c_head": pa.array([], pa.int64())})
-        agg = pa.TableGroupBy(g.select(["head", "next", "partial_n"]),
-                              ["head", "next"]).aggregate([("partial_n", "sum")])
-        agg = rename_agg(agg, ["head", "next"], ["head", "next", "c_bg"])
-        hd = pa.TableGroupBy(agg.select(["head", "c_bg"]),
-                             ["head"]).aggregate([("c_bg", "sum")])
-        hd = rename_agg(hd, ["head"], ["head", "c_head"])
+        agg = partial_aggregate(g, ["head", "next"],
+                                [("c_bg", "partial_n", "sum")])
+        hd = partial_aggregate(agg, ["head"], [("c_head", "c_bg", "sum")])
         j = agg.join(hd, keys="head").combine_chunks()
         return pa.table({
             "bg": pc.binary_join_element_wise(j["head"].combine_chunks(),
@@ -3575,8 +3473,8 @@ def q_doc_perplexity(sf_dir: str):
             "bg": pc.binary_join_element_wise(bi["head"].combine_chunks(),
                                               bi["next"].combine_chunks(), SEP),
         })
-        g = pa.TableGroupBy(pairs, ["doc_id", "bg"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["doc_id", "bg"], ["doc_id", "bg", "n_pos"])
+        return partial_aggregate(pairs, ["doc_id", "bg"],
+                                 [("n_pos", None, "count_all")])
 
     doc_bg = docs.map_batches(doc_rows, batch_format="pyarrow")
     i64, s = pa.int64(), pa.string()
@@ -3599,16 +3497,8 @@ def q_doc_perplexity(sf_dir: str):
         right_schema=pa.schema([("bg", s), ("c_bg", i64), ("c_head", i64)]),
         merge_post=score_group, merge_post_coarse=True)
 
-    def partial_sums(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["doc_id", "_nll", "_n"]),
-                            ["doc_id"]).aggregate([("_nll", "sum"), ("_n", "sum")])
-        return rename_agg(g, ["doc_id"], ["doc_id", "_nll", "_n"])
-
-    sums = (
-        joined.map_batches(partial_sums, batch_format="pyarrow")
-        .groupby("doc_id")
-        .aggregate(Sum("_nll", alias_name="nll"), Sum("_n", alias_name="n"))
-    )
+    sums = combine_aggregate(joined, "doc_id",
+                             [("nll", "_nll", "sum"), ("n", "_n", "sum")])
     return sums.map_batches(
         lambda t: pa.table({
             "doc_id": t["doc_id"],
@@ -3682,33 +3572,24 @@ def q_funnel_users(sf_dir: str, a: str = "view", b: str = "purchase"):
     '{b}' event (min ts(a) < max ts(b)): per-batch min/max combiner per
     user, one groupby, one filtered count — three numbers per (user,
     batch) cross the shuffle, never events."""
-    from ray.data.aggregate import Max, Min
-
-    from odinson_ray.stages.shuffle import rename_agg
-
     rd = _rd()
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "event_type"])
 
     def partial(t: pa.Table) -> pa.Table:
         tsv = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
-        base = pa.table({
+        return pa.table({
             "user_id": t["user_id"],
             "_a": pc.if_else(pc.equal(t["event_type"], a), tsv,
                              pa.nulls(len(t), pa.int64())),
             "_b": pc.if_else(pc.equal(t["event_type"], b), tsv,
                              pa.nulls(len(t), pa.int64())),
         })
-        g = pa.TableGroupBy(base, ["user_id"]).aggregate(
-            [("_a", "min"), ("_b", "max")])
-        return rename_agg(g, ["user_id"], ["user_id", "_a", "_b"])
 
-    stats = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Min("_a", alias_name="first_a"),
-                   Max("_b", alias_name="last_b"))
-    )
+    stats = combine_aggregate(ev.map_batches(partial, batch_format="pyarrow"),
+                              "user_id",
+                              [("first_a", "_a", "min"),
+                               ("last_b", "_b", "max")])
     hits = stats.map_batches(
         lambda t: t.filter(pc.and_kleene(
             pc.and_kleene(pc.is_valid(t["first_a"]), pc.is_valid(t["last_b"])),
@@ -3839,30 +3720,23 @@ def q_per_source_long_docs(sf_dir: str):
     import math
 
     import ray
-    from ray.data.aggregate import Sum
 
     from odinson_ray.stages.link import get_broadcast
-    from odinson_ray.stages.shuffle import rename_agg
 
     rd = _rd()
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "source", "text"])
 
-    def len_partial(t: pa.Table) -> pa.Table:
+    def len_project(t: pa.Table) -> pa.Table:
         toks = pc.split_pattern(t["text"], " ")
-        base = pa.table({
+        return pa.table({
             "source": t["source"],
             "n_tokens": pc.cast(pc.list_value_length(toks), pa.int64()),
         })
-        g = pa.TableGroupBy(base, ["source", "n_tokens"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(g, ["source", "n_tokens"],
-                          ["source", "n_tokens", "partial_n"])
 
-    hist = (
-        docs.map_batches(len_partial, batch_format="pyarrow")
-        .groupby(["source", "n_tokens"]).aggregate(Sum("partial_n", alias_name="c"))
-    )
+    hist = combine_aggregate(
+        docs.map_batches(len_project, batch_format="pyarrow"),
+        ["source", "n_tokens"], [("c", None, "count_all")])
 
     def threshold(g: pa.Table) -> pa.Table:
         o = pc.sort_indices(g["n_tokens"])
@@ -4169,23 +4043,23 @@ def q_cube_lineitem(sf_dir: str):
             "l_linestatus": t["l_linestatus"],
             "q": t["l_quantity"],
         })
-        both = pa.TableGroupBy(base, ["l_returnflag", "l_linestatus"]).aggregate(
-            [("q", "sum")])
-        flag = pa.TableGroupBy(base.drop_columns(["l_linestatus"]),
-                               ["l_returnflag"]).aggregate([("q", "sum")])
+        both = partial_aggregate(base, ["l_returnflag", "l_linestatus"],
+                                 [("partial_q", "q", "sum")])
+        flag = partial_aggregate(base, ["l_returnflag"],
+                                 [("partial_q", "q", "sum")])
         flag = flag.add_column(1, "l_linestatus",
                                pa.array([ALL] * flag.num_rows, pa.string()))
-        stat = pa.TableGroupBy(base.drop_columns(["l_returnflag"]),
-                               ["l_linestatus"]).aggregate([("q", "sum")])
+        stat = partial_aggregate(base, ["l_linestatus"],
+                                 [("partial_q", "q", "sum")])
         stat = stat.add_column(0, "l_returnflag",
                                pa.array([ALL] * stat.num_rows, pa.string()))
         tot = pa.table({
             "l_returnflag": pa.array([ALL], pa.string()),
             "l_linestatus": pa.array([ALL], pa.string()),
-            "q_sum": pa.array([pc.sum(base["q"]).as_py() or 0.0], pa.float64()),
+            "partial_q": pa.array([pc.sum(base["q"]).as_py() or 0.0],
+                                  pa.float64()),
         })
-        out = pa.concat_tables([both, flag, stat, tot], promote_options="default")
-        return out.rename_columns(["l_returnflag", "l_linestatus", "partial_q"])
+        return pa.concat_tables([both, flag, stat, tot], promote_options="default")
 
     agg = (
         rd.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -4223,24 +4097,14 @@ def q_value_percent_rank(sf_dir: str):
     rank table then joins BACK to the event stream on a composite
     (event_type, value) key — a distributed hash_join, never a broadcast
     of the value dictionary."""
-    from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.shuffle import hash_join, rename_agg
+    from odinson_ray.stages.shuffle import hash_join
 
     rd = _rd()
     events = rd.read_parquet(f"{sf_dir}/events.parquet",
                              columns=["event_id", "event_type", "value"])
 
-    def hist_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["event_type", "value"]),
-                            ["event_type", "value"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["event_type", "value"],
-                          ["event_type", "value", "partial_n"])
-
-    hist = (
-        events.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby(["event_type", "value"]).aggregate(Sum("partial_n", alias_name="c"))
-    )
+    hist = combine_aggregate(events, ["event_type", "value"],
+                             [("c", None, "count_all")])
 
     def ranks(g: pa.Table) -> pa.Table:
         o = pc.sort_indices(g["value"])
@@ -4315,10 +4179,9 @@ def q_star_join_revenue(sf_dir: str):
     dict (ray.put once, read per actor) — dimension tables never shuffle.
     One hash_join + one tiny final groupby."""
     import ray
-    from ray.data.aggregate import Sum
 
     from odinson_ray.stages.link import get_broadcast
-    from odinson_ray.stages.shuffle import hash_join, rename_agg
+    from odinson_ray.stages.shuffle import hash_join
 
     rd = _rd()
 
@@ -4331,23 +4194,19 @@ def q_star_join_revenue(sf_dir: str):
                      zip(nation.n_nationkey, nation.n_regionkey)}
     dims = ray.put(nat_to_region)
 
-    def order_partial(t: pa.Table) -> pa.Table:
+    def order_project(t: pa.Table) -> pa.Table:
         # money sums in exact integer cents: float partial sums of ~1e9
         # totals differ by summation order at the ULP, which breaks
         # hash-exact comparison; int64 cents are associative
         cents = pc.cast(pc.round(pc.multiply(t["o_totalprice"], 100.0)),
                         pa.int64())
-        g = pa.TableGroupBy(
-            pa.table({"o_custkey": t["o_custkey"], "cents": cents}),
-            ["o_custkey"]).aggregate([("cents", "sum")])
-        return rename_agg(g, ["o_custkey"], ["o_custkey", "rev"])
+        return pa.table({"o_custkey": t["o_custkey"], "cents": cents})
 
-    pre = (
+    pre = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/orders.parquet",
                         columns=["o_custkey", "o_totalprice"])
-        .map_batches(order_partial, batch_format="pyarrow")
-        .groupby("o_custkey").aggregate(Sum("rev", alias_name="rev"))
-    )
+        .map_batches(order_project, batch_format="pyarrow"),
+        "o_custkey", [("rev", "cents", "sum")])
 
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_nationkey"])
@@ -4361,15 +4220,14 @@ def q_star_join_revenue(sf_dir: str):
     def by_region(t: pa.Table) -> pa.Table:
         lut = get_broadcast(dims)
         nk = t["c_nationkey"].to_numpy(zero_copy_only=False)
-        base = pa.table({
+        return pa.table({
             "r_name": pa.array([lut[int(k)] for k in nk], pa.string()),
             "rev": t["rev"],
         })
-        g = pa.TableGroupBy(base, ["r_name"]).aggregate([("rev", "sum")])
-        return rename_agg(g, ["r_name"], ["r_name", "rev"])
 
-    agg = (joined.map_batches(by_region, batch_format="pyarrow")
-           .groupby("r_name").aggregate(Sum("rev", alias_name="revenue")))
+    agg = combine_aggregate(
+        joined.map_batches(by_region, batch_format="pyarrow"),
+        "r_name", [("revenue", "rev", "sum")])
     return agg.map_batches(
         lambda t: t.set_column(
             t.column_names.index("revenue"), "revenue",
@@ -4402,8 +4260,6 @@ def q_profile_columns(sf_dir: str):
     shuffle is bounded by distinct values, never row count. Only
     #columns rows ever reach the driver."""
     from ray.data.aggregate import Max, Min, Sum
-
-    from odinson_ray.stages.shuffle import rename_agg
 
     COLS = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
     rd = _rd()
@@ -4497,24 +4353,15 @@ def q_winsorize_values(sf_dir: str):
     import math
 
     import ray
-    from ray.data.aggregate import Sum
 
     from odinson_ray.stages.link import get_broadcast
-    from odinson_ray.stages.shuffle import rename_agg
 
     rd = _rd()
     events = rd.read_parquet(f"{sf_dir}/events.parquet",
                              columns=["event_id", "event_type", "value"])
 
-    def hist_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["event_type", "value"]),
-                            ["event_type", "value"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["event_type", "value"],
-                          ["event_type", "value", "partial_n"])
-
-    hist = (events.map_batches(hist_partial, batch_format="pyarrow")
-            .groupby(["event_type", "value"])
-            .aggregate(Sum("partial_n", alias_name="c")))
+    hist = combine_aggregate(events, ["event_type", "value"],
+                             [("c", None, "count_all")])
 
     def bounds(g: pa.Table) -> pa.Table:
         o = pc.sort_indices(g["value"])
@@ -4735,31 +4582,24 @@ def q_corr_lineitem(sf_dir: str):
     six numbers per key, and corr falls out algebraically — one tiny
     shuffle, nothing data-sized anywhere. (n-1) cancels in the ratio,
     so sample corr == this formula exactly."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_returnflag", "l_quantity", "l_extendedprice"])
 
     def partial(t: pa.Table) -> pa.Table:
         x, y = t["l_quantity"], t["l_extendedprice"]
-        s = pa.table({
+        return pa.table({
             "l_returnflag": t["l_returnflag"],
             "x": x, "y": y,
             "xx": pc.multiply(x, x), "yy": pc.multiply(y, y),
             "xy": pc.multiply(x, y),
         })
-        g = pa.TableGroupBy(s, ["l_returnflag"]).aggregate(
-            [([], "count_all"), ("x", "sum"), ("y", "sum"),
-             ("xx", "sum"), ("yy", "sum"), ("xy", "sum")])
-        return rename_agg(g, ["l_returnflag"],
-                          ["l_returnflag", "pn", "px", "py", "pxx", "pyy", "pxy"])
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("l_returnflag")
-           .aggregate(Sum("pn", alias_name="n"), Sum("px", alias_name="sx"),
-                      Sum("py", alias_name="sy"), Sum("pxx", alias_name="sxx"),
-                      Sum("pyy", alias_name="syy"), Sum("pxy", alias_name="sxy")))
+    agg = combine_aggregate(ds.map_batches(partial, batch_format="pyarrow"),
+                            "l_returnflag",
+                            [("n", None, "count_all"), ("sx", "x", "sum"),
+                             ("sy", "y", "sum"), ("sxx", "xx", "sum"),
+                             ("syy", "yy", "sum"), ("sxy", "xy", "sum")])
 
     def fin(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -4922,9 +4762,9 @@ def q_token_entropy(sf_dir: str):
         toks = pc.split_pattern(t["text"], " ")
         parent = pc.list_parent_indices(toks)
         tb = pa.table({"p": parent, "tok": pc.list_flatten(toks)})
-        g = pa.TableGroupBy(tb, ["p", "tok"]).aggregate([([], "count_all")])
+        g = partial_aggregate(tb, ["p", "tok"], [("c", None, "count_all")])
         p = g["p"].to_numpy(zero_copy_only=False)
-        c = g["count_all"].to_numpy(zero_copy_only=False).astype(np.float64)
+        c = g["c"].to_numpy(zero_copy_only=False).astype(np.float64)
         n = np.bincount(p, weights=c, minlength=len(t))
         s = np.bincount(p, weights=c * np.log(c), minlength=len(t))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -4968,8 +4808,6 @@ def q_adamic_adar(sf_dir: str, k: int = 10):
     the standard guard against hub pair-matrix blowup."""
     from odinson_ray.stages.graph import adamic_adar_pairs
 
-    from ray.data.aggregate import Count
-
     from .kg import triples_dataset
 
     ds = triples_dataset(sf_dir)
@@ -4979,13 +4817,11 @@ def q_adamic_adar(sf_dir: str, k: int = 10):
         hi = pc.max_element_wise(t["subj_canon"], t["obj_canon"])
         e = pa.table({"lo": lo, "hi": hi})
         e = e.filter(pc.not_equal(e["lo"], e["hi"]))
-        return pa.TableGroupBy(e, ["lo", "hi"]).aggregate([])
+        return e
 
-    edges = (
-        ds.map_batches(to_undirected, batch_format="pyarrow")
-        .groupby(["lo", "hi"]).aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    )
+    edges = combine_aggregate(
+        ds.map_batches(to_undirected, batch_format="pyarrow"),
+        ["lo", "hi"], [])
     # PIN before fan-out: adamic_adar_pairs consumes edges on both sides
     # of its self-join; left lazy, the plan would embed TWO copies of the
     # upstream annotate+match ACTOR POOL in one executing pipeline, and
@@ -5072,25 +4908,14 @@ def q_user_top_type(sf_dir: str):
     count combiner -> groupby Sum (the only all-to-all moves per-batch
     distinct key pairs) -> grouped_topk k=1, whose per-batch prune keeps
     one row per user before the final shuffle."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.shuffle import grouped_topk
 
     rd = _rd()
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t, ["user_id", "event_type"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(g, ["user_id", "event_type"],
-                          ["user_id", "event_type", "partial_n"])
-
-    counts = (
+    counts = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["user_id", "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["user_id", "event_type"])
-        .aggregate(Sum("partial_n", alias_name="n"))
-    )
+                        columns=["user_id", "event_type"]),
+        ["user_id", "event_type"], [("n", None, "count_all")])
     return grouped_topk(counts, by="user_id",
                         cols=["n", "event_type"], descending=[True, False],
                         k=1)
@@ -5302,10 +5127,9 @@ def q_bucketed_join_revenue(sf_dir: str):
         {"c_custkey": "custkey", "c_name": "c_name"})
 
     def per_bucket_agg(j: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(j, ["custkey", "c_name"]).aggregate(
-            [([], "count_all"), ("o_totalprice", "sum")])
-        g = rename_agg(g, ["custkey", "c_name"],
-                       ["custkey", "c_name", "n_orders", "_sum"])
+        g = partial_aggregate(j, ["custkey", "c_name"],
+                              [("n_orders", None, "count_all"),
+                               ("_sum", "o_totalprice", "sum")])
         s = g["_sum"].to_numpy(zero_copy_only=False)
         ct = np.floor(s * 100.0 + 0.5).astype(np.int64)
         return pa.table({
@@ -5342,8 +5166,6 @@ def q_kg_kcore(sf_dir: str, k: int = 2, rounds: int = 3):
     oracle unrolls the same three peels; the fixpoint mode is
     pytest-verified against a local peel). Output: surviving vertices
     with their in-subgraph degree."""
-    from ray.data.aggregate import Count
-
     from odinson_ray.stages.graph import kcore_edges, vertex_degrees
 
     from .kg import triples_dataset
@@ -5355,13 +5177,11 @@ def q_kg_kcore(sf_dir: str, k: int = 2, rounds: int = 3):
         hi = pc.max_element_wise(t["subj_canon"], t["obj_canon"])
         e = pa.table({"lo": lo, "hi": hi})
         e = e.filter(pc.not_equal(e["lo"], e["hi"]))
-        return pa.TableGroupBy(e, ["lo", "hi"]).aggregate([])
+        return e
 
-    edges = (
-        ds.map_batches(to_undirected, batch_format="pyarrow")
-        .groupby(["lo", "hi"]).aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    ).materialize()  # pinned: consumed once per peel round
+    edges = combine_aggregate(
+        ds.map_batches(to_undirected, batch_format="pyarrow"),
+        ["lo", "hi"], []).materialize()  # pinned: consumed once per peel round
     core = kcore_edges(edges, k=k, rounds=rounds)
     return vertex_degrees(core)
 
@@ -5406,8 +5226,6 @@ def q_decayed_value(sf_dir: str):
     one tiny shuffle. Age and weight are computed with the identical
     IEEE expression the oracle uses; the rounded output magnitudes keep
     double ulp far below the gate's tolerance."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
     ref_us = pd.Timestamp("2024-02-01").value // 1000  # epoch micros
     lam = np.log(2.0) / 7.0  # per-day decay, 7-day half-life
@@ -5417,19 +5235,14 @@ def q_decayed_value(sf_dir: str):
             zero_copy_only=False)
         age_days = (ref_us - ts) / 86400000000.0
         w = t["value"].to_numpy(zero_copy_only=False) * np.exp(-lam * age_days)
-        s = pa.table({"event_type": t["event_type"],
-                      "w": pa.array(w, pa.float64())})
-        g = pa.TableGroupBy(s, ["event_type"]).aggregate(
-            [([], "count_all"), ("w", "sum")])
-        return rename_agg(g, ["event_type"], ["event_type", "pn", "pw"])
+        return pa.table({"event_type": t["event_type"],
+                         "w": pa.array(w, pa.float64())})
 
-    agg = (
+    agg = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/events.parquet",
                         columns=["event_type", "ts", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("pn", alias_name="n"), Sum("pw", alias_name="dsum"))
-    )
+        .map_batches(partial, batch_format="pyarrow"),
+        "event_type", [("n", None, "count_all"), ("dsum", "w", "sum")])
 
     def fin(t: pa.Table) -> pa.Table:
         return t.set_column(t.schema.get_field_index("dsum"), "decayed_sum",
@@ -5457,31 +5270,24 @@ def q_regress_lineitem(sf_dir: str):
     R^2) from the SAME six sufficient statistics as corr_lineitem — the
     map-side-combine family covers every closed-form regression
     aggregate for free; only six numbers per key ever shuffle."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_returnflag", "l_quantity", "l_extendedprice"])
 
     def partial(t: pa.Table) -> pa.Table:
         x, y = t["l_quantity"], t["l_extendedprice"]
-        s = pa.table({
+        return pa.table({
             "l_returnflag": t["l_returnflag"],
             "x": x, "y": y,
             "xx": pc.multiply(x, x), "yy": pc.multiply(y, y),
             "xy": pc.multiply(x, y),
         })
-        g = pa.TableGroupBy(s, ["l_returnflag"]).aggregate(
-            [([], "count_all"), ("x", "sum"), ("y", "sum"),
-             ("xx", "sum"), ("yy", "sum"), ("xy", "sum")])
-        return rename_agg(g, ["l_returnflag"],
-                          ["l_returnflag", "pn", "px", "py", "pxx", "pyy", "pxy"])
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("l_returnflag")
-           .aggregate(Sum("pn", alias_name="n"), Sum("px", alias_name="sx"),
-                      Sum("py", alias_name="sy"), Sum("pxx", alias_name="sxx"),
-                      Sum("pyy", alias_name="syy"), Sum("pxy", alias_name="sxy")))
+    agg = combine_aggregate(ds.map_batches(partial, batch_format="pyarrow"),
+                            "l_returnflag",
+                            [("n", None, "count_all"), ("sx", "x", "sum"),
+                             ("sy", "y", "sum"), ("sxx", "xx", "sum"),
+                             ("syy", "yy", "sum"), ("sxy", "xy", "sum")])
 
     def fin(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -5820,7 +5626,6 @@ def q_skyline_orders(sf_dir: str):
     Prices compare as integer cents (floor(x*100+0.5)) so both sides
     agree bit-exactly."""
     import ray
-    from ray.data.aggregate import Max
 
     rd = _rd()
     cols = ["o_orderkey", "o_orderdate", "o_totalprice"]
@@ -5832,16 +5637,11 @@ def q_skyline_orders(sf_dir: str):
                          "o_orderdate": t["o_orderdate"],
                          "cents": cents})
 
-    def date_max(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(t, ["o_orderdate"]).aggregate([("cents", "max")])
-        return rename_agg(agg, ["o_orderdate"], ["o_orderdate", "cents"])
-
     per_date = (
-        rd.read_parquet(f"{sf_dir}/orders.parquet", columns=cols)
-        .map_batches(with_cents, batch_format="pyarrow")
-        .map_batches(date_max, batch_format="pyarrow")
-        .groupby("o_orderdate")
-        .aggregate(Max("cents", alias_name="max_cents"))
+        combine_aggregate(
+            rd.read_parquet(f"{sf_dir}/orders.parquet", columns=cols)
+            .map_batches(with_cents, batch_format="pyarrow"),
+            "o_orderdate", [("max_cents", "cents", "max")])
         .to_pandas()
         .sort_values("o_orderdate")
         .reset_index(drop=True)
@@ -6068,39 +5868,25 @@ def q_window_distinct_users(sf_dir: str):
     distinct as distinct_users_per_type with the window key added, so
     the shuffle moves distinct triples (bounded by users x days x types),
     not event rows."""
-    from ray.data.aggregate import Count, Sum
-
     rd = _rd()
     day_us = 86400 * 1_000_000
 
     def triples(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
         day = pc.multiply(pc.floor(pc.divide(us, day_us)), day_us)
-        base = pa.table({
+        return pa.table({
             "day": pc.cast(pc.cast(day, pa.int64()), pa.timestamp("us")),
             "event_type": t["event_type"],
             "user_id": t["user_id"],
         })
-        agg = pa.TableGroupBy(base, ["day", "event_type", "user_id"]).aggregate([])
-        return agg
 
-    def fold(t: pa.Table) -> pa.Table:
-        base = pa.table({"day": t["day"], "event_type": t["event_type"]})
-        agg = pa.TableGroupBy(base, ["day", "event_type"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(agg, ["day", "event_type"],
-                          ["day", "event_type", "_n"])
-
-    return (
+    distinct = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/events.parquet",
                         columns=["ts", "event_type", "user_id"])
-        .map_batches(triples, batch_format="pyarrow")
-        .groupby(["day", "event_type", "user_id"])
-        .aggregate(Count(alias_name="_c"))
-        .map_batches(fold, batch_format="pyarrow")
-        .groupby(["day", "event_type"])
-        .aggregate(Sum("_n", alias_name="n_users"))
-    )
+        .map_batches(triples, batch_format="pyarrow"),
+        ["day", "event_type", "user_id"], [])
+    return combine_aggregate(distinct, ["day", "event_type"],
+                             [("n_users", None, "count_all")])
 
 
 ORACLE_WINDOW_DISTINCT_USERS = """
@@ -6123,19 +5909,13 @@ def q_dense_rank_dates(sf_dir: str):
     second streaming pass. No row-level sort or enumeration shuffle —
     dense_rank over a bounded key domain never needs one."""
     import ray
-    from ray.data.aggregate import Count
 
     rd = _rd()
 
-    def distinct_dates(t: pa.Table) -> pa.Table:
-        return pa.TableGroupBy(t.select(["o_orderdate"]),
-                               ["o_orderdate"]).aggregate([])
-
     dates = (
-        rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderdate"])
-        .map_batches(distinct_dates, batch_format="pyarrow")
-        .groupby("o_orderdate")
-        .aggregate(Count(alias_name="_c"))
+        combine_aggregate(
+            rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderdate"]),
+            "o_orderdate", [])
         .to_pandas()["o_orderdate"]
         .astype("datetime64[us]")
         .astype(np.int64)
@@ -6176,21 +5956,13 @@ def q_revenue_share(sf_dir: str):
     (the group domain is 5 values), then the normalize runs driver-side
     on the 5-row result — the total is derived from the same partials
     rather than a second scan."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
 
-    def partial(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(t, ["o_orderpriority"]).aggregate(
-            [("o_totalprice", "sum")])
-        return rename_agg(agg, ["o_orderpriority"], ["o_orderpriority", "_s"])
-
     out = (
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_orderpriority", "o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .aggregate(Sum("_s", alias_name="_s"))
+        combine_aggregate(
+            rd.read_parquet(f"{sf_dir}/orders.parquet",
+                            columns=["o_orderpriority", "o_totalprice"]),
+            "o_orderpriority", [("_s", "o_totalprice", "sum")])
         .to_pandas()
     )
     out["revenue_cents"] = np.floor(out["_s"] * 100 + 0.5).astype(np.int64)
@@ -6215,23 +5987,18 @@ def q_geo_mean_value(sf_dir: str):
     """Grouped geometric mean via the log-sum decomposition: exp(avg(ln x))
     — a plain (sum, count) combiner in log space; two doubles per
     (batch, key) cross the shuffle."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
 
     def partial(t: pa.Table) -> pa.Table:
-        base = pa.table({"event_type": t["event_type"],
+        return pa.table({"event_type": t["event_type"],
                          "_ln": pc.ln(t["value"])})
-        agg = pa.TableGroupBy(base, ["event_type"]).aggregate(
-            [("_ln", "sum"), ([], "count_all")])
-        return rename_agg(agg, ["event_type"], ["event_type", "_s", "_n"])
 
     out = (
-        rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("_s", alias_name="_s"), Sum("_n", alias_name="_n"))
+        combine_aggregate(
+            rd.read_parquet(f"{sf_dir}/events.parquet",
+                            columns=["event_type", "value"])
+            .map_batches(partial, batch_format="pyarrow"),
+            "event_type", [("_s", "_ln", "sum"), ("_n", None, "count_all")])
         .to_pandas()
     )
     out["geo_mean"] = np.round(np.exp(out["_s"] / out["_n"]), 6)
@@ -6253,27 +6020,21 @@ def q_props_stats(sf_dir: str):
     """JSON-ish field extraction from the props column with Arrow's RE2
     extract (no Python-level JSON parse per row), folded into a grouped
     (sum, count, max) combiner."""
-    from ray.data.aggregate import Max, Sum
-
     rd = _rd()
 
     def partial(t: pa.Table) -> pa.Table:
         st = pc.extract_regex(t["props"], r'"k": (?P<k>\d+)')
         k = pc.cast(pc.struct_field(st, "k"), pa.int64())
-        base = pa.table({"event_type": t["event_type"], "_k": k})
-        agg = pa.TableGroupBy(base, ["event_type"]).aggregate(
-            [("_k", "sum"), ("_k", "max"), ([], "count_all")])
-        return rename_agg(agg, ["event_type"],
-                          ["event_type", "_s", "_m", "_n"])
+        return pa.table({"event_type": t["event_type"], "_k": k})
 
     out = (
-        rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["event_type", "props"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("_s", alias_name="k_sum"),
-                   Max("_m", alias_name="k_max"),
-                   Sum("_n", alias_name="n"))
+        combine_aggregate(
+            rd.read_parquet(f"{sf_dir}/events.parquet",
+                            columns=["event_type", "props"])
+            .map_batches(partial, batch_format="pyarrow"),
+            "event_type",
+            [("k_sum", "_k", "sum"), ("k_max", "_k", "max"),
+             ("n", None, "count_all")])
         .to_pandas()
     )
     out["k_avg"] = (out["k_sum"] / out["n"]).round(6)
@@ -6303,8 +6064,6 @@ def q_attribution_value(sf_dir: str):
     distributed hash join, and value rolls up per priority. as-of +
     enrichment join + grouped fold — three shuffles total, each on a
     single key."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.shuffle import hash_join
     from odinson_ray.stages.window import asof_join_latest
 
@@ -6352,16 +6111,13 @@ def q_attribution_value(sf_dir: str):
         digit = pc.bit_wise_and(t["attr_orderkey"], pa.scalar(7, pa.int64()))
         prio = pc.take(pa.array([None] + PRIOS, pa.string()),
                        pc.cast(digit, pa.int32()))
-        base = pa.table({"o_orderpriority": prio, "value": t["value"]})
-        agg = pa.TableGroupBy(base, ["o_orderpriority"]).aggregate(
-            [("value", "sum"), ([], "count_all")])
-        return rename_agg(agg, ["o_orderpriority"],
-                          ["o_orderpriority", "_s", "_n"])
+        return pa.table({"o_orderpriority": prio, "value": t["value"]})
 
     out = (
-        att.map_batches(partial, batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .aggregate(Sum("_s", alias_name="_s"), Sum("_n", alias_name="n_events"))
+        combine_aggregate(att.map_batches(partial, batch_format="pyarrow"),
+                          "o_orderpriority",
+                          [("_s", "value", "sum"),
+                           ("n_events", None, "count_all")])
         .to_pandas()
     )
     out["value_cents"] = np.floor(out["_s"] * 100 + 0.5).astype(np.int64)
@@ -6403,15 +6159,8 @@ def q_value_mad(sf_dir: str):
     import math
 
     import ray
-    from ray.data.aggregate import Sum
 
     rd = _rd()
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["event_type", "value"]),
-                            ["event_type", "value"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["event_type", "value"],
-                          ["event_type", "value", "_p"])
 
     def disc_median(g: pa.Table, out_col: str) -> pa.Table:
         o = pc.sort_indices(g["value"])
@@ -6425,30 +6174,26 @@ def q_value_mad(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "value"])
     med = (
-        ds.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby(["event_type", "value"]).aggregate(Sum("_p", alias_name="c"))
+        combine_aggregate(ds, ["event_type", "value"],
+                          [("c", None, "count_all")])
         .groupby("event_type")
         .map_groups(lambda g: disc_median(g, "m"), batch_format="pyarrow")
         .to_pandas()
     )
     ref = ray.put(dict(zip(med["event_type"], med["m"])))
 
-    def dev_partial(t: pa.Table) -> pa.Table:
+    def dev_project(t: pa.Table) -> pa.Table:
         meds = ray.get(ref)
         keys = t["event_type"].to_numpy(zero_copy_only=False)
         m = np.fromiter((meds[k] for k in keys), dtype=np.float64,
                         count=len(keys))
         dev = np.abs(t["value"].to_numpy(zero_copy_only=False) - m)
-        g = pa.TableGroupBy(
-            pa.table({"event_type": t["event_type"],
-                      "value": pa.array(dev, pa.float64())}),
-            ["event_type", "value"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["event_type", "value"],
-                          ["event_type", "value", "_p"])
+        return pa.table({"event_type": t["event_type"],
+                      "value": pa.array(dev, pa.float64())})
 
     return (
-        ds.map_batches(dev_partial, batch_format="pyarrow")
-        .groupby(["event_type", "value"]).aggregate(Sum("_p", alias_name="c"))
+        combine_aggregate(ds.map_batches(dev_project, batch_format="pyarrow"),
+                          ["event_type", "value"], [("c", None, "count_all")])
         .groupby("event_type")
         .map_groups(lambda g: disc_median(g, "mad"), batch_format="pyarrow")
     )
@@ -6475,26 +6220,21 @@ def q_urgent_not_low_custs(sf_dir: str):
     with a LOW one) without running two pipelines: per-batch per-key
     presence flags, one groupby(key).max over the flag pair, filter.
     One shuffle whose rows are bounded by distinct keys per batch."""
-    from ray.data.aggregate import Max
-
     rd = _rd()
 
     def flags(t: pa.Table) -> pa.Table:
-        base = pa.table({
+        return pa.table({
             "o_custkey": t["o_custkey"],
             "_u": pc.cast(pc.equal(t["o_orderpriority"], "1-URGENT"), pa.int8()),
             "_l": pc.cast(pc.equal(t["o_orderpriority"], "5-LOW"), pa.int8()),
         })
-        agg = pa.TableGroupBy(base, ["o_custkey"]).aggregate(
-            [("_u", "max"), ("_l", "max")])
-        return rename_agg(agg, ["o_custkey"], ["o_custkey", "_u", "_l"])
 
     return (
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_custkey", "o_orderpriority"])
-        .map_batches(flags, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Max("_u", alias_name="_a"), Max("_l", alias_name="_b"))
+        combine_aggregate(
+            rd.read_parquet(f"{sf_dir}/orders.parquet",
+                            columns=["o_custkey", "o_orderpriority"])
+            .map_batches(flags, batch_format="pyarrow"),
+            "o_custkey", [("_a", "_u", "max"), ("_b", "_l", "max")])
         .map_batches(
             lambda t: t.filter(pc.and_(pc.equal(t["_a"], 1),
                                        pc.equal(t["_b"], 0))).select(["o_custkey"]),
@@ -6525,25 +6265,15 @@ def q_jsonl_roundtrip_langs(sf_dir: str):
 
     import ray.data as rd_native
 
-    from ray.data.aggregate import Sum
-
     rd = _rd()
     out_dir = tempfile.mkdtemp(prefix="odinson_jsonl_", dir="/tmp")
     (rd.read_parquet(f"{sf_dir}/documents.parquet",
                      columns=["doc_id", "lang", "n_chars"])
      .write_json(out_dir))
 
-    def partial(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(t, ["lang"]).aggregate(
-            [("n_chars", "sum"), ([], "count_all")])
-        return rename_agg(agg, ["lang"], ["lang", "_s", "_n"])
-
-    return (
-        rd_native.read_json(out_dir)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("_s", alias_name="sum_chars"), Sum("_n", alias_name="n"))
-    )
+    return combine_aggregate(rd_native.read_json(out_dir), "lang",
+                             [("sum_chars", "n_chars", "sum"),
+                              ("n", None, "count_all")])
 
 
 ORACLE_JSONL_ROUNDTRIP_LANGS = """
@@ -6650,15 +6380,12 @@ def q_kg_bfs_levels(sf_dir: str, rounds: int = 3):
     rd = _rd()
 
     def to_edges(t: pa.Table) -> pa.Table:
-        e = pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-        return pa.TableGroupBy(e, ["src", "dst"]).aggregate([])
+        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
 
-    edges = (
+    edges = combine_aggregate(
         triples_dataset(sf_dir)
-        .map_batches(to_edges, batch_format="pyarrow")
-        .groupby(["src", "dst"]).aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    ).materialize()
+        .map_batches(to_edges, batch_format="pyarrow"),
+        ["src", "dst"], []).materialize()
 
     deg = edges.groupby("src").aggregate(Count(alias_name="d"))
     seed = global_topk(deg, ["d", "src"], [True, False], 1).to_pandas()
@@ -6679,12 +6406,11 @@ def q_kg_bfs_levels(sf_dir: str, rounds: int = 3):
             edges, on="entity", right_on="src")
 
         def distinct_dst(t: pa.Table) -> pa.Table:
-            return pa.TableGroupBy(pa.table({"entity": t["dst"]}),
-                                   ["entity"]).aggregate([])
+            return pa.table({"entity": t["dst"]})
 
-        nxt = (nxt.map_batches(distinct_dst, batch_format="pyarrow")
-               .groupby("entity").aggregate(Count(alias_name="_c"))
-               .drop_columns(["_c"]))
+        nxt = combine_aggregate(
+            nxt.map_batches(distinct_dst, batch_format="pyarrow"),
+            "entity", [])
         new = hash_join(nxt, visited, on="entity", how="anti",
                         right_on="entity")
         lvl = r
@@ -6734,41 +6460,29 @@ def q_rolling_distinct_users(sf_dir: str):
     dedups again, and folds to a per-window count. Overlapping windows
     never rescan events — the expansion factor is the window length, and
     it applies to the DISTINCT pair set, not the raw stream."""
-    from ray.data.aggregate import Count, Sum
-
     rd = _rd()
     day_us = 86400 * 1_000_000
 
     def pairs(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
         day = pc.multiply(pc.floor(pc.divide(us, day_us)), day_us)
-        base = pa.table({"day": pc.cast(day, pa.int64()),
+        return pa.table({"day": pc.cast(day, pa.int64()),
                          "user_id": t["user_id"]})
-        return pa.TableGroupBy(base, ["day", "user_id"]).aggregate([])
 
     def expand(t: pa.Table) -> pa.Table:
         d = t["day"].to_numpy(zero_copy_only=False)
         u = t["user_id"].to_numpy(zero_copy_only=False)
         k = np.arange(7, dtype=np.int64) * day_us
         wday = (d[:, None] + k[None, :]).ravel()
-        base = pa.table({"wday": pa.array(wday, pa.int64()),
+        return pa.table({"wday": pa.array(wday, pa.int64()),
                          "user_id": pa.array(np.repeat(u, 7), pa.int64())})
-        return pa.TableGroupBy(base, ["wday", "user_id"]).aggregate([])
 
-    def fold(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(t.select(["wday"]), ["wday"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(agg, ["wday"], ["wday", "_n"])
-
-    out = (
+    days = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
-        .map_batches(pairs, batch_format="pyarrow")
-        .groupby(["day", "user_id"]).aggregate(Count(alias_name="_c"))
-        .map_batches(expand, batch_format="pyarrow")
-        .groupby(["wday", "user_id"]).aggregate(Count(alias_name="_c"))
-        .map_batches(fold, batch_format="pyarrow")
-        .groupby("wday").aggregate(Sum("_n", alias_name="n7"))
-    )
+        .map_batches(pairs, batch_format="pyarrow"), ["day", "user_id"], [])
+    weeks = combine_aggregate(days.map_batches(expand, batch_format="pyarrow"),
+                              ["wday", "user_id"], [])
+    out = combine_aggregate(weeks, "wday", [("n7", None, "count_all")])
     return out.map_batches(
         lambda t: pa.table({"day": pc.cast(t["wday"], pa.timestamp("us")),
                             "n7": t["sum(n7)"] if "sum(n7)" in t.column_names
@@ -6798,8 +6512,6 @@ def q_trending_tokens(sf_dir: str):
     time axis). Per-batch (day, token) count combiner, one groupby for
     exact counts, then grouped_topk per day — ties broken (count DESC,
     token ASC) identically in SQL."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.shuffle import grouped_topk
 
     rd = _rd()
@@ -6810,17 +6522,13 @@ def q_trending_tokens(sf_dir: str):
         n = pc.list_value_length(toks).cast(pa.int64())
         flat = pc.list_flatten(toks)
         days = pa.array(np.repeat(day, n.to_numpy(zero_copy_only=False)))
-        base = pa.table({"day": days, "token": flat})
-        agg = pa.TableGroupBy(base, ["day", "token"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(agg, ["day", "token"], ["day", "token", "_n"])
+        return pa.table({"day": days, "token": flat})
 
-    counts_ds = (
+    counts_ds = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/documents.parquet",
                         columns=["doc_id", "text"])
-        .map_batches(counts, batch_format="pyarrow")
-        .groupby(["day", "token"]).aggregate(Sum("_n", alias_name="n"))
-    )
+        .map_batches(counts, batch_format="pyarrow"),
+        ["day", "token"], [("n", None, "count_all")])
     return grouped_topk(counts_ds, by="day", cols=["n", "token"],
                         descending=[True, False], k=3)
 
@@ -6854,7 +6562,7 @@ def q_basket_pairs(sf_dir: str):
     partitions and paired with segmented numpy per partition: lexsort,
     run boundaries, per-run upper-triangle index arithmetic. Pair counts
     then fold through a small groupby."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     from odinson_ray.stages.sketch import _splitmix64
 
@@ -6865,10 +6573,8 @@ def q_basket_pairs(sf_dir: str):
     def distinct_triples(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
         day = pc.cast(pc.floor(pc.divide(us, day_us)), pa.int64())
-        base = pa.table({"user_id": t["user_id"], "day": day,
+        return pa.table({"user_id": t["user_id"], "day": day,
                          "event_type": t["event_type"]})
-        return pa.TableGroupBy(
-            base, ["user_id", "day", "event_type"]).aggregate([])
 
     def add_part(t: pa.Table) -> pa.Table:
         u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -6905,15 +6611,15 @@ def q_basket_pairs(sf_dir: str):
         b = np.concatenate(b_idx)
         base = pa.table({"ta": pa.array(ty[a].tolist(), pa.string()),
                          "tb": pa.array(ty[b].tolist(), pa.string())})
-        agg = pa.TableGroupBy(base, ["ta", "tb"]).aggregate([([], "count_all")])
-        return rename_agg(agg, ["ta", "tb"], ["ta", "tb", "_n"])
+        return partial_aggregate(base, ["ta", "tb"],
+                                 [("_n", None, "count_all")])
 
     return (
-        rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["user_id", "ts", "event_type"])
-        .map_batches(distinct_triples, batch_format="pyarrow")
-        .groupby(["user_id", "day", "event_type"])
-        .aggregate(Count(alias_name="_c"))
+        combine_aggregate(
+            rd.read_parquet(f"{sf_dir}/events.parquet",
+                            columns=["user_id", "ts", "event_type"])
+            .map_batches(distinct_triples, batch_format="pyarrow"),
+            ["user_id", "day", "event_type"], [])
         .map_batches(add_part, batch_format="pyarrow")
         .groupby("_p")
         .map_groups(pair_partition, batch_format="pyarrow")
@@ -6946,27 +6652,16 @@ def q_user_top3_types(sf_dir: str):
     combiner; grouped_topk bounds each user to 3 rows; the concat runs
     segmented-numpy inside coarse hash partitions (3-row groups are the
     tiny-group case, never one task each)."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.shuffle import grouped_topk
     from odinson_ray.stages.sketch import _splitmix64
 
     rd = _rd()
     PARTS = 256
 
-    def counts(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(t.select(["user_id", "event_type"]),
-                              ["user_id", "event_type"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(agg, ["user_id", "event_type"],
-                          ["user_id", "event_type", "_n"])
-
-    per_type = (
+    per_type = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["user_id", "event_type"])
-        .map_batches(counts, batch_format="pyarrow")
-        .groupby(["user_id", "event_type"]).aggregate(Sum("_n", alias_name="n"))
-    )
+                        columns=["user_id", "event_type"]),
+        ["user_id", "event_type"], [("n", None, "count_all")])
     top3 = grouped_topk(per_type, by="user_id", cols=["n", "event_type"],
                         descending=[True, False], k=3)
 
@@ -7062,8 +6757,6 @@ def q_kg_provenance(sf_dir: str, k_docs: int = 5):
     (triple, doc) combiner, one count groupby, grouped_topk k=5 +
     segmented concat for the doc list (the inverted_postings shape — a
     boilerplate triple's full doc set never lands in one task)."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.canon import canonicalize_dataset
     from odinson_ray.stages.shuffle import grouped_topk, hash_join
     from odinson_ray.stages.sketch import _splitmix64
@@ -7083,22 +6776,13 @@ def q_kg_provenance(sf_dir: str, k_docs: int = 5):
     def keyed_distinct(t: pa.Table) -> pa.Table:
         tk = pc.binary_join_element_wise(
             t["subj_canon"], t["pred"], t["obj_canon"], SEP)
-        base = pa.table({"tk": tk, "doc_id": t["doc_id"]})
-        return pa.TableGroupBy(base, ["tk", "doc_id"]).aggregate([])
+        return pa.table({"tk": tk, "doc_id": t["doc_id"]})
 
-    from ray.data.aggregate import Count
+    td = combine_aggregate(
+        trips.map_batches(keyed_distinct, batch_format="pyarrow"),
+        ["tk", "doc_id"], []).materialize()
 
-    td = (trips.map_batches(keyed_distinct, batch_format="pyarrow")
-          .groupby(["tk", "doc_id"]).aggregate(Count(alias_name="_c"))
-          .drop_columns(["_c"])).materialize()
-
-    def cnt_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["tk"]), ["tk"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"tk": g["tk"], "pn": g["count_all"]})
-
-    ndocs = (td.map_batches(cnt_partial, batch_format="pyarrow")
-             .groupby("tk").aggregate(Sum("pn", alias_name="n_docs")))
+    ndocs = combine_aggregate(td, "tk", [("n_docs", None, "count_all")])
 
     top = grouped_topk(td, by="tk", cols=["doc_id"], descending=[False],
                        k=k_docs)

@@ -17,8 +17,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import (adaptive_inner_join, global_topk,
-                                        rename_agg)
+from odinson_ray.stages.shuffle import (
+    adaptive_inner_join, combine_aggregate, global_topk, partial_aggregate)
 
 
 def _rd():
@@ -43,8 +43,6 @@ def q_returned_revenue_topk(sf_dir: str, k: int = 20,
     through the adaptive broadcast-vs-shuffle gate (dimension-sized ->
     zero-shuffle broadcast; corpus-sized -> distributed hash join), and
     the top-k is the pruned global selection."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
 
     def li_partial(t: pa.Table) -> pa.Table:
@@ -53,8 +51,7 @@ def q_returned_revenue_topk(sf_dir: str, k: int = 20,
             t["l_extendedprice"],
             pc.subtract(pa.scalar(1.0), t["l_discount"])))
         b = pa.table({"l_orderkey": t["l_orderkey"], "cents": cents})
-        g = pa.TableGroupBy(b, ["l_orderkey"]).aggregate([("cents", "sum")])
-        return rename_agg(g, ["l_orderkey"], ["l_orderkey", "pc_"])
+        return partial_aggregate(b, ["l_orderkey"], [("pc_", "cents", "sum")])
 
     li = (rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                           columns=["l_orderkey", "l_returnflag",
@@ -70,14 +67,8 @@ def q_returned_revenue_topk(sf_dir: str, k: int = 20,
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("o_custkey", pa.int64())]))
 
-    def cust_partial(t: pa.Table) -> pa.Table:
-        b = pa.table({"o_custkey": t["o_custkey"], "pc_": t["pc_"]})
-        g = pa.TableGroupBy(b, ["o_custkey"]).aggregate([("pc_", "sum")])
-        return rename_agg(g, ["o_custkey"], ["o_custkey", "pp"])
-
-    per_cust = (j1.map_batches(cust_partial, batch_format="pyarrow")
-                .groupby("o_custkey")
-                .aggregate(Sum("pp", alias_name="revenue_cents")))
+    per_cust = combine_aggregate(j1, "o_custkey",
+                                 [("revenue_cents", "pc_", "sum")])
 
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_name"])
@@ -201,19 +192,12 @@ def q_dp_event_counts(sf_dir: str, epsilon: float = 1.0):
     reproduced verbatim in the SQL. A real deployment swaps the seeded
     uniform for a secure RNG; everything else (sensitivity-1 count,
     inverse-CDF Laplace) is the mechanism as published."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t, ["event_type"]).aggregate(
-            [("event_type", "count")])
-        return rename_agg(g, ["event_type"], ["event_type", "pn"])
-
-    agg = (rd.read_parquet(f"{sf_dir}/events.parquet",
-                           columns=["event_type"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("event_type").aggregate(Sum("pn", alias_name="n")))
+    agg = combine_aggregate(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["event_type"]),
+        "event_type", [("n", "event_type", "count")])
 
     b = 1.0 / epsilon
 
@@ -257,24 +241,14 @@ def q_ipc_roundtrip_agg(sf_dir: str):
     file per block, manifest, stat-keyed cache), read it back through
     the IPC source, and aggregate — exactness of the per-lang counts
     and sums IS the roundtrip fidelity check."""
-    from ray.data.aggregate import Sum
-
     from ..sources.io import read_ipc, write_ipc_layout
 
     root = write_ipc_layout(f"{sf_dir}/documents.parquet",
                             ["doc_id", "lang", "n_chars"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        b = pa.table({"lang": t["lang"], "n_chars": t["n_chars"]})
-        g = pa.TableGroupBy(b, ["lang"]).aggregate(
-            [("n_chars", "count"), ("n_chars", "sum")])
-        return rename_agg(g, ["lang"], ["lang", "pn", "ps"])
-
-    return (read_ipc(root)
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("lang")
-            .aggregate(Sum("pn", alias_name="n_docs"),
-                       Sum("ps", alias_name="chars")))
+    return combine_aggregate(read_ipc(root), "lang",
+                             [("n_docs", "n_chars", "count"),
+                              ("chars", "n_chars", "sum")])
 
 
 ORACLE_IPC_ROUNDTRIP = """

@@ -13,7 +13,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import rename_agg
+from odinson_ray.stages.shuffle import combine_aggregate
 
 
 def _rd():
@@ -105,11 +105,9 @@ def q_feature_mi(sf_dir: str):
     for BOTH features; one global groupby; the finish computes margins
     and sums inside each feature's group (bounded domain: bins x 2
     rows). Everything float enters only in the final xlogx."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
 
-    def partial(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         chars = pc.cast(pc.utf8_length(t["text"]), pa.int64())
         vowels = pc.cast(
             pc.count_substring_regex(t["text"], "[aeiouAEIOU]"), pa.int64())
@@ -122,7 +120,7 @@ def q_feature_mi(sf_dir: str):
                       pc.max_element_wise(chars, pa.scalar(1, pa.int64()))),
             pa.scalar(9, pa.int64()))
         y = pc.cast(pc.equal(t["lang"], "en"), pa.int64())
-        both = pa.concat_tables([
+        return pa.concat_tables([
             pa.table({"feature": pa.array(["len_bin"] * t.num_rows,
                                           pa.string()),
                       "x": len_bin, "y": y}),
@@ -130,16 +128,12 @@ def q_feature_mi(sf_dir: str):
                                           pa.string()),
                       "x": vow_bin, "y": y}),
         ])
-        g = pa.TableGroupBy(both, ["feature", "x", "y"]).aggregate(
-            [("x", "count")])
-        return rename_agg(g, ["feature", "x", "y"],
-                          ["feature", "x", "y", "pn"])
 
-    counts = (rd.read_parquet(f"{sf_dir}/documents.parquet",
-                              columns=["text", "lang"])
-              .map_batches(partial, batch_format="pyarrow")
-              .groupby(["feature", "x", "y"])
-              .aggregate(Sum("pn", alias_name="n")))
+    counts = combine_aggregate(
+        rd.read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["text", "lang"])
+        .map_batches(project, batch_format="pyarrow"),
+        ["feature", "x", "y"], [("n", "x", "count")])
 
     def mi_group(g: pa.Table) -> pa.Table:
         # bounded domain: <= bins x 2 rows per feature

@@ -16,6 +16,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from odinson_ray.stages.shuffle import combine_aggregate
+
 SEP = "\x1f"
 
 
@@ -68,10 +70,9 @@ def q_indexed_and_query(sf_dir: str,
     import json
     import os
 
-    from ray.data.aggregate import Count
 
     from odinson_ray.pipelines.queries7 import _postings_layout
-    from odinson_ray.stages.shuffle import hash_join, rename_agg
+    from odinson_ray.stages.shuffle import hash_join
 
     root = _postings_layout(sf_dir, n_buckets)
     with open(os.path.join(root, "_meta.json")) as fh:
@@ -89,16 +90,7 @@ def q_indexed_and_query(sf_dir: str,
         cur = hash_join(cur, nxt, on="jk", how="semi",
                         left_schema=full, right_schema=key_only)
 
-    def dedup_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["doc_id", "sent_id"]),
-                            ["doc_id", "sent_id"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"doc_id": g["doc_id"], "sent_id": g["sent_id"]})
-
-    return (cur.map_batches(dedup_partial, batch_format="pyarrow")
-            .groupby(["doc_id", "sent_id"]).aggregate(Count())
-            .map_batches(lambda t: t.select(["doc_id", "sent_id"]),
-                         batch_format="pyarrow"))
+    return combine_aggregate(cur, ["doc_id", "sent_id"], [])
 
 
 ORACLE_INDEXED_AND = """

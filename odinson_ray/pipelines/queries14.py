@@ -16,7 +16,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import rename_agg
+from odinson_ray.stages.shuffle import combine_aggregate
 
 
 def _rd():
@@ -37,7 +37,6 @@ def q_indexed_bool_query(sf_dir: str, any_of=("scan", "join"),
     import json
     import os
 
-    from ray.data.aggregate import Count
 
     from odinson_ray.pipelines.queries7 import _postings_layout
     from odinson_ray.pipelines.queries13 import _token_postings
@@ -48,22 +47,12 @@ def q_indexed_bool_query(sf_dir: str, any_of=("scan", "join"),
         manifest = json.load(fh)
     S, I = pa.string(), pa.int64()
 
-    def dedup_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["jk", "doc_id", "sent_id"]),
-                            ["jk", "doc_id", "sent_id"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"jk": g["jk"], "doc_id": g["doc_id"],
-                         "sent_id": g["sent_id"]})
-
     parts = [_token_postings(root, manifest, tk, n_buckets)
              for tk in dict.fromkeys(any_of)]
     union = parts[0]
     for p in parts[1:]:
         union = union.union(p)
-    hits = (union.map_batches(dedup_partial, batch_format="pyarrow")
-            .groupby(["jk", "doc_id", "sent_id"]).aggregate(Count())
-            .map_batches(lambda t: t.select(["jk", "doc_id", "sent_id"]),
-                         batch_format="pyarrow"))
+    hits = combine_aggregate(union, ["jk", "doc_id", "sent_id"], [])
 
     neg = _token_postings(root, manifest, none_of, n_buckets).map_batches(
         lambda t: t.select(["jk"]), batch_format="pyarrow")
@@ -186,8 +175,6 @@ def q_federated_union_counts(sf_dir: str):
     import os
     import tempfile
 
-    from ray.data.aggregate import Sum
-
     from ..sources.io import read_ipc, write_ipc_layout
     from ..stages.ann import _atomic_publish
     from ..stages.layout import _CACHE_ROOT, _layout_dir
@@ -228,16 +215,8 @@ def q_federated_union_counts(sf_dir: str):
 
     union = pq_ds.union(ipc_ds).union(csv_ds)
 
-    def partial(t: pa.Table) -> pa.Table:
-        b = pa.table({"lang": t["lang"], "n_chars": t["n_chars"]})
-        g = pa.TableGroupBy(b, ["lang"]).aggregate(
-            [("n_chars", "count"), ("n_chars", "sum")])
-        return rename_agg(g, ["lang"], ["lang", "pn", "ps"])
-
-    return (union.map_batches(partial, batch_format="pyarrow")
-            .groupby("lang")
-            .aggregate(Sum("pn", alias_name="n_docs"),
-                       Sum("ps", alias_name="chars")))
+    return combine_aggregate(union, "lang", [("n_docs", "n_chars", "count"),
+                                             ("chars", "n_chars", "sum")])
 
 
 ORACLE_FEDERATED_UNION = """

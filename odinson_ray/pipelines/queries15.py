@@ -19,11 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from odinson_ray.stages.shuffle import (
-    global_topk,
-    grouped_topk,
-    hash_join,
-    rename_agg,
-)
+    combine_aggregate, global_topk, grouped_topk, hash_join, partial_aggregate)
 
 _DAY_US = 86_400 * 1_000_000
 
@@ -32,6 +28,22 @@ def _rd():
     from ..sources.io import clean_rd
 
     return clean_rd
+
+
+def _customer_spend(sf_dir: str):
+    """Materialized (o_custkey, spend): each customer's order total in
+    int64 cents, map-side combined."""
+
+    def cents(t: pa.Table) -> pa.Table:
+        c = np.floor(t["o_totalprice"].to_numpy(zero_copy_only=False) * 100.0)
+        return pa.table({"o_custkey": t["o_custkey"],
+                         "c": pa.array(c.astype(np.int64), pa.int64())})
+
+    return combine_aggregate(
+        _rd().read_parquet(f"{sf_dir}/orders.parquet",
+                           columns=["o_custkey", "o_totalprice"])
+        .map_batches(cents, batch_format="pyarrow"),
+        "o_custkey", [("spend", "c", "sum")]).materialize()
 
 
 # ===================================== TPC-H Q21 class: waiting suppliers
@@ -73,33 +85,25 @@ def q_waiting_suppliers(sf_dir: str, late_days: int = 60, k: int = 10):
         # then ONE per-order groupby: n_supp = pair count, n_late =
         # sum(any_late), late_supp = max(supp where late) via a
         # null-masked column (max skips nulls) — no per-partition join
-        pairs = rename_agg(
-            pa.TableGroupBy(pa.table({
-                "l_orderkey": g["l_orderkey"],
-                "l_suppkey": g["l_suppkey"],
-                "late": late,
-            }), ["l_orderkey", "l_suppkey"]).aggregate([("late", "max")]),
-            ["l_orderkey", "l_suppkey"],
-            ["l_orderkey", "l_suppkey", "late_any"])
+        pairs = partial_aggregate(g.append_column("late", late),
+                                  ["l_orderkey", "l_suppkey"],
+                                  [("late_any", "late", "max")])
         supp_if_late = pc.if_else(
             pc.equal(pairs["late_any"], 1), pairs["l_suppkey"],
             pa.scalar(None, pa.int64()))
         pairs = pairs.append_column("supp_if_late", supp_if_late)
-        per = rename_agg(
-            pa.TableGroupBy(pairs, ["l_orderkey"]).aggregate(
-                [("l_suppkey", "count"), ("late_any", "sum"),
-                 ("supp_if_late", "max")]),
-            ["l_orderkey"],
-            ["l_orderkey", "n_supp", "n_late", "late_supp"])
+        per = partial_aggregate(pairs, ["l_orderkey"],
+                                [("n_supp", "l_suppkey", "count"),
+                                 ("n_late", "late_any", "sum"),
+                                 ("late_supp", "supp_if_late", "max")])
         qual = per.filter(pc.and_(pc.greater(per["n_supp"], 1),
                                   pc.equal(per["n_late"], 1)))
         if qual.num_rows == 0:
             return pa.table({"l_suppkey": pa.array([], pa.int64()),
                              "pw": pa.array([], pa.int64())})
-        part = pa.TableGroupBy(
+        return partial_aggregate(
             pa.table({"l_suppkey": qual["late_supp"].cast(pa.int64())}),
-            ["l_suppkey"]).aggregate([([], "count_all")])
-        return rename_agg(part, ["l_suppkey"], ["l_suppkey", "pw"])
+            ["l_suppkey"], [("pw", None, "count_all")])
 
     partials = hash_join(
         li, orders, on="l_orderkey", right_on="o_orderkey",
@@ -196,8 +200,6 @@ def q_top_supplier_revenue(sf_dir: str):
     combiner, one supplier-sized groupby (materialized — it is bounded
     by the supplier catalog, not the corpus), one scalar max, one
     filter. The only driver value is the max scalar."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
     lo = np.datetime64("1996-01-01", "us").astype(np.int64)
     hi = np.datetime64("1996-04-01", "us").astype(np.int64)
@@ -209,19 +211,15 @@ def q_top_supplier_revenue(sf_dir: str):
         ext = t["l_extendedprice"].to_numpy(zero_copy_only=False)
         disc = t["l_discount"].to_numpy(zero_copy_only=False)
         cents = np.floor(ext * (1.0 - disc) * 100.0).astype(np.int64)
-        base = pa.table({"l_suppkey": t["l_suppkey"],
+        return pa.table({"l_suppkey": t["l_suppkey"],
                          "c": pa.array(cents, pa.int64())})
-        g = pa.TableGroupBy(base, ["l_suppkey"]).aggregate([("c", "sum")])
-        return rename_agg(g, ["l_suppkey"], ["l_suppkey", "pc"])
 
-    agg = (
+    agg = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                         columns=["l_suppkey", "l_extendedprice",
                                  "l_discount", "l_shipdate"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("l_suppkey")
-        .aggregate(Sum("pc", alias_name="total_cents"))
-    ).materialize()
+        .map_batches(partial, batch_format="pyarrow"),
+        "l_suppkey", [("total_cents", "c", "sum")]).materialize()
     best = agg.max("total_cents")
     return agg.map_batches(
         lambda t: t.filter(pc.equal(t["total_cents"], best)),
@@ -295,9 +293,9 @@ def q_orc_roundtrip_agg(sf_dir: str):
             "lang": whole["lang"],
             "n_chars": whole["n_chars"].cast(pa.int64()),
         })
-        g = pa.TableGroupBy(whole, ["lang"]).aggregate(
-            [([], "count_all"), ("n_chars", "sum")])
-        return rename_agg(g, ["lang"], ["lang", "pn", "pchars"])
+        return partial_aggregate(whole, ["lang"],
+                                 [("pn", None, "count_all"),
+                                  ("pchars", "n_chars", "sum")])
 
     agg = (rdn.read_binary_files(out_dir)
            .map_batches(decode_partial, batch_format="pyarrow")
@@ -338,23 +336,18 @@ def _nb_model(sf_dir: str, min_count: int = 1):
 
     rd = _rd()
 
-    def tok_partial(t: pa.Table) -> pa.Table:
+    def tok_project(t: pa.Table) -> pa.Table:
         toks = pc.split_pattern(t["text"], " ")
-        rows = pa.table({
+        return pa.table({
             "lang": t["lang"].take(pc.list_parent_indices(toks)),
             "tok": pc.list_flatten(toks),
         })
-        g = pa.TableGroupBy(rows, ["lang", "tok"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(g, ["lang", "tok"], ["lang", "tok", "pc"])
 
-    counts = (
+    counts = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/documents.parquet",
                         columns=["lang", "text"])
-        .map_batches(tok_partial, batch_format="pyarrow")
-        .groupby(["lang", "tok"])
-        .aggregate(Sum("pc", alias_name="c"))
-    )
+        .map_batches(tok_project, batch_format="pyarrow"),
+        ["lang", "tok"], [("c", None, "count_all")])
     counts = counts.materialize()
     pri = (
         rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["lang"])
@@ -419,7 +412,6 @@ def q_nb_lang_confusion(sf_dir: str, min_count: int = 1):
     order-independent and the argmax (ties -> lexicographically first
     lang) is exactly the oracle's ROW_NUMBER pick."""
     import ray
-    from ray.data.aggregate import Sum
 
     from odinson_ray.stages.link import get_broadcast
 
@@ -448,22 +440,16 @@ def q_nb_lang_confusion(sf_dir: str, min_count: int = 1):
             for j in range(L):
                 np.add.at(scores[:, j], parent, tok_scores[:, j])
         pred = np.argmax(scores, axis=1)  # first max = smallest lang
-        rows = pa.table({
+        return pa.table({
             "lang": t["lang"],
             "lang_pred": pa.array([langs_b[p] for p in pred], pa.string()),
         })
-        g = pa.TableGroupBy(rows, ["lang", "lang_pred"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(g, ["lang", "lang_pred"],
-                          ["lang", "lang_pred", "pn"])
 
-    return (
+    return combine_aggregate(
         rd.read_parquet(f"{sf_dir}/documents.parquet",
                         columns=["lang", "text"])
-        .map_batches(classify, batch_format="pyarrow")
-        .groupby(["lang", "lang_pred"])
-        .aggregate(Sum("pn", alias_name="n"))
-    )
+        .map_batches(classify, batch_format="pyarrow"),
+        ["lang", "lang_pred"], [("n", None, "count_all")])
 
 
 ORACLE_NB_LANG_CONFUSION = """
@@ -554,15 +540,12 @@ def q_kg_harmonic(sf_dir: str, n_seeds: int = 3, rounds: int = 3,
     import ray.data as rdn
 
     def to_edges(t: pa.Table) -> pa.Table:
-        e = pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-        return pa.TableGroupBy(e, ["src", "dst"]).aggregate([])
+        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
 
-    edges = (
+    edges = combine_aggregate(
         triples_dataset(sf_dir)
-        .map_batches(to_edges, batch_format="pyarrow")
-        .groupby(["src", "dst"]).aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    ).materialize()
+        .map_batches(to_edges, batch_format="pyarrow"),
+        ["src", "dst"], []).materialize()
 
     pin = _iter_pin(checkpoint_dir)
     # shuffle width scales with the graph: 512-way partitioning is the
@@ -595,14 +578,11 @@ def q_kg_harmonic(sf_dir: str, n_seeds: int = 3, rounds: int = 3,
             edges, on="entity", right_on="src", partitions=parts)
 
         def distinct_pair(t: pa.Table) -> pa.Table:
-            return pa.TableGroupBy(
-                pa.table({"seed": t["seed"], "entity": t["dst"]}),
-                ["seed", "entity"]).aggregate([])
+            return pa.table({"seed": t["seed"], "entity": t["dst"]})
 
-        nxt = (nxt.map_batches(distinct_pair, batch_format="pyarrow")
-               .groupby(["seed", "entity"])
-               .aggregate(Count(alias_name="_c")).drop_columns(["_c"])
-               .map_batches(pack, batch_format="pyarrow"))
+        nxt = combine_aggregate(
+            nxt.map_batches(distinct_pair, batch_format="pyarrow"),
+            ["seed", "entity"], []).map_batches(pack, batch_format="pyarrow")
         vis_k = visited.map_batches(
             lambda t: pack(t).select(["_k"]), batch_format="pyarrow")
         new = hash_join(nxt, vis_k, on="_k", how="anti",
@@ -735,15 +715,12 @@ def q_kg_stress_paths(sf_dir: str, n_seeds: int = 3, rounds: int = 3,
     from .kg import triples_dataset
 
     def to_edges(t: pa.Table) -> pa.Table:
-        e = pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-        return pa.TableGroupBy(e, ["src", "dst"]).aggregate([])
+        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
 
-    edges = (
+    edges = combine_aggregate(
         triples_dataset(sf_dir)
-        .map_batches(to_edges, batch_format="pyarrow")
-        .groupby(["src", "dst"]).aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    ).materialize()
+        .map_batches(to_edges, batch_format="pyarrow"),
+        ["src", "dst"], []).materialize()
 
     parts = int(min(512, max(8, edges.count() // 5_000)))  # see harmonic
     deg = edges.groupby("src").aggregate(Count(alias_name="d"))
@@ -770,18 +747,14 @@ def q_kg_stress_paths(sf_dir: str, n_seeds: int = 3, rounds: int = 3,
                 batch_format="pyarrow"),
             edges, on="entity", right_on="src", partitions=parts)
 
-        def sum_partial(t: pa.Table) -> pa.Table:
-            base = pa.table({"seed": t["seed"], "entity": t["dst"],
+        def sum_project(t: pa.Table) -> pa.Table:
+            return pa.table({"seed": t["seed"], "entity": t["dst"],
                              "sig": t["sig"]})
-            g = pa.TableGroupBy(base, ["seed", "entity"]).aggregate(
-                [("sig", "sum")])
-            return rename_agg(g, ["seed", "entity"],
-                              ["seed", "entity", "ps"])
 
-        sums = (expanded.map_batches(sum_partial, batch_format="pyarrow")
-                .groupby(["seed", "entity"])
-                .aggregate(Sum("ps", alias_name="sig"))
-                .map_batches(_pack_pair, batch_format="pyarrow"))
+        sums = combine_aggregate(
+            expanded.map_batches(sum_project, batch_format="pyarrow"),
+            ["seed", "entity"], [("sig", "sig", "sum")]
+        ).map_batches(_pack_pair, batch_format="pyarrow")
         new = pin(hash_join(sums, visited, on="_k", how="anti",
                             partitions=parts).map_batches(
             lambda t: t.select(["seed", "entity", "sig"]),
@@ -815,20 +788,16 @@ def q_kg_stress_paths(sf_dir: str, n_seeds: int = 3, rounds: int = 3,
             batch_format="pyarrow")
         contrib = hash_join(cand, g_next, on="_k", partitions=parts)
 
-        def g_partial(t: pa.Table) -> pa.Table:
-            base = pa.table({
+        def g_project(t: pa.Table) -> pa.Table:
+            return pa.table({
                 "seed": t["seed"], "entity": t["entity"],
                 "c": pc.add(t["g"], 1).cast(pa.int64()),
             })
-            g = pa.TableGroupBy(base, ["seed", "entity"]).aggregate(
-                [("c", "sum")])
-            return rename_agg(g, ["seed", "entity"],
-                              ["seed", "entity", "pg"])
 
-        gr = (contrib.map_batches(g_partial, batch_format="pyarrow")
-              .groupby(["seed", "entity"])
-              .aggregate(Sum("pg", alias_name="g"))
-              .map_batches(_pack_pair, batch_format="pyarrow"))
+        gr = combine_aggregate(
+            contrib.map_batches(g_project, batch_format="pyarrow"),
+            ["seed", "entity"], [("g", "c", "sum")]
+        ).map_batches(_pack_pair, batch_format="pyarrow")
         # vertices at level r with no DAG successor: g = 0
         zeros = hash_join(
             sig_levels[r].map_batches(_pack_pair, batch_format="pyarrow"),
@@ -950,8 +919,6 @@ def q_seq3_patterns(sf_dir: str, bucket_s: int = 86400,
     windows that span a bucket change — every triple of the true stream
     is counted exactly once. No task ever holds more than one coarse
     partition's rows, and group dispatch never scales with user count."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.sketch import _splitmix64
     from odinson_ray.stages.window import _with_bucket
 
@@ -993,10 +960,8 @@ def q_seq3_patterns(sf_dir: str, bucket_s: int = 86400,
                     "_b": pa.array(t[1:-1][ok].tolist(), pa.string()),
                     "_c": pa.array(t[2:][ok].tolist(), pa.string()),
                 })
-                agg = pa.TableGroupBy(trip, ["_a", "_b", "_c"]).aggregate(
-                    [([], "count_all")])
-                agg = rename_agg(agg, ["_a", "_b", "_c"],
-                                 ["_a", "_b", "_c", "_n"])
+                agg = partial_aggregate(trip, ["_a", "_b", "_c"],
+                                        [("_n", None, "count_all")])
                 m = agg.num_rows
                 cols["_kind"].extend([0] * m)
                 cols["user_id"].extend([0] * m)
@@ -1080,25 +1045,16 @@ def q_seq3_patterns(sf_dir: str, bucket_s: int = 86400,
         trip = pa.table({"_a": pa.array(a_l, pa.string()),
                          "_b": pa.array(b_l, pa.string()),
                          "_c": pa.array(c_l, pa.string())})
-        agg = pa.TableGroupBy(trip, ["_a", "_b", "_c"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(agg, ["_a", "_b", "_c"],
-                          ["_a", "_b", "_c", "_n"])
+        return partial_aggregate(trip, ["_a", "_b", "_c"],
+                                 [("_n", None, "count_all")])
 
     across = (stage1.map_batches(add_upart, batch_format="pyarrow")
               .groupby("_p")
               .map_groups(lambda g: seg_merge(g.drop_columns(["_p"])),
                           batch_format="pyarrow"))
 
-    def combine(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(t, ["_a", "_b", "_c"]).aggregate(
-            [("_n", "sum")])
-        return rename_agg(agg, ["_a", "_b", "_c"],
-                          ["_a", "_b", "_c", "_n"])
-
-    return (within.union(across)
-            .map_batches(combine, batch_format="pyarrow")
-            .groupby(["_a", "_b", "_c"]).aggregate(Sum("_n", alias_name="n"))
+    return (combine_aggregate(within.union(across), ["_a", "_b", "_c"],
+                              [("n", "_n", "sum")])
             .map_batches(lambda t: pa.table({
                 "t1": t["_a"], "t2": t["_b"], "t3": t["_c"], "n": t["n"]}),
                 batch_format="pyarrow"))
@@ -1127,22 +1083,12 @@ def q_value_cume_dist(sf_dir: str):
     cd(v) = (#smaller + #equal) / n per (type, value), then one
     distributed join back onto the event stream. No per-key sort of raw
     rows, no driver materialization."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
     events = rd.read_parquet(f"{sf_dir}/events.parquet",
                              columns=["event_id", "event_type", "value"])
 
-    def hist_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["event_type", "value"]),
-                            ["event_type", "value"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(g, ["event_type", "value"],
-                          ["event_type", "value", "pn"])
-
-    hist = (events.map_batches(hist_partial, batch_format="pyarrow")
-            .groupby(["event_type", "value"])
-            .aggregate(Sum("pn", alias_name="c")))
+    hist = combine_aggregate(events, ["event_type", "value"],
+                             [("c", None, "count_all")])
 
     def ranks(g: pa.Table) -> pa.Table:
         o = pc.sort_indices(g["value"])
@@ -1285,9 +1231,8 @@ def q_market_share(sf_dir: str, region: str = "ASIA",
             "c": pa.array(cents, pa.int64()),
             "tc": pa.array(np.where(is_t, cents, 0), pa.int64()),
         })
-        agg = pa.TableGroupBy(base, ["o_year"]).aggregate(
-            [("c", "sum"), ("tc", "sum")])
-        return rename_agg(agg, ["o_year"], ["o_year", "pc", "ptc"])
+        return partial_aggregate(base, ["o_year"],
+                                 [("pc", "c", "sum"), ("ptc", "tc", "sum")])
 
     partials = adaptive_inner_join(
         rd.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -1561,7 +1506,6 @@ def q_missing_days(sf_dir: str):
     bounded (decades are ~10^4 rows), built once and anti-joined
     distributed against the observed cells."""
     import ray.data as rdn
-    from ray.data.aggregate import Count
 
     rd = _rd()
     day_us = 86_400 * 1_000_000
@@ -1569,17 +1513,14 @@ def q_missing_days(sf_dir: str):
     def day_cells(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
         day = pc.multiply(pc.floor(pc.divide(us, day_us)), day_us)
-        cells = pa.table({"event_type": t["event_type"],
-                          "day": pc.cast(day, pa.int64())})
-        return pa.TableGroupBy(cells, ["event_type", "day"]).aggregate([])
+        return pa.table({"event_type": t["event_type"],
+                         "day": pc.cast(day, pa.int64())})
 
-    observed = (
+    observed = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/events.parquet",
                         columns=["ts", "event_type"])
-        .map_batches(day_cells, batch_format="pyarrow")
-        .groupby(["event_type", "day"]).aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    ).materialize()
+        .map_batches(day_cells, batch_format="pyarrow"),
+        ["event_type", "day"], []).materialize()
 
     lo = observed.min("day")
     hi = observed.max("day")
@@ -1654,8 +1595,6 @@ def q_ab_test_metrics(sf_dir: str):
 
     One pass, one map-side combiner, one (event_type)-sized groupby —
     the classic six-sufficient-stats shape (corr/regress family)."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
 
     def partial(t: pa.Table) -> pa.Table:
@@ -1670,26 +1609,20 @@ def q_ab_test_metrics(sf_dir: str):
         cents = np.floor(
             t["value"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        base = pa.table({
+        return pa.table({
             "event_type": t["event_type"],
             "variant": pa.array(variant, pa.int64()),
             "n": pa.array(np.ones(len(u), np.int64)),
             "s": pa.array(cents, pa.int64()),
             "ss": pa.array(cents * cents, pa.int64()),
         })
-        g = pa.TableGroupBy(base, ["event_type", "variant"]).aggregate(
-            [("n", "sum"), ("s", "sum"), ("ss", "sum")])
-        return rename_agg(g, ["event_type", "variant"],
-                          ["event_type", "variant", "pn", "ps", "pss"])
 
-    agg = (
+    agg = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/events.parquet",
                         columns=["user_id", "event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "variant"])
-        .aggregate(Sum("pn", alias_name="n"), Sum("ps", alias_name="s"),
-                   Sum("pss", alias_name="ss"))
-    )
+        .map_batches(partial, batch_format="pyarrow"),
+        ["event_type", "variant"],
+        [("n", "n", "sum"), ("s", "s", "sum"), ("ss", "ss", "sum")])
 
     def welch(t: pa.Table) -> pa.Table:
         import pandas as pd
@@ -1774,15 +1707,12 @@ def q_kg_sp_tree(sf_dir: str, rounds: int = 3):
     from .kg import triples_dataset
 
     def to_edges(t: pa.Table) -> pa.Table:
-        e = pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-        return pa.TableGroupBy(e, ["src", "dst"]).aggregate([])
+        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
 
-    edges = (
+    edges = combine_aggregate(
         triples_dataset(sf_dir)
-        .map_batches(to_edges, batch_format="pyarrow")
-        .groupby(["src", "dst"]).aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    ).materialize()
+        .map_batches(to_edges, batch_format="pyarrow"),
+        ["src", "dst"], []).materialize()
     parts = int(min(512, max(8, edges.count() // 5_000)))
 
     deg = edges.groupby("src").aggregate(Count(alias_name="d"))
@@ -1798,14 +1728,9 @@ def q_kg_sp_tree(sf_dir: str, rounds: int = 3):
         exp = hash_join(level_ds[r - 1], edges, on="entity",
                         right_on="src", partitions=parts)
 
-        def dd(t: pa.Table) -> pa.Table:
-            g = pa.TableGroupBy(pa.table({"entity": t["dst"]}),
-                                ["entity"]).aggregate([])
-            return g
-
-        nxt = (exp.map_batches(dd, batch_format="pyarrow")
-               .groupby("entity").aggregate(Count(alias_name="_c"))
-               .drop_columns(["_c"]))
+        nxt = combine_aggregate(
+            exp.map_batches(lambda t: pa.table({"entity": t["dst"]}),
+                            batch_format="pyarrow"), "entity", [])
         new = hash_join(nxt, visited, on="entity", how="anti",
                         partitions=parts).materialize()
         if new.count() == 0:
@@ -1880,24 +1805,7 @@ def q_revenue_pareto(sf_dir: str, n_buckets: int = 256):
     from odinson_ray.stages.link import get_broadcast
     from odinson_ray.stages.sketch import approx_quantile_values
 
-    rd = _rd()
-
-    def spend_partial(t: pa.Table) -> pa.Table:
-        cents = np.floor(
-            t["o_totalprice"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        g = pa.TableGroupBy(pa.table({
-            "o_custkey": t["o_custkey"],
-            "c": pa.array(cents, pa.int64()),
-        }), ["o_custkey"]).aggregate([("c", "sum")])
-        return rename_agg(g, ["o_custkey"], ["o_custkey", "pc"])
-
-    spend = (
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_custkey", "o_totalprice"])
-        .map_batches(spend_partial, batch_format="pyarrow")
-        .groupby("o_custkey").aggregate(Sum("pc", alias_name="spend"))
-    ).materialize()
+    spend = _customer_spend(sf_dir)
     total = int(spend.sum("spend"))
 
     boundaries = np.unique(approx_quantile_values(
@@ -2002,24 +1910,7 @@ def q_gini_value(sf_dir: str, n_buckets: int = 256):
     from odinson_ray.stages.link import get_broadcast
     from odinson_ray.stages.sketch import approx_quantile_values
 
-    rd = _rd()
-
-    def spend_partial(t: pa.Table) -> pa.Table:
-        cents = np.floor(
-            t["o_totalprice"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        g = pa.TableGroupBy(pa.table({
-            "o_custkey": t["o_custkey"],
-            "c": pa.array(cents, pa.int64()),
-        }), ["o_custkey"]).aggregate([("c", "sum")])
-        return rename_agg(g, ["o_custkey"], ["o_custkey", "pc"])
-
-    spend = (
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_custkey", "o_totalprice"])
-        .map_batches(spend_partial, batch_format="pyarrow")
-        .groupby("o_custkey").aggregate(Sum("pc", alias_name="spend"))
-    ).materialize()
+    spend = _customer_spend(sf_dir)
 
     boundaries = np.unique(approx_quantile_values(
         spend, "spend", np.arange(1, n_buckets) / n_buckets))
@@ -2108,8 +1999,6 @@ def q_kg_delta_report(sf_dir: str):
     (triple-key, n_old, n_new) combiner, one triple groupby, a
     vectorized classify. Support counts are integers; nothing float
     ever decides a status."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.canon import canonicalize_dataset
     from odinson_ray.stages.triples import mentions_to_triples
 
@@ -2129,18 +2018,15 @@ def q_kg_delta_report(sf_dir: str):
         is_new = pc.equal(pc.bit_wise_and(did, 1), 1)
         tk = pc.binary_join_element_wise(
             t["subj_canon"], t["pred"], t["obj_canon"], SEP)
-        base = pa.table({
+        return pa.table({
             "tk": tk,
             "o": pc.cast(pc.invert(is_new), pa.int64()),
             "n": pc.cast(is_new, pa.int64()),
         })
-        g = pa.TableGroupBy(base, ["tk"]).aggregate(
-            [("o", "sum"), ("n", "sum")])
-        return rename_agg(g, ["tk"], ["tk", "po", "pn"])
 
-    agg = (trips.map_batches(partial, batch_format="pyarrow")
-           .groupby("tk").aggregate(Sum("po", alias_name="n_old"),
-                                    Sum("pn", alias_name="n_new")))
+    agg = combine_aggregate(trips.map_batches(partial, batch_format="pyarrow"),
+                            "tk",
+                            [("n_old", "o", "sum"), ("n_new", "n", "sum")])
 
     def classify(t: pa.Table) -> pa.Table:
         t = t.filter(pc.not_equal(t["n_old"], t["n_new"]))
@@ -2218,19 +2104,15 @@ def q_source_dup_rate(sf_dir: str):
 
     rd = _rd()
 
-    def fp_partial(t: pa.Table) -> pa.Table:
-        base = pa.table({"source": t["source"],
+    def fp_project(t: pa.Table) -> pa.Table:
+        return pa.table({"source": t["source"],
                          "fp": content_fingerprints(t["text"])})
-        g = pa.TableGroupBy(base, ["source", "fp"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(g, ["source", "fp"], ["source", "fp", "pn"])
 
-    per_fp = (
+    per_fp = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/documents.parquet",
                         columns=["source", "text"])
-        .map_batches(fp_partial, batch_format="pyarrow")
-        .groupby(["source", "fp"]).aggregate(Sum("pn", alias_name="n"))
-    )
+        .map_batches(fp_project, batch_format="pyarrow"),
+        ["source", "fp"], [("n", None, "count_all")])
     agg = per_fp.groupby("source").aggregate(
         Sum("n", alias_name="n_docs"), Count(alias_name="n_unique"))
 
@@ -2339,24 +2221,7 @@ def q_lorenz_deciles(sf_dir: str, n_buckets: int = 256):
     from odinson_ray.stages.link import get_broadcast
     from odinson_ray.stages.sketch import approx_quantile_values
 
-    rd = _rd()
-
-    def spend_partial(t: pa.Table) -> pa.Table:
-        cents = np.floor(
-            t["o_totalprice"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        g = pa.TableGroupBy(pa.table({
-            "o_custkey": t["o_custkey"],
-            "c": pa.array(cents, pa.int64()),
-        }), ["o_custkey"]).aggregate([("c", "sum")])
-        return rename_agg(g, ["o_custkey"], ["o_custkey", "pc"])
-
-    spend = (
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_custkey", "o_totalprice"])
-        .map_batches(spend_partial, batch_format="pyarrow")
-        .groupby("o_custkey").aggregate(Sum("pc", alias_name="spend"))
-    ).materialize()
+    spend = _customer_spend(sf_dir)
     total = int(spend.sum("spend"))
 
     boundaries = np.unique(approx_quantile_values(
@@ -2453,20 +2318,15 @@ def q_kg_reciprocity(sf_dir: str):
     metric for relation directionality. One distributed semi join of
     the edge set against its own packed reverse keys; counts are
     integers, the ratio is one division."""
-    from ray.data.aggregate import Count
-
     from .kg import triples_dataset
 
     def to_edges(t: pa.Table) -> pa.Table:
-        e = pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-        return pa.TableGroupBy(e, ["src", "dst"]).aggregate([])
+        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
 
-    edges = (
+    edges = combine_aggregate(
         triples_dataset(sf_dir)
-        .map_batches(to_edges, batch_format="pyarrow")
-        .groupby(["src", "dst"]).aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    ).materialize()
+        .map_batches(to_edges, batch_format="pyarrow"),
+        ["src", "dst"], []).materialize()
     n_edges = edges.count()
 
     SEP = "\x1f"
@@ -2523,33 +2383,26 @@ def q_kg_assortativity(sf_dir: str):
     Shape: one degree groupby (union of endpoint mentions), two
     adaptive joins to attach deg(src)/deg(dst) to each edge, one
     sufficient-stats combiner."""
-    from ray.data.aggregate import Count, Sum
-
     from odinson_ray.stages.shuffle import adaptive_inner_join
 
     from .kg import triples_dataset
 
     def to_edges(t: pa.Table) -> pa.Table:
-        e = pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-        return pa.TableGroupBy(e, ["src", "dst"]).aggregate([])
+        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
 
-    edges = (
+    edges = combine_aggregate(
         triples_dataset(sf_dir)
-        .map_batches(to_edges, batch_format="pyarrow")
-        .groupby(["src", "dst"]).aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    ).materialize()
+        .map_batches(to_edges, batch_format="pyarrow"),
+        ["src", "dst"], []).materialize()
 
     def endpoints(t: pa.Table) -> pa.Table:
         ent = pa.concat_arrays([t["src"].combine_chunks().cast(pa.string()),
                                 t["dst"].combine_chunks().cast(pa.string())])
-        g = pa.TableGroupBy(pa.table({"entity": ent}),
-                            ["entity"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["entity"], ["entity", "pd"])
+        return pa.table({"entity": ent})
 
-    deg = (edges.map_batches(endpoints, batch_format="pyarrow")
-           .groupby("entity").aggregate(Sum("pd", alias_name="d"))
-           ).materialize()
+    deg = combine_aggregate(
+        edges.map_batches(endpoints, batch_format="pyarrow"),
+        "entity", [("d", None, "count_all")]).materialize()
 
     s_schema = pa.schema([("src", pa.string()), ("dst", pa.string())])
     d_schema = pa.schema([("entity", pa.string()), ("d", pa.int64())])

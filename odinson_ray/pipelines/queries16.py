@@ -21,10 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from odinson_ray.stages.shuffle import (
-    adaptive_inner_join,
-    hash_join,
-    rename_agg,
-)
+    adaptive_inner_join, combine_aggregate, hash_join, partial_aggregate)
 
 _DAY_US = 86_400 * 1_000_000
 
@@ -140,8 +137,6 @@ def q_user_type_kl(sf_dir: str):
     ``np.add.reduceat`` — never a per-user map_groups."""
     import math
 
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.sketch import _splitmix64
 
     rd = _rd()
@@ -150,25 +145,11 @@ def q_user_type_kl(sf_dir: str):
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_type"])
 
-    def ut_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t, ["user_id", "event_type"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(g, ["user_id", "event_type"],
-                          ["user_id", "event_type", "pc"])
-
-    ut = (ev.map_batches(ut_partial, batch_format="pyarrow")
-          .groupby(["user_id", "event_type"])
-          .aggregate(Sum("pc", alias_name="c"))).materialize()
+    ut = combine_aggregate(ev, ["user_id", "event_type"],
+                           [("c", None, "count_all")]).materialize()
 
     # global type counts: bounded domain — safe to pull to the driver
-    def ty_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["event_type", "c"]),
-                            ["event_type"]).aggregate([("c", "sum")])
-        return rename_agg(g, ["event_type"], ["event_type", "pg"])
-
-    g_rows = (ut.map_batches(ty_partial, batch_format="pyarrow")
-              .groupby("event_type").aggregate(Sum("pg", alias_name="g"))
-              ).take_all()
+    g_rows = combine_aggregate(ut, "event_type", [("g", "c", "sum")]).take_all()
     types = sorted(r["event_type"] for r in g_rows)
     g_by_type = {r["event_type"]: r["g"] for r in g_rows}
     g_arr = np.array([g_by_type[t] for t in types], dtype=np.int64)
@@ -267,19 +248,15 @@ def q_late_order_priority(sf_dir: str, late_days: int = 60):
         ship = pc.cast(g["l_shipdate"].cast(pa.timestamp("us")), pa.int64())
         od = pc.cast(g["o_orderdate"].cast(pa.timestamp("us")), pa.int64())
         late = pc.cast(pc.greater(ship, pc.add(od, late_us)), pa.int8())
-        per = rename_agg(
-            pa.TableGroupBy(pa.table({
-                "o": g["l_orderkey"],
-                "late": late,
-                "prio": g["o_orderpriority"],
-            }), ["o"]).aggregate([("late", "max"), ("prio", "max")]),
-            ["o"], ["o", "late_any", "o_orderpriority"])
+        per = partial_aggregate(
+            pa.table({"o": g["l_orderkey"], "late": late,
+                      "prio": g["o_orderpriority"]}),
+            ["o"],
+            [("late_any", "late", "max"), ("o_orderpriority", "prio", "max")])
         hit = per.filter(pc.equal(per["late_any"], 1))
-        part = pa.TableGroupBy(hit.select(["o_orderpriority"]),
-                               ["o_orderpriority"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(part, ["o_orderpriority"],
-                          ["o_orderpriority", "pc"])
+        return partial_aggregate(hit.select(["o_orderpriority"]),
+                                 ["o_orderpriority"],
+                                 [("pc", None, "count_all")])
 
     partials = hash_join(
         li, orders, on="l_orderkey", right_on="o_orderkey",

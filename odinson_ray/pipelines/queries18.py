@@ -23,6 +23,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from odinson_ray.stages.shuffle import combine_aggregate
+
 
 def _rd():
     from ..sources.io import clean_rd
@@ -49,13 +51,11 @@ def q_kg_bgp_query(sf_dir: str):
     subject per batch; ONE groupby(s) (Sum/Sum/Min/Min) finishes — no
     join, no binding materialization, nothing per-subject beyond the
     aggregate row."""
-    from ray.data.aggregate import Min, Sum
-
     from .queries5 import _kg_distinct_spo
 
     spo = _kg_distinct_spo(sf_dir)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         if t.schema.metadata:
             t = t.replace_schema_metadata(None)
         t = t.filter(pc.is_in(t["pred"],
@@ -63,28 +63,18 @@ def q_kg_bgp_query(sf_dir: str):
         is1 = pc.equal(t["pred"], _BGP_P1)
         one = pa.scalar(1, pa.int64())
         zero = pa.scalar(0, pa.int64())
-        e = pa.table({
+        return pa.table({
             "s": t["s"],
             "n_p1": pc.if_else(is1, one, zero),
             "n_p2": pc.if_else(is1, zero, one),
             "w_p1": pc.if_else(is1, t["o"], pa.scalar(None, pa.string())),
             "w_p2": pc.if_else(is1, pa.scalar(None, pa.string()), t["o"]),
         })
-        from odinson_ray.stages.shuffle import rename_agg
 
-        return rename_agg(
-            pa.TableGroupBy(e, ["s"]).aggregate([
-                ("n_p1", "sum"), ("n_p2", "sum"),
-                ("w_p1", "min"), ("w_p2", "min"),
-            ]),
-            ["s"], ["s", "n_p1", "n_p2", "w_p1", "w_p2"])
-
-    agg = (spo.map_batches(partial, batch_format="pyarrow")
-           .groupby("s")
-           .aggregate(Sum("n_p1", alias_name="n_p1"),
-                      Sum("n_p2", alias_name="n_p2"),
-                      Min("w_p1", alias_name="w_p1"),
-                      Min("w_p2", alias_name="w_p2")))
+    agg = combine_aggregate(spo.map_batches(project, batch_format="pyarrow"),
+                            "s",
+                            [("n_p1", "n_p1", "sum"), ("n_p2", "n_p2", "sum"),
+                             ("w_p1", "w_p1", "min"), ("w_p2", "w_p2", "min")])
 
     def finish(t: pa.Table) -> pa.Table:
         if t.schema.metadata:
@@ -132,52 +122,38 @@ def q_vocab_hapax(sf_dir: str):
     per-source sums via a second combiner groupby (|sources| groups,
     bounded). The driver sees |sources| rows; the vocabulary never
     leaves the cluster."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
 
-    def tok_partial(t: pa.Table) -> pa.Table:
+    def tok_project(t: pa.Table) -> pa.Table:
         toks = pc.split_pattern(t["text"], " ")
         flat = pc.list_flatten(toks)
         src = pc.take(t["source"].combine_chunks(),
                       pc.list_parent_indices(toks))
-        from odinson_ray.stages.shuffle import rename_agg
 
-        e = pa.table({"source": src, "tok": flat})
-        return rename_agg(
-            pa.TableGroupBy(e, ["source", "tok"]).aggregate([([], "count_all")]),
-            ["source", "tok"], ["source", "tok", "c"])
+        return pa.table({"source": src, "tok": flat})
 
-    per_tok = (rd.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["source", "text"])
-               .map_batches(tok_partial, batch_format="pyarrow")
-               .groupby(["source", "tok"])
-               .aggregate(Sum("c", alias_name="c")))
+    per_tok = combine_aggregate(
+        rd.read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["source", "text"])
+        .map_batches(tok_project, batch_format="pyarrow"),
+        ["source", "tok"], [("c", None, "count_all")])
 
-    def src_partial(t: pa.Table) -> pa.Table:
+    def src_project(t: pa.Table) -> pa.Table:
         if t.schema.metadata:
             t = t.replace_schema_metadata(None)
         c = pc.cast(t["c"], pa.int64())
-        e = pa.table({
+        return pa.table({
             "source": t["source"],
             "n_tokens": c,
             "n_types": pa.array(np.ones(len(t), np.int64)),
             "n_hapax": pc.cast(pc.equal(c, 1), pa.int64()),
         })
-        from odinson_ray.stages.shuffle import rename_agg
 
-        return rename_agg(
-            pa.TableGroupBy(e, ["source"]).aggregate([
-                ("n_tokens", "sum"), ("n_types", "sum"),
-                ("n_hapax", "sum"),
-            ]),
-            ["source"], ["source", "n_tokens", "n_types", "n_hapax"])
-
-    agg = (per_tok.map_batches(src_partial, batch_format="pyarrow")
-           .groupby("source")
-           .aggregate(Sum("n_tokens", alias_name="n_tokens"),
-                      Sum("n_types", alias_name="n_types"),
-                      Sum("n_hapax", alias_name="n_hapax")))
+    agg = combine_aggregate(
+        per_tok.map_batches(src_project, batch_format="pyarrow"),
+        "source",
+        [("n_tokens", "n_tokens", "sum"), ("n_types", "n_types", "sum"),
+         ("n_hapax", "n_hapax", "sum")])
 
     def finish(t: pa.Table) -> pa.Table:
         if t.schema.metadata:

@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from odinson_ray.stages.shuffle import combine_aggregate
+
 
 def _rd():
     from ..sources.io import clean_rd
@@ -132,31 +134,22 @@ def q_k_anonymity_risk(sf_dir: str):
     Shape: one per-batch count combiner + one bounded-domain groupby
     (|langs| x |sources| x |length buckets| rows); only violating
     combos (plus their counts) reach the driver."""
-    from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.shuffle import rename_agg
-
     rd = _rd()
 
-    def partial(t: pa.Table) -> pa.Table:
-        e = pa.table({
+    def project(t: pa.Table) -> pa.Table:
+        return pa.table({
             "lang": t["lang"],
             "source": t["source"],
             "len_bucket": pc.divide(
                 pc.cast(t["n_chars"], pa.int64()),
                 pa.scalar(_LEN_BUCKET, pa.int64())),
         })
-        return rename_agg(
-            pa.TableGroupBy(e, ["lang", "source", "len_bucket"])
-            .aggregate([([], "count_all")]),
-            ["lang", "source", "len_bucket"],
-            ["lang", "source", "len_bucket", "n"])
 
-    agg = (rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["lang", "source", "n_chars"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby(["lang", "source", "len_bucket"])
-           .aggregate(Sum("n", alias_name="n")))
+    agg = combine_aggregate(
+        rd.read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["lang", "source", "n_chars"])
+        .map_batches(project, batch_format="pyarrow"),
+        ["lang", "source", "len_bucket"], [("n", None, "count_all")])
 
     def risky(t: pa.Table) -> pa.Table:
         if t.schema.metadata:

@@ -14,7 +14,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import rename_agg
+from odinson_ray.stages.shuffle import combine_aggregate
 
 
 def _rd():
@@ -26,8 +26,6 @@ def _rd():
 def _kg_edges(sf_dir: str):
     """Distinct undirected (lo, hi) edges of the canonical triple graph —
     the shared front end of the kg_* graph queries."""
-    from ray.data.aggregate import Count
-
     from .kg import triples_dataset
 
     def to_undirected(t: pa.Table) -> pa.Table:
@@ -35,14 +33,12 @@ def _kg_edges(sf_dir: str):
         hi = pc.max_element_wise(t["subj_canon"], t["obj_canon"])
         e = pa.table({"lo": lo, "hi": hi})
         e = e.filter(pc.not_equal(e["lo"], e["hi"]))
-        return pa.TableGroupBy(e, ["lo", "hi"]).aggregate([])
+        return e
 
-    return (
+    return combine_aggregate(
         triples_dataset(sf_dir)
-        .map_batches(to_undirected, batch_format="pyarrow")
-        .groupby(["lo", "hi"]).aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    )
+        .map_batches(to_undirected, batch_format="pyarrow"),
+        ["lo", "hi"], [])
 
 
 # ===================================== label-propagation communities
@@ -294,24 +290,12 @@ def q_value_quantiles_cont(sf_dir: str):
     (key, value, count) combiner -> distinct-value histogram -> per-key
     selection from cumulative counts; two adjacent order statistics per
     quantile come from one searchsorted each."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
 
-    def hist_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["event_type", "value"]),
-                            ["event_type", "value"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(g, ["event_type", "value"],
-                          ["event_type", "value", "partial_n"])
-
-    hist = (
+    hist = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["event_type", "value"])
-        .map_batches(hist_partial, batch_format="pyarrow")
-        .groupby(["event_type", "value"]).aggregate(Sum("partial_n",
-                                                        alias_name="c"))
-    )
+                        columns=["event_type", "value"]),
+        ["event_type", "value"], [("c", None, "count_all")])
 
     def quantiles(g: pa.Table) -> pa.Table:
         o = pc.sort_indices(g["value"])

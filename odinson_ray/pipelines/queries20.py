@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from odinson_ray.stages.shuffle import combine_aggregate
+
 _WINDOW = 8
 
 
@@ -93,22 +95,13 @@ def q_cube_lineitem(sf_dir: str):
     the standard low-cardinality CUBE plan. Rolled-up dimensions carry
     the literal 'ALL' (both sides coalesce, avoiding NULL-equality
     ambiguity in the compare)."""
-    from ray.data.aggregate import Sum
-
     from ..sources.io import clean_rd as rd
 
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_returnflag", "l_linestatus", "l_quantity"])
     keys = ["l_returnflag", "l_linestatus"]
 
-    def partial(t: pa.Table) -> pa.Table:
-        from odinson_ray.stages.shuffle import rename_agg
-
-        agg = pa.TableGroupBy(t, keys).aggregate([("l_quantity", "sum")])
-        return rename_agg(agg, keys, keys + ["_q"])
-
-    base = (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(keys).aggregate(Sum("_q", alias_name="sum_qty")))
+    base = combine_aggregate(ds, keys, [("sum_qty", "l_quantity", "sum")])
     # bounded materialization: one row per (flag, status) cell — the
     # dimension domain, never the table
     cells = base.take_all()
@@ -394,10 +387,9 @@ def q_supplier_part_counts(sf_dir: str):
     distinct counts — the fact table is never joined through a
     shuffle."""
     import ray
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
     from odinson_ray.stages.link import get_broadcast
-    from odinson_ray.stages.shuffle import rename_agg
 
     from ..sources.io import clean_rd as rd
 
@@ -444,15 +436,8 @@ def q_supplier_part_counts(sf_dir: str):
                 .groupby(["p_brand", "p_size", "supp"])
                 .aggregate(Count(alias_name="_c")).drop_columns(["_c"]))
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["p_brand", "p_size"]),
-                            ["p_brand", "p_size"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["p_brand", "p_size"],
-                          ["p_brand", "p_size", "pn"])
-
-    return (distinct.map_batches(count_partial, batch_format="pyarrow")
-            .groupby(["p_brand", "p_size"])
-            .aggregate(Sum("pn", alias_name="supplier_cnt")))
+    return combine_aggregate(distinct, ["p_brand", "p_size"],
+                             [("supplier_cnt", None, "count_all")])
 
 
 ORACLE_SUPPLIER_PART_COUNTS = """

@@ -11,7 +11,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import rename_agg
+from odinson_ray.stages.shuffle import combine_aggregate, partial_aggregate
 
 
 def _rd():
@@ -29,8 +29,6 @@ def q_gnn_neighbor_agg(sf_dir: str):
     pipeline needs at scale: one hash join (directed edge x feature) +
     one map-side-combined mean per hop — features stay Datasets, the
     feature of a hub is never materialized per-edge on the driver."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.shuffle import hash_join
 
     from .queries2 import _kg_edges
@@ -49,13 +47,12 @@ def q_gnn_neighbor_agg(sf_dir: str):
         both, batch_format="pyarrow").materialize()  # consumed 3x below
     bd_schema = pa.schema([("a", str_t), ("b", str_t)])
 
-    def deg_partial(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(pa.table({"v": t["a"]}), ["v"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"v": agg["v"], "pn": agg["count_all"]})
+    def deg_project(t: pa.Table) -> pa.Table:
+        return pa.table({"v": t["a"]})
 
-    feat = (bedges.map_batches(deg_partial, batch_format="pyarrow")
-            .groupby("v").aggregate(Sum("pn", alias_name="d")))
+    feat = combine_aggregate(
+        bedges.map_batches(deg_project, batch_format="pyarrow"),
+        "v", [("d", None, "count_all")])
     feat = feat.map_batches(
         lambda t: pa.table({"v": t["v"], "h": pc.cast(t["d"], f64)}),
         batch_format="pyarrow")
@@ -66,14 +63,11 @@ def q_gnn_neighbor_agg(sf_dir: str):
                            left_schema=bd_schema, right_schema=f_schema)
 
         def partial(t: pa.Table) -> pa.Table:
-            g = pa.TableGroupBy(pa.table({"v": t["a"], "h": t["h"]}),
-                                ["v"]).aggregate([("h", "sum"),
-                                                  ("h", "count")])
-            return rename_agg(g, ["v"], ["v", "ps", "pc"])
+            return pa.table({"v": t["a"], "h": t["h"]})
 
-        sums = (joined.map_batches(partial, batch_format="pyarrow")
-                .groupby("v").aggregate(Sum("ps", alias_name="s"),
-                                        Sum("pc", alias_name="c")))
+        sums = combine_aggregate(
+            joined.map_batches(partial, batch_format="pyarrow"),
+            "v", [("s", "h", "sum"), ("c", "h", "count")])
         return sums.map_batches(
             lambda t: pa.table({
                 "v": t["v"],
@@ -133,7 +127,7 @@ def record_high_counts(ds, order: str, value: str, group: str,
 
     Returns (group, n_records) counts of record-setting rows per group.
     """
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Sum
 
     from odinson_ray.stages.sketch import _splitmix64
 
@@ -151,13 +145,7 @@ def record_high_counts(ds, order: str, value: str, group: str,
 
     rows = ds.map_batches(add_bucket, batch_format="pyarrow").materialize()
 
-    def max_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["bkt", "x"]), ["bkt"]).aggregate(
-            [("x", "max")])
-        return rename_agg(g, ["bkt"], ["bkt", "pm"])
-
-    bmax = (rows.map_batches(max_partial, batch_format="pyarrow")
-            .groupby("bkt").aggregate(Max("pm", alias_name="m")))
+    bmax = combine_aggregate(rows, "bkt", [("m", "x", "max")])
 
     def carries(t: pa.Table) -> pa.Table:
         t = t.combine_chunks()
@@ -227,8 +215,7 @@ def record_high_counts(ds, order: str, value: str, group: str,
         else:
             is_rec = (x > prev) & np.asarray(pc.is_valid(g))
         kept = pa.table({"g": g.filter(pa.array(is_rec))})
-        agg = pa.TableGroupBy(kept, ["g"]).aggregate([([], "count_all")])
-        return pa.table({"g": agg["g"], "pn": agg["count_all"]})
+        return partial_aggregate(kept, ["g"], [("pn", None, "count_all")])
 
     return (unioned.groupby("_p")
             .map_groups(eval_partition, batch_format="pyarrow")
@@ -349,7 +336,6 @@ def q_csv_roundtrip(sf_dir: str):
     import tempfile
 
     import ray.data as rdn
-    from ray.data.aggregate import Sum
 
     rd = _rd()
     out_dir = tempfile.mkdtemp(prefix="csv_rt_", dir="/tmp")
@@ -359,14 +345,8 @@ def q_csv_roundtrip(sf_dir: str):
 
     ds = rdn.read_csv(out_dir)
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t, ["event_type"]).aggregate(
-            [("value", "sum"), ([], "count_all")])
-        return rename_agg(g, ["event_type"], ["event_type", "ps", "pn"])
-
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("event_type").aggregate(Sum("ps", alias_name="s"),
-                                            Sum("pn", alias_name="n")))
+    agg = combine_aggregate(ds, "event_type",
+                            [("s", "value", "sum"), ("n", None, "count_all")])
 
     def finish(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -428,21 +408,14 @@ def q_apriori_pairs(sf_dir: str):
             "doc_id": pa.array(np.repeat(did, lens), pa.int64()),
             "w": flat,
         }).filter(pc.not_equal(flat, ""))
-        g = pa.TableGroupBy(base, ["doc_id", "w"]).aggregate([])
-        return g
+        return partial_aggregate(base, ["doc_id", "w"], [])
 
     tok = docs.map_batches(tok_partial, batch_format="pyarrow").materialize()
     n_docs = docs.count()
     min_item = _AP_ITEM_SUP * n_docs
     min_pair = _AP_PAIR_SUP * n_docs
 
-    def df_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["w"]), ["w"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"w": g["w"], "pn": g["count_all"]})
-
-    freq = (tok.map_batches(df_partial, batch_format="pyarrow")
-            .groupby("w").aggregate(Sum("pn", alias_name="df"))
+    freq = (combine_aggregate(tok, "w", [("df", None, "count_all")])
             .map_batches(lambda t: t.filter(
                 pc.greater_equal(pc.cast(t["df"], pa.float64()),
                                  pa.scalar(min_item))).select(["w"]),
@@ -484,9 +457,8 @@ def q_apriori_pairs(sf_dir: str):
         b = np.concatenate(ib)
         base = pa.table({"wa": pa.array(w[a].tolist(), pa.string()),
                          "wb": pa.array(w[b].tolist(), pa.string())})
-        g = pa.TableGroupBy(base, ["wa", "wb"]).aggregate([([], "count_all")])
-        return pa.table({"wa": g["wa"], "wb": g["wb"],
-                         "pn": g["count_all"]})
+        return partial_aggregate(base, ["wa", "wb"],
+                                 [("pn", None, "count_all")])
 
     pairs = (tok.map_batches(pair_partial, batch_format="pyarrow")
              .groupby(["wa", "wb"]).aggregate(Sum("pn", alias_name="n")))
@@ -606,7 +578,6 @@ def q_kg_negative_samples(sf_dir: str):
     is unchanged)."""
     import hashlib
 
-    from ray.data.aggregate import Count, Min
 
     from odinson_ray.stages.shuffle import grouped_topk, hash_join
 
@@ -615,39 +586,33 @@ def q_kg_negative_samples(sf_dir: str):
     str_t = pa.string()
 
     def to_pos(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(
-            pa.table({"s": t["subj_canon"], "r": t["pred"],
-                      "o": t["obj_canon"]}),
-            ["s", "r", "o"]).aggregate([])
-        return g
+        return pa.table({"s": t["subj_canon"], "r": t["pred"],
+                         "o": t["obj_canon"]})
 
-    pos = (triples_dataset(sf_dir)
-           .map_batches(to_pos, batch_format="pyarrow")
-           .groupby(["s", "r", "o"]).aggregate(Count(alias_name="_c"))
-           .drop_columns(["_c"])).materialize()  # attempts + anti side
+    pos = combine_aggregate(  # materialized: attempts + anti side
+        triples_dataset(sf_dir).map_batches(to_pos, batch_format="pyarrow"),
+        ["s", "r", "o"], []).materialize()
 
     def to_ents(t: pa.Table) -> pa.Table:
         e = pa.concat_arrays([t["s"].combine_chunks(),
                               t["o"].combine_chunks()])
-        return pa.TableGroupBy(pa.table({"e": e}), ["e"]).aggregate([])
+        return pa.table({"e": e})
 
-    ents = (pos.map_batches(to_ents, batch_format="pyarrow")
-            .groupby("e").aggregate(Count(alias_name="_c"))
-            .drop_columns(["_c"])).materialize()
+    ents = combine_aggregate(pos.map_batches(to_ents, batch_format="pyarrow"),
+                             "e", []).materialize()
     # modulus = |entity catalog| (a driver SCALAR, not data): hit rate
     # ~1-1/e at any scale; 64k-bucket fixed moduli miss almost every
     # attempt when the catalog is small
     n_buckets = max(1, ents.count())
 
-    def rep_partial(t: pa.Table) -> pa.Table:
+    def rep_project(t: pa.Table) -> pa.Table:
         b = [int(hashlib.md5(e.encode()).hexdigest()[:8], 16) % n_buckets
              for e in t["e"].to_pylist()]
-        base = pa.table({"b": pa.array(b, pa.int64()), "cand": t["e"]})
-        g = pa.TableGroupBy(base, ["b"]).aggregate([("cand", "min")])
-        return pa.table({"b": g["b"], "cand": g["cand_min"]})
+        return pa.table({"b": pa.array(b, pa.int64()), "cand": t["e"]})
 
-    reps = (ents.map_batches(rep_partial, batch_format="pyarrow")
-            .groupby("b").aggregate(Min("cand", alias_name="cand")))
+    reps = combine_aggregate(
+        ents.map_batches(rep_project, batch_format="pyarrow"),
+        "b", [("cand", "cand", "min")])
 
     def attempts(t: pa.Table) -> pa.Table:
         s = t["s"].to_pylist()
@@ -856,8 +821,6 @@ def q_inverted_postings(sf_dir: str, k: int = 10):
     string fold; the fold runs segmented in coarse hash partitions
     (user_top3_types' shape), so a stopword's full posting list never
     lands in one task."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.shuffle import grouped_topk, hash_join
     from odinson_ray.stages.sketch import _splitmix64
 
@@ -873,19 +836,13 @@ def q_inverted_postings(sf_dir: str, k: int = 10):
             "doc_id": pa.array(np.repeat(did, lens), pa.int64()),
             "w": flat,
         }).filter(pc.not_equal(flat, ""))
-        return pa.TableGroupBy(base, ["doc_id", "w"]).aggregate([])
+        return partial_aggregate(base, ["doc_id", "w"], [])
 
     tok = (rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
            .map_batches(tok_partial, batch_format="pyarrow")).materialize()
 
-    def df_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["w"]), ["w"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"w": g["w"], "pn": g["count_all"]})
-
-    df = (tok.map_batches(df_partial, batch_format="pyarrow")
-          .groupby("w").aggregate(Sum("pn", alias_name="df")))
+    df = combine_aggregate(tok, "w", [("df", None, "count_all")])
 
     topk = grouped_topk(tok, by="w", cols=["doc_id"], descending=[False],
                         k=k)
@@ -969,8 +926,6 @@ def q_zonemap_range_agg(sf_dir: str):
     footers in the manifest (stages/layout.zonemap_layout); the 3-day
     range scan opens ONLY intersecting files, then applies the exact
     residual filter. Per-type count + integer-cent value totals."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.layout import zonemap_layout, zonemap_scan
 
     root = zonemap_layout(f"{sf_dir}/events.parquet", "ts",
@@ -988,17 +943,13 @@ def q_zonemap_range_agg(sf_dir: str):
         cents = np.floor(
             t["value"].to_numpy(zero_copy_only=False) * 100 + 0.5
         ).astype(np.int64)
-        base = pa.table({"event_type": t["event_type"],
+        return pa.table({"event_type": t["event_type"],
                          "ct": pa.array(cents, pa.int64())})
-        g = pa.TableGroupBy(base, ["event_type"]).aggregate(
-            [("ct", "sum"), ([], "count_all")])
-        return pa.table({"event_type": g["event_type"],
-                         "pct": g["ct_sum"], "pn": g["count_all"]})
 
-    return (ds.map_batches(residual, batch_format="pyarrow")
-            .groupby("event_type")
-            .aggregate(Sum("pn", alias_name="n"),
-                       Sum("pct", alias_name="total_ct")))
+    return combine_aggregate(ds.map_batches(residual, batch_format="pyarrow"),
+                             "event_type",
+                             [("n", None, "count_all"),
+                              ("total_ct", "ct", "sum")])
 
 
 ORACLE_ZONEMAP_RANGE_AGG = """
@@ -1264,8 +1215,6 @@ def q_kg_pmi_edges(sf_dir: str):
     run on at web scale, where raw counts overweight stopword-like
     entities). Shape: one pair aggregate, one exploded marginal
     aggregate, two hash joins; N is a driver scalar."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.shuffle import hash_join
 
     from .kg import triples_dataset
@@ -1277,30 +1226,23 @@ def q_kg_pmi_edges(sf_dir: str):
         hi = pc.max_element_wise(t["subj_canon"], t["obj_canon"])
         e = pa.table({"lo": lo, "hi": hi, "n": t["n"]})
         e = e.filter(pc.not_equal(e["lo"], e["hi"]))
-        g = pa.TableGroupBy(e, ["lo", "hi"]).aggregate([("n", "sum")])
-        return pa.table({"lo": g["lo"], "hi": g["hi"], "pn": g["n_sum"]})
+        return e
 
-    pairs = (trips.map_batches(to_pairs, batch_format="pyarrow")
-             .groupby(["lo", "hi"]).aggregate(Sum("pn", alias_name="c_ab")))
+    pairs = combine_aggregate(
+        trips.map_batches(to_pairs, batch_format="pyarrow"),
+        ["lo", "hi"], [("c_ab", "n", "sum")])
 
     def to_marginals(t: pa.Table) -> pa.Table:
         t = t.filter(pc.not_equal(t["subj_canon"], t["obj_canon"]))
         v = pa.concat_arrays([t["subj_canon"].combine_chunks(),
                               t["obj_canon"].combine_chunks()])
         n = pa.concat_arrays([pc.cast(t["n"], pa.int64()).combine_chunks()] * 2)
-        g = pa.TableGroupBy(pa.table({"v": v, "n": n}), ["v"]).aggregate(
-            [("n", "sum")])
-        return pa.table({"v": g["v"], "pm": g["n_sum"]})
+        return pa.table({"v": v, "n": n})
 
-    marg = (trips.map_batches(to_marginals, batch_format="pyarrow")
-            .groupby("v").aggregate(Sum("pm", alias_name="c_v"))).materialize()
-
-    total = sum(r["pm"] for r in
-                trips.map_batches(to_marginals, batch_format="pyarrow")
-                .map_batches(lambda t: pa.table(
-                    {"pm": pa.array([pc.sum(t["pm"]).as_py() or 0],
-                                    pa.int64())}),
-                    batch_format="pyarrow").take_all())
+    marg = combine_aggregate(
+        trips.map_batches(to_marginals, batch_format="pyarrow"),
+        "v", [("c_v", "n", "sum")]).materialize()
+    total = int(marg.sum("c_v") or 0)
 
     str_t, i64 = pa.string(), pa.int64()
     j1 = hash_join(pairs, marg, on="lo", right_on="v",
@@ -1380,12 +1322,10 @@ def q_kg_adjacency_topdeg(sf_dir: str, k: int = 10):
                         ("obj_canon", pa.string())])
 
     def degree(t: pa.Table) -> pa.Table:
-        d = pa.TableGroupBy(t, ["subj_canon", "pred", "obj_canon"]
-                            ).aggregate([])
-        g = pa.TableGroupBy(d.select(["subj_canon"]),
-                            ["subj_canon"]).aggregate([([], "count_all")])
-        return pa.table({"entity": g["subj_canon"],
-                         "out_degree": g["count_all"]})
+        d = partial_aggregate(t, ["subj_canon", "pred", "obj_canon"], [])
+        return partial_aggregate(d, ["subj_canon"],
+                                 [("out_degree", None, "count_all")]
+                                 ).rename_columns(["entity", "out_degree"])
 
     degs = bucketed_aggregate(root, schema, degree)
     return global_topk(degs, ["out_degree", "entity"], [True, False], k)
@@ -1526,8 +1466,6 @@ def q_value_drift_psi(sf_dir: str):
     +1 Laplace smoothing (defined even when a bin empties). Bins are
     FIXED-width over the column's documented range, so no quantile pass
     and no driver artifact."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
 
     def partial(t: pa.Table) -> pa.Table:
@@ -1536,20 +1474,14 @@ def q_value_drift_psi(sf_dir: str):
                             pa.scalar("ref"), pa.scalar("cur"))
         v = t["value"].to_numpy(zero_copy_only=False)
         b = np.clip((v / _PSI_WIDTH).astype(np.int64), 0, _PSI_BINS - 1)
-        base = pa.table({"event_type": t["event_type"], "period": period,
+        return pa.table({"event_type": t["event_type"], "period": period,
                          "bin": pa.array(b, pa.int64())})
-        g = pa.TableGroupBy(base, ["event_type", "period", "bin"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(g, ["event_type", "period", "bin"],
-                          ["event_type", "period", "bin", "pn"])
 
-    counts = (
+    counts = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/events.parquet",
                         columns=["event_type", "ts", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "period", "bin"])
-        .aggregate(Sum("pn", alias_name="c"))
-    )
+        .map_batches(partial, batch_format="pyarrow"),
+        ["event_type", "period", "bin"], [("c", None, "count_all")])
 
     def psi(g: pa.Table) -> pa.Table:
         per = np.asarray(g["period"].to_pylist(), dtype=object)
@@ -1625,7 +1557,7 @@ def q_kg_qa_pairs(sf_dir: str):
     (q_kg_negative_samples) — the KG-to-training-data composition a
     QA-data pipeline runs after construction. One extra hash join over
     the negative-sample stream; everything upstream is shared."""
-    from ray.data.aggregate import Count, Min
+    from ray.data.aggregate import Min
 
     from odinson_ray.stages.shuffle import hash_join
 
@@ -1635,16 +1567,12 @@ def q_kg_qa_pairs(sf_dir: str):
     str_t = pa.string()
 
     def to_pos(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(
-            pa.table({"s": t["subj_canon"], "r": t["pred"],
-                      "o": t["obj_canon"]}),
-            ["s", "r", "o"]).aggregate([])
-        return g
+        return pa.table({"s": t["subj_canon"], "r": t["pred"],
+                         "o": t["obj_canon"]})
 
-    pos = (triples_dataset(sf_dir)
-           .map_batches(to_pos, batch_format="pyarrow")
-           .groupby(["s", "r", "o"]).aggregate(Count(alias_name="_c"))
-           .drop_columns(["_c"]))
+    pos = combine_aggregate(
+        triples_dataset(sf_dir).map_batches(to_pos, batch_format="pyarrow"),
+        ["s", "r", "o"], [])
 
     negs = q_kg_negative_samples(sf_dir)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import rename_agg
+from odinson_ray.stages.shuffle import combine_aggregate, partial_aggregate
 
 
 def _rd():
@@ -33,8 +33,6 @@ def q_merge_upsert(sf_dir: str):
     lands on the driver; the merge decision is a vectorized CASE over
     the joined batch. Output is the post-merge per-priority rowcount +
     price total (integer cents so the oracle compares bit-exactly)."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.shuffle import hash_join
 
     rd = _rd()
@@ -94,15 +92,11 @@ def q_merge_upsert(sf_dir: str):
         out = pa.table({"priority": pri, "price": price}).filter(keep)
         cents = pc.cast(pc.floor(pc.add(pc.multiply(
             out["price"], pa.scalar(100.0)), pa.scalar(0.5))), pa.int64())
-        g = pa.TableGroupBy(
-            pa.table({"priority": out["priority"], "cents": cents}),
-            ["priority"]).aggregate([("cents", "sum"), ([], "count_all")])
-        return rename_agg(g, ["priority"], ["priority", "pc_", "pn_"])
+        return pa.table({"priority": out["priority"], "cents": cents})
 
-    out = (merged.map_batches(apply_merge, batch_format="pyarrow")
-           .groupby("priority").aggregate(Sum("pn_", alias_name="n"),
-                                          Sum("pc_", alias_name="cents")))
-    return out
+    return combine_aggregate(
+        merged.map_batches(apply_merge, batch_format="pyarrow"),
+        "priority", [("n", None, "count_all"), ("cents", "cents", "sum")])
 
 
 ORACLE_MERGE_UPSERT = """
@@ -265,7 +259,6 @@ def q_tpch_q3(sf_dir: str):
     before the global groupby, and the top-k is the pruned global_topk.
     Revenue in integer cents for bit-exact comparison."""
     import ray
-    from ray.data.aggregate import Sum
 
     from odinson_ray.stages.shuffle import global_topk, hash_join
 
@@ -343,16 +336,8 @@ def q_tpch_q3(sf_dir: str):
         right_schema=pa.schema([("l_orderkey", pa.int64()),
                                 ("cents", pa.int64())]))
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(
-            t.select(["o_orderkey", "o_orderdate", "cents"]),
-            ["o_orderkey", "o_orderdate"]).aggregate([("cents", "sum")])
-        return rename_agg(g, ["o_orderkey", "o_orderdate"],
-                          ["o_orderkey", "o_orderdate", "pc_"])
-
-    rev = (joined.map_batches(partial, batch_format="pyarrow")
-           .groupby(["o_orderkey", "o_orderdate"])
-           .aggregate(Sum("pc_", alias_name="rev_cents")))
+    rev = combine_aggregate(joined, ["o_orderkey", "o_orderdate"],
+                            [("rev_cents", "cents", "sum")])
     return global_topk(rev, ["rev_cents", "o_orderkey"],
                        [True, False], 10)
 
@@ -378,18 +363,15 @@ def _kg_directed_edges(sf_dir: str):
     """Distinct DIRECTED (src, dst) edges of the canonical triple graph,
     materialized — the shared front end of kg_hits/kg_ppr/kg_scc_seed
     (the directed twin of queries2._kg_edges)."""
-    from ray.data.aggregate import Count
-
     from .kg import triples_dataset
 
     def to_edges(t: pa.Table) -> pa.Table:
-        e = pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-        return pa.TableGroupBy(e, ["src", "dst"]).aggregate([])
+        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
 
-    return (triples_dataset(sf_dir)
-            .map_batches(to_edges, batch_format="pyarrow")
-            .groupby(["src", "dst"]).aggregate(Count(alias_name="_c"))
-            .drop_columns(["_c"])).materialize()
+    return combine_aggregate(
+        triples_dataset(sf_dir)
+        .map_batches(to_edges, batch_format="pyarrow"),
+        ["src", "dst"], []).materialize()
 
 
 def _kg_seed(edges) -> str:
@@ -407,16 +389,15 @@ def _kg_seed(edges) -> str:
 
 def _kg_vertices(edges):
     """Distinct endpoint set (column v) of a (src, dst) edge Dataset."""
-    from ray.data.aggregate import Count
 
     def endpoints(t: pa.Table) -> pa.Table:
         v = pa.concat_arrays([t["src"].combine_chunks(),
                               t["dst"].combine_chunks()])
-        return pa.TableGroupBy(pa.table({"v": v}), ["v"]).aggregate([])
+        return pa.table({"v": v})
 
-    return (edges.map_batches(endpoints, batch_format="pyarrow")
-            .groupby("v").aggregate(Count(alias_name="_c"))
-            .drop_columns(["_c"])).materialize()
+    return combine_aggregate(
+        edges.map_batches(endpoints, batch_format="pyarrow"),
+        "v", []).materialize()
 
 
 # ===================================== HITS link analysis
@@ -431,8 +412,6 @@ def q_kg_hits(sf_dir: str, iters: int = 2):
     driver values are the normalization scalars (one float per step).
     Scores rounded to 6dp (normalized ratios of double sums — the gnn/
     pagerank comparison idiom)."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.shuffle import hash_join
 
     str_t, f64 = pa.string(), pa.float64()
@@ -468,12 +447,11 @@ def q_kg_hits(sf_dir: str, iters: int = 2):
                       left_schema=e_schema, right_schema=x_schema)
 
         def partial(t: pa.Table) -> pa.Table:
-            g = pa.TableGroupBy(pa.table({"v": t[group_to], "x": t["x"]}),
-                                ["v"]).aggregate([("x", "sum")])
-            return rename_agg(g, ["v"], ["v", "px"])
+            return pa.table({"v": t[group_to], "x": t["x"]})
 
-        return (j.map_batches(partial, batch_format="pyarrow")
-                .groupby("v").aggregate(Sum("px", alias_name="x")))
+        return combine_aggregate(
+            j.map_batches(partial, batch_format="pyarrow"),
+            "v", [("x", "x", "sum")])
 
     hub = nodes.map_batches(
         lambda t: t.append_column("x", pa.array([1.0] * t.num_rows, f64)),
@@ -534,8 +512,6 @@ def q_kg_random_walks(sf_dir: str, steps: int = 3):
     task, no driver state."""
     import hashlib
 
-    from ray.data.aggregate import Count
-
     from odinson_ray.stages.shuffle import grouped_topk, hash_join
 
     from .queries2 import _kg_edges
@@ -555,12 +531,11 @@ def q_kg_random_walks(sf_dir: str, steps: int = 3):
     adj_schema = pa.schema([("a", str_t), ("b", str_t)])
 
     def verts(t: pa.Table) -> pa.Table:
-        return pa.TableGroupBy(pa.table({"start": t["a"]}),
-                               ["start"]).aggregate([])
+        return pa.table({"start": t["a"]})
 
-    frontier = (adj.map_batches(verts, batch_format="pyarrow")
-                .groupby("start").aggregate(Count(alias_name="_c"))
-                .drop_columns(["_c"]))
+    frontier = combine_aggregate(
+        adj.map_batches(verts, batch_format="pyarrow"),
+        "start", [])
     frontier = frontier.map_batches(
         lambda t: t.append_column("cur", t["start"]),
         batch_format="pyarrow")
@@ -672,10 +647,8 @@ def q_skipgram_pairs(sf_dir: str, window: int = 2, k: int = 50):
                                          if isinstance(a, pa.ChunkedArray)
                                          else a for a in contexts]),
         })
-        g = pa.TableGroupBy(tab, ["center", "context"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(g, ["center", "context"],
-                          ["center", "context", "pn"])
+        return partial_aggregate(tab, ["center", "context"],
+                                 [("pn", None, "count_all")])
 
     counts = (rd.read_parquet(f"{sf_dir}/documents.parquet",
                               columns=["text"])
@@ -712,18 +685,10 @@ def q_equidepth_histogram(sf_dir: str, buckets: int = 8):
     optimizers and drift monitors actually store."""
     import math
 
-    from ray.data.aggregate import Sum
-
     rd = _rd()
     src = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
 
-    def hist_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["value"]), ["value"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(g, ["value"], ["value", "pn"])
-
-    hist = (src.map_batches(hist_partial, batch_format="pyarrow")
-            .groupby("value").aggregate(Sum("pn", alias_name="c")))
+    hist = combine_aggregate(src, "value", [("c", None, "count_all")])
 
     def boundaries(g: pa.Table) -> pa.Table:
         o = pc.sort_indices(g["value"])
@@ -744,17 +709,16 @@ def q_equidepth_histogram(sf_dir: str, buckets: int = 8):
     qs = sorted(r["q"] for r in bounds.take_all())  # buckets-1 floats
     q_arr = np.array(qs, dtype=np.float64)
 
-    def bucket_partial(t: pa.Table) -> pa.Table:
+    def bucket_project(t: pa.Table) -> pa.Table:
         v = t["value"].to_numpy(zero_copy_only=False)
         # searchsorted-left = count of boundaries strictly below v,
         # exactly SQL's Σ CAST(value > q_j AS INT) (ties → lower bucket)
         b = np.searchsorted(q_arr, v, side="left")
-        g = pa.TableGroupBy(pa.table({"bucket": pa.array(b, pa.int64())}),
-                            ["bucket"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["bucket"], ["bucket", "pn"])
+        return pa.table({"bucket": pa.array(b, pa.int64())})
 
-    return (src.map_batches(bucket_partial, batch_format="pyarrow")
-            .groupby("bucket").aggregate(Sum("pn", alias_name="n")))
+    return combine_aggregate(
+        src.map_batches(bucket_project, batch_format="pyarrow"),
+        "bucket", [("n", None, "count_all")])
 
 
 ORACLE_EQUIDEPTH_HISTOGRAM = """
@@ -1009,23 +973,18 @@ def q_source_token_share(sf_dir: str):
     before setting sampling weights (domain_mix's measurement twin).
     One map-side-combined groupby(source) over per-batch token counts;
     the share/entropy math runs on the #sources-sized result."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
 
     def partial(t: pa.Table) -> pa.Table:
         n_tok = pc.list_value_length(pc.split_pattern(t["text"], " "))
-        g = pa.TableGroupBy(
-            pa.table({"source": t["source"],
-                      "n": pc.cast(n_tok, pa.int64())}),
-            ["source"]).aggregate([("n", "sum")])
-        return rename_agg(g, ["source"], ["source", "pn"])
+        return pa.table({"source": t["source"],
+                      "n": pc.cast(n_tok, pa.int64())})
 
-    counts = (rd.read_parquet(f"{sf_dir}/documents.parquet",
-                              columns=["source", "text"])
-              .map_batches(partial, batch_format="pyarrow")
-              .groupby("source").aggregate(Sum("pn", alias_name="n_tokens"))
-              ).materialize()
+    counts = combine_aggregate(
+        rd.read_parquet(f"{sf_dir}/documents.parquet",
+                        columns=["source", "text"])
+        .map_batches(partial, batch_format="pyarrow"),
+        "source", [("n_tokens", "n", "sum")]).materialize()
     total = int(counts.sum("n_tokens") or 0)  # None on an empty corpus
 
     def report(t: pa.Table) -> pa.Table:
@@ -1195,9 +1154,8 @@ def q_window_join_counts(sf_dir: str, window_h: int = 1, parts: int = 512):
         types = g["event_type"]
         tab = pa.table({"ta": types.take(pa.array(a_idx)),
                         "tb": types.take(pa.array(b_idx))})
-        agg = pa.TableGroupBy(tab, ["ta", "tb"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(agg, ["ta", "tb"], ["ta", "tb", "pn"])
+        return partial_aggregate(tab, ["ta", "tb"],
+                                 [("pn", None, "count_all")])
 
     return (rd.read_parquet(f"{sf_dir}/events.parquet",
                             columns=["user_id", "ts", "event_id",
@@ -1325,8 +1283,8 @@ def q_collocations_llr(sf_dir: str, min_count: int = 5):
         idx = np.flatnonzero(same)
         tab = pa.table({"w1": flat.take(pa.array(idx)),
                         "w2": flat.take(pa.array(idx + 1))})
-        g = pa.TableGroupBy(tab, ["w1", "w2"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["w1", "w2"], ["w1", "w2", "pn"])
+        return partial_aggregate(tab, ["w1", "w2"],
+                                 [("pn", None, "count_all")])
 
     bigrams = (rd.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["text"])
@@ -1335,19 +1293,17 @@ def q_collocations_llr(sf_dir: str, min_count: int = 5):
                .aggregate(Sum("pn", alias_name="k11"))).materialize()
 
     def left_marg(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(pa.table({"w": t["w1"], "c": t["k11"]}),
-                            ["w"]).aggregate([("c", "sum")])
-        return rename_agg(g, ["w"], ["w", "pn"])
+        return pa.table({"w": t["w1"], "c": t["k11"]})
 
     def right_marg(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(pa.table({"w": t["w2"], "c": t["k11"]}),
-                            ["w"]).aggregate([("c", "sum")])
-        return rename_agg(g, ["w"], ["w", "pn"])
+        return pa.table({"w": t["w2"], "c": t["k11"]})
 
-    n1 = (bigrams.map_batches(left_marg, batch_format="pyarrow")
-          .groupby("w").aggregate(Sum("pn", alias_name="n1")))
-    n2 = (bigrams.map_batches(right_marg, batch_format="pyarrow")
-          .groupby("w").aggregate(Sum("pn", alias_name="n2")))
+    n1 = combine_aggregate(
+        bigrams.map_batches(left_marg, batch_format="pyarrow"),
+        "w", [("n1", "c", "sum")])
+    n2 = combine_aggregate(
+        bigrams.map_batches(right_marg, batch_format="pyarrow"),
+        "w", [("n2", "c", "sum")])
     n_total = int(bigrams.sum("k11") or 0)  # driver scalar; None if empty
 
     freq = bigrams.map_batches(
@@ -1502,7 +1458,7 @@ def q_kg_ppr(sf_dir: str, iters: int = 2, damping: float = 0.85):
     groupby per iteration; edges+degrees pinned once); the restart
     vector is one indicator row, not a driver artifact. Bounded
     iterations ⇒ unrolled SQL oracle."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
     from odinson_ray.stages.shuffle import hash_join
 
@@ -1535,12 +1491,11 @@ def q_kg_ppr(sf_dir: str, iters: int = 2, damping: float = 0.85):
 
         def partial(t: pa.Table) -> pa.Table:
             c = pc.divide(t["r"], pc.cast(t["d"], f64))
-            g = pa.TableGroupBy(pa.table({"dst": t["dst"], "c": c}),
-                                ["dst"]).aggregate([("c", "sum")])
-            return rename_agg(g, ["dst"], ["dst", "c"])
+            return pa.table({"dst": t["dst"], "c": c})
 
-        sums = (contrib.map_batches(partial, batch_format="pyarrow")
-                .groupby("dst").aggregate(Sum("c", alias_name="c")))
+        sums = combine_aggregate(
+            contrib.map_batches(partial, batch_format="pyarrow"),
+            "dst", [("c", "c", "sum")])
         joined = hash_join(nodes, sums, on="v", right_on="dst",
                            how="left_outer",
                            left_schema=pa.schema([("v", str_t)]),

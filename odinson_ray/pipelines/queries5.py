@@ -27,7 +27,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import rename_agg
+from odinson_ray.stages.shuffle import combine_aggregate, partial_aggregate
 
 _SEP = "\x1f"
 _STR = pa.string()
@@ -44,19 +44,16 @@ def _kg_distinct_spo(sf_dir: str):
     """Distinct (pred, s, o) rows of the canonical triple graph,
     materialized — the shared front end of this batch (the predicate-
     labelled twin of queries4._kg_directed_edges)."""
-    from ray.data.aggregate import Count
-
     from .kg import triples_dataset
 
     def proj(t: pa.Table) -> pa.Table:
-        e = pa.table({"pred": t["pred"], "s": t["subj_canon"],
-                      "o": t["obj_canon"]})
-        return pa.TableGroupBy(e, ["pred", "s", "o"]).aggregate([])
+        return pa.table({"pred": t["pred"], "s": t["subj_canon"],
+                         "o": t["obj_canon"]})
 
-    return (triples_dataset(sf_dir)
-            .map_batches(proj, batch_format="pyarrow")
-            .groupby(["pred", "s", "o"]).aggregate(Count(alias_name="_c"))
-            .drop_columns(["_c"])).materialize()
+    return combine_aggregate(
+        triples_dataset(sf_dir)
+        .map_batches(proj, batch_format="pyarrow"),
+        ["pred", "s", "o"], []).materialize()
 
 
 # ===================================== functional-predicate mining
@@ -141,9 +138,9 @@ def q_kg_inverse_candidates(sf_dir: str):
 
     def pair_counts(g: pa.Table) -> pa.Table:
         # one join group = one entity pair; count (r1, r2) combinations
-        agg = pa.TableGroupBy(g.select(["pred", "pred_r"]),
-                              ["pred", "pred_r"]).aggregate([([], "count_all")])
-        return rename_agg(agg, ["pred", "pred_r"], ["r1", "r2", "pn"])
+        return partial_aggregate(
+            g.select(["pred", "pred_r"]).rename_columns(["r1", "r2"]),
+            ["r1", "r2"], [("pn", None, "count_all")])
 
     matched = hash_join(fwd, rev, on="k", left_schema=kp,
                         right_schema=kp, right_suffix="_r",
@@ -225,11 +222,12 @@ def q_kg_path_patterns(sf_dir: str):
         # hash_join merge_post receives the MERGED cross product? No — it
         # receives the joined rows; recover per-side tallies from the
         # distinct (pred, pred_r) counts, which already ARE the product.
-        agg = pa.TableGroupBy(g.select(["pred", "pred_r"]),
-                              ["pred", "pred_r"]).aggregate([([], "count_all")])
+        agg = partial_aggregate(
+            g.select(["pred", "pred_r"]).rename_columns(["r1", "r2"]),
+            ["r1", "r2"], [("pn", None, "count_all")])
         if agg.num_rows == 0:
             return empty
-        return rename_agg(agg, ["pred", "pred_r"], ["r1", "r2", "pn"])
+        return agg
 
     def guard(n_in, n_out):
         # degree cap decided before the cross product is built
@@ -314,8 +312,7 @@ def q_kg_rule_implications(sf_dir: str):
         if not a:
             return empty
         t = pa.table({"r1": pa.array(a, _STR), "r2": pa.array(b, _STR)})
-        agg = pa.TableGroupBy(t, ["r1", "r2"]).aggregate([([], "count_all")])
-        return rename_agg(agg, ["r1", "r2"], ["r1", "r2", "pn"])
+        return partial_aggregate(t, ["r1", "r2"], [("pn", None, "count_all")])
 
     support = (spo.map_batches(keyed, batch_format="pyarrow")
                .groupby("_p")
@@ -391,19 +388,13 @@ def q_ngram_novelty(sf_dir: str, n: int = 5):
         ids = t["doc_id"].combine_chunks().cast(_I64).take(
             rows.slice(0, ln - n + 1))
         pairs = pa.table({"doc_id": ids, "g": grams}).filter(same)
-        dd = pa.TableGroupBy(pairs, ["doc_id", "g"]).aggregate([])
-        return dd
+        return partial_aggregate(pairs, ["doc_id", "g"], [])
 
     grams = docs.map_batches(gram_rows, batch_format="pyarrow")
     # distinct across batches (a doc never spans batches, but the same
     # gram+doc row could appear twice only if a doc spanned batches —
     # it cannot; batch-local distinct is global distinct per doc)
-    df = (grams.map_batches(
-            lambda t: rename_agg(
-                pa.TableGroupBy(t.select(["g"]), ["g"]).aggregate(
-                    [([], "count_all")]), ["g"], ["g", "pdf"]),
-            batch_format="pyarrow")
-          .groupby("g").aggregate(Sum("pdf", alias_name="df")))
+    df = combine_aggregate(grams, "g", [("df", None, "count_all")])
 
     def score_group(g: pa.Table) -> pa.Table:
         dfv = g["df"].to_numpy(zero_copy_only=False)

@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import rename_agg
+from odinson_ray.stages.shuffle import combine_aggregate, partial_aggregate
 
 _SEP = "\x1f"
 _STR = pa.string()
@@ -93,8 +93,8 @@ def q_kg_transitive_preds(sf_dir: str):
 
     def local_pairs(g: pa.Table) -> pa.Table:
         # one group = one (pred, middle): dedup (pred, x, z) locally
-        return pa.TableGroupBy(g.select(["pred", "x", "z"]),
-                               ["pred", "x", "z"]).aggregate([])
+        return partial_aggregate(g.select(["pred", "x", "z"]),
+                                 ["pred", "x", "z"], [])
 
     def guard(n_in, n_out):
         return (n_in <= _TRANS_MID_CAP) & (n_out <= _TRANS_MID_CAP)
@@ -205,8 +205,8 @@ def q_kg_composition_rules(sf_dir: str):
     rsch = pa.schema([("m", _STR), ("r2", _STR), ("z", _STR)])
 
     def local_body(g: pa.Table) -> pa.Table:
-        return pa.TableGroupBy(g.select(["r1", "r2", "x", "z"]),
-                               ["r1", "r2", "x", "z"]).aggregate([])
+        return partial_aggregate(g.select(["r1", "r2", "x", "z"]),
+                                 ["r1", "r2", "x", "z"], [])
 
     def guard(n_in, n_out):
         return (n_in <= _COMP_MID_CAP) & (n_out <= _COMP_MID_CAP)
@@ -234,9 +234,9 @@ def q_kg_composition_rules(sf_dir: str):
 
     def rule_partials(g: pa.Table) -> pa.Table:
         # one group = one (x, z) pair; combos are the per-pair rule hits
-        agg = pa.TableGroupBy(g.select(["r1", "r2", "r3"]),
-                              ["r1", "r2", "r3"]).aggregate([([], "count_all")])
-        return rename_agg(agg, ["r1", "r2", "r3"], ["r1", "r2", "r3", "pn"])
+        return partial_aggregate(g.select(["r1", "r2", "r3"]),
+                                 ["r1", "r2", "r3"],
+                                 [("pn", None, "count_all")])
 
     support = (hash_join(
         body.map_batches(body_key, batch_format="pyarrow"),
@@ -309,19 +309,16 @@ def _weighted_spo(sf_dir: str):
     """(pred, s, o, w) with w = total extraction weight (sum of the
     aggregated triple counts across surface-form variants) — the vote
     mass behind each candidate fact. Map-side combined."""
-    from ray.data.aggregate import Sum
-
     from .kg import triples_dataset
 
-    def partial(t: pa.Table) -> pa.Table:
-        e = pa.table({"pred": t["pred"], "s": t["subj_canon"],
-                      "o": t["obj_canon"], "n": t["n"]})
-        agg = pa.TableGroupBy(e, ["pred", "s", "o"]).aggregate([("n", "sum")])
-        return rename_agg(agg, ["pred", "s", "o"], ["pred", "s", "o", "w"])
+    def project(t: pa.Table) -> pa.Table:
+        return pa.table({"pred": t["pred"], "s": t["subj_canon"],
+                         "o": t["obj_canon"], "n": t["n"]})
 
-    return (triples_dataset(sf_dir)
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby(["pred", "s", "o"]).aggregate(Sum("w", alias_name="w")))
+    return combine_aggregate(
+        triples_dataset(sf_dir)
+        .map_batches(project, batch_format="pyarrow"),
+        ["pred", "s", "o"], [("w", "n", "sum")])
 
 
 def q_kg_majority_object(sf_dir: str):
@@ -462,13 +459,8 @@ def q_kg_entity_profiles(sf_dir: str):
             .map_groups(lambda g: resolve(g.drop_columns(["_p"])),
                         batch_format="pyarrow"))
 
-    n_objs = (wspo.map_batches(
-        lambda t: pa.TableGroupBy(pa.table({"s": t["s"], "o": t["o"]}),
-                                  ["s", "o"]).aggregate([]),
-        batch_format="pyarrow")
-        .groupby(["s", "o"]).aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-        .groupby("s").aggregate(Count(alias_name="n_objs")))
+    n_objs = (combine_aggregate(wspo, ["s", "o"], [])
+              .groupby("s").aggregate(Count(alias_name="n_objs")))
 
     return hash_join(
         prof, n_objs, on="s",

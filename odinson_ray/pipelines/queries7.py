@@ -13,6 +13,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from odinson_ray.stages.shuffle import combine_aggregate, partial_aggregate
+
 SEP = "\x1f"
 
 
@@ -56,10 +58,7 @@ def q_kg_temporal_triples(sf_dir: str):
     distinct on (triple, doc), then a per-batch min/max/count combiner
     so the final groupby sees one row per (triple, batch) — shuffle
     volume is triple-vocabulary-bounded, never corpus-bounded."""
-    from ray.data.aggregate import Count, Max, Min, Sum
-
     from odinson_ray.stages.canon import canonicalize_dataset
-    from odinson_ray.stages.shuffle import rename_agg
     from odinson_ray.stages.triples import mentions_to_triples
 
     from .kg import mentions_dataset
@@ -73,24 +72,20 @@ def q_kg_temporal_triples(sf_dir: str):
     def keyed_distinct(t: pa.Table) -> pa.Table:
         tk = pc.binary_join_element_wise(
             t["subj_canon"], t["pred"], t["obj_canon"], SEP)
-        base = pa.table({"tk": tk, "doc_id": t["doc_id"]})
-        return pa.TableGroupBy(base, ["tk", "doc_id"]).aggregate([])
+        return pa.table({"tk": tk, "doc_id": t["doc_id"]})
 
-    td = (trips.map_batches(keyed_distinct, batch_format="pyarrow")
-          .groupby(["tk", "doc_id"]).aggregate(Count(alias_name="_c"))
-          .drop_columns(["_c"]))
+    td = combine_aggregate(
+        trips.map_batches(keyed_distinct, batch_format="pyarrow"),
+        ["tk", "doc_id"], [])
 
-    def window_partial(t: pa.Table) -> pa.Table:
-        base = pa.table({"tk": t["tk"], "day": _doc_day(t["doc_id"])})
-        agg = pa.TableGroupBy(base, ["tk"]).aggregate(
-            [("day", "min"), ("day", "max"), ([], "count_all")])
-        return rename_agg(agg, ["tk"], ["tk", "dmin", "dmax", "pn"])
+    def window_project(t: pa.Table) -> pa.Table:
+        return pa.table({"tk": t["tk"], "day": _doc_day(t["doc_id"])})
 
-    agg = (td.map_batches(window_partial, batch_format="pyarrow")
-           .groupby("tk")
-           .aggregate(Min("dmin", alias_name="d0"),
-                      Max("dmax", alias_name="d1"),
-                      Sum("pn", alias_name="n_docs")))
+    agg = combine_aggregate(
+        td.map_batches(window_project, batch_format="pyarrow"),
+        "tk",
+        [("d0", "day", "min"), ("d1", "day", "max"),
+         ("n_docs", None, "count_all")])
 
     def finish(t: pa.Table) -> pa.Table:
         flat = pc.list_flatten(
@@ -132,42 +127,27 @@ def q_kg_surface_variants(sf_dir: str):
     Shape: endpoint (canon, surface, n) pairs off the aggregated triple
     stream, per-batch combiner, one (canon, surface) groupby, then a
     per-canon combiner + groupby — both shuffles vocabulary-bounded."""
-    from ray.data.aggregate import Min, Sum
-
-    from odinson_ray.stages.shuffle import rename_agg
-
     from .kg import triples_dataset
 
     trips = triples_dataset(sf_dir)
 
-    def endpoint_partial(t: pa.Table) -> pa.Table:
+    def endpoint_project(t: pa.Table) -> pa.Table:
         ent = pa.chunked_array([t["subj_canon"].combine_chunks(),
                                 t["obj_canon"].combine_chunks()])
         surf = pa.chunked_array([t["subj"].combine_chunks(),
                                  t["obj"].combine_chunks()])
         n = pa.chunked_array([t["n"].combine_chunks(),
                               t["n"].combine_chunks()])
-        base = pa.table({"entity": ent, "surf": surf, "n": n})
-        agg = pa.TableGroupBy(base, ["entity", "surf"]).aggregate(
-            [("n", "sum")])
-        return rename_agg(agg, ["entity", "surf"],
-                          ["entity", "surf", "pn"])
+        return pa.table({"entity": ent, "surf": surf, "n": n})
 
-    ps = (trips.map_batches(endpoint_partial, batch_format="pyarrow")
-          .groupby(["entity", "surf"])
-          .aggregate(Sum("pn", alias_name="sn")))
+    ps = combine_aggregate(
+        trips.map_batches(endpoint_project, batch_format="pyarrow"),
+        ["entity", "surf"], [("sn", "n", "sum")])
 
-    def variant_partial(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(t.select(["entity", "surf", "sn"]),
-                              ["entity"]).aggregate(
-            [([], "count_all"), ("sn", "sum"), ("surf", "min")])
-        return rename_agg(agg, ["entity"], ["entity", "pv", "pm", "psurf"])
-
-    return (ps.map_batches(variant_partial, batch_format="pyarrow")
-            .groupby("entity")
-            .aggregate(Sum("pv", alias_name="n_surfaces"),
-                       Sum("pm", alias_name="n_mentions"),
-                       Min("psurf", alias_name="example_surface")))
+    return combine_aggregate(ps, "entity",
+                             [("n_surfaces", None, "count_all"),
+                              ("n_mentions", "sn", "sum"),
+                              ("example_surface", "surf", "min")])
 
 
 def _surface_variants_oracle(body: str) -> str:
@@ -199,25 +179,20 @@ def q_kg_degree_distribution(sf_dir: str):
     floor(log2(deg)) over int64 degrees is exact in IEEE double on both
     engines (the boundary cases are exact powers of two, where log2 is
     exact)."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.graph import vertex_degrees
-    from odinson_ray.stages.shuffle import rename_agg
 
     from .queries2 import _kg_edges
 
     degs = vertex_degrees(_kg_edges(sf_dir))
 
-    def bucket_partial(t: pa.Table) -> pa.Table:
+    def bucket_project(t: pa.Table) -> pa.Table:
         d = t["deg"].to_numpy(zero_copy_only=False).astype(np.float64)
         b = np.floor(np.log2(d)).astype(np.int64)
-        agg = pa.TableGroupBy(pa.table({"deg_bucket": pa.array(b)}),
-                              ["deg_bucket"]).aggregate([([], "count_all")])
-        return rename_agg(agg, ["deg_bucket"], ["deg_bucket", "pn"])
+        return pa.table({"deg_bucket": pa.array(b)})
 
-    return (degs.map_batches(bucket_partial, batch_format="pyarrow")
-            .groupby("deg_bucket")
-            .aggregate(Sum("pn", alias_name="n_vertices")))
+    return combine_aggregate(
+        degs.map_batches(bucket_project, batch_format="pyarrow"),
+        "deg_bucket", [("n_vertices", None, "count_all")])
 
 
 def _degree_dist_oracle(body: str) -> str:
@@ -248,7 +223,6 @@ def q_dq_checks(sf_dir: str):
     long-format (check_name, violations) report; only one scalar per
     check ever reaches the driver."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     from odinson_ray.stages.shuffle import hash_join
 
@@ -267,8 +241,8 @@ def q_dq_checks(sf_dir: str):
                            columns=["c_custkey"])
 
     okeys = orders.map_batches(
-        lambda t: pa.TableGroupBy(t.select(["o_orderkey"]),
-                                  ["o_orderkey"]).aggregate([]),
+        lambda t: partial_aggregate(t.select(["o_orderkey"]), ["o_orderkey"],
+                                    []),
         batch_format="pyarrow")
     li_orphans = hash_join(
         li, okeys, on="l_orderkey", right_on="o_orderkey", how="anti",
@@ -276,20 +250,15 @@ def q_dq_checks(sf_dir: str):
         right_schema=pa.schema([("o_orderkey", i64)])).count()
 
     ckeys = cust.map_batches(
-        lambda t: pa.TableGroupBy(t, ["c_custkey"]).aggregate([]),
+        lambda t: partial_aggregate(t, ["c_custkey"], []),
         batch_format="pyarrow")
     ord_orphans = hash_join(
         orders, ckeys, on="o_custkey", right_on="c_custkey", how="anti",
         left_schema=pa.schema([("o_orderkey", i64), ("o_custkey", i64)]),
         right_schema=pa.schema([("c_custkey", i64)])).count()
 
-    def dup_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(["o_orderkey"]),
-                            ["o_orderkey"]).aggregate([([], "count_all")])
-        return pa.table({"k": g["o_orderkey"], "pn": g["count_all"]})
-
-    per_key = (orders.map_batches(dup_partial, batch_format="pyarrow")
-               .groupby("k").aggregate(Sum("pn", alias_name="n")))
+    per_key = combine_aggregate(orders, "o_orderkey",
+                                [("n", None, "count_all")])
     dup_pk = per_key.map_batches(
         lambda t: pa.table({"extra": pc.subtract(t["n"],
                                                  pa.scalar(1, i64))}),
@@ -357,9 +326,7 @@ def q_band_join_acctbal(sf_dir: str, delta: float = 100.0):
     (nation, bucket) + an exact residual filter finds every pair
     exactly once (the probe side keeps its single native bucket).
     Output: per-nation pair counts."""
-    from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.shuffle import hash_join, rename_agg
+    from odinson_ray.stages.shuffle import hash_join
 
     rd = _rd()
     sup = rd.read_parquet(f"{sf_dir}/supplier.parquet",
@@ -403,13 +370,10 @@ def q_band_join_acctbal(sf_dir: str, delta: float = 100.0):
     def residual(t: pa.Table) -> pa.Table:
         kept = t.filter(pc.less_equal(
             pc.abs(pc.subtract(t["c_acctbal"], t["s_acctbal"])), delta))
-        agg = pa.TableGroupBy(kept.select(["s_nationkey"]),
-                              ["s_nationkey"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(agg, ["s_nationkey"], ["nationkey", "pn"])
+        return kept.select(["s_nationkey"]).rename_columns(["nationkey"])
 
-    return (joined.map_batches(residual, batch_format="pyarrow")
-            .groupby("nationkey").aggregate(Sum("pn", alias_name="n_pairs")))
+    return combine_aggregate(joined.map_batches(residual, batch_format="pyarrow"),
+                             "nationkey", [("n_pairs", None, "count_all")])
 
 
 ORACLE_BAND_JOIN = """
@@ -467,10 +431,7 @@ def q_kg_component_sizes(sf_dir: str):
     over-canonicalized one (one giant blob). Rides the pointer-jumping
     connected_components (stages/canon.py); both downstream groupbys
     are combiner-fed and component-vocabulary-bounded."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.canon import connected_components
-    from odinson_ray.stages.shuffle import rename_agg
 
     from .queries2 import _kg_edges
 
@@ -478,22 +439,10 @@ def q_kg_component_sizes(sf_dir: str):
         lambda t: t.rename_columns(["a", "b"]), batch_format="pyarrow")
     cc = connected_components(edges)
 
-    def size_partial(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(t.select(["root"]), ["root"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(agg, ["root"], ["root", "pn"])
+    sizes = combine_aggregate(cc, "root", [("size", None, "count_all")])
 
-    sizes = (cc.map_batches(size_partial, batch_format="pyarrow")
-             .groupby("root").aggregate(Sum("pn", alias_name="size")))
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(t.select(["size"]), ["size"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(agg, ["size"], ["size", "pn"])
-
-    return (sizes.map_batches(hist_partial, batch_format="pyarrow")
-            .groupby("size")
-            .aggregate(Sum("pn", alias_name="n_components")))
+    return combine_aggregate(sizes, "size",
+                             [("n_components", None, "count_all")])
 
 
 def _component_sizes_oracle(body: str) -> str:
@@ -584,10 +533,8 @@ def q_kg_triple_confidence(sf_dir: str):
     doc->source map is corpus-sized, so no broadcast); n_docs and
     n_sources come from two combiner-fed aggregates merged by one
     vocabulary-bounded join."""
-    from ray.data.aggregate import Count, Sum
-
     from odinson_ray.stages.canon import canonicalize_dataset
-    from odinson_ray.stages.shuffle import hash_join, rename_agg
+    from odinson_ray.stages.shuffle import hash_join
     from odinson_ray.stages.triples import mentions_to_triples
 
     from .kg import mentions_dataset
@@ -604,20 +551,13 @@ def q_kg_triple_confidence(sf_dir: str):
             t["subj_canon"], t["pred"], t["obj_canon"], SEP)
         did = pc.cast(pc.utf8_slice_codeunits(t["doc_id"], 4, 99),
                       pa.int64())
-        base = pa.table({"tk": tk, "did": did})
-        return pa.TableGroupBy(base, ["tk", "did"]).aggregate([])
+        return pa.table({"tk": tk, "did": did})
 
-    td = (trips.map_batches(keyed_distinct, batch_format="pyarrow")
-          .groupby(["tk", "did"]).aggregate(Count(alias_name="_c"))
-          .drop_columns(["_c"])).materialize()
+    td = combine_aggregate(
+        trips.map_batches(keyed_distinct, batch_format="pyarrow"),
+        ["tk", "did"], []).materialize()
 
-    def ndocs_partial(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(t.select(["tk"]), ["tk"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(agg, ["tk"], ["tk", "pn"])
-
-    ndocs = (td.map_batches(ndocs_partial, batch_format="pyarrow")
-             .groupby("tk").aggregate(Sum("pn", alias_name="n_docs")))
+    ndocs = combine_aggregate(td, "tk", [("n_docs", None, "count_all")])
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "source"])
@@ -627,16 +567,9 @@ def q_kg_triple_confidence(sf_dir: str):
         right_schema=pa.schema([("doc_id", pa.int64()),
                                 ("source", pa.string())]))
 
-    def src_distinct(t: pa.Table) -> pa.Table:
-        return pa.TableGroupBy(t.select(["tk", "source"]),
-                               ["tk", "source"]).aggregate([])
+    tsrc = combine_aggregate(joined, ["tk", "source"], [])
 
-    tsrc = (joined.map_batches(src_distinct, batch_format="pyarrow")
-            .groupby(["tk", "source"]).aggregate(Count(alias_name="_c"))
-            .drop_columns(["_c"]))
-
-    nsrc = (tsrc.map_batches(ndocs_partial, batch_format="pyarrow")
-            .groupby("tk").aggregate(Sum("pn", alias_name="n_sources")))
+    nsrc = combine_aggregate(tsrc, "tk", [("n_sources", None, "count_all")])
 
     both = hash_join(
         ndocs, nsrc, on="tk",
@@ -694,9 +627,6 @@ def q_fd_violations(sf_dir: str):
     (A, B) combiner groupby, then a per-A count — both
     vocabulary-bounded; two scalars per FD reach the driver."""
     import pandas as pd
-    from ray.data.aggregate import Count, Sum
-
-    from odinson_ray.stages.shuffle import rename_agg
 
     rd = _rd()
     cols = sorted({c for _, a, b in _FD_CANDIDATES for c in (a, b)})
@@ -704,23 +634,12 @@ def q_fd_violations(sf_dir: str):
                            columns=cols).materialize()  # one scan, 3 FDs
     rows = []
     for name, a_col, b_col in _FD_CANDIDATES:
-        ds = base
-
-        def ab_distinct(t: pa.Table, a=a_col, b=b_col) -> pa.Table:
-            return pa.TableGroupBy(t.select([a, b]), [a, b]).aggregate([])
-
-        ab = (ds.map_batches(ab_distinct, batch_format="pyarrow")
-              .groupby([a_col, b_col]).aggregate(Count(alias_name="_c"))
-              .drop_columns(["_c"]))
-
-        def per_a(t: pa.Table, a=a_col) -> pa.Table:
-            agg = pa.TableGroupBy(t.select([a]), [a]).aggregate(
-                [([], "count_all")])
-            return rename_agg(agg, [a], ["k", "pn"])
-
-        counts = (ab.map_batches(per_a, batch_format="pyarrow")
-                  .groupby("k").aggregate(Sum("pn", alias_name="nb"))
-                  ).materialize()
+        ab = combine_aggregate(base, [a_col, b_col], [])
+        lhs = ab.map_batches(
+            lambda t, a=a_col: t.select([a]).rename_columns(["k"]),
+            batch_format="pyarrow")
+        counts = combine_aggregate(lhs, "k", [("nb", None, "count_all")]
+                                   ).materialize()
         total = counts.count()
         violating = counts.map_batches(
             lambda t: t.filter(pc.greater(t["nb"], 1)),
@@ -768,10 +687,9 @@ def q_kg_pred_cooccurrence(sf_dir: str):
     rows shuffle ONCE on a coarse doc-hash; per-partition pairing is
     segmented index arithmetic over doc runs (pair count per doc is
     C(#preds, 2) <= C(6, 2) — bounded by the predicate vocabulary)."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     from odinson_ray.stages.canon import canonicalize_dataset
-    from odinson_ray.stages.shuffle import rename_agg
     from odinson_ray.stages.sketch import _splitmix64
     from odinson_ray.stages.triples import mentions_to_triples
 
@@ -784,13 +702,7 @@ def q_kg_pred_cooccurrence(sf_dir: str):
     trips, _roots = canonicalize_dataset(
         mentions.map_batches(mentions_to_triples, batch_format="pyarrow"))
 
-    def dp_distinct(t: pa.Table) -> pa.Table:
-        return pa.TableGroupBy(t.select(["doc_id", "pred"]),
-                               ["doc_id", "pred"]).aggregate([])
-
-    dp = (trips.map_batches(dp_distinct, batch_format="pyarrow")
-          .groupby(["doc_id", "pred"]).aggregate(Count(alias_name="_c"))
-          .drop_columns(["_c"]))
+    dp = combine_aggregate(trips, ["doc_id", "pred"], [])
 
     def add_part(t: pa.Table) -> pa.Table:
         import hashlib
@@ -831,10 +743,8 @@ def q_kg_pred_cooccurrence(sf_dir: str):
         j_idx = i_idx + 1 + (np.arange(total) - off)
         tab = pa.table({"pred_a": pa.array(p[i_idx], pa.string()),
                         "pred_b": pa.array(p[j_idx], pa.string())})
-        agg = pa.TableGroupBy(tab, ["pred_a", "pred_b"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(agg, ["pred_a", "pred_b"],
-                          ["pred_a", "pred_b", "pn"])
+        return partial_aggregate(tab, ["pred_a", "pred_b"],
+                                 [("pn", None, "count_all")])
 
     return (dp.map_batches(add_part, batch_format="pyarrow")
             .groupby("_p").map_groups(pair_partition,
@@ -865,10 +775,6 @@ def q_event_throttle(sf_dir: str, window_us: int = 300_000_000):
     (ts, event_id) into one fixed-width sortable string, so a plain
     per-batch combiner + global Min groupby replaces any per-key sort;
     ties break on event_id exactly as the oracle's ROW_NUMBER order."""
-    from ray.data.aggregate import Min
-
-    from odinson_ray.stages.shuffle import rename_agg
-
     rd = _rd()
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_id", "ts"])
@@ -886,14 +792,10 @@ def q_event_throttle(sf_dir: str, window_us: int = 300_000_000):
             pc.utf8_lpad(pc.cast(tu, pa.string()), 20, "0"),
             pc.utf8_lpad(pc.cast(t["event_id"], pa.string()), 20, "0"),
             "")
-        base = pa.table({"user_id": t["user_id"], "ws": ws, "pk": packed})
-        agg = pa.TableGroupBy(base, ["user_id", "ws"]).aggregate(
-            [("pk", "min")])
-        return rename_agg(agg, ["user_id", "ws"],
-                          ["user_id", "ws", "pk"])
+        return pa.table({"user_id": t["user_id"], "ws": ws, "pk": packed})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby(["user_id", "ws"]).aggregate(Min("pk", alias_name="m")))
+    agg = combine_aggregate(ds.map_batches(partial, batch_format="pyarrow"),
+                            ["user_id", "ws"], [("m", "pk", "min")])
 
     def finish(t: pa.Table) -> pa.Table:
         eid = pc.cast(pc.utf8_slice_codeunits(t["m"], 20, 40), pa.int64())
@@ -931,10 +833,8 @@ def q_kg_entity_timeline(sf_dir: str):
     Endpoint union → distinct (entity, doc) → combiner min/max/count;
     active days from a second distinct (entity, day) aggregate; ONE
     vocabulary-bounded join merges the two."""
-    from ray.data.aggregate import Count, Max, Min, Sum
-
     from odinson_ray.stages.canon import canonicalize_dataset
-    from odinson_ray.stages.shuffle import hash_join, rename_agg
+    from odinson_ray.stages.shuffle import hash_join
     from odinson_ray.stages.triples import mentions_to_triples
 
     from .kg import mentions_dataset
@@ -950,43 +850,29 @@ def q_kg_entity_timeline(sf_dir: str):
                                 t["obj_canon"].combine_chunks()])
         doc = pa.chunked_array([t["doc_id"].combine_chunks(),
                                 t["doc_id"].combine_chunks()])
-        return pa.TableGroupBy(pa.table({"entity": ent, "doc_id": doc}),
-                               ["entity", "doc_id"]).aggregate([])
+        return pa.table({"entity": ent, "doc_id": doc})
 
-    ed = (trips.map_batches(ent_doc, batch_format="pyarrow")
-          .groupby(["entity", "doc_id"]).aggregate(Count(alias_name="_c"))
-          .drop_columns(["_c"])).materialize()
+    ed = combine_aggregate(trips.map_batches(ent_doc, batch_format="pyarrow"),
+                           ["entity", "doc_id"], []).materialize()
 
-    def win_partial(t: pa.Table) -> pa.Table:
-        base = pa.table({"entity": t["entity"],
+    def win_project(t: pa.Table) -> pa.Table:
+        return pa.table({"entity": t["entity"],
                          "day": _doc_day(t["doc_id"])})
-        agg = pa.TableGroupBy(base, ["entity"]).aggregate(
-            [("day", "min"), ("day", "max"), ([], "count_all")])
-        return rename_agg(agg, ["entity"],
-                          ["entity", "dmin", "dmax", "pn"])
 
-    win = (ed.map_batches(win_partial, batch_format="pyarrow")
-           .groupby("entity")
-           .aggregate(Min("dmin", alias_name="d0"),
-                      Max("dmax", alias_name="d1"),
-                      Sum("pn", alias_name="n_docs")))
+    win = combine_aggregate(
+        ed.map_batches(win_project, batch_format="pyarrow"),
+        "entity",
+        [("d0", "day", "min"), ("d1", "day", "max"),
+         ("n_docs", None, "count_all")])
 
     def day_distinct(t: pa.Table) -> pa.Table:
-        base = pa.table({"entity": t["entity"],
+        return pa.table({"entity": t["entity"],
                          "day": _doc_day(t["doc_id"])})
-        return pa.TableGroupBy(base, ["entity", "day"]).aggregate([])
 
-    def per_ent(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(t.select(["entity"]), ["entity"]).aggregate(
-            [([], "count_all")])
-        return rename_agg(agg, ["entity"], ["entity", "pn"])
-
-    days = (ed.map_batches(day_distinct, batch_format="pyarrow")
-            .groupby(["entity", "day"]).aggregate(Count(alias_name="_c"))
-            .drop_columns(["_c"])
-            .map_batches(per_ent, batch_format="pyarrow")
-            .groupby("entity").aggregate(Sum("pn",
-                                             alias_name="n_active_days")))
+    days = combine_aggregate(
+        combine_aggregate(ed.map_batches(day_distinct, batch_format="pyarrow"),
+                          ["entity", "day"], []),
+        "entity", [("n_active_days", None, "count_all")])
 
     both = hash_join(
         win, days, on="entity",
@@ -1048,7 +934,6 @@ def q_curation_funnel(sf_dir: str, contam_min_shared: int = 5):
     STAGE COMPOSITION — survivors flow dataset-to-dataset via semi/anti
     joins, and only the four stage counts reach the driver."""
     import pandas as pd
-    from ray.data.aggregate import Min
 
     from odinson_ray.stages.curate import decontaminate
     from odinson_ray.stages.shuffle import hash_join
@@ -1063,15 +948,13 @@ def q_curation_funnel(sf_dir: str, contam_min_shared: int = 5):
 
     # stage 1: exact dedup — first doc per md5(text) (q_dedup_exact's
     # pure-aggregate decomposition)
-    def keyed_partial(t: pa.Table) -> pa.Table:
-        base = pa.table({"fp": content_fingerprints(t["text"]),
+    def keyed_project(t: pa.Table) -> pa.Table:
+        return pa.table({"fp": content_fingerprints(t["text"]),
                          "doc_id": t["doc_id"]})
-        g = pa.TableGroupBy(base, ["fp"]).aggregate([("doc_id", "min")])
-        return pa.table({"fp": g["fp"], "pd": g["doc_id_min"]})
 
-    keep1 = (docs.map_batches(keyed_partial, batch_format="pyarrow")
-             .groupby("fp").aggregate(Min("pd", alias_name="doc_id"))
-             .drop_columns(["fp"])).materialize()
+    keep1 = combine_aggregate(
+        docs.map_batches(keyed_project, batch_format="pyarrow"),
+        "fp", [("doc_id", "doc_id", "min")]).drop_columns(["fp"]).materialize()
     s1 = keep1.count()
 
     surv1 = hash_join(
@@ -1171,7 +1054,7 @@ def q_corpus_stats(sf_dir: str):
     passes: scalar sums per batch, and a per-batch-distinct vocabulary
     groupby whose shuffle is vocabulary-bounded."""
     import pandas as pd
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
     rd = _rd()
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -1252,7 +1135,6 @@ def q_er_funnel(sf_dir: str, window: int = 3, max_dist: int = 2):
     per-batch kernel over the candidate stream, clustering is the
     pointer-jumping CC. Five scalars reach the driver."""
     import pandas as pd
-    from ray.data.aggregate import Count
 
     from odinson_ray.stages.blocking import snm_pairs
     from odinson_ray.stages.canon import connected_components
@@ -1265,11 +1147,9 @@ def q_er_funnel(sf_dir: str, window: int = 3, max_dist: int = 2):
         def part(t: pa.Table) -> pa.Table:
             vals = pa.chunked_array(
                 [t[c].combine_chunks() for c in cols_pairs])
-            return pa.TableGroupBy(pa.table({"v": vals}),
-                                   ["v"]).aggregate([])
-        return (ds.map_batches(part, batch_format="pyarrow")
-                .groupby("v").aggregate(Count(alias_name="_c"))
-                .drop_columns(["_c"]))
+            return pa.table({"v": vals})
+        return combine_aggregate(ds.map_batches(part, batch_format="pyarrow"),
+                                 "v", [])
 
     surfaces = distinct_col(trips, ["subj", "obj"])
     n_surfaces = surfaces.count()
@@ -1293,11 +1173,7 @@ def q_er_funnel(sf_dir: str, window: int = 3, max_dist: int = 2):
     if n_edges:
         cc = connected_components(edges).materialize()
         n_nodes = cc.count()
-        n_comp = (cc.map_batches(
-            lambda t: pa.TableGroupBy(t.select(["root"]),
-                                      ["root"]).aggregate([]),
-            batch_format="pyarrow")
-            .groupby("root").aggregate(Count(alias_name="_c"))).count()
+        n_comp = combine_aggregate(cc, "root", []).count()
         merged = n_groups - n_nodes + n_comp
 
     return pd.DataFrame({
@@ -1364,9 +1240,9 @@ def q_kg_shortest_cost(sf_dir: str, hops: int = 4):
     Bounded rounds keep the oracle an unrolled exact twin (shared seed
     rule: max out-degree, ties lexicographic)."""
     import ray.data as rd_mod
-    from ray.data.aggregate import Min, Sum
+    from ray.data.aggregate import Min
 
-    from odinson_ray.stages.shuffle import hash_join, rename_agg
+    from odinson_ray.stages.shuffle import hash_join
 
     from .kg import triples_dataset
     from .queries4 import _kg_seed
@@ -1377,19 +1253,18 @@ def q_kg_shortest_cost(sf_dir: str, hops: int = 4):
     trips = triples_dataset(sf_dir).materialize()
 
     def to_wedges(t: pa.Table) -> pa.Table:
-        base = pa.table({"src": t["subj_canon"], "dst": t["obj_canon"],
+        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"],
                          "n": t["n"]})
-        agg = pa.TableGroupBy(base, ["src", "dst"]).aggregate([("n", "sum")])
-        return rename_agg(agg, ["src", "dst"], ["src", "dst", "pn"])
 
-    wedges = (trips.map_batches(to_wedges, batch_format="pyarrow")
-              .groupby(["src", "dst"]).aggregate(Sum("pn", alias_name="sn"))
-              .map_batches(
-                  lambda t: pa.table({
-                      "src": t["src"], "dst": t["dst"],
-                      "w": pc.add(pc.divide(pa.scalar(1000, I), t["sn"]),
-                                  pa.scalar(1, I))}),
-                  batch_format="pyarrow")).materialize()
+    wedges = combine_aggregate(
+        trips.map_batches(to_wedges, batch_format="pyarrow"),
+        ["src", "dst"], [("sn", "n", "sum")]
+    ).map_batches(
+        lambda t: pa.table({
+            "src": t["src"], "dst": t["dst"],
+            "w": pc.add(pc.divide(pa.scalar(1000, I), t["sn"]),
+                        pa.scalar(1, I))}),
+        batch_format="pyarrow").materialize()
 
     # wedges IS the distinct directed edge set — reuse it for the seed
     # rule instead of re-running the matcher through _kg_directed_edges
@@ -1693,7 +1568,6 @@ def _term_dictionary(root: str) -> list:
     import os
 
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Count
 
     vocab_path = os.path.join(root, "_vocab.parquet")
     if os.path.exists(vocab_path):
@@ -1705,12 +1579,8 @@ def _term_dictionary(root: str) -> list:
         manifest = json.load(fh)
     files = [os.path.join(root, f)
              for fl in manifest["buckets"].values() for f in fl]
-    vocab = (rd.read_parquet(files)
-             .map_batches(lambda t: pa.TableGroupBy(
-                 t.select(["tok"]), ["tok"]).aggregate([]),
-                 batch_format="pyarrow")
-             .groupby("tok").aggregate(Count(alias_name="_c"))
-             .drop_columns(["_c"])).to_pandas()["tok"].sort_values()
+    vocab = combine_aggregate(rd.read_parquet(files), "tok", []
+                              ).to_pandas()["tok"].sort_values()
     tmp = vocab_path + ".tmp"
     pq.write_table(pa.table({"tok": pa.array(vocab, pa.string())}), tmp)
     os.replace(tmp, vocab_path)

@@ -13,7 +13,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import rename_agg
+from odinson_ray.stages.shuffle import combine_aggregate
 
 
 def _rd():
@@ -172,23 +172,16 @@ def q_tpch_q18(sf_dir: str, threshold: float = 300.0):
     small HAVING survivor set) drives two distributed hash joins back
     onto orders and customer; pruned global top-10 by o_totalprice.
     The survivor set stays a Dataset — never collected on the driver."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.shuffle import global_topk, hash_join
 
     rd = _rd()
 
-    def qty_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t, ["l_orderkey"]).aggregate(
-            [("l_quantity", "sum")])
-        return rename_agg(g, ["l_orderkey"], ["l_orderkey", "pq"])
-
-    qty = (rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                           columns=["l_orderkey", "l_quantity"])
-           .map_batches(qty_partial, batch_format="pyarrow")
-           .groupby("l_orderkey").aggregate(Sum("pq", alias_name="sq"))
-           .map_batches(lambda t: t.filter(
-               pc.greater(t["sq"], threshold)), batch_format="pyarrow"))
+    qty = combine_aggregate(
+        rd.read_parquet(f"{sf_dir}/lineitem.parquet",
+                        columns=["l_orderkey", "l_quantity"]),
+        "l_orderkey", [("sq", "l_quantity", "sum")]
+    ).map_batches(lambda t: t.filter(pc.greater(t["sq"], threshold)),
+                  batch_format="pyarrow")
 
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -249,13 +242,11 @@ def q_promo_share(sf_dir: str, promo_type: str = "ECONOMY"):
     the join input is bounded by |part| x |months|, not |lineitem| —
     then ONE distributed hash join attaches the part-type flag and a
     month combiner finishes. Integer-cents revenue for bit-exactness."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.shuffle import hash_join
 
     rd = _rd()
 
-    def li_partial(t: pa.Table) -> pa.Table:
+    def li_project(t: pa.Table) -> pa.Table:
         d = t["l_shipdate"].cast(pa.timestamp("us"))
         ym = pc.add(pc.multiply(pc.cast(pc.year(d), pa.int64()), 100),
                     pc.cast(pc.month(d), pa.int64()))
@@ -263,19 +254,15 @@ def q_promo_share(sf_dir: str, promo_type: str = "ECONOMY"):
             t["l_extendedprice"],
             pc.subtract(pa.scalar(1.0), t["l_discount"])),
             pa.scalar(100.0)), pa.scalar(0.5))), pa.int64())
-        part = pa.table({"l_partkey": t["l_partkey"], "ym": ym,
+        return pa.table({"l_partkey": t["l_partkey"], "ym": ym,
                          "cents": cents})
-        g = pa.TableGroupBy(part, ["l_partkey", "ym"]).aggregate(
-            [("cents", "sum")])
-        return rename_agg(g, ["l_partkey", "ym"],
-                          ["l_partkey", "ym", "pcents"])
 
-    li = (rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                          columns=["l_partkey", "l_shipdate",
-                                   "l_extendedprice", "l_discount"])
-          .map_batches(li_partial, batch_format="pyarrow")
-          .groupby(["l_partkey", "ym"])
-          .aggregate(Sum("pcents", alias_name="cents")))
+    li = combine_aggregate(
+        rd.read_parquet(f"{sf_dir}/lineitem.parquet",
+                        columns=["l_partkey", "l_shipdate",
+                                 "l_extendedprice", "l_discount"])
+        .map_batches(li_project, batch_format="pyarrow"),
+        ["l_partkey", "ym"], [("cents", "cents", "sum")])
 
     def part_flag(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -296,16 +283,13 @@ def q_promo_share(sf_dir: str, promo_type: str = "ECONOMY"):
         right_schema=pa.schema([("p_partkey", pa.int64()),
                                 ("is_promo", pa.int64())]))
 
-    def month_partial(t: pa.Table) -> pa.Table:
+    def month_project(t: pa.Table) -> pa.Table:
         promo = pc.multiply(t["cents"], t["is_promo"])
-        m = pa.table({"ym": t["ym"], "p": promo, "a": t["cents"]})
-        g = pa.TableGroupBy(m, ["ym"]).aggregate(
-            [("p", "sum"), ("a", "sum")])
-        return rename_agg(g, ["ym"], ["ym", "pp", "pa_"])
+        return pa.table({"ym": t["ym"], "p": promo, "a": t["cents"]})
 
-    agg = (joined.map_batches(month_partial, batch_format="pyarrow")
-           .groupby("ym").aggregate(Sum("pp", alias_name="promo_cents"),
-                                    Sum("pa_", alias_name="total_cents")))
+    agg = combine_aggregate(
+        joined.map_batches(month_project, batch_format="pyarrow"),
+        "ym", [("promo_cents", "p", "sum"), ("total_cents", "a", "sum")])
 
     def finish(t: pa.Table) -> pa.Table:
         share = pc.round(pc.divide(

@@ -18,7 +18,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import hash_join, rename_agg
+from odinson_ray.stages.shuffle import (
+    combine_aggregate, hash_join, partial_aggregate)
 
 _US_PER_DAY = 86_400_000_000
 
@@ -41,19 +42,12 @@ def q_tpch_q13(sf_dir: str):
     customers: map-side per-custkey count combiner -> one left-outer
     hash join onto customer (zero-fill) -> second combiner over the
     count value. Both groupbys see pre-collapsed rows only."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
 
-    def ord_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t, ["o_custkey"]).aggregate(
-            [("o_custkey", "count")])
-        return rename_agg(g, ["o_custkey"], ["o_custkey", "pn"])
-
-    counts = (rd.read_parquet(f"{sf_dir}/orders.parquet",
-                              columns=["o_custkey"])
-              .map_batches(ord_partial, batch_format="pyarrow")
-              .groupby("o_custkey").aggregate(Sum("pn", alias_name="cnt")))
+    counts = combine_aggregate(
+        rd.read_parquet(f"{sf_dir}/orders.parquet",
+                        columns=["o_custkey"]),
+        "o_custkey", [("cnt", "o_custkey", "count")])
 
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey"])
@@ -64,14 +58,13 @@ def q_tpch_q13(sf_dir: str):
         right_schema=pa.schema([("o_custkey", pa.int64()),
                                 ("cnt", pa.int64())]))
 
-    def hist_partial(t: pa.Table) -> pa.Table:
+    def hist_project(t: pa.Table) -> pa.Table:
         c = pc.fill_null(pc.cast(t["cnt"], pa.int64()), 0)
-        g = pa.TableGroupBy(pa.table({"c_count": c}), ["c_count"]).aggregate(
-            [("c_count", "count")])
-        return rename_agg(g, ["c_count"], ["c_count", "pn"])
+        return pa.table({"c_count": c})
 
-    return (joined.map_batches(hist_partial, batch_format="pyarrow")
-            .groupby("c_count").aggregate(Sum("pn", alias_name="custdist")))
+    return combine_aggregate(
+        joined.map_batches(hist_project, batch_format="pyarrow"),
+        "c_count", [("custdist", "c_count", "count")])
 
 
 ORACLE_TPCH_Q13 = """
@@ -99,7 +92,6 @@ def q_nation_trade(sf_dir: str, gate: int = 5_000_000):
     """
     import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
 
     from odinson_ray.stages.link import get_broadcast
     from odinson_ray.stages.shuffle import adaptive_inner_join
@@ -137,10 +129,8 @@ def q_nation_trade(sf_dir: str, gate: int = 5_000_000):
             "l_orderkey": t["l_orderkey"],
             "supp_nation": pa.array([lk[k] for k in keys], pa.string()),
             "l_year": year, "cents": cents})
-        g = pa.TableGroupBy(base, ["l_orderkey", "supp_nation", "l_year"]
-                            ).aggregate([("cents", "sum")])
-        return rename_agg(g, ["l_orderkey", "supp_nation", "l_year"],
-                          ["l_orderkey", "supp_nation", "l_year", "pc_"])
+        return partial_aggregate(base, ["l_orderkey", "supp_nation", "l_year"],
+                                 [("pc_", "cents", "sum")])
 
     li = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -157,7 +147,7 @@ def q_nation_trade(sf_dir: str, gate: int = 5_000_000):
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("c_nationkey", pa.int32())]))
 
-    def finish_partial(t: pa.Table) -> pa.Table:
+    def finish_project(t: pa.Table) -> pa.Table:
         lk = get_broadcast(names_ref)
         ck = t["c_nationkey"].to_numpy(zero_copy_only=False)
         cust = pa.array([lk[k] for k in ck], pa.string())
@@ -165,14 +155,12 @@ def q_nation_trade(sf_dir: str, gate: int = 5_000_000):
                       "l_year": t["l_year"], "pc_": t["pc_"]})
         t = t.filter(pc.invert(pc.equal(t["supp_nation"],
                                         t["cust_nation"])))
-        g = pa.TableGroupBy(t, ["supp_nation", "cust_nation", "l_year"]
-                            ).aggregate([("pc_", "sum")])
-        return rename_agg(g, ["supp_nation", "cust_nation", "l_year"],
-                          ["supp_nation", "cust_nation", "l_year", "pp"])
+        return t
 
-    return (joined.map_batches(finish_partial, batch_format="pyarrow")
-            .groupby(["supp_nation", "cust_nation", "l_year"])
-            .aggregate(Sum("pp", alias_name="revenue_cents")))
+    return combine_aggregate(
+        joined.map_batches(finish_project, batch_format="pyarrow"),
+        ["supp_nation", "cust_nation", "l_year"],
+        [("revenue_cents", "pc_", "sum")])
 
 
 ORACLE_NATION_TRADE = """
@@ -206,17 +194,14 @@ def q_small_qty_revenue(sf_dir: str):
 
     rd = _rd()
 
-    def stats_partial(t: pa.Table) -> pa.Table:
-        b = pa.table({"l_partkey": t["l_partkey"], "q": t["l_quantity"]})
-        g = pa.TableGroupBy(b, ["l_partkey"]).aggregate(
-            [("q", "sum"), ("q", "count")])
-        return rename_agg(g, ["l_partkey"], ["l_partkey", "ps", "pn"])
+    def stats_project(t: pa.Table) -> pa.Table:
+        return pa.table({"l_partkey": t["l_partkey"], "q": t["l_quantity"]})
 
-    stats = (rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                             columns=["l_partkey", "l_quantity"])
-             .map_batches(stats_partial, batch_format="pyarrow")
-             .groupby("l_partkey").aggregate(Sum("ps", alias_name="sq"),
-                                             Sum("pn", alias_name="cnt")))
+    stats = combine_aggregate(
+        rd.read_parquet(f"{sf_dir}/lineitem.parquet",
+                        columns=["l_partkey", "l_quantity"])
+        .map_batches(stats_project, batch_format="pyarrow"),
+        "l_partkey", [("sq", "q", "sum"), ("cnt", "q", "count")])
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_partkey", "l_quantity",
@@ -262,8 +247,6 @@ def q_late_shipments(sf_dir: str, late_days: int = 60):
     x orders on orderkey — both sides corpus-sized, neither broadcast)
     then a map-side (priority, late, total) combiner; the comparison is
     integer microseconds, unit-normalized through timestamp[us]."""
-    from ray.data.aggregate import Sum
-
     rd = _rd()
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -279,22 +262,18 @@ def q_late_shipments(sf_dir: str, late_days: int = 60):
                                 ("o_orderdate", pa.timestamp("us")),
                                 ("o_orderpriority", pa.string())]))
 
-    def late_partial(t: pa.Table) -> pa.Table:
+    def late_project(t: pa.Table) -> pa.Table:
         ship = pc.cast(t["l_shipdate"].cast(pa.timestamp("us")), pa.int64())
         od = pc.cast(t["o_orderdate"].cast(pa.timestamp("us")), pa.int64())
         late = pc.cast(pc.greater(pc.subtract(ship, od),
                                   late_days * _US_PER_DAY), pa.int64())
-        b = pa.table({"o_orderpriority": t["o_orderpriority"],
-                      "late": late})
-        g = pa.TableGroupBy(b, ["o_orderpriority"]).aggregate(
-            [("late", "sum"), ("late", "count")])
-        return rename_agg(g, ["o_orderpriority"],
-                          ["o_orderpriority", "pl", "pn"])
+        return pa.table({"o_orderpriority": t["o_orderpriority"],
+                         "late": late})
 
-    return (joined.map_batches(late_partial, batch_format="pyarrow")
-            .groupby("o_orderpriority")
-            .aggregate(Sum("pl", alias_name="n_late"),
-                       Sum("pn", alias_name="n_lines")))
+    return combine_aggregate(
+        joined.map_batches(late_project, batch_format="pyarrow"),
+        "o_orderpriority",
+        [("n_late", "late", "sum"), ("n_lines", "late", "count")])
 
 
 ORACLE_LATE_SHIPMENTS = """
@@ -358,17 +337,14 @@ def q_idle_rich_customers(sf_dir: str):
                                ("bal_cents", pa.int64())]),
         right_schema=pa.schema([("o_custkey", pa.int64())]))
 
-    def nat_partial(t: pa.Table) -> pa.Table:
-        b = pa.table({"c_nationkey": pc.cast(t["c_nationkey"], pa.int64()),
-                      "bal_cents": t["bal_cents"]})
-        g = pa.TableGroupBy(b, ["c_nationkey"]).aggregate(
-            [("bal_cents", "count"), ("bal_cents", "sum")])
-        return rename_agg(g, ["c_nationkey"], ["c_nationkey", "pn", "ps"])
+    def nat_project(t: pa.Table) -> pa.Table:
+        return pa.table({"c_nationkey": pc.cast(t["c_nationkey"], pa.int64()),
+                         "bal_cents": t["bal_cents"]})
 
-    return (idle.map_batches(nat_partial, batch_format="pyarrow")
-            .groupby("c_nationkey")
-            .aggregate(Sum("pn", alias_name="n_cust"),
-                       Sum("ps", alias_name="bal_cents")))
+    return combine_aggregate(
+        idle.map_batches(nat_project, batch_format="pyarrow"),
+        "c_nationkey",
+        [("n_cust", "bal_cents", "count"), ("bal_cents", "bal_cents", "sum")])
 
 
 ORACLE_IDLE_RICH = """
@@ -396,26 +372,19 @@ def q_json_props_stats(sf_dir: str):
     (pc.extract_regex — no per-row json.loads), then per-event-type
     sum/count/max via the usual combiner. Rows whose props lack ``k``
     drop out as nulls on both sides."""
-    from ray.data.aggregate import Max, Sum
-
     rd = _rd()
 
-    def extract_partial(t: pa.Table) -> pa.Table:
+    def extract_project(t: pa.Table) -> pa.Table:
         ex = pc.extract_regex(t["props"], r'"k"\s*:\s*(?P<k>-?\d+)')
         k = pc.cast(pc.struct_field(ex, "k"), pa.int64())
-        b = pa.table({"event_type": t["event_type"], "k": k})
-        g = pa.TableGroupBy(b, ["event_type"]).aggregate(
-            [("k", "sum"), ("k", "count"), ("k", "max")])
-        return rename_agg(g, ["event_type"],
-                          ["event_type", "ps", "pn", "pm"])
+        return pa.table({"event_type": t["event_type"], "k": k})
 
-    agg = (rd.read_parquet(f"{sf_dir}/events.parquet",
-                           columns=["event_type", "props"])
-           .map_batches(extract_partial, batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Sum("ps", alias_name="sum_k"),
-                      Sum("pn", alias_name="n"),
-                      Max("pm", alias_name="max_k")))
+    agg = combine_aggregate(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["event_type", "props"])
+        .map_batches(extract_project, batch_format="pyarrow"),
+        "event_type",
+        [("sum_k", "k", "sum"), ("n", "k", "count"), ("max_k", "k", "max")])
 
     def finish(t: pa.Table) -> pa.Table:
         avg = pc.round(pc.divide(pc.cast(t["sum_k"], pa.float64()),
@@ -446,24 +415,14 @@ def q_hive_pruned_agg(sf_dir: str, lang: str = "en"):
     reading ONLY that partition's files via the manifest — the
     partition-pruning identity every lake engine relies on. The scan is
     a Dataset; the pytest asserts the file set actually shrank."""
-    from ray.data.aggregate import Sum
-
     from odinson_ray.stages.layout import hive_layout, hive_scan
 
     root = hive_layout(f"{sf_dir}/documents.parquet", "lang",
                        ["doc_id", "source", "n_chars"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        b = pa.table({"source": t["source"], "n_chars": t["n_chars"]})
-        g = pa.TableGroupBy(b, ["source"]).aggregate(
-            [("n_chars", "count"), ("n_chars", "sum")])
-        return rename_agg(g, ["source"], ["source", "pn", "ps"])
-
-    return (hive_scan(root, lang)
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("source")
-            .aggregate(Sum("pn", alias_name="n_docs"),
-                       Sum("ps", alias_name="chars")))
+    return combine_aggregate(hive_scan(root, lang), "source",
+                             [("n_docs", "n_chars", "count"),
+                              ("chars", "n_chars", "sum")])
 
 
 ORACLE_HIVE_PRUNED = """

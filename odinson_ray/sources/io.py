@@ -265,17 +265,19 @@ def read_ipc(root: str):
             .map_batches(decode, batch_format="pyarrow"))
 
 
-def document_read_columns(path: str) -> list:
+def document_read_columns(path: str):
     """Pruned read columns for the documents table: the four the
     deterministic annotation derives from plus caller-supplied metadata
     columns present in the parquet footer (pruning them silently
     dropped a corpus's metadata from the matcher before round 5).
+    ``None`` (read every column) for a path whose schema is not sniffed
+    here, e.g. a Lance table, so its metadata columns are never pruned.
     Shared by the flagship read (pipelines/kg) and the shard runners
     (state/checkpoint) so the two sniffs cannot drift."""
-    cols = ["doc_id", "text", "lang", "source"]
-    if path.endswith(".parquet"):
-        import pyarrow.parquet as pq
+    if not path.endswith(".parquet"):
+        return None
+    import pyarrow.parquet as pq
 
-        present = set(pq.read_schema(path).names)
-        cols += [c for c in ("metadata", "metadata_json") if c in present]
-    return cols
+    present = set(pq.read_schema(path).names)
+    return ["doc_id", "text", "lang", "source"] + [
+        c for c in ("metadata", "metadata_json") if c in present]

@@ -62,25 +62,25 @@ def tag_of(tok: str) -> str:
     return "NN"
 
 
+def group_edges(n: int) -> List[tuple]:
+    """The dependency edges of an n-token sentence as (src, dst, label):
+    token 5k+j (j=1..4) attaches to its group head 5k, and each group
+    head attaches to the previous one with "conj"."""
+    return [(i - GROUP, i, "conj") if i % GROUP == 0
+            else (i - i % GROUP, i, GROUP_LABELS[i % GROUP - 1])
+            for i in range(1, n)]
+
+
+def _graph_struct(n: int) -> Dict:
+    """The ``graph`` struct value of an n-token sentence."""
+    return {"edges": [{"src": s, "dst": d, "label": lab}
+                      for s, d, lab in group_edges(n)],
+            "roots": [0] if n else []}
+
+
 def annotate_sentence(text: str) -> Dict:
-    toks = text.split(" ") if text else []
-    n = len(toks)
-    edges = []
-    for i in range(1, n):
-        j = i % GROUP
-        if j == 0:
-            edges.append({"src": i - GROUP, "dst": i, "label": "conj"})
-        else:
-            edges.append({"src": i - j, "dst": i, "label": GROUP_LABELS[j - 1]})
-    return {
-        "raw": toks,
-        "word": toks,
-        "lemma": [t.lower() for t in toks],
-        "tag": [tag_of(t) for t in toks],
-        "chunk": ["O"] * n,
-        "entity": ["B-TECH" if t in TECH_WORDS else "O" for t in toks],
-        "graph": {"edges": edges, "roots": [0] if n else []},
-    }
+    fields, _, _ = annotate_tokens_fast(text.split(" ") if text else [])
+    return {**fields, "graph": _graph_struct(len(fields["raw"]))}
 
 
 def _shared_graph_for_length(n: int):
@@ -91,14 +91,8 @@ def _shared_graph_for_length(n: int):
     same-length sentence the worker ever sees."""
     ctx = _GRAPH_CACHE.get(n)
     if ctx is None:
-        edges = []
-        for i in range(1, n):
-            j = i % GROUP
-            if j == 0:
-                edges.append((i - GROUP, i, "conj"))
-            else:
-                edges.append((i - j, i, GROUP_LABELS[j - 1]))
-        graph = DirectedGraph(edges, [0] if n else [], n, prenormalized=True)
+        graph = DirectedGraph(group_edges(n), [0] if n else [], n,
+                              prenormalized=True)
         ctx = _GRAPH_CACHE[n] = SharedGraphContext(graph)
     return ctx
 
@@ -201,19 +195,11 @@ def annotate_texts_vectorized(sent_texts: List[str]):
 
 
 def annotate_tokens_fast(toks: List[str]):
-    """Allocation-light annotation for the inline matcher path: same
-    layers as annotate_sentence but edges as (src, dst, label) TUPLES
-    (what SentenceIndex consumes directly) and no wrapper dict. Keep in
-    lockstep with annotate_sentence — the DuckDB oracles encode these
-    rules."""
+    """The deterministic annotation of one tokenized sentence: its token
+    layers, its edges as (src, dst, label) TUPLES (what SentenceIndex
+    consumes directly) and its roots. annotate_sentence wraps it into the
+    ``sentences`` struct — the DuckDB oracles encode these rules."""
     n = len(toks)
-    edges = []
-    for i in range(1, n):
-        j = i % GROUP
-        if j == 0:
-            edges.append((i - GROUP, i, "conj"))
-        else:
-            edges.append((i - j, i, GROUP_LABELS[j - 1]))
     fields = {
         "raw": toks,
         "word": toks,
@@ -222,7 +208,7 @@ def annotate_tokens_fast(toks: List[str]):
         "chunk": ["O"] * n,
         "entity": ["B-TECH" if t in TECH_WORDS else "O" for t in toks],
     }
-    return fields, edges, ([0] if n else [])
+    return fields, group_edges(n), ([0] if n else [])
 
 
 def _append_sentences(batch: pa.Table, annotate_fn) -> pa.Table:
@@ -277,13 +263,6 @@ class HeavyLexiconAnnotator:
     def annotate(self, text: str) -> Dict:
         toks = text.split(" ") if text else []
         n = len(toks)
-        edges = []
-        for i in range(1, n):
-            j = i % GROUP
-            if j == 0:
-                edges.append({"src": i - GROUP, "dst": i, "label": "conj"})
-            else:
-                edges.append({"src": i - j, "dst": i, "label": GROUP_LABELS[j - 1]})
         tags = self.tags
         ents = self.entities
         return {
@@ -293,7 +272,7 @@ class HeavyLexiconAnnotator:
             "tag": [tags.get(t, "NN") for t in toks],
             "chunk": ["O"] * n,
             "entity": [ents.get(t, "O") for t in toks],
-            "graph": {"edges": edges, "roots": [0] if n else []},
+            "graph": _graph_struct(n),
         }
 
     def __call__(self, batch: pa.Table) -> pa.Table:

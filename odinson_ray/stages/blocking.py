@@ -57,7 +57,6 @@ def snm_pairs(ds, key_col: str, id_col: str, window: int = 3,
     from ray.data.aggregate import Sum
 
     from .link import get_broadcast
-    from .shuffle import rename_agg
     from .sketch import approx_quantile_values
 
     if chunk < window - 1:

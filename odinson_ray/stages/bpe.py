@@ -27,22 +27,21 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .shuffle import combine_aggregate, partial_aggregate
+
 _SEP = "\x1f"
 
 
 def word_frequencies(docs, text_col: str = "text"):
     """Corpus pass: distinct word -> count Dataset (whitespace tokens)."""
-    from ray.data.aggregate import Sum
 
-    def partial(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern_regex(t[text_col], r"\s+"))
         toks = toks.filter(pc.not_equal(toks, ""))
-        agg = pa.TableGroupBy(pa.table({"word": toks}), ["word"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"word": agg["word"], "pn": agg["count_all"]})
+        return pa.table({"word": toks})
 
-    return (docs.map_batches(partial, batch_format="pyarrow")
-            .groupby("word").aggregate(Sum("pn", alias_name="n")))
+    return combine_aggregate(docs.map_batches(project, batch_format="pyarrow"),
+                             "word", [("n", None, "count_all")])
 
 
 def _pairs_batch(t: pa.Table) -> pa.Table:
@@ -67,9 +66,7 @@ def _pairs_batch(t: pa.Table) -> pa.Table:
     w = np.repeat(n, np.maximum(lens - 1, 0))
     base = pa.table({"left": left, "right": right,
                      "w": pa.array(w, pa.int64())})
-    agg = pa.TableGroupBy(base, ["left", "right"]).aggregate([("w", "sum")])
-    return pa.table({"left": agg["left"], "right": agg["right"],
-                     "pn": agg["w_sum"]})
+    return partial_aggregate(base, ["left", "right"], [("pn", "w", "sum")])
 
 
 def _apply_merge(t: pa.Table, left: str, right: str) -> pa.Table:
@@ -174,10 +171,9 @@ def bpe_encode_token_counts(docs, k: int = 5, text_col: str = "text",
             return pa.table({"token": pa.array([], pa.string()),
                              "pn": pa.array([], pa.int64())})
         w = np.repeat(n, lens)
-        agg = pa.TableGroupBy(
+        return partial_aggregate(
             pa.table({"token": flat, "w": pa.array(w, pa.int64())}),
-            ["token"]).aggregate([("w", "sum")])
-        return pa.table({"token": agg["token"], "pn": agg["w_sum"]})
+            ["token"], [("pn", "w", "sum")])
 
     counts = (vocab.map_batches(explode, batch_format="pyarrow")
               .groupby("token").aggregate(Sum("pn", alias_name="n")))

@@ -27,6 +27,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .shuffle import partial_aggregate
+
 N_HASHES = 128
 N_BANDS = 32
 ROWS_PER_BAND = N_HASHES // N_BANDS
@@ -812,7 +814,7 @@ def prefix_jaccard_pairs(sf_dir: str, threshold: float = 0.7,
         toks = pc.split_pattern(t["text"], " ")
         pair = pa.table({"feat": pc.list_flatten(toks),
                          "_row": pc.list_parent_indices(toks)})
-        dd = pa.TableGroupBy(pair, ["_row", "feat"]).aggregate([])
+        dd = partial_aggregate(pair, ["_row", "feat"], [])
         rows = dd["_row"].to_numpy(zero_copy_only=False)
         n = np.bincount(rows, minlength=len(t))
         return pa.table({

@@ -17,6 +17,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .shuffle import combine_aggregate, partial_aggregate
+
 _STR = pa.string()
 _EDGE_SCHEMA = pa.schema([("lo", _STR), ("hi", _STR)])
 
@@ -25,19 +27,14 @@ def vertex_degrees(edges):
     """(v, deg) Dataset from an undirected (lo, hi) edge Dataset.
     Map-side combiner: each batch collapses to one row per distinct
     endpoint, so the groupby shuffles at most |batch vocabulary| rows."""
-    from ray.data.aggregate import Sum
 
-    def partial(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         v = pa.chunked_array(t["lo"].chunks + t["hi"].chunks)
-        agg = pa.TableGroupBy(pa.table({"v": v}), ["v"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"v": agg["v"], "partial_deg": agg["count_all"]})
+        return pa.table({"v": v})
 
-    return (
-        edges.map_batches(partial, batch_format="pyarrow")
-        .groupby("v")
-        .aggregate(Sum("partial_deg", alias_name="deg"))
-    )
+    return combine_aggregate(
+        edges.map_batches(project, batch_format="pyarrow"),
+        "v", [("deg", None, "count_all")])
 
 
 def orient_by_degree(edges, degrees=None):
@@ -153,8 +150,6 @@ def triangles_per_vertex(edges):
     vertices, so the closing semi-join keeps (a, b, c), explodes to
     three (v) rows, and a map-side-combined groupby sums per vertex.
     Nothing per-vertex ever forms a group — counts are Arrow partials."""
-    from ray.data.aggregate import Sum
-
     from .shuffle import hash_join
 
     oriented = orient_by_degree(edges).materialize()
@@ -173,12 +168,11 @@ def triangles_per_vertex(edges):
     def explode(t: pa.Table) -> pa.Table:
         v = pa.concat_arrays([t[col].combine_chunks()
                               for col in ("a", "b", "c")])
-        agg = pa.TableGroupBy(pa.table({"v": v}), ["v"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"v": agg["v"], "pn": agg["count_all"]})
+        return pa.table({"v": v})
 
-    return (closed.map_batches(explode, batch_format="pyarrow")
-            .groupby("v").aggregate(Sum("pn", alias_name="n_tri")))
+    return combine_aggregate(
+        closed.map_batches(explode, batch_format="pyarrow"),
+        "v", [("n_tri", None, "count_all")])
 
 
 def label_propagation(edges, rounds: int | None = 3, pin=None,
@@ -203,7 +197,7 @@ def label_propagation(edges, rounds: int | None = 3, pin=None,
     between rounds — checked by one anti join, a COUNT on the driver)
     and RAISES if ``max_rounds`` is exhausted, the kcore discipline —
     never a silently-unconverged result."""
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Max, Min
 
     from .shuffle import hash_join
 
@@ -222,7 +216,7 @@ def label_propagation(edges, rounds: int | None = 3, pin=None,
     lab_schema = pa.schema([("v", _STR), ("lab", _STR)])
 
     def init_labels(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(pa.table({"v": t["a"]}), ["v"]).aggregate([])
+        agg = partial_aggregate(pa.table({"v": t["a"]}), ["v"], [])
         return pa.table({"v": agg["v"], "lab": agg["v"]})
 
     labels = pin(
@@ -242,14 +236,8 @@ def label_propagation(edges, rounds: int | None = 3, pin=None,
         joined = hash_join(bedges, labels, on="b", right_on="v",
                            left_schema=bd_schema, right_schema=lab_schema)
 
-        def cnt_partial(t: pa.Table) -> pa.Table:
-            agg = pa.TableGroupBy(t.select(["a", "lab"]),
-                                  ["a", "lab"]).aggregate([([], "count_all")])
-            return pa.table({"a": agg["a"], "lab": agg["lab"],
-                             "pn": agg["count_all"]})
-
-        counts = (joined.map_batches(cnt_partial, batch_format="pyarrow")
-                  .groupby(["a", "lab"]).aggregate(Sum("pn", alias_name="c")))
+        counts = combine_aggregate(joined, ["a", "lab"],
+                                   [("c", None, "count_all")])
         counts = pin(counts, f"counts_{r}")  # consumed by maxc AND the join
         maxc = counts.groupby("a").aggregate(Max("c", alias_name="mc"))
         cnt_schema = pa.schema([("a", _STR), ("lab", _STR), ("c", pa.int64())])
@@ -474,9 +462,7 @@ def edge_support(edges):
     Shape: degree-oriented wedge enumeration (O(m^1.5)), closing
     semi-join, explode each closed wedge to its 3 edges with a per-batch
     combiner, one Sum groupby, one left join onto the edge list."""
-    from ray.data.aggregate import Sum
-
-    from .shuffle import hash_join, rename_agg
+    from .shuffle import hash_join
 
     edges = edges.materialize()  # consumed by orientation AND final join
     oriented = orient_by_degree(edges).materialize()
@@ -497,7 +483,7 @@ def edge_support(edges):
         a, b, c = (t[col].combine_chunks() for col in ("a", "b", "c"))
         pairs = [(pc.min_element_wise(x, y), pc.max_element_wise(x, y))
                  for x, y in ((a, b), (a, c), (b, c))]
-        tab = pa.table({
+        return pa.table({
             "lo": pa.concat_arrays([x.combine_chunks()
                                     if isinstance(x, pa.ChunkedArray) else x
                                     for x, _ in pairs]),
@@ -505,11 +491,10 @@ def edge_support(edges):
                                     if isinstance(y, pa.ChunkedArray) else y
                                     for _, y in pairs]),
         })
-        g = pa.TableGroupBy(tab, ["lo", "hi"]).aggregate([([], "count_all")])
-        return rename_agg(g, ["lo", "hi"], ["lo", "hi", "pn"])
 
-    support = (closed.map_batches(explode_edges, batch_format="pyarrow")
-               .groupby(["lo", "hi"]).aggregate(Sum("pn", alias_name="s")))
+    support = combine_aggregate(
+        closed.map_batches(explode_edges, batch_format="pyarrow"),
+        ["lo", "hi"], [("s", None, "count_all")])
 
     def edge_jk(t: pa.Table) -> pa.Table:
         return t.append_column("jk", pc.binary_join_element_wise(
@@ -602,9 +587,8 @@ def maximal_independent_set(edges, max_rounds: int = 30,
     import warnings
 
     import ray.data as rd
-    from ray.data.aggregate import Count, Min
 
-    from .shuffle import hash_join, rename_agg
+    from .shuffle import hash_join
 
     _S = pa.string()
 
@@ -617,12 +601,7 @@ def maximal_independent_set(edges, max_rounds: int = 30,
 
     adj = edges.map_batches(both_dirs, batch_format="pyarrow").materialize()
 
-    def vert_partial(t: pa.Table) -> pa.Table:
-        return pa.TableGroupBy(t.select(["a"]), ["a"]).aggregate([])
-
-    verts = (adj.map_batches(vert_partial, batch_format="pyarrow")
-             .groupby("a").aggregate(Count(alias_name="_c"))
-             .drop_columns(["_c"])
+    verts = (combine_aggregate(adj, "a", [])
              .map_batches(lambda t: t.rename_columns(["v"]),
                           batch_format="pyarrow").materialize())
 
@@ -634,13 +613,12 @@ def maximal_independent_set(edges, max_rounds: int = 30,
             return mis if mis is not None else rd.from_arrow(
                 pa.table({"v": pa.array([], _S)}))
         # min neighbor priority per vertex (map-side combiner)
-        def mn_partial(t: pa.Table) -> pa.Table:
-            base = pa.table({"a": t["a"], "pb": _md5_column(t["b"])})
-            agg = pa.TableGroupBy(base, ["a"]).aggregate([("pb", "min")])
-            return rename_agg(agg, ["a"], ["a", "pmn"])
+        def mn_project(t: pa.Table) -> pa.Table:
+            return pa.table({"a": t["a"], "pb": _md5_column(t["b"])})
 
-        minn = (adj.map_batches(mn_partial, batch_format="pyarrow")
-                .groupby("a").aggregate(Min("pmn", alias_name="mn")))
+        minn = combine_aggregate(
+            adj.map_batches(mn_project, batch_format="pyarrow"),
+            "a", [("mn", "pb", "min")])
 
         joined = hash_join(
             verts, minn, on="v", right_on="a", how="left_outer",
@@ -668,8 +646,8 @@ def maximal_independent_set(edges, max_rounds: int = 30,
         # anti join tolerates duplicate right rows — a per-batch dedup
         # combiner shrinks the shuffle; no global groupby needed
         removed = (sel.union(nbrs)
-                   .map_batches(lambda t: pa.TableGroupBy(
-                       t, ["v"]).aggregate([]), batch_format="pyarrow")
+                   .map_batches(lambda t: partial_aggregate(t, ["v"], []),
+                                batch_format="pyarrow")
                    ).materialize()
 
         verts = hash_join(
@@ -766,7 +744,6 @@ def reach_fixpoint(edges, seed_v: str, direction: str, max_rounds: int = 50,
     and the bow-tie decomposition."""
     import pyarrow as pa
     import ray.data as rdn
-    from ray.data.aggregate import Count
 
     from .shuffle import hash_join
 
@@ -783,12 +760,9 @@ def reach_fixpoint(edges, seed_v: str, direction: str, max_rounds: int = 50,
             frontier, edges, on="v", right_on=on,
             left_schema=pa.schema([("v", str_t)]),
             right_schema=e_schema, partitions=partitions)
-        nxt = nxt.map_batches(
-            lambda t, c=out: pa.TableGroupBy(
-                pa.table({"v": t[c]}), ["v"]).aggregate([]),
-            batch_format="pyarrow")
-        nxt = (nxt.groupby("v").aggregate(Count(alias_name="_c"))
-               .drop_columns(["_c"]))
+        nxt = combine_aggregate(
+            nxt.map_batches(lambda t, c=out: pa.table({"v": t[c]}),
+                            batch_format="pyarrow"), "v", [])
         fresh = _cap_blocks(hash_join(
             nxt, visited, on="v", how="anti",
             left_schema=pa.schema([("v", str_t)]),
@@ -887,7 +861,7 @@ def scc_decomposition(edges, max_pivots: int = 200, max_trim_rounds: int = 50):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Min
+    from ray.data.aggregate import Min
 
     from .shuffle import hash_join
 

@@ -34,7 +34,7 @@ from ..core.traversal import DirectedGraph
 from ..lang.rules import RuleReader
 from ..sources.interleaved import build_interleaved
 from ..sources.odinson_json import fields_to_metadata
-from .annotate import annotate_sentence, annotate_texts_vectorized, annotate_tokens_fast
+from .annotate import annotate_texts_vectorized, annotate_tokens_fast
 
 ARG_TYPE = pa.struct(
     [

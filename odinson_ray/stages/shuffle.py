@@ -4,9 +4,11 @@ Zipfian-hot keys (frequent entities) make a naive groupby shuffle lopsided:
 one reducer receives the head key's entire stream. Two complementary
 mitigations, both used by the KG pipeline:
 
-1. ``partial-aggregate before shuffle`` (stages/triples.py): each batch
-   collapses to one row per distinct key, bounding any key's fan-in to the
-   number of batches. Best when the aggregate is algebraic (count/sum).
+1. ``partial-aggregate before shuffle``: :func:`partial_aggregate`
+   collapses each batch to one row per distinct key, bounding any key's
+   fan-in to the number of batches, and :func:`combine_aggregate` merges
+   the partials with one groupby. Best when the aggregate is algebraic
+   (count/sum/min/max). It is the package's only per-batch Arrow groupby.
 2. ``salted_aggregate`` (here): an explicit salt column splits each key
    into ``salt`` sub-keys; stage 1 aggregates (key, salt) — spreading a hot
    key over ``salt`` reducers — and stage 2 merges the per-salt partials
@@ -506,15 +508,46 @@ def salted_aggregate(ds, key: str, value: str, salt: int = 8, agg: str = "sum"):
     return stage1.groupby(key).aggregate(Sum("_partial", alias_name="total"))
 
 
-def rename_agg(agg: pa.Table, keys, names) -> pa.Table:
-    """Positionally rename a ``TableGroupBy.aggregate`` output, guarded:
-    pyarrow (16.x) emits group keys first, then aggregate columns — an
-    undocumented order this repo's combiners rely on. The assertion makes
-    a future Arrow reorder fail loudly instead of silently mislabeling
-    key/aggregate columns (ADVICE r03)."""
-    keys = list(keys)
+_MERGE_OPS = {"sum": "Sum", "count": "Sum", "count_all": "Sum",
+              "min": "Min", "max": "Max"}
+
+
+def partial_aggregate(t: pa.Table, keys, aggs) -> pa.Table:
+    """Collapse one Arrow batch to one row per distinct ``keys`` value.
+
+    ``aggs`` is a list of ``(out, column, op)`` with ``op`` one of
+    ``sum``, ``count`` (non-null values), ``count_all`` (rows; ``column``
+    is None), ``min`` or ``max``; the result has the key columns followed
+    by one column named ``out`` per aggregate. An empty ``aggs`` gives
+    the distinct keys. The only ``pa.TableGroupBy`` in the package: pyarrow
+    (16.x) emits group keys first, then aggregate columns — an undocumented
+    order the positional rename relies on, so the assertion makes a future
+    Arrow reorder fail loudly instead of silently mislabeling columns."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    spec = [([] if col is None else col, op) for _, col, op in aggs]
+    used = dict.fromkeys(keys + [c for _, c, _ in aggs if c is not None])
+    agg = pa.TableGroupBy(t.select(list(used)), keys).aggregate(spec)
     assert agg.column_names[: len(keys)] == keys, (agg.column_names, keys)
-    return agg.rename_columns(list(names))
+    return agg.rename_columns(keys + [out for out, _, _ in aggs])
+
+
+def combine_aggregate(ds, keys, aggs):
+    """Map-side combine then global groupby: each batch goes through
+    :func:`partial_aggregate`, so the shuffle moves at most one row per
+    key per batch, and the partials merge by op (``sum``/``count``/
+    ``count_all`` with ``Sum``, ``min`` with ``Min``, ``max`` with
+    ``Max``), each aliased to its ``out`` name. An empty ``aggs`` gives
+    the distinct keys."""
+    import ray.data.aggregate as ra
+
+    def part(t: pa.Table) -> pa.Table:
+        return partial_aggregate(t, keys, aggs)
+
+    parts = ds.map_batches(part, batch_format="pyarrow").groupby(keys)
+    if not aggs:
+        return parts.aggregate(ra.Count(alias_name="__n")).drop_columns(["__n"])
+    return parts.aggregate(*[getattr(ra, _MERGE_OPS[op])(out, alias_name=out)
+                             for out, _, op in aggs])
 
 
 def adaptive_inner_join(left, right, on: str, right_on: str | None = None,

@@ -10,6 +10,8 @@ from typing import Dict, List
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .shuffle import combine_aggregate, partial_aggregate
+
 # tiny function-word profiles for the n-gram/stopword language heuristic
 LANG_PROFILES: Dict[str, frozenset] = {
     "en": frozenset({"the", "a", "of", "and", "to", "in", "is"}),
@@ -136,10 +138,8 @@ def df_partial_batch(batch: pa.Table) -> pa.Table:
         "tok": pc.list_flatten(toks),
         "_row": pc.list_parent_indices(toks),
     })
-    dd = pa.TableGroupBy(pair, ["tok", "_row"]).aggregate([])
-    agg = pa.TableGroupBy(dd.select(["tok"]), ["tok"]).aggregate([([], "count_all")])
-    from .shuffle import rename_agg
-    return rename_agg(agg, ["tok"], ["tok", "partial_df"])
+    return partial_aggregate(partial_aggregate(pair, ["tok", "_row"], []),
+                             ["tok"], [("partial_df", None, "count_all")])
 
 
 def doc_frequency(sf_dir: str, min_df: int = 1):
@@ -153,14 +153,11 @@ def doc_frequency(sf_dir: str, min_df: int = 1):
     (URLs, hashes, typos), and pruning them bounds every downstream
     consumer of the vocabulary."""
     from ..sources.io import clean_rd as rd
-    from ray.data.aggregate import Sum
 
-    ds = (
+    ds = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-        .map_batches(df_partial_batch, batch_format="pyarrow")
-        .groupby("tok")
-        .aggregate(Sum("partial_df", alias_name="df"))
-    )
+        .map_batches(df_partial_batch, batch_format="pyarrow"),
+        "tok", [("df", "partial_df", "sum")])
     if min_df > 1:
         ds = ds.map_batches(
             lambda t: t.filter(pc.greater_equal(t["df"], min_df)),
@@ -178,12 +175,12 @@ def _tf_rows_batch(batch: pa.Table) -> pa.Table:
         "_row": pc.list_parent_indices(toks),
         "tok": pc.list_flatten(toks),
     })
-    tf = pa.TableGroupBy(pair, ["_row", "tok"]).aggregate([([], "count_all")])
+    tf = partial_aggregate(pair, ["_row", "tok"], [("tf", None, "count_all")])
     ids = batch["doc_id"].combine_chunks().cast(pa.int64())
     return pa.table({
         "doc_id": ids.take(tf["_row"]),
         "tok": tf["tok"].combine_chunks().cast(pa.string()),
-        "tf": tf["count_all"].combine_chunks().cast(pa.int64()),
+        "tf": tf["tf"].combine_chunks().cast(pa.int64()),
     })
 
 

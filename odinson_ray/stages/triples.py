@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import pandas as pd
 import pyarrow as pa
+
+from .shuffle import partial_aggregate
 
 
 def _triples_slow(args_col, texts, doc_ids, sent_ids) -> pa.Table:
@@ -156,18 +157,12 @@ def partial_count_triples(batch: pa.Table, keys) -> pa.Table:
     schema metadata (an unhashable dict) to every emitted block, which
     knocks Ray Data's schema-dedup onto its slow unify path for the whole
     downstream pipeline ("Failed to hash the schemas" warning)."""
-    keys = list(keys)
-    agg = pa.TableGroupBy(batch.select(keys), keys).aggregate([([], "count_all")])
-    from .shuffle import rename_agg
-    return rename_agg(agg, keys, keys + ["partial_n"])
+    return partial_aggregate(batch, keys, [("partial_n", None, "count_all")])
 
 
 def _sum_partials(batch: pa.Table, keys) -> pa.Table:
     """Second-level combiner: sum partial counts within a (large) batch."""
-    keys = list(keys)
-    agg = pa.TableGroupBy(batch, keys).aggregate([("partial_n", "sum")])
-    from .shuffle import rename_agg
-    return rename_agg(agg, keys, keys + ["partial_n"])
+    return partial_aggregate(batch, keys, [("partial_n", "partial_n", "sum")])
 
 
 def aggregate_triples(triples_ds, keys=("subj_canon", "pred", "obj_canon", "subj", "obj"),

@@ -28,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .shuffle import as_arrow_schema
+from .shuffle import as_arrow_schema, combine_aggregate, partial_aggregate
 
 # coarse fan-out for the as-of final resolve: enough partitions that a
 # 256-node cluster keeps every core busy, few enough that per-partition
@@ -62,18 +62,10 @@ def sessionize(ds, key: str = "user_id", ts: str = "ts", gap_s: int = 1800,
 
     Returns a Dataset of (key, n_sessions).
     """
-    from ray.data.aggregate import Sum
-
     spans = session_spans(ds, key=key, ts=ts, gap_s=gap_s,
                           bucket_s=bucket_s)
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select([key]), [key]).aggregate(
-            [([], "count_all")])
-        return pa.table({key: g[key], "pn": g["count_all"]})
-
-    return (spans.map_batches(count_partial, batch_format="pyarrow")
-            .groupby(key).aggregate(Sum("pn", alias_name="n_sessions")))
+    return combine_aggregate(spans, key, [("n_sessions", None, "count_all")])
 
 
 def session_spans(ds, key: str = "user_id", ts: str = "ts",
@@ -264,14 +256,9 @@ def running_total(ds, key: str = "user_id", ts: str = "ts",
     # partials (O(batches-touched) rows per key, never event rows) and
     # computes the exclusive prefix-sum offsets for all buckets at once.
     def batch_bsums(t: pa.Table) -> pa.Table:
-        g = (
-            _with_bucket(t.select([key, ts, value]), ts, bucket_s)
-            .select([key, "_bucket", value])
-            .group_by([key, "_bucket"])
-            .aggregate([(value, "sum")])
-        )
-        from .shuffle import rename_agg
-        return rename_agg(g, [key, "_bucket"], [key, "_bucket", "_ps"])
+        return partial_aggregate(
+            _with_bucket(t.select([key, ts, value]), ts, bucket_s),
+            [key, "_bucket"], [("_ps", value, "sum")])
 
     from .sketch import _splitmix64
 
@@ -433,8 +420,6 @@ def running_drawdown(ds, key: str = "user_id", ts: str = "ts",
     exactly regardless of how batches split a bucket. r4 continuation:
     same tagged-union segmented shape as running_total (no per-group
     join; carries segmented over coarse key partitions)."""
-    from .shuffle import rename_agg
-
     key_t = as_arrow_schema(ds.schema()).field(key).type
     int_key = pa.types.is_integer(key_t)
     _SHIFT = 1 << 22
@@ -454,13 +439,9 @@ def running_drawdown(ds, key: str = "user_id", ts: str = "ts",
         return t.append_column("_jk", _jk_of(t[key], t["_bucket"]))
 
     def batch_bmax(t: pa.Table) -> pa.Table:
-        g = (
-            _with_bucket(t.select([key, ts, value]), ts, bucket_s)
-            .select([key, "_bucket", value])
-            .group_by([key, "_bucket"])
-            .aggregate([(value, "max")])
-        )
-        return rename_agg(g, [key, "_bucket"], [key, "_bucket", "_mx"])
+        return partial_aggregate(
+            _with_bucket(t.select([key, ts, value]), ts, bucket_s),
+            [key, "_bucket"], [("_mx", value, "max")])
 
     from .sketch import _splitmix64
 
@@ -632,7 +613,6 @@ def asof_join_latest(events, orders, key: str = "user_id", ts: str = "ts",
     in-bucket searchsorted hit (when any) strictly dominates the carry,
     and otherwise the carry IS the latest prior order.
     """
-
     key_t = as_arrow_schema(events.schema()).field(key).type
     int_key = pa.types.is_integer(key_t)
     _SHIFT = 1 << 22
@@ -688,10 +668,10 @@ def asof_join_latest(events, orders, key: str = "user_id", ts: str = "ts",
 
     def event_buckets(t: pa.Table) -> pa.Table:
         t = _with_bucket(t, ts, bucket_s)
-        g = pa.TableGroupBy(
+        g = partial_aggregate(
             pa.table({"_k": t[key].combine_chunks().cast(key_t),
                       "_bucket": t["_bucket"]}),
-            ["_k", "_bucket"]).aggregate([])
+            ["_k", "_bucket"], [])
         return pa.table({
             "_k": g["_k"], "_bucket": g["_bucket"],
             "_bts": pa.nulls(g.num_rows, pa.int64()),
@@ -892,9 +872,6 @@ def event_transitions(ds, key: str = "user_id", ts: str = "ts",
     kind 1 = boundary) so stage 1 is ONE shuffle; the stage-1 output is
     materialized because it feeds two consumers (partial stream +
     boundary merge) — it is partial-count-sized, not event-sized."""
-    from ray.data.aggregate import Sum
-
-    from .shuffle import rename_agg
 
     def partials(g: pa.Table) -> pa.Table:
         tsv = pc.cast(pc.cast(g[ts], pa.timestamp("us")), pa.int64()).to_numpy(
@@ -910,8 +887,8 @@ def event_transitions(ds, key: str = "user_id", ts: str = "ts",
                 "_a": pa.array(t_sorted[:-1].tolist(), pa.string()),
                 "_b": pa.array(t_sorted[1:].tolist(), pa.string()),
             })
-            agg = pa.TableGroupBy(pair, ["_a", "_b"]).aggregate([([], "count_all")])
-            agg = rename_agg(agg, ["_a", "_b"], ["_a", "_b", "_n"])
+            agg = partial_aggregate(pair, ["_a", "_b"],
+                                    [("_n", None, "count_all")])
             n = agg.num_rows
             rows["_kind"].extend([0] * n)
             rows[key].extend([kv[0].as_py()] * n)
@@ -960,14 +937,9 @@ def event_transitions(ds, key: str = "user_id", ts: str = "ts",
 
     across = stage1.groupby(key).map_groups(boundary_merge, batch_format="pyarrow")
 
-    def combine(t: pa.Table) -> pa.Table:
-        agg = pa.TableGroupBy(t, ["_a", "_b"]).aggregate([("_n", "sum")])
-        return rename_agg(agg, ["_a", "_b"], ["_a", "_b", "_n"])
-
     return (
-        within.union(across)
-        .map_batches(combine, batch_format="pyarrow")
-        .groupby(["_a", "_b"]).aggregate(Sum("_n", alias_name="n"))
+        combine_aggregate(within.union(across), ["_a", "_b"],
+                          [("n", "_n", "sum")])
         .map_batches(
             lambda t: pa.table({"from_type": t["_a"], "to_type": t["_b"],
                                 "n": t["n"]}),
