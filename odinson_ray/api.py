@@ -15,19 +15,27 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from .core.engine import DocumentEngine, Extractor, Mention
-from .core.matcher import Compiler, Ctx
+from .core.matcher import Compiler, Ctx, sentence_mask
 from .core.selector import select_matches
-from .core.sentence import AnnotatedDocument, SentenceIndex
+from .core.sentence import AnnotatedDocument, CorpusIndex, SentenceIndex
 from .lang.rules import RuleReader
 
 
 class OdinsonEngine:
-    """In-memory engine over a list of annotated documents."""
+    """In-memory engine over a list of annotated documents, indexed once
+    at construction (:class:`~odinson_ray.core.sentence.CorpusIndex`: one
+    engine-wide term dictionary and flat postings), so that ``query``
+    visits only the sentences that hold a pattern's required terms. The
+    documents are read, never written: several engines may share them."""
 
     def __init__(self, docs: Sequence[AnnotatedDocument]):
         self.docs = list(docs)
         self.compiler = Compiler()
         self.rule_reader = RuleReader(self.compiler)
+        self.index = CorpusIndex(self.docs)
+        self.doc_by_id: Dict[str, AnnotatedDocument] = {}
+        for doc in self.docs:
+            self.doc_by_id.setdefault(doc.doc_id, doc)  # duplicate ids: the first
 
     # ------------------------------------------------------------ constructors
 
@@ -106,41 +114,47 @@ class OdinsonEngine:
         mention-granular, strictly finer than Lucene's doc-granular
         searchAfter, so a page may split a sentence without dropping its
         tail.) A bare ``(doc_id, sent_idx)`` tuple resumes from the NEXT
-        sentence (the reference's doc-granular behavior)."""
+        sentence (the reference's doc-granular behavior). ``n=0`` returns
+        no mentions; a negative ``n`` raises ValueError.
+
+        Only candidate sentences are visited: the corpus index masks out
+        every sentence that lacks one of the pattern's required terms
+        (:func:`~odinson_ray.core.matcher.sentence_mask`)."""
+        if n is not None and n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         q = self.mk_query(pattern)
-        cursor_sent = cursor_span = None
+        if n == 0:
+            return []
+        index = self.index
+        start, cursor_span = 0, None
         if after is not None:
             if isinstance(after, Mention):
-                cursor_sent = (after.doc_id, after.sent_idx)
+                cursor = (after.doc_id, after.sent_idx)
                 cursor_span = (after.start, after.end)
             else:
-                cursor_sent = tuple(after)
-        skipping = cursor_sent is not None
+                cursor = tuple(after)
+            if cursor not in index.keys:
+                return []  # the cursor's sentence is not in this corpus
+            start = index.keys.index(cursor)
+            if cursor_span is None:
+                start += 1  # doc-granular cursor: resume NEXT sentence
         out: List[Mention] = []
-        for doc in self.docs:
-            for sent_idx, sent in enumerate(doc.sentences):
-                in_cursor_sent = skipping and (doc.doc_id, sent_idx) == cursor_sent
-                if skipping and not in_cursor_sent:
-                    continue
-                past_cursor = not in_cursor_sent or cursor_span is None
-                if in_cursor_sent:
-                    skipping = False
-                    if cursor_span is None:
-                        continue  # doc-granular cursor: resume NEXT sentence
-                for m in select_matches(q.matches(Ctx(sent, sent_idx, None)),
-                                        disable_match_selector):
-                    if not past_cursor:
-                        if (m.start, m.end) == cursor_span:
-                            past_cursor = True
-                        continue
-                    out.append(Mention(m, None, sent_idx, "<query>", doc.doc_id))
-                    if n is not None and len(out) >= n:
-                        return out
+        for slot in index.candidates(lambda v: sentence_mask(q, v), start):
+            doc_id, sent_idx = index.keys[slot]
+            matches = select_matches(q.matches(Ctx(index.sentences[slot], sent_idx, None)),
+                                     disable_match_selector)
+            if cursor_span is not None and slot == start:
+                # the cursor's sentence: resume right after the cursor span
+                spans = [(m.start, m.end) for m in matches]
+                matches = matches[spans.index(cursor_span) + 1:] if cursor_span in spans else []
+            for m in matches:
+                out.append(Mention(m, None, sent_idx, "<query>", doc_id))
+                if n is not None and len(out) >= n:
+                    return out
         return out
 
     def mention_text(self, m: Mention) -> str:
-        doc = next(d for d in self.docs if d.doc_id == m.doc_id)
-        toks = doc.sentences[m.sent_idx].tokens()
+        toks = self.doc_by_id[m.doc_id].sentences[m.sent_idx].tokens()
         return " ".join(toks[m.start : m.end])
 
     # verbosity tiers (reference: DataGatherer.scala:53-110 VerboseLevels)
@@ -154,8 +168,7 @@ class OdinsonEngine:
         all -> every stored token field."""
         if level == self.MINIMAL:
             return {}
-        doc = next(d for d in self.docs if d.doc_id == m.doc_id)
-        sent = doc.sentences[m.sent_idx]
+        sent = self.doc_by_id[m.doc_id].sentences[m.sent_idx]
         fl = sent.fields if level == self.DISPLAY else sent.all_fields()
         names = ["raw"] if level == self.DISPLAY else sorted(fl)
         return {name: list(fl[name][m.start : m.end])

@@ -17,6 +17,8 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..common.normalize import normalize_unicode, normalize_unicode_aggressively
 from ..lang import ast
 from ..lang.lucene_regex import compile_lucene
@@ -35,7 +37,7 @@ from .matches import (
     StateMatch,
     sort_key,
 )
-from .sentence import ALL_TOKEN_FIELDS, DEFAULT_TOKEN_FIELD, SentenceIndex
+from .sentence import ALL_TOKEN_FIELDS, DEFAULT_TOKEN_FIELD, EDGE_FIELDS, BatchVocab, SentenceIndex
 
 
 class Ctx:
@@ -61,6 +63,12 @@ class FailQuery(Query):
     def matches(self, ctx):
         return []
 
+    def token_mask(self, v: BatchVocab) -> np.ndarray:
+        return _no_positions(v)
+
+    def token_positions(self, sent: SentenceIndex) -> set:
+        return set()
+
 
 class TermQuery(Query):
     """Positional term lookup (SpanTermQuery analogue)."""
@@ -72,8 +80,34 @@ class TermQuery(Query):
     def matches(self, ctx):
         return [NGramMatch(i, i + 1) for i in ctx.sent.positions_for_term(self.field, self.term)]
 
+    def token_mask(self, v: BatchVocab) -> np.ndarray:
+        m = v.term_mask(self.field, self.term)
+        return m if m is not None else _no_positions(v)
 
-class RegexTermQuery(Query):
+    def token_positions(self, sent: SentenceIndex) -> set:
+        return set(sent.positions_for_term(self.field, self.term))
+
+
+class PredicateTermQuery(Query):
+    """Positions whose normalized term satisfies ``self._pred``; the
+    predicate runs once per vocabulary over unique terms (memo keyed by
+    the compiled query object), not once per sentence."""
+
+    field: str
+
+    def matches(self, ctx):
+        positions = ctx.sent.positions_matching(self.field, self, self._pred)
+        return [NGramMatch(i, i + 1) for i in positions]
+
+    def token_mask(self, v: BatchVocab) -> np.ndarray:
+        m = v.pred_mask(self.field, self, self._pred)
+        return m if m is not None else _no_positions(v)
+
+    def token_positions(self, sent: SentenceIndex) -> set:
+        return set(sent.positions_matching(self.field, self, self._pred))
+
+
+class RegexTermQuery(PredicateTermQuery):
     """Whole-token regex over the term dictionary (RegexpQuery analogue;
     Lucene regexes are implicitly anchored -> re.fullmatch). The pattern
     dialect is Lucene RegExp, translated (or rejected, never silently
@@ -85,12 +119,6 @@ class RegexTermQuery(Query):
         self.field = field
         self.regex = compile_lucene(pattern)
         self._pred = lambda term, _m=self.regex.fullmatch: _m(term) is not None
-
-    def matches(self, ctx):
-        # predicate evaluated once per batch vocabulary (memo keyed by the
-        # compiled query object), not once per sentence
-        positions = ctx.sent.positions_matching(self.field, self, self._pred)
-        return [NGramMatch(i, i + 1) for i in positions]
 
 
 def _edit_distance_le2(a: str, b: str) -> bool:
@@ -112,15 +140,11 @@ def _edit_distance_le2(a: str, b: str) -> bool:
     return prev[-1] <= 2
 
 
-class FuzzyTermQuery(Query):
+class FuzzyTermQuery(PredicateTermQuery):
     def __init__(self, field: str, term: str):
         self.field = field
         self.term = term
         self._pred = lambda t, _q=term: _edit_distance_le2(t, _q)
-
-    def matches(self, ctx):
-        positions = ctx.sent.positions_matching(self.field, self, self._pred)
-        return [NGramMatch(i, i + 1) for i in positions]
 
 
 class AllNGramsQuery(Query):
@@ -133,6 +157,13 @@ class AllNGramsQuery(Query):
     def matches(self, ctx):
         length = ctx.sent.length
         return [NGramMatch(i, i + self.n) for i in range(length - self.n + 1)]
+
+    # as a token-set leaf, n is 1 (the ``[]`` wildcard)
+    def token_mask(self, v: BatchVocab) -> np.ndarray:
+        return np.ones(int(v.offsets[-1]), bool)
+
+    def token_positions(self, sent: SentenceIndex) -> set:
+        return set(range(sent.length))
 
 
 class DocStartQuery(Query):
@@ -161,23 +192,115 @@ class OrQuery(Query):
         return out
 
 
-class TermAndQuery(Query):
-    """Conjunction over the same position (reference: OdinTermAndQuery.scala)."""
+def _no_positions(v: BatchVocab) -> np.ndarray:
+    return np.zeros(int(v.offsets[-1]), bool)
 
-    def __init__(self, clauses: List[Query]):
+
+class TokenAnd:
+    """Token-set conjunction: positions every clause holds
+    (reference: OdinTermAndQuery.scala)."""
+
+    def __init__(self, clauses: list):
         self.clauses = clauses
 
+    def token_mask(self, v: BatchVocab) -> np.ndarray:
+        mask = self.clauses[0].token_mask(v)
+        for c in self.clauses[1:]:
+            mask = mask & c.token_mask(v)
+        return mask
+
+    def token_positions(self, sent: SentenceIndex) -> set:
+        return set.intersection(*(c.token_positions(sent) for c in self.clauses))
+
+
+class TokenOr:
+    """Token-set disjunction under ``&`` or ``!``, where OrMatch clause ids
+    are never read."""
+
+    def __init__(self, clauses: list):
+        self.clauses = clauses
+
+    def token_mask(self, v: BatchVocab) -> np.ndarray:
+        mask = self.clauses[0].token_mask(v)
+        for c in self.clauses[1:]:
+            mask = mask | c.token_mask(v)
+        return mask
+
+    def token_positions(self, sent: SentenceIndex) -> set:
+        return set().union(*(c.token_positions(sent) for c in self.clauses))
+
+
+class TokenNot:
+    """Token-set complement within the sentence (the reference's
+    OdinNotQuery over all unigrams)."""
+
+    def __init__(self, clause):
+        self.clause = clause
+
+    def token_mask(self, v: BatchVocab) -> np.ndarray:
+        return ~self.clause.token_mask(v)
+
+    def token_positions(self, sent: SentenceIndex) -> set:
+        return set(range(sent.length)) - self.clause.token_positions(sent)
+
+
+def _token_expr(q):
+    """A compiled single-token constraint as a token-set expression."""
+    if isinstance(q, TokenSetQuery):
+        return q.expr
+    if isinstance(q, OrQuery):
+        return TokenOr([_token_expr(c) for c in q.clauses])
+    return q  # a leaf: term, regex, fuzzy, `[]` or FailQuery
+
+
+def _token_leaves(expr):
+    if isinstance(expr, (TokenAnd, TokenOr)):
+        for c in expr.clauses:
+            yield from _token_leaves(c)
+    elif isinstance(expr, TokenNot):
+        yield from _token_leaves(expr.clause)
+    else:
+        yield expr
+
+
+class TokenSetQuery(Query):
+    """Single-token constraint algebra as one node: terms, regexes, fuzzy
+    terms and ``[]`` combined by ``&``, ``!`` and (under those) ``|``.
+    On a vocabulary-backed sentence the whole expression is one flat bool
+    mask per query and vocabulary, split per sentence once; elsewhere the
+    same algebra runs over the sentence's positions. Leaves over the edge
+    fields (``incoming``/``outgoing``), which no vocabulary holds, always
+    take the per-sentence path."""
+
+    def __init__(self, expr):
+        self.expr = expr
+        self.on_vocab = all(getattr(leaf, "field", None) not in EDGE_FIELDS
+                            for leaf in _token_leaves(expr))
+
+    def token_mask(self, v: BatchVocab) -> np.ndarray:
+        memo = v.query_memo(self)
+        mask = memo.get("mask")
+        if mask is None:
+            mask = memo["mask"] = self.expr.token_mask(v)
+        return mask
+
     def matches(self, ctx):
-        span_sets = []
-        for clause in self.clauses:
-            span_sets.append({(m.start, m.end) for m in clause.matches(ctx)})
-        common = set.intersection(*span_sets) if span_sets else set()
-        return [NGramMatch(s, e) for s, e in sorted(common)]
+        sent = ctx.sent
+        v = sent.vocab
+        if v is not None and self.on_vocab:
+            memo = v.query_memo(self)
+            per_sent = memo.get("split")
+            if per_sent is None:
+                per_sent = memo["split"] = v.split(self.token_mask(v))
+            positions = per_sent.get(sent.slot, ())
+        else:
+            positions = sorted(self.expr.token_positions(sent))
+        return [NGramMatch(i, i + 1) for i in positions]
 
 
 class NotQuery(Query):
     """include spans minus exclude spans by span equality
-    (reference: OdinNotQuery.scala)."""
+    (reference: OdinNotQuery.scala); compiled for negative lookarounds."""
 
     def __init__(self, include: Query, exclude: Query):
         self.include = include
@@ -619,6 +742,69 @@ class EventQueryNode(Query):
         return out
 
 
+# ===================================================================== pruning
+
+def _all_of(masks) -> Optional[np.ndarray]:
+    out = None
+    for m in masks:
+        if m is not None:
+            out = m if out is None else out & m
+    return out
+
+
+def _traversal_mask(full, v: BatchVocab) -> Optional[np.ndarray]:
+    """Sentences where a full traversal can land: every required hop
+    needs a dst surface match."""
+    if isinstance(full, SingleStepFullTraversal):
+        return sentence_mask(full.surface, v)
+    if isinstance(full, ConcatFullTraversal):
+        return _all_of(_traversal_mask(step, v) for step in full.steps)
+    if isinstance(full, RepetitionFullTraversal) and full.min >= 1:
+        return _traversal_mask(full.step, v)
+    return None
+
+
+def sentence_mask(q: Query, v: BatchVocab) -> Optional[np.ndarray]:
+    """Required-clause analysis: a bool mask over ``v``'s sentences that
+    holds every sentence where ``q`` can match, or None for every sentence
+    (the role of Lucene's postings conjunction in the reference's search,
+    OdinsonScorer.scala:27-76). Conservative: concatenation, filters,
+    traversals, events and repetitions (min >= 1) need all their required
+    clauses, ``|`` any clause, and lookarounds, captures and expansion
+    their inner pattern; everything else (optional, wildcards, negative
+    lookarounds, ``@Label``, sentence start/end, the edge fields) may
+    match in any sentence. Computed from flat hit arrays only."""
+    if isinstance(q, (TermQuery, PredicateTermQuery)):
+        return None if q.field in EDGE_FIELDS else v.sentences_with(q.token_mask(v))
+    if isinstance(q, TokenSetQuery):
+        return v.sentences_with(q.token_mask(v)) if q.on_vocab else None
+    if isinstance(q, FailQuery):
+        return np.zeros(v.num_sents, bool)
+    if isinstance(q, OrQuery):
+        masks = [sentence_mask(c, v) for c in q.clauses]
+        if any(m is None for m in masks):
+            return None
+        out = masks[0]
+        for m in masks[1:]:
+            out = out | m
+        return out
+    if isinstance(q, ConcatQuery):
+        return _all_of(sentence_mask(c, v) for c in q.clauses)
+    if isinstance(q, (RepetitionQuery, NamedCaptureQuery, LookaheadQuery,
+                      LookbehindQuery, ExpandQuery)):
+        return sentence_mask(q.query, v)
+    if isinstance(q, NotQuery):
+        return sentence_mask(q.include, v)
+    if isinstance(q, SpanContainingQuery):
+        return _all_of((sentence_mask(q.big, v), sentence_mask(q.little, v)))
+    if isinstance(q, GraphTraversalQueryNode):
+        return _all_of((sentence_mask(q.src, v), _traversal_mask(q.full_traversal, v)))
+    if isinstance(q, EventQueryNode):
+        return _all_of([sentence_mask(q.trigger, v)]
+                       + [_traversal_mask(a.full_traversal, v) for a in q.required])
+    return None
+
+
 # ===================================================================== compiler
 
 class Compiler:
@@ -805,9 +991,11 @@ class Compiler:
     # ------------------------------------------------------------ traversals
 
     def mk_full_traversal(self, node):
-        # reference: QueryCompiler.scala:347-380 (start/end-constraint
-        # optimizations intentionally omitted: they are index pre-filters
-        # with no effect on the emitted match set)
+        # reference: QueryCompiler.scala:347-380 (its start/end-constraint
+        # optimizations are index pre-filters with no effect on the
+        # emitted match set; here the same pruning is the endpoint
+        # pre-filter in SingleStepFullTraversal and, over a CorpusIndex,
+        # the required-hop masks of sentence_mask)
         if isinstance(node, ast.SingleStepFullTraversalPattern):
             surface = self.mk_query(node.surface)
             if surface is None:
@@ -902,14 +1090,14 @@ class Compiler:
             clauses = _distinct_queries([self.mk_constraint_query(c) for c in node.constraints])
             if len(clauses) == 1:
                 return clauses[0]
-            return TermAndQuery(clauses)
+            return TokenSetQuery(TokenAnd([_token_expr(c) for c in clauses]))
         if isinstance(node, ast.NegatedConstraint):
             inner = node.constraint
             if isinstance(inner, ast.NegatedConstraint):
                 return self.mk_constraint_query(inner.constraint)
             if isinstance(inner, ast.Wildcard):
                 return FailQuery()
-            return NotQuery(AllNGramsQuery(1), self.mk_constraint_query(inner))
+            return TokenSetQuery(TokenNot(_token_expr(self.mk_constraint_query(inner))))
         if isinstance(node, ast.Wildcard):
             return AllNGramsQuery(1)
         raise ValueError(f"unknown constraint {node!r}")
@@ -928,8 +1116,14 @@ def _query_signature(q: Query):
         return ("ngrams", q.n)
     if isinstance(q, OrQuery):
         return ("or",) + tuple(_query_signature(c) for c in q.clauses)
-    if isinstance(q, TermAndQuery):
+    if isinstance(q, TokenSetQuery):
+        return ("tokens", _query_signature(q.expr))
+    if isinstance(q, TokenAnd):
         return ("and",) + tuple(_query_signature(c) for c in q.clauses)
+    if isinstance(q, TokenOr):
+        return ("or",) + tuple(_query_signature(c) for c in q.clauses)
+    if isinstance(q, TokenNot):
+        return ("not", _query_signature(q.clause))
     if isinstance(q, NotQuery):
         return ("not", _query_signature(q.include), _query_signature(q.exclude))
     if isinstance(q, ConcatQuery):

@@ -230,9 +230,23 @@ def _group_matches(matches: List[Match]) -> List[List[Match]]:
 
 # ------------------------------------------------------------ scorer loop
 
+def _plain_disjoint(candidates: List[Match]) -> bool:
+    """Plain n-grams with strictly increasing, non-overlapping spans: each
+    is its own same-start group and nothing is skipped, so selection keeps
+    them all. Stops at the first element that breaks the shape."""
+    prev_start = prev_end = -1
+    for m in candidates:
+        if type(m) is not NGramMatch or m.start <= prev_start or m.start < prev_end:
+            return False
+        prev_start, prev_end = m.start, m.end
+    return True
+
+
 def select_matches(candidates: List[Match], disable_match_selector: bool = False) -> List[Match]:
     """Consume candidates (sorted by start,end): group same-start, pick, skip
     overlapping later starts (reference: OdinsonScorer.scala:56-76)."""
+    if _plain_disjoint(candidates):
+        return candidates
     if disable_match_selector:
         out: List[Match] = []
         for m in candidates:

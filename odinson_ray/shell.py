@@ -98,8 +98,7 @@ def run_fixture_shell(key: str) -> None:
             print(f"error: {e}")
             continue
         for m in mentions:
-            doc = next(d for d in engine.docs if d.doc_id == m.doc_id)
-            toks = doc.sentences[m.sent_idx].tokens()
+            toks = engine.doc_by_id[m.doc_id].sentences[m.sent_idx].tokens()
             print(f"  {m.doc_id}[{m.sent_idx}] {highlight(toks, m.start, m.end)}")
         print(f"({len(mentions)} match(es))")
 
