@@ -52,9 +52,9 @@ def _configure_data_context() -> None:
     disable per-operator resource reservation. The streaming executor's
     default reservation splits the CPU budget evenly across ALL operators
     in a pipeline; our pipelines are long chains of cheap fused stateless
-    stages around ONE expensive actor-pool stage (the matcher), and the
-    even split throttles that pool hard (measured: 98.5s -> 57.1s on the
-    960k-doc headline at 16 CPUs)."""
+    stages around ONE expensive stage (the matcher), and the even split
+    throttles that stage hard (measured: 98.5s -> 57.1s on the 960k-doc
+    headline at 16 CPUs, when the matcher was an actor pool)."""
     try:
         from ray.data import DataContext
 

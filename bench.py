@@ -157,7 +157,7 @@ def headline_pipeline(sf_dir: str, num_cpus: int, replicate: int):
     import pyarrow.compute as pc
     import ray
 
-    from odinson_ray.pipelines.kg import FLAGSHIP_RULES, TripleCounter
+    from odinson_ray.pipelines.kg import FLAGSHIP_RULES, count_triples
     from odinson_ray.stages.triples import aggregate_triples
     from odinson_ray.sources.io import clean_rd as rd
 
@@ -169,7 +169,7 @@ def headline_pipeline(sf_dir: str, num_cpus: int, replicate: int):
     # replicate at the read: the file listed `replicate` times; blocks sized
     # ~2,500 docs. Task granularity is the driver-dispatch lever: the
     # streaming executor's single-threaded driver loop caps out around a
-    # few dozen actor-task round-trips per second, so ~600-doc tasks
+    # few dozen task round-trips per second, so ~600-doc tasks
     # starve a 24-actor pool (measured: per-actor throughput 1,777 ->
     # 2,387 docs/s moving from ~625-doc to ~2,500-doc tasks at pool 24,
     # while the pool-6 rate was flat — the no-Ray control shows the
@@ -232,34 +232,16 @@ def headline_pipeline(sf_dir: str, num_cpus: int, replicate: int):
     # starts from object-store-resident blocks (page-cache warming equivalent)
 
     t_start = time.time()
-    # pool sizing: with the downstream chain fused into the actors
-    # (TripleCounter) the only non-pool work left is the read and the
-    # small aggregate tail, so the headline pool takes all but 2 CPUs
-    # (>= 1 CPU headroom is mandatory — see stages/match.clamp_pool).
-    # SCALING runs must use the SAME pool fraction at both parallelism
-    # levels or the lo leg is handicapped (num_cpus-2 is 50% of 4 CPUs
-    # but 87.5% of 16) and the efficiency number overstates scaling —
-    # run_scaling pins BENCH_POOL_FRACTION=0.75 for both legs
-    frac = os.environ.get("BENCH_POOL_FRACTION")
-    if frac:
-        matcher_pool = max(2, min(num_cpus - 1, round(num_cpus * float(frac))))
-    else:
-        matcher_pool = max(2, num_cpus - 2)
-    # raw docs feed the fused pool directly: interleave + annotate + match
-    # + SVO filter + triple projection + canon + link + partial counts all
-    # run in-actor (pipelines/kg.TripleCounter) — only partial-count rows
-    # cross the object store, and the driver dispatches ONE task per block
-    # instead of one per stage per block
+    # matcher concurrency is uncapped: the matcher is a task stage, so Ray
+    # Data runs as many tasks as CPUs allow at every parallelism level
+    # (scaling legs stay comparable) and fuses the aggregate's per-batch
+    # stage into them
+    # raw docs feed the fused matcher directly: interleave + annotate +
+    # match + SVO filter + triple projection + canon + link + partial
+    # counts all run in one task per block (pipelines/kg.TripleCounter) —
+    # only partial-count rows cross the object store
     if os.environ.get("BENCH_FUSED", "1") == "1":
-        partials = docs.map_batches(
-            TripleCounter,
-            fn_constructor_args=(FLAGSHIP_RULES,),
-            batch_format="pyarrow",
-            concurrency=matcher_pool,
-            batch_size=256,
-            num_cpus=1,
-        )
-        agg = aggregate_triples(partials, pre_counted=True)
+        agg = count_triples(docs, FLAGSHIP_RULES)
         if os.environ.get("BENCH_STATS") == "1":
             agg = agg.materialize()
             print(agg.stats(), file=sys.stderr)
@@ -269,17 +251,10 @@ def headline_pipeline(sf_dir: str, num_cpus: int, replicate: int):
     # object store and the downstream chain runs as task-pool stages
     from odinson_ray.stages.canon import canonicalize_dataset
     from odinson_ray.stages.link import build_alias_table, make_linker
-    from odinson_ray.stages.match import GrammarMatcher
+    from odinson_ray.stages.match import GrammarMatcher, match_batches
     from odinson_ray.stages.triples import mentions_to_triples
 
-    mentions = docs.map_batches(
-        GrammarMatcher,
-        fn_constructor_args=(FLAGSHIP_RULES,),
-        batch_format="pyarrow",
-        concurrency=max(2, round(num_cpus * 3 / 4)),
-        batch_size=256,
-        num_cpus=1,
-    )
+    mentions = match_batches(docs, GrammarMatcher, FLAGSHIP_RULES)
     events = mentions.map_batches(
         lambda t: t.filter(pc.equal(t["label"], "SVO")), batch_format="pyarrow"
     )
@@ -312,7 +287,7 @@ def _init_ray(num_cpus: int) -> None:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
     ctx.execution_options.verbose_progress = False
-    # one expensive actor-pool stage per pipeline: per-operator resource
+    # one expensive matcher stage per pipeline: per-operator resource
     # reservation starves it (see __ray_entry__._configure_data_context)
     ctx.op_resource_reservation_enabled = False
 
@@ -380,9 +355,7 @@ def run_scaling() -> None:
         # at 1.92M docs they were ~25% of a ~48 s hi leg
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
                    BENCH_REPLICATE=os.environ.get("BENCH_REPLICATE", "768"),
-                   BENCH_SKIP_QUERIES="1",
-                   # equal pool fraction on both legs (see headline_pipeline)
-                   BENCH_POOL_FRACTION=os.environ.get("BENCH_POOL_FRACTION", "0.75"))
+                   BENCH_SKIP_QUERIES="1")
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__)],
             env=env,

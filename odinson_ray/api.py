@@ -179,18 +179,12 @@ class OdinsonEngine:
     @staticmethod
     def extract_dataset(docs_ds, rules_yaml: str, variables=None,
                         concurrency: int = 4, batch_size: int = 256):
-        """The same grammar as a Ray Data actor-pool stage over an
+        """The same grammar as a Ray Data matcher stage over an
         interleaved-docs Dataset (with or without a sentences column)."""
-        from .stages.match import GrammarMatcher, clamp_pool
+        from .stages.match import GrammarMatcher, match_batches
 
-        return docs_ds.map_batches(
-            GrammarMatcher,
-            fn_constructor_args=(rules_yaml, variables),
-            batch_format="pyarrow",
-            concurrency=clamp_pool(concurrency),
-            batch_size=batch_size,
-            num_cpus=1,
-        )
+        return match_batches(docs_ds, GrammarMatcher, rules_yaml, variables,
+                             concurrency=concurrency, batch_size=batch_size)
 
 
 def explain(pattern: str, event: bool = False) -> str:

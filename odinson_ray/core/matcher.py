@@ -643,11 +643,26 @@ class RepetitionFullTraversal:
         if not current:
             return []
         results = dict((id(m), m) for m in current)
+        # an unbounded group: on an acyclic graph the frontier empties
+        # within n steps; past that only a cycle (or a step that can stay
+        # put) keeps it alive. A frontier whose path keys repeat an
+        # earlier one's repeats forever, so it adds nothing new: stop, one
+        # match per key. A bounded group runs to its max, as it always did
+        cycle_check_after = ctx.sent.length if self.max == INT_MAX else INT_MAX
+        seen = set()
         while i < self.max and current:
             i += 1
             current = self.step.match_full_traversal(ctx, current)
             for m in current:
                 results.setdefault(id(m), m)
+            if i > cycle_check_after:
+                frontier = frozenset(map(_path_key, current))
+                if frontier in seen:
+                    unique = {}
+                    for m in results.values():
+                        unique.setdefault(_path_key(m), m)
+                    return list(unique.values())
+                seen.add(frontier)
         return list(results.values())
 
 
@@ -688,6 +703,15 @@ def _get_start_of_path(m: Match) -> Match:
     while isinstance(m, GraphTraversalMatch):
         m = m.src_match
     return m
+
+
+def _path_key(m: Match) -> tuple:
+    """What a traversal step's future depends on: the path's origin match
+    (by identity: events group arguments by origin object), its current
+    span and the set of its captures."""
+    return (id(_get_start_of_path(m)), m.start, m.end,
+            frozenset((c.name, c.label, c.captured.start, c.captured.end)
+                      for c in m.named_captures))
 
 
 class EventQueryNode(Query):

@@ -238,6 +238,11 @@ class SharedGraphContext:
         self.edge_postings: Dict[str, Dict[str, List[int]]] = {}
         self.trav_starts = weakref.WeakKeyDictionary()
 
+    def __reduce__(self):
+        # memos rebuild on use; a weak-keyed one cannot be pickled, and
+        # stages.annotate's context cache ships with a by-value package
+        return SharedGraphContext, (self.graph,)
+
 
 class SentenceIndex:
     """Inverted positional structures for one sentence."""

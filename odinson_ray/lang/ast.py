@@ -227,10 +227,14 @@ class ConcatFullTraversalPattern:
         return ConcatFullTraversalPattern(tuple(results[::-1]))
 
 
+#: a repetition's max when it has none (the reference's Int.MaxValue)
+INT_MAX = 2**31 - 1
+
+
 @dataclass(frozen=True)
 class RepeatFullTraversalPattern:
     min: int
-    max: int  # always bounded in the parser (Int.MaxValue for open)
+    max: int  # always bounded in the parser (INT_MAX for open)
     full_traversal: object
 
     @property
@@ -240,19 +244,21 @@ class RepeatFullTraversalPattern:
     def add_mention_filter_to_terminals(self, mention: MentionPattern, allow_promotion: bool):
         # reference: compiler/Ast.scala:141-176
         mn, mx = self.min, self.max
+        # peeling the last step off an open repetition leaves it open
+        rest = mx if mx == INT_MAX else mx - 1
         if (mn, mx) == (0, 0):
             raise OdinsonParseError("invalid repetition {0,0} in argument traversal")
         if (mn, mx) == (0, 1):
             step = self.full_traversal.add_mention_filter_to_terminals(mention, allow_promotion)
             return RepeatFullTraversalPattern(0, 1, step)
         if mn == 0:
-            new_rep = RepeatFullTraversalPattern(0, mx - 1, self.full_traversal)
+            new_rep = RepeatFullTraversalPattern(0, rest, self.full_traversal)
             last_step = self.full_traversal.add_mention_filter_to_terminals(mention, allow_promotion)
             pattern = ConcatFullTraversalPattern((new_rep, last_step))
             return RepeatFullTraversalPattern(0, 1, pattern)
         if (mn, mx) == (1, 1):
             return self.full_traversal.add_mention_filter_to_terminals(mention, allow_promotion)
-        new_rep = RepeatFullTraversalPattern(mn - 1, mx - 1, self.full_traversal)
+        new_rep = RepeatFullTraversalPattern(mn - 1, rest, self.full_traversal)
         last_step = self.full_traversal.add_mention_filter_to_terminals(mention, allow_promotion)
         return ConcatFullTraversalPattern((new_rep, last_step))
 

@@ -17,9 +17,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from . import ast
-from .ast import OdinsonParseError
-
-INT_MAX = 2**31 - 1
+from .ast import INT_MAX, OdinsonParseError
 
 
 class _Fail(Exception):

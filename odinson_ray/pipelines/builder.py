@@ -6,7 +6,7 @@
 
     ds = (Pipeline(sf_dir)
           .rules(MY_GRAMMAR)                 # YAML grammar (vars optional)
-          .match(concurrency=8)              # actor-pool sizing
+          .match(concurrency=8)              # concurrent matcher tasks
           .transform(my_batch_fn)            # arbitrary extra stage(s)
           .canonicalize(edges=my_edges)      # optional equivalence edges
           .link(alias_table)                 # optional alias table
@@ -89,7 +89,7 @@ class Pipeline:
     def mentions(self):
         """Build up to the mention stream (no KG tail)."""
         from ..stages.annotate import annotate_stage
-        from ..stages.match import GrammarMatcher, clamp_pool
+        from ..stages.match import GrammarMatcher, match_batches
         from .kg import mentions_dataset
 
         if self._annotator is None:
@@ -99,10 +99,10 @@ class Pipeline:
         else:
             from ..sources.interleaved import read_interleaved
 
-            # TWO actor pools share the cluster here: their combined size
-            # must leave >= 1 CPU for the read/consume task stages or the
-            # streaming executor deadlocks (clamp_pool covers one pool;
-            # this covers the pair). Shrink-and-warn beats hanging.
+            # the annotator pool plus the matcher's concurrency must leave
+            # >= 1 CPU for the read/consume tasks, or actors holding every
+            # CPU starve them (clamp_pool covers the pool alone).
+            # Shrink-and-warn beats hanging.
             pool_a, pool_m = self._annotator_pool, self._concurrency
             try:
                 import ray
@@ -136,14 +136,9 @@ class Pipeline:
             docs = read_interleaved(self._sf_dir)
             annotated = annotate_stage(docs, self._annotator,
                                        concurrency=pool_a)
-            ds = annotated.map_batches(
-                GrammarMatcher,
-                fn_constructor_args=(self._rules, self._variables),
-                batch_format="pyarrow",
-                concurrency=clamp_pool(pool_m),
-                batch_size=self._batch_size,
-                num_cpus=1,
-            )
+            ds = match_batches(annotated, GrammarMatcher, self._rules,
+                               self._variables, concurrency=pool_m,
+                               batch_size=self._batch_size)
         for fn in self._transforms:
             ds = ds.map_batches(fn, batch_format="pyarrow")
         return ds

@@ -4,11 +4,12 @@ canonicalize -> triples (the full north-rule KG construction chain).
     read_parquet(documents)                      # pruned columnar read
       -> map_batches(build_interleaved)          # input-shape projection
       -> map_batches(DeterministicAnnotator)     # pluggable annotation
-      -> map_batches(GrammarMatcher, actor pool) # per-doc cascade, no shuffle
+      -> match_batches(GrammarMatcher)           # per-doc cascade, no shuffle
       -> map_batches(mentions_to_triples)        # SVO projection
       -> canonicalize (distinct-vocab shuffle + broadcast back)
-      -> map_batches(EntityLinker, broadcast alias table)
-      -> partial-count combiner -> groupby.aggregate(Sum)   # only wide op
+      -> map_batches(make_linker(broadcast alias table))
+      -> combine_aggregate (per-batch partial counts, then one task or,
+         for a large output, groupby.aggregate(Sum))        # only wide op
 
 The default grammar extracts (subject, verb, object) events over the
 deterministic annotation layers plus maximal B-TECH entity runs.
@@ -23,7 +24,7 @@ from typing import Optional
 
 from ..stages.canon import canonicalize_dataset
 from ..stages.link import build_alias_table, make_linker
-from ..stages.match import GrammarMatcher
+from ..stages.match import GrammarMatcher, match_batches
 from ..stages.triples import aggregate_triples
 
 FLAGSHIP_RULES = """
@@ -55,10 +56,10 @@ def _read_docs(sf_dir: str, docs_per_block: int):
     round 5). The sniff reads only the footer; corpora without the
     columns (the testdata) pay nothing.
 
-    Blocks: ~2,500-doc blocks = actor-task granularity. The streaming
+    Blocks: ~2,500-doc blocks = matcher-task granularity. The streaming
     executor's single-threaded driver loop sustains only a few dozen
-    actor-task round-trips per second, so fine blocks starve a large
-    pool, while Ray's default ~128MB blocks (~300k docs) load-balance
+    task round-trips per second, so fine blocks starve a large
+    cluster, while Ray's default ~128MB blocks (~300k docs) load-balance
     poorly across it (measured in bench.py). Capped at 64k blocks: past
     that, shard the job itself (state/checkpoint.py fragment runner)
     rather than asking one driver to track the block metadata."""
@@ -76,30 +77,22 @@ def _read_docs(sf_dir: str, docs_per_block: int):
 
 
 def mentions_dataset(sf_dir: str, rules_yaml: str = FLAGSHIP_RULES,
-                     concurrency: int = 4, batch_size: int = 256,
+                     concurrency: Optional[int] = None, batch_size: int = 256,
                      docs_per_block: int = 5000):
     # annotation AND span interleaving run inline inside the matcher
-    # actors (deterministic annotator): neither the nested-annotation nor
+    # tasks (deterministic annotator): neither the nested-annotation nor
     # the nested-spans Arrow column ships through the object store — the
-    # pool reads the flat raw documents table. Pre-annotated corpora can
+    # matcher reads the flat raw documents table. Pre-annotated corpora can
     # insert annotate_batch / build_interleaved stages here instead.
-    from ..stages.match import clamp_pool
-
     docs = _read_docs(sf_dir, docs_per_block)
-    return docs.map_batches(
-        GrammarMatcher,
-        fn_constructor_args=(rules_yaml,),
-        batch_format="pyarrow",
-        concurrency=clamp_pool(concurrency),
-        batch_size=batch_size,
-        num_cpus=1,
-    )
+    return match_batches(docs, GrammarMatcher, rules_yaml,
+                         concurrency=concurrency, batch_size=batch_size)
 
 
 class TripleCounter(GrammarMatcher):
-    """Fused flagship actor: annotate+match -> SVO filter -> triple
+    """Fused flagship matcher: annotate+match -> SVO filter -> triple
     projection -> canonicalize -> link -> per-batch partial counts, all
-    inside one actor call.
+    inside one batch call.
 
     Emitting partial-count rows instead of mention rows removes the
     dominant object-store hop (the nested args mention table is ~10-40x
@@ -146,24 +139,24 @@ class TripleCounter(GrammarMatcher):
         return partial_count_triples(t, self.KEYS)
 
 
-def fused_triple_counts(sf_dir: str, rules_yaml: str = FLAGSHIP_RULES,
-                        concurrency: int = 4, batch_size: int = 256,
-                        docs_per_block: int = 5000):
-    """Fused flagship: documents -> TripleCounter pool -> combine ->
-    one small groupby. Byte-identical aggregated output to the unfused
-    chain (pinned by tests + the kg_triples oracle)."""
-    from ..stages.match import clamp_pool
-
-    docs = _read_docs(sf_dir, docs_per_block)
-    partials = docs.map_batches(
-        TripleCounter,
-        fn_constructor_args=(rules_yaml,),
-        batch_format="pyarrow",
-        concurrency=clamp_pool(concurrency),
-        batch_size=batch_size,
-        num_cpus=1,
-    )
+def count_triples(docs, rules_yaml: str = FLAGSHIP_RULES, concurrency: Optional[int] = None,
+                  batch_size: int = 256):
+    """Fused flagship over a raw documents Dataset: TripleCounter tasks ->
+    combine_aggregate. Byte-identical aggregated output to the unfused
+    chain (pinned by tests + the kg_triples oracle). ``concurrency`` caps
+    the concurrent matcher tasks; uncapped (the default), Ray Data also
+    fuses the combine's per-batch stage into them."""
+    partials = match_batches(docs, TripleCounter, rules_yaml,
+                             concurrency=concurrency, batch_size=batch_size)
     return aggregate_triples(partials, pre_counted=True)
+
+
+def fused_triple_counts(sf_dir: str, rules_yaml: str = FLAGSHIP_RULES,
+                        concurrency: Optional[int] = None, batch_size: int = 256,
+                        docs_per_block: int = 5000):
+    """:func:`count_triples` over the pruned documents read of ``sf_dir``."""
+    return count_triples(_read_docs(sf_dir, docs_per_block), rules_yaml,
+                         concurrency=concurrency, batch_size=batch_size)
 
 
 def checkpoint_triples(raw_triples, checkpoint_dir: Optional[str] = None):
@@ -197,7 +190,7 @@ def checkpoint_triples(raw_triples, checkpoint_dir: Optional[str] = None):
 
 
 def triples_dataset(sf_dir: str, rules_yaml: str = FLAGSHIP_RULES,
-                    concurrency: int = 4, batch_size: int = 256,
+                    concurrency: Optional[int] = None, batch_size: int = 256,
                     aggregate: bool = True,
                     canonicalize: bool = True,
                     checkpoint_dir: Optional[str] = None):
@@ -234,7 +227,7 @@ def triples_dataset(sf_dir: str, rules_yaml: str = FLAGSHIP_RULES,
     return aggregate_triples(linked)
 
 
-def run_flagship(sf_dir: str, out_dir: Optional[str] = None, concurrency: int = 4,
+def run_flagship(sf_dir: str, out_dir: Optional[str] = None, concurrency: Optional[int] = None,
                  partition_cols=("pred",)):
     """Flagship triples; when ``out_dir`` is given, write parquet
     hive-partitioned by predicate (SURVEY §2.1: pruning by pred at read

@@ -663,23 +663,23 @@ WHERE a.l % 5 = 0 AND a.tok IN ('scan', 'join', 'sort', 'merge', 'filter', 'grou
 
 
 def q_odinson_svo_two_stage(sf_dir: str):
-    """The two-stage (annotate-pool -> matcher-pool) topology with a
+    """The two-stage (annotate-pool -> matcher tasks) topology with a
     model-backed annotator stand-in: a large lexicon loads once per
     annotator actor (__init__), the annotated sentences column ships
-    through the object store, and the matcher pool consumes it without
+    through the object store, and the matcher tasks consume it without
     re-annotating. Oracle identical to odinson_svo — the topology change
     must not change one row."""
     import ray
 
     from odinson_ray.sources.interleaved import read_interleaved
     from odinson_ray.stages.annotate import HeavyLexiconAnnotator, annotate_stage
-    from odinson_ray.stages.match import match_stage
+    from odinson_ray.stages.match import GrammarMatcher, match_batches
 
     cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
     pool = max(1, cpus // 4)  # two pools + read/consume headroom
     docs = read_interleaved(sf_dir)
     annotated = annotate_stage(docs, HeavyLexiconAnnotator, concurrency=pool)
-    mentions = match_stage(annotated, SVO_RULES, concurrency=pool)
+    mentions = match_batches(annotated, GrammarMatcher, SVO_RULES, concurrency=pool)
     return mentions.map_batches(_svo_project, batch_format="pyarrow")
 
 
@@ -2318,7 +2318,7 @@ def q_error_stream(sf_dir: str):
     documents into __error__ rows and keep the task alive (reference
     behavior: per-file Try + continue, IndexDocuments.scala:85-98)."""
     rd = _rd()
-    from ..stages.match import GrammarMatcher
+    from ..stages.match import GrammarMatcher, match_batches
 
     def poison(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -2327,19 +2327,10 @@ def q_error_stream(sf_dir: str):
         return t.append_column("metadata_json", md.cast(pa.string()))
 
     rules = "rules:\n  - {name: any, label: Tok, type: basic, pattern: 'the'}\n"
-    mentions = (
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "text", "lang", "source"])
-        .map_batches(poison, batch_format="pyarrow")
-        .map_batches(
-            GrammarMatcher,
-            fn_constructor_args=(rules,),
-            batch_format="pyarrow",
-            concurrency=2,
-            batch_size=256,
-            num_cpus=1,
-        )
-    )
+    docs = (rd.read_parquet(f"{sf_dir}/documents.parquet",
+                            columns=["doc_id", "text", "lang", "source"])
+            .map_batches(poison, batch_format="pyarrow"))
+    mentions = match_batches(docs, GrammarMatcher, rules, concurrency=2)
     return mentions.map_batches(
         lambda t: t.filter(pc.equal(t["label"], GrammarMatcher.ERROR_LABEL))
                    .select(["doc_id", "label"]),
@@ -4823,10 +4814,8 @@ def q_adamic_adar(sf_dir: str, k: int = 10):
         ds.map_batches(to_undirected, batch_format="pyarrow"),
         ["lo", "hi"], [])
     # PIN before fan-out: adamic_adar_pairs consumes edges on both sides
-    # of its self-join; left lazy, the plan would embed TWO copies of the
-    # upstream annotate+match ACTOR POOL in one executing pipeline, and
-    # two pools without headroom deadlock the streaming executor on small
-    # clusters (the clamp_pool lesson). Entity-pair scale, so cheap.
+    # of its self-join; left lazy, the plan would run the finishing merge
+    # once per side. Entity-pair scale, so cheap.
     edges = edges.materialize()
     aa = adamic_adar_pairs(edges)
 

@@ -114,7 +114,7 @@ def run_dataset_shell(sf_dir: str) -> None:
     DataContext.get_current().enable_progress_bars = False
 
     from .sources.interleaved import read_interleaved
-    from .stages.match import GrammarMatcher
+    from .stages.match import GrammarMatcher, match_batches
 
     # the deterministic annotator's dependency vocabulary (the dataset
     # shell's corpus is annotated with exactly these labels)
@@ -139,10 +139,8 @@ rules:
     pattern: "{line}"
 """
         try:
-            ds = read_interleaved(sf_dir).map_batches(
-                GrammarMatcher, fn_constructor_args=(rules,),
-                batch_format="pyarrow", concurrency=2, batch_size=128, num_cpus=1,
-            )
+            ds = match_batches(read_interleaved(sf_dir), GrammarMatcher, rules,
+                               concurrency=2, batch_size=128)
             rows = ds.limit(limit).to_pandas()
         except Exception as e:
             print(f"error: {e}")

@@ -168,7 +168,7 @@ def read_odinson_json(paths, **read_kwargs):
     or gzip-compressed .json.gz, one Document per file or per line) ->
     pre-annotated docs Dataset.
 
-    Feed the result straight to ``stages.match.match_stage`` (the matcher
+    Feed the result straight to ``stages.match.match_batches`` (the matcher
     uses the stored ``sentences`` layers; no re-annotation) — the
     IndexDocuments ingestion analogue, minus the global Lucene build."""
     import ray.data as rd

@@ -240,7 +240,7 @@ class HeavyLexiconAnnotator:
     AnnotateText.scala:49-86: model loaded once per worker): __init__
     builds a large in-memory lexicon — the 'model' — so the actor-pool
     topology (heavy setup amortized over batches, annotation in a pool
-    SEPARATE from the matcher pool, sentences column shipped through the
+    SEPARATE from the matcher tasks, sentences column shipped through the
     object store) is exercised under realistic per-actor state. Tag and
     entity decisions go through lexicon lookups but reproduce
     DeterministicAnnotator's output exactly, so the DuckDB oracles verify
@@ -336,17 +336,34 @@ def annotate_batch(batch: pa.Table) -> pa.Table:
     return DeterministicAnnotator()(batch)
 
 
+def clamp_pool(requested: int) -> int:
+    """Never let the annotator actor pool reserve every cluster CPU: with
+    per-operator resource reservation disabled (__ray_entry__), a pool
+    sized == total CPUs starves the stateless read/consume stages and
+    deadlocks the streaming executor (observed with jobs/run_pipeline.py
+    at --num-cpus 4 --concurrency 4, when the matcher was an actor pool).
+    Always leave >= 1 CPU of headroom."""
+    try:
+        import ray
+
+        if ray.is_initialized():
+            cpus = int(ray.cluster_resources().get("CPU", 0))
+            if cpus:
+                return max(1, min(requested, cpus - 1))
+    except Exception:
+        pass
+    return max(1, requested)
+
+
 def annotate_stage(docs_ds, annotator_cls=DeterministicAnnotator,
                    concurrency: int = 2, batch_size: int = 128, **ctor_kwargs):
     """Annotation as its own actor-pool stage (two-stage topology:
-    annotate pool -> matcher pool). Use for model-backed annotators whose
+    annotate pool -> matcher tasks). Use for model-backed annotators whose
     setup cost must amortize per actor. The matcher decodes the
     ``sentences`` column this stage adds in one Arrow-native pass per batch
     (see GrammarMatcher), as cheaply per document as inline annotation;
     what this topology adds is the object-store hop of that nested column,
     which a cheap annotator run inline in the matcher avoids."""
-    from .match import clamp_pool
-
     return docs_ds.map_batches(
         annotator_cls,
         fn_constructor_kwargs=ctor_kwargs,

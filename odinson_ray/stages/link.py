@@ -102,19 +102,3 @@ def make_linker(alias_table_ref, columns=("subj", "obj"), suffix="_ent"):
 
     return link_batch
 
-
-class EntityLinker:
-    """Actor-pool form of the linker (for pipelines that want one); prefer
-    ``make_linker`` for cheap lookups — see its note on CPU reservation."""
-
-    def __init__(self, alias_table_ref=None, columns=("subj", "obj")):
-        self.alias_table = get_broadcast(alias_table_ref) if alias_table_ref is not None else {}
-        self.columns = columns
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        for col in self.columns:
-            linked = map_unique_strings(
-                batch[col], lambda s: link_surface(s, self.alias_table)
-            )
-            batch = batch.append_column(col + "_ent", linked)
-        return batch

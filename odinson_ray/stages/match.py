@@ -1,15 +1,17 @@
-"""GrammarMatcher: the grammar cascade as a Ray Data actor-pool stage.
+"""GrammarMatcher: the grammar cascade as a stateless Ray Data task stage.
 
 The whole compiled grammar is ONE dataset operator:
 
-    mentions = docs.map_batches(
-        GrammarMatcher.with_rules(yaml_str),
-        batch_format="pyarrow", concurrency=N, batch_size=B)
+    mentions = match_batches(docs, GrammarMatcher, yaml_str,
+                             concurrency=N, batch_size=B)
 
-The grammar is compiled once per actor in ``__init__`` (the reference
-compiles once per engine: RuleReader.compileRuleStream); per batch the
-actor builds per-document inverted structures and runs the per-document
-cascade (priorities + state confined to the document, SURVEY §3.1 — no
+The grammar is compiled once per task (the reference compiles once per
+engine: RuleReader.compileRuleStream): :func:`match_batches` maps a plain
+function that builds the matcher on its first batch, so warm worker
+processes serve job after job without an actor start. Per batch the
+matcher builds
+per-document inverted structures and runs the per-document cascade
+(priorities + state confined to the document, SURVEY §3.1 — no
 distributed state, no shuffle).
 """
 
@@ -251,31 +253,14 @@ def decode_sentences(col, keep: Optional[List[bool]] = None
             for d in range(n_docs)]
 
 
-def clamp_pool(requested: int) -> int:
-    """Never let an actor pool reserve every cluster CPU: with per-operator
-    resource reservation disabled (__ray_entry__), a pool sized == total
-    CPUs starves the stateless read/consume stages and deadlocks the
-    streaming executor (observed with jobs/run_pipeline.py at
-    --num-cpus 4 --concurrency 4). Always leave >= 1 CPU of headroom."""
-    try:
-        import ray
-
-        if ray.is_initialized():
-            cpus = int(ray.cluster_resources().get("CPU", 0))
-            if cpus:
-                return max(1, min(requested, cpus - 1))
-    except Exception:
-        pass
-    return max(1, requested)
-
-
 class GrammarMatcher:
-    """Callable class for map_batches: compile grammar once per actor.
+    """The grammar cascade over a batch of documents, compiled once per
+    instance (:func:`match_batches` builds one per task).
 
     Accepts batches either with a pre-annotated ``sentences`` column or with
-    only the ``spans`` column — in the latter case annotation runs inline
-    (per actor), avoiding the Arrow round-trip of the nested annotation
-    column through the object store. Both paths build batch-vocabulary
+    only the ``spans`` column — in the latter case annotation runs inline,
+    avoiding the Arrow round-trip of the nested annotation column through
+    the object store. Both paths build batch-vocabulary
     backed sentences: the ``sentences`` column is decoded Arrow-natively
     per batch (:func:`decode_sentences`), so pre-annotated input (Odinson
     Document JSON, ``prepare_corpus`` output, a model-annotator stage)
@@ -304,12 +289,13 @@ class GrammarMatcher:
         self.allow_trigger_overlaps = allow_trigger_overlaps
         self.verbosity = verbosity
         self.on_error = on_error
-        #: actor-lifetime count of documents converted to __error__ rows —
+        #: per-instance (under match_batches, per-task) count of
+        #: documents converted to __error__ rows —
         #: a visible counter so on_error='skip' never silently eats a
         #: systematic failure (ADVICE r03: the reference logs each per-file
         #: Try failure before continuing, IndexDocuments.scala:85-98)
         self.error_doc_count = 0
-        # metadata-filter PUSHDOWN (compile once per actor): when EVERY
+        # metadata-filter PUSHDOWN (compiled once per instance): when EVERY
         # extractor carries a metadata filter, a document rejected by all
         # of them can produce no mention — skip its annotation entirely.
         # Annotation dominates per-doc cost (reference docs say the same
@@ -376,10 +362,10 @@ class GrammarMatcher:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if "spans" not in batch.column_names and "text" in batch.column_names:
-            # raw documents table: interleave INSIDE the actor. A separate
+            # raw documents table: interleave INSIDE the matcher. A separate
             # map_batches(build_interleaved) stage ships the whole corpus's
             # nested list<struct> spans column through the object store
-            # into the pool; fusing it here keeps only the flat raw table
+            # into the matcher; fusing it here keeps only the flat raw table
             # on that hop (measured: the r3 scaling droop at 12 actors was
             # this serialization, not compute — the no-Ray control shows
             # zero per-process slowdown at 12 procs). build_interleaved is
@@ -552,7 +538,7 @@ class GrammarMatcher:
                 # label). Consumers can also aggregate the __error__ rows.
                 logging.getLogger(__name__).warning(
                     "GrammarMatcher: doc %s -> __error__ row (%s: %s) "
-                    "[%d error docs on this actor]",
+                    "[%d error docs in this task]",
                     doc_id, type(e).__name__, str(e)[:120], self.error_doc_count,
                 )
                 col_doc.append(doc_id)
@@ -584,16 +570,20 @@ class GrammarMatcher:
         return table
 
 
-def match_stage(docs_ds, rules_yaml: str, variables=None, concurrency: int = 4,
-                batch_size: int = 256):
-    """docs (with sentences column) -> mentions Dataset via an actor pool."""
-    import ray.data  # noqa: F401  (ensures ray.data is importable lazily)
+def match_batches(ds, cls, *ctor_args, concurrency: Optional[int] = None,
+                  batch_size: int = 256):
+    """``cls(*ctor_args)`` (GrammarMatcher or a subclass) over ``ds`` as
+    stateless tasks: each task builds the matcher on its first batch (one
+    grammar compile, a few ms) and keeps it for the rest of its batches.
+    ``concurrency`` caps the concurrent tasks; Ray Data fuses a capped
+    task stage only with a stage of the same cap, so an uncapped matcher
+    (None) also runs the next per-batch stage in its own tasks."""
+    built = []  # shipped empty with the function: one instance per task
 
-    return docs_ds.map_batches(
-        GrammarMatcher,
-        fn_constructor_args=(rules_yaml, variables),
-        batch_format="pyarrow",
-        concurrency=clamp_pool(concurrency),
-        batch_size=batch_size,
-        num_cpus=1,
-    )
+    def match(batch: pa.Table) -> pa.Table:
+        if not built:
+            built.append(cls(*ctor_args))
+        return built[0](batch)
+
+    return ds.map_batches(match, batch_format="pyarrow", concurrency=concurrency,
+                          batch_size=batch_size, num_cpus=1)

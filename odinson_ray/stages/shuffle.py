@@ -508,8 +508,12 @@ def salted_aggregate(ds, key: str, value: str, salt: int = 8, agg: str = "sum"):
     return stage1.groupby(key).aggregate(Sum("_partial", alias_name="total"))
 
 
-_MERGE_OPS = {"sum": "Sum", "count": "Sum", "count_all": "Sum",
-              "min": "Min", "max": "Max"}
+_MERGE_OPS = {"sum": "sum", "count": "sum", "count_all": "sum",
+              "min": "min", "max": "max"}
+
+#: combine_aggregate finishes in one task at or below this many merged
+#: partial rows (the batch one merge task already takes above it)
+SINGLE_TASK_ROWS = 1 << 20
 
 
 def partial_aggregate(t: pa.Table, keys, aggs) -> pa.Table:
@@ -532,22 +536,50 @@ def partial_aggregate(t: pa.Table, keys, aggs) -> pa.Table:
 
 
 def combine_aggregate(ds, keys, aggs):
-    """Map-side combine then global groupby: each batch goes through
-    :func:`partial_aggregate`, so the shuffle moves at most one row per
-    key per batch, and the partials merge by op (``sum``/``count``/
-    ``count_all`` with ``Sum``, ``min`` with ``Min``, ``max`` with
-    ``Max``), each aliased to its ``out`` name. An empty ``aggs`` gives
-    the distinct keys."""
+    """Map-side combine, then a finish chosen from the observed size.
+
+    Each batch goes through :func:`partial_aggregate`, and the partials
+    merge by op (``sum``/``count``/``count_all`` by summing, ``min`` and
+    ``max`` by themselves) into columns named ``out``; an empty ``aggs``
+    gives the distinct keys. A 64Ki-row bundling merge streams with the
+    producers; its output is then materialized and counted, so this call
+    EXECUTES ``ds``. At most :data:`SINGLE_TASK_ROWS` rows finish in one
+    task (merged, then sorted by ``keys``, the order a groupby emits);
+    above it, a 1Mi-row merge feeds the sort-based
+    ``groupby().aggregate``."""
     import ray.data.aggregate as ra
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    merged = [(out, out, _MERGE_OPS[op]) for out, _, op in aggs]
 
     def part(t: pa.Table) -> pa.Table:
         return partial_aggregate(t, keys, aggs)
 
-    parts = ds.map_batches(part, batch_format="pyarrow").groupby(keys)
+    def merge(t: pa.Table) -> pa.Table:
+        return partial_aggregate(t, keys, merged)
+
+    def finish(t: pa.Table) -> pa.Table:
+        return merge(t).sort_by([(k, "ascending") for k in keys])
+
+    # num_cpus=0.5 keeps the merge a separate operator (Ray Data fuses
+    # only map stages with equal remote args): the producers keep their
+    # per-block tasks while one merge task bundles many of their outputs
+    parts = (ds.map_batches(part, batch_format="pyarrow")
+             .map_batches(merge, batch_format="pyarrow", batch_size=64 * 1024,
+                          num_cpus=0.5)
+             .materialize())
+    n = parts.count()
+    if n <= SINGLE_TASK_ROWS:  # one batch of all n rows: one task
+        return parts.map_batches(finish, batch_format="pyarrow",
+                                 batch_size=max(n, 1))
+    # 1Mi-row bundles hand the groupby (a sort-sample-partition barrier) a
+    # handful of blocks; 0.55 differs from 0.5 so the two merges stay apart
+    groups = parts.map_batches(merge, batch_format="pyarrow", batch_size=1 << 20,
+                               num_cpus=0.55).groupby(keys)
     if not aggs:
-        return parts.aggregate(ra.Count(alias_name="__n")).drop_columns(["__n"])
-    return parts.aggregate(*[getattr(ra, _MERGE_OPS[op])(out, alias_name=out)
-                             for out, _, op in aggs])
+        return groups.aggregate(ra.Count(alias_name="__n")).drop_columns(["__n"])
+    return groups.aggregate(*[getattr(ra, op.capitalize())(out, alias_name=out)
+                              for out, _, op in merged])
 
 
 def adaptive_inner_join(left, right, on: str, right_on: str | None = None,

@@ -2,11 +2,15 @@
 
 North-rule stage. Shuffle discipline (SURVEY §2.5):
 - triples are pre-aggregated INSIDE map_batches (one row per distinct
-  triple per batch) before the global groupby — the all-to-all exchange
-  moves partial counts, not raw mentions (combiner pattern)
-- the groupby key is (subj_canon, pred, obj_canon); Zipfian-hot entities
-  are already collapsed per batch, which bounds per-key fan-in to
-  #batches, the standard salting-equivalent for count aggregation
+  triple per batch) before anything wide — only partial counts move,
+  not raw mentions (combiner pattern)
+- ``aggregate_triples`` is one ``combine_aggregate`` over the key
+  (subj_canon, pred, obj_canon, subj, obj): the partials are merged in
+  large bundles and counted, then finished in one task, or by the
+  global groupby when the merged partials exceed one task's batch.
+  Zipfian-hot entities are already collapsed per batch, which bounds
+  per-key fan-in to #batches, the standard salting-equivalent for
+  count aggregation
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Dict, List
 
 import pyarrow as pa
 
-from .shuffle import partial_aggregate
+from .shuffle import combine_aggregate, partial_aggregate
 
 
 def _triples_slow(args_col, texts, doc_ids, sent_ids) -> pa.Table:
@@ -160,51 +164,14 @@ def partial_count_triples(batch: pa.Table, keys) -> pa.Table:
     return partial_aggregate(batch, keys, [("partial_n", None, "count_all")])
 
 
-def _sum_partials(batch: pa.Table, keys) -> pa.Table:
-    """Second-level combiner: sum partial counts within a (large) batch."""
-    return partial_aggregate(batch, keys, [("partial_n", "partial_n", "sum")])
-
-
 def aggregate_triples(triples_ds, keys=("subj_canon", "pred", "obj_canon", "subj", "obj"),
                       pre_counted: bool = False):
-    """partial per-batch counts -> second-level combine -> small groupby.
+    """Triple counts ``n`` per ``keys`` via :func:`combine_aggregate`
+    (per-batch partial counts, then one finishing task or, for a large
+    output, the global groupby); executes ``triples_ds`` at call time.
 
     ``pre_counted``: the input already carries per-batch partial counts
     (a ``partial_n`` column, e.g. from the fused pipelines/kg.TripleCounter
-    actor) — skip the first combiner level.
-
-    The second-level combine is a large-batch ``map_batches`` (64k rows):
-    Ray Data bundles hundreds of splinter partial-count blocks into each
-    task with NO all-to-all — it replaces an earlier ``repartition(16)``
-    whose shuffle plus the wide groupby over every per-block partial was
-    the measured flagship tail (~17 s of a 26 s run at 32 CPUs). Rows
-    entering the global shuffle drop from O(blocks x distinct_keys) to
-    O(total/64k x distinct_keys)."""
-    from ray.data.aggregate import Sum
-
-    if pre_counted:
-        partials = triples_ds
-    else:
-        partials = triples_ds.map_batches(
-            lambda b: partial_count_triples(b, keys), batch_format="pyarrow"
-        )
-    # num_cpus=0.5 deliberately differs from the default (1): Ray Data only
-    # fuses map operators with compatible remote args, so the combine stays
-    # a SEPARATE operator — the upstream chain keeps its fine per-block
-    # task granularity (pipelining with the matcher pool) while the combine
-    # bundles ~50 partial blocks per task
-    partials = partials.map_batches(
-        lambda b: _sum_partials(b, keys), batch_format="pyarrow",
-        batch_size=64 * 1024, num_cpus=0.5,
-    )
-    # third combine level: bundle the level-2 outputs into ~1M-row batches
-    # so the global Aggregate (a barrier: sort-sample-partition) sees a
-    # handful of blocks instead of dozens — measured 9s off a 37s flagship
-    # run at 1.92M docs. num_cpus=0.55 differs from 0.5 ON PURPOSE: equal
-    # remote args would let Ray fuse the two combines into one operator
-    # and the tree would collapse back to a single level.
-    partials = partials.map_batches(
-        lambda b: _sum_partials(b, keys), batch_format="pyarrow",
-        batch_size=1 << 20, num_cpus=0.55,
-    )
-    return partials.groupby(list(keys)).aggregate(Sum("partial_n", alias_name="n"))
+    matcher), which are summed instead of counting rows."""
+    agg = ("n", "partial_n", "sum") if pre_counted else ("n", None, "count_all")
+    return combine_aggregate(triples_ds, keys, [agg])

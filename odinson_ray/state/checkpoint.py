@@ -200,7 +200,7 @@ def kg_run_sharded(sf_dir: str, out_dir: str, num_shards: int = 4,
     from ..sources.io import clean_rd as rd
 
     from ..pipelines.kg import FLAGSHIP_RULES
-    from ..stages.match import GrammarMatcher, clamp_pool
+    from ..stages.match import GrammarMatcher, match_batches
     from ..stages.triples import svo_or_error_triples
 
     rules = rules_yaml or FLAGSHIP_RULES
@@ -221,18 +221,12 @@ def kg_run_sharded(sf_dir: str, out_dir: str, num_shards: int = 4,
             ).replace_schema_metadata(None),
             batch_format="pyarrow",
         )
-        # interleaving runs INSIDE the matcher actors (raw-table input):
+        # interleaving runs INSIDE the matcher tasks (raw-table input):
         # the standalone build_interleaved stage both shipped the nested
         # spans column through the object store AND dropped any
         # caller-supplied metadata columns before the matcher saw them
-        mentions = docs.map_batches(
-            GrammarMatcher,
-            fn_constructor_args=(rules,),
-            batch_format="pyarrow",
-            concurrency=clamp_pool(concurrency),
-            batch_size=256,
-            num_cpus=1,
-        )
+        mentions = match_batches(docs, GrammarMatcher, rules,
+                                 concurrency=concurrency)
         triples = mentions.map_batches(svo_or_error_triples,
                                        batch_format="pyarrow")
         triples.write_parquet(shard_out)
@@ -289,7 +283,7 @@ def kg_run_fragments(sf_dir: str, out_dir: str, fragments, rules_yaml: Optional[
     from ..sources.io import clean_rd as rd
 
     from ..pipelines.kg import FLAGSHIP_RULES
-    from ..stages.match import GrammarMatcher, clamp_pool
+    from ..stages.match import GrammarMatcher, match_batches
     from ..stages.triples import svo_or_error_triples
 
     rules = rules_yaml or FLAGSHIP_RULES
@@ -311,10 +305,8 @@ def kg_run_fragments(sf_dir: str, out_dir: str, fragments, rules_yaml: Optional[
             batch_format="pyarrow",
         )
         # raw-table input: interleave inside the matcher (see kg_run_sharded)
-        mentions = docs.map_batches(
-            GrammarMatcher, fn_constructor_args=(rules,), batch_format="pyarrow",
-            concurrency=clamp_pool(concurrency), batch_size=256, num_cpus=1,
-        )
+        mentions = match_batches(docs, GrammarMatcher, rules,
+                                 concurrency=concurrency)
         triples = mentions.map_batches(svo_or_error_triples,
                                        batch_format="pyarrow")
         triples.write_parquet(shard_out)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from odinson_ray.stages import shuffle
 from odinson_ray.stages.shuffle import combine_aggregate, partial_aggregate
 
 ALL_OPS = [("s", "v", "sum"), ("c", "v", "count"), ("n", None, "count_all"),
@@ -74,22 +75,68 @@ def test_partial_aggregate_matches_group_by(case):
     assert rows(merged) == want
 
 
+def key_order(t_rows, n_keys):
+    return sorted(t_rows, key=lambda r: r[:n_keys])
+
+
+def check_combine_aggregate(case):
+    import ray.data
+
+    tables, keys, aggs = case
+    want = key_order(rows(reference(tables, keys, aggs)), len(keys))
+    got = combine_aggregate(ray.data.from_arrow(tables), keys, aggs).take_all()
+    assert [tuple(r.values()) for r in got] == want
+    if got:
+        assert list(got[0]) == keys + [o for o, _, _ in aggs]
+
+
 # Ray's sort-based groupby cannot order null keys against non-null ones,
-# so the distributed form draws non-null keys (values may still be null)
+# so the distributed form draws non-null keys (values may still be null).
+# At its default gate the small partials take the one-task plan; at gate 0
+# every input takes the multi-level groupby plan. Both emit key order.
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(batches(null_keys=False))
 def test_combine_aggregate_matches_group_by(ray_session, case):
+    check_combine_aggregate(case)
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(batches(null_keys=False))
+def test_combine_aggregate_multi_level_matches_group_by(ray_session, monkeypatch, case):
+    monkeypatch.setattr(shuffle, "SINGLE_TASK_ROWS", 0)
+    check_combine_aggregate(case)
+
+
+def test_combine_aggregate_bare_string_key(ray_session):
     import ray.data
 
-    tables, keys, aggs = case
-    want = rows(reference(tables, keys, aggs))
-    ds = ray.data.from_arrow(tables)
-    got = combine_aggregate(ds, keys, aggs).take_all()
-    assert sorted((tuple(r.values()) for r in got),
-                  key=lambda r: [(x is None, x) for x in r]) == want
-    if got:
-        assert list(got[0]) == keys + [o for o, _, _ in aggs]
+    ds = ray.data.from_arrow([pa.table({"k": ["b", "a", "b"], "v": [1, 2, 3]}),
+                              pa.table({"k": ["a"], "v": [4]})])
+    got = combine_aggregate(ds, "k", [("s", "v", "sum")]).take_all()
+    assert got == [{"k": "a", "s": 6}, {"k": "b", "s": 4}]
+
+
+def test_partials_above_gate_take_groupby_plan(ray_session, monkeypatch):
+    """More combined partial rows than the gate: the finish is the
+    distributed groupby (an Aggregate), not the one-task merge."""
+    import ray.data
+    from ray.data._internal.logical.operators.all_to_all_operator import Aggregate
+
+    ds = ray.data.from_arrow([pa.table({"k": list(range(i, i + 4)), "v": [1] * 4})
+                              for i in range(0, 12, 2)])
+    # 24 rows over 14 keys: at least 14 partial rows whatever the bundling
+    want = [{"k": k, "n": sum(i <= k < i + 4 for i in range(0, 12, 2))}
+            for k in range(14)]
+    monkeypatch.setattr(shuffle, "SINGLE_TASK_ROWS", 13)
+    above = combine_aggregate(ds, ["k"], [("n", None, "count_all")])
+    assert isinstance(above._logical_plan.dag, Aggregate)
+    assert above.take_all() == want
+    monkeypatch.setattr(shuffle, "SINGLE_TASK_ROWS", 24)
+    at = combine_aggregate(ds, ["k"], [("n", None, "count_all")])
+    assert not isinstance(at._logical_plan.dag, Aggregate)
+    assert at.take_all() == want
 
 
 def test_key_order_assertion_fires(monkeypatch):

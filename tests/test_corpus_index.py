@@ -196,9 +196,8 @@ def patterns(draw):
             if draw(st.booleans()):
                 dst = f"(?<y> {dst})"
             step = f"{draw(st.sampled_from(HOPS))} {dst}"
-            if draw(st.booleans()):  # a quantified traversal group (bounded: an
-                # unbounded one never stops growing on a cyclic graph)
-                step = f"({step}){draw(st.sampled_from(['?', '{1,2}', '{0,2}']))}"
+            if draw(st.booleans()):  # a quantified traversal group
+                step = f"({step}){draw(st.sampled_from(['?', '*', '+', '{1,2}', '{0,}']))}"
             steps.append(step)
         return f"{draw(token)} {' '.join(steps)}"
     return seq

@@ -125,7 +125,7 @@ def test_json_source_matches_inline_fixture(ray_session, tmp_path):
     from odinson_ray.core.sentence import AnnotatedDocument, SentenceIndex
     from odinson_ray.lang.rules import RuleReader
     from odinson_ray.sources.example_docs import DOCS
-    from odinson_ray.stages.match import match_stage
+    from odinson_ray.stages.match import GrammarMatcher, match_batches
 
     keys = ["becky-gummy-bears", "gummy-bears-consumption", "alien-species"]
     corpus = tmp_path / "corpus"
@@ -134,7 +134,7 @@ def test_json_source_matches_inline_fixture(ray_session, tmp_path):
         (corpus / f"{k}.json").write_text(json.dumps(doc_json_from_fixture(k)))
 
     ds = read_odinson_json(str(corpus))
-    got = match_stage(ds, GUMMY_RULES, concurrency=2).to_pandas()
+    got = match_batches(ds, GrammarMatcher, GUMMY_RULES, concurrency=2).to_pandas()
     got_rows = sorted(
         (r.doc_id, r.sent_id, r.label or "", r.start, r.end, r.text)
         for r in got.itertuples()
@@ -179,7 +179,7 @@ def _with_metadata(doc, fields):
 def test_nested_metadata_filter_from_source(ray_session, tmp_path):
     """NestedField document metadata supplied from the SOURCE JSON drives
     a nested metadataFilters block — not just metadata-language units."""
-    from odinson_ray.stages.match import match_stage
+    from odinson_ray.stages.match import GrammarMatcher, match_batches
 
     jane = [
         {"$type": T + "NestedField", "name": "author",
@@ -202,7 +202,7 @@ def test_nested_metadata_filter_from_source(ray_session, tmp_path):
         json.dumps(_with_metadata(dict(base, id="doc-john"), john)))
 
     ds = read_odinson_json(str(corpus))
-    got = match_stage(ds, NESTED_FILTER_RULES, concurrency=2).to_pandas()
+    got = match_batches(ds, GrammarMatcher, NESTED_FILTER_RULES, concurrency=2).to_pandas()
     assert set(got.doc_id) == {"doc-jane"}
     assert len(got) > 0
 
@@ -220,7 +220,7 @@ rules:
 def test_metadata_wrappers_append(ray_session, tmp_path):
     """MetadataWrapper companion files broadcast-joined onto the corpus
     (AddMetadataToDocuments append semantics)."""
-    from odinson_ray.stages.match import match_stage
+    from odinson_ray.stages.match import GrammarMatcher, match_batches
 
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -233,7 +233,7 @@ def test_metadata_wrappers_append(ray_session, tmp_path):
         "doc-lo": [{"$type": T + "NumberField", "name": "citations", "value": 1}],
     }
     ds = add_metadata_from_wrappers(read_odinson_json(str(corpus)), wrappers)
-    got = match_stage(ds, WRAPPER_FILTER_RULES, concurrency=2).to_pandas()
+    got = match_batches(ds, GrammarMatcher, WRAPPER_FILTER_RULES, concurrency=2).to_pandas()
     assert set(got.doc_id) == {"doc-hi"}
 
 

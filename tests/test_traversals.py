@@ -101,3 +101,53 @@ def test_trav_starts_memo_does_not_pin_queries():
         del q, selected
     gc.collect()
     assert len(sent._trav_starts) == 0
+
+
+@pytest.mark.parametrize(
+    "pattern,expected",
+    [
+        ("[word=a] (>x [])*", [(0, 1, ()), (1, 2, ())]),
+        ("[word=a] (>x [])+", [(0, 1, ()), (1, 2, ())]),
+        ("[word=a] (>x (?<y> []))*", [(0, 1, ()), (1, 2, (1,))]),
+        ("[word=a] (>x (?<y> []))+", [(0, 1, (1, 0)), (1, 2, (1,))]),
+    ],
+)
+def test_unbounded_hop_group_on_cycle(pattern, expected):
+    """A two-token cycle a >x b >x a: the unbounded group terminates once
+    its frontier repeats and yields each reachable token."""
+    selected = select_matches(compiler.compile(pattern).matches(Ctx(cycle(), 0, None)))
+    assert spans_and_captures(selected) == expected
+
+
+def cycle():
+    return SentenceIndex({"raw": ["a", "b"], "word": ["a", "b"]},
+                         [(0, 1, "x"), (1, 0, "x")], [0])
+
+
+def spans_and_captures(matches):
+    return [(m.start, m.end, tuple(c.captured.start for c in m.named_captures))
+            for m in matches]
+
+
+@pytest.mark.parametrize(
+    "pattern,expected",
+    [
+        ("[word=a] (>x []){1,5}", [(0, 1, ())] * 2 + [(1, 2, ())] * 3),
+        ("[word=a] (>x (?<y> [])){1,5}",
+         [(0, 1, (1, 0)), (0, 1, (1, 0, 1, 0)), (1, 2, (1,)), (1, 2, (1, 0, 1)),
+          (1, 2, (1, 0, 1, 0, 1))]),
+    ],
+)
+def test_bounded_hop_group_on_cycle_runs_to_max(pattern, expected):
+    """A bounded group whose max exceeds the sentence length keeps every
+    match of every step on a cycle: no early stop, no dedup."""
+    assert spans_and_captures(compiler.compile(pattern).matches(Ctx(cycle(), 0, None))) == expected
+
+
+def test_unbounded_event_argument_on_cycle_keeps_each_trigger():
+    """Two trigger matches with one span (the clauses of ``|``) each keep
+    the arguments an unbounded hop group finds from them."""
+    q = compiler.compile_event_query("trigger = [word=a] | a\nthing: ^T = (>x [])+")
+    sketches = q.matches(Ctx(cycle(), 0, None))
+    assert [sorted((s.name, a.start, a.end) for s, a in e.arg_sketches)
+            for e in sketches] == [[("thing", 0, 1), ("thing", 1, 2)]] * 2

@@ -10,14 +10,15 @@ def test_heavy_annotator_matches_inline(ray_session, sf_dir):
     from odinson_ray.pipelines.kg import FLAGSHIP_RULES, mentions_dataset
     from odinson_ray.sources.interleaved import read_interleaved
     from odinson_ray.stages.annotate import HeavyLexiconAnnotator, annotate_stage
-    from odinson_ray.stages.match import match_stage
+    from odinson_ray.stages.match import GrammarMatcher, match_batches
 
     inline = mentions_dataset(sf_dir, FLAGSHIP_RULES, concurrency=2).to_pandas()
 
     docs = read_interleaved(sf_dir)
     annotated = annotate_stage(docs, HeavyLexiconAnnotator, concurrency=1,
                                lexicon_size=50_000)
-    two_stage = match_stage(annotated, FLAGSHIP_RULES, concurrency=1).to_pandas()
+    two_stage = match_batches(annotated, GrammarMatcher, FLAGSHIP_RULES,
+                              concurrency=1).to_pandas()
 
     key = ["doc_id", "sent_id", "label", "found_by", "start", "end", "text"]
     a = inline[key].sort_values(key).reset_index(drop=True)
@@ -65,7 +66,7 @@ def test_spacy_annotator_end_to_end(ray_session, sf_dir):
 
     from odinson_ray.sources.interleaved import read_interleaved
     from odinson_ray.stages.annotate import SpacyAnnotator, annotate_stage
-    from odinson_ray.stages.match import match_stage
+    from odinson_ray.stages.match import GrammarMatcher, match_batches
 
     docs = read_interleaved(sf_dir).limit(20)
     annotated = annotate_stage(docs, SpacyAnnotator, concurrency=1)
@@ -73,5 +74,5 @@ def test_spacy_annotator_end_to_end(ray_session, sf_dir):
 rules:
   - {name: verbs, label: Verb, type: basic, pattern: '[tag=/VB.*/]'}
 """
-    out = match_stage(annotated, rules, concurrency=1).to_pandas()
+    out = match_batches(annotated, GrammarMatcher, rules, concurrency=1).to_pandas()
     assert {"doc_id", "label", "start", "end", "text"} <= set(out.columns)
