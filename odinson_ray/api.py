@@ -141,8 +141,8 @@ class OdinsonEngine:
         out: List[Mention] = []
         for slot in index.candidates(lambda v: sentence_mask(q, v), start):
             doc_id, sent_idx = index.keys[slot]
-            matches = select_matches(q.matches(Ctx(index.sentences[slot], sent_idx, None)),
-                                     disable_match_selector)
+            ctx = Ctx(index.sentences[slot], sent_idx, None, not disable_match_selector)
+            matches = select_matches(q.matches(ctx), disable_match_selector)
             if cursor_span is not None and slot == start:
                 # the cursor's sentence: resume right after the cursor span
                 spans = [(m.start, m.end) for m in matches]

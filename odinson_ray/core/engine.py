@@ -174,7 +174,7 @@ class DocumentEngine:
         for sent_idx, sent in enumerate(self.doc.sentences):
             if sent.length > self.max_tokens:
                 continue  # reference skips long sentences at index time
-            ctx = Ctx(sent, sent_idx, state)
+            ctx = Ctx(sent, sent_idx, state, not disable_match_selector)
             candidates = extractor.query.matches(ctx)
             for m in select_matches(candidates, disable_match_selector):
                 out.append(Mention(m, extractor.label, sent_idx, extractor.name, self.doc.doc_id))

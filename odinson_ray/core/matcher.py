@@ -4,7 +4,9 @@ This is the Ray-side analogue of the reference's OdinsonQuery tree and Spans
 automata, executed per sentence inside map_batches. Each compiled node
 implements ``matches(ctx) -> list[Match]`` returning ALL candidate matches
 sorted by (start, end) — match disambiguation happens afterwards in
-selector.select_matches, exactly like OdinsonScorer + MatchSelector.
+selector.select_matches, exactly like OdinsonScorer + MatchSelector. The
+one compiled kernel, :class:`TokenSequenceQuery`, returns only the
+matches the selector would keep when the caller selects (``Ctx.select``).
 
 Compiler ported from reference: compiler/QueryCompiler.scala (including the
 wildcard-merging / distinct-clauses simplifications, which matter for
@@ -42,14 +44,17 @@ from .sentence import ALL_TOKEN_FIELDS, DEFAULT_TOKEN_FIELD, EDGE_FIELDS, BatchV
 
 class Ctx:
     """Execution context for one sentence: the sentence index plus a view of
-    the per-document mention state (for @Label StateQuery reads)."""
+    the per-document mention state (for @Label StateQuery reads).
+    ``select`` says that the caller keeps only what select_matches selects,
+    so a node may return just those matches (:class:`TokenSequenceQuery`)."""
 
-    __slots__ = ("sent", "sent_idx", "state")
+    __slots__ = ("sent", "sent_idx", "state", "select")
 
-    def __init__(self, sent: SentenceIndex, sent_idx: int, state=None):
+    def __init__(self, sent: SentenceIndex, sent_idx: int, state=None, select: bool = True):
         self.sent = sent
         self.sent_idx = sent_idx
         self.state = state
+        self.select = select
 
 
 # ===================================================================== queries
@@ -766,6 +771,148 @@ class EventQueryNode(Query):
         return out
 
 
+# ============================================================ token sequences
+
+def _is_atom(q: Query) -> bool:
+    """A single-token constraint whose positions a vocabulary mask holds
+    exactly: a term, regex or fuzzy leaf off the edge fields, an on-vocab
+    token set, or ``[]``. (An OrQuery is not one: its OrMatch clause ids
+    take part in selection.)"""
+    if isinstance(q, (TermQuery, PredicateTermQuery)):
+        return q.field not in EDGE_FIELDS
+    if isinstance(q, TokenSetQuery):
+        return q.on_vocab
+    return type(q) is AllNGramsQuery and q.n == 1
+
+
+def _clause_shape(q: Query):
+    """(atom, min, max, greedy, sub-match builder) of a token-sequence
+    clause, or None. The builder turns the clause's span into the match
+    tree the interpreted clause emits for it."""
+    if _is_atom(q):
+        return q, 1, 1, True, NGramMatch
+    if isinstance(q, RepetitionQuery) and _is_atom(q.query):
+        g = q.is_greedy
+        return q.query, q.min, q.max, g, lambda s, e: RepetitionMatch(
+            [NGramMatch(k, k + 1) for k in range(s, e)], g)
+    if isinstance(q, OptionalQuery):
+        g, inner = q.is_greedy, q.query
+        if _is_atom(inner):
+            return inner, 0, 1, g, lambda s, e: OptionalMatch(NGramMatch(s, e), g)
+        if (isinstance(inner, RepetitionQuery) and inner.min == 1
+                and inner.is_greedy == g and _is_atom(inner.query)):
+            return inner.query, 0, inner.max, g, lambda s, e: OptionalMatch(
+                RepetitionMatch([NGramMatch(k, k + 1) for k in range(s, e)], g)
+                if e > s else NGramMatch(s, s), g)
+    return None
+
+
+#: a token's class byte holds one bit per distinct atom
+MAX_SEQUENCE_ATOMS = 8
+
+
+def token_sequence(q: Query) -> Optional["TokenSequenceQuery"]:
+    """``q`` as a TokenSequenceQuery when it is a concatenation (or a
+    single clause) of atoms, each bare, optional, repeated or an optional
+    repetition, that cannot match empty, is not a bare atom and has at
+    most :data:`MAX_SEQUENCE_ATOMS` distinct atoms; None otherwise."""
+    clauses = q.clauses if isinstance(q, ConcatQuery) else [q]
+    if len(clauses) == 1 and _is_atom(q):
+        return None  # already plain unigrams
+    shapes = [_clause_shape(c) for c in clauses]
+    if any(s is None for s in shapes) or all(s[1] == 0 for s in shapes):
+        return None
+    atoms: List[Query] = []
+    bit_of: Dict[tuple, int] = {}
+    parts = []
+    for atom, mn, mx, greedy, build in shapes:
+        bit = bit_of.setdefault(_query_signature(atom), len(atoms))
+        if bit == len(atoms):
+            atoms.append(atom)
+        parts.append((bit, mn, mx, greedy, build))
+    if len(atoms) > MAX_SEQUENCE_ATOMS:
+        return None
+    return TokenSequenceQuery(q, atoms, parts)
+
+
+def _clause_regex(bit: int, mn: int, mx: int, greedy: bool) -> bytes:
+    cls = b"[" + b"".join(b"\\x%02x" % c for c in range(256) if c >> bit & 1) + b"]"
+    if (mn, mx) == (1, 1):
+        quant = b""
+    elif (mn, mx) == (0, 1):
+        quant = b"?"
+    elif mx == INT_MAX:
+        quant = b"{%d,}" % mn
+    else:
+        quant = b"{%d,%d}" % (mn, mx)
+    if quant and not greedy:
+        quant += b"?"
+    return b"(" + cls + quant + b")"
+
+
+class TokenSequenceQuery(Query):
+    """A compiled sequence of single-token clauses
+    (``[tag=DT]? [tag=JJ]* [tag=NN]+``) run as one regex scan per sentence
+    over per-vocabulary token class bytes: bit i of a token's byte says
+    atom i holds there, and each clause is one capturing group.
+
+    With selection on, the scan yields exactly the matches select_matches
+    would keep of the interpreted candidates (OdinsonScorer.scala:56-76):
+    the search finds the leftmost start; at a start, MatchSelector's
+    clause-by-clause greedy-longer/lazy-shorter comparison is a
+    lexicographic order on clause lengths, the order in which the
+    backtracking regex tries them; and the next search begins at the
+    match's end, as the scorer skips later starts that overlap it. Each
+    kept match gets the derivation tree the interpreter builds for it.
+
+    ``interp``, the interpreted tree, answers when selection is off, on a
+    sentence without a vocabulary and for sentence masks."""
+
+    def __init__(self, interp: Query, atoms: List[Query], parts):
+        # parts: per clause, (atom bit, min, max, greedy, sub-match builder)
+        self.interp = interp
+        self.atoms = atoms
+        self._required = {bit for bit, mn, _, _, _ in parts if mn >= 1}
+        self._builders = [build for *_, build in parts]
+        self._concat = isinstance(interp, ConcatQuery)
+        self._rx = re.compile(b"".join(_clause_regex(*p[:4]) for p in parts))
+
+    def _scan_state(self, v: BatchVocab):
+        """(class bytes, sentence offsets, per-sentence "holds every
+        required atom") of one vocabulary, built once."""
+        masks = [a.token_mask(v) for a in self.atoms]
+        codes = np.zeros(int(v.offsets[-1]), np.uint8)
+        for bit, mask in enumerate(masks):
+            codes[mask] |= np.uint8(1 << bit)
+        ok = _all_of(v.sentences_with(masks[bit]) for bit in self._required)
+        return codes.tobytes(), v.offsets.tolist(), ok.tolist()
+
+    def matches(self, ctx):
+        sent = ctx.sent
+        v = sent.vocab
+        if v is None or not ctx.select:
+            return self.interp.matches(ctx)
+        memo = v.query_memo(self)
+        state = memo.get("scan")
+        if state is None:
+            state = memo["scan"] = self._scan_state(v)
+        codes, offsets, ok = state
+        slot = sent.slot
+        if not ok[slot]:
+            return []
+        base = pos = offsets[slot]
+        end = offsets[slot + 1]
+        search, builders, concat = self._rx.search, self._builders, self._concat
+        out = []
+        while True:
+            m = search(codes, pos, end)
+            if m is None:
+                return out
+            subs = [build(s - base, e - base) for build, (s, e) in zip(builders, m.regs[1:])]
+            out.append(ConcatMatch(subs) if concat else subs[0])
+            pos = m.end()
+
+
 # ===================================================================== pruning
 
 def _all_of(masks) -> Optional[np.ndarray]:
@@ -800,6 +947,8 @@ def sentence_mask(q: Query, v: BatchVocab) -> Optional[np.ndarray]:
     match in any sentence. Computed from flat hit arrays only."""
     if isinstance(q, (TermQuery, PredicateTermQuery)):
         return None if q.field in EDGE_FIELDS else v.sentences_with(q.token_mask(v))
+    if isinstance(q, TokenSequenceQuery):
+        return sentence_mask(q.interp, v)
     if isinstance(q, TokenSetQuery):
         return v.sentences_with(q.token_mask(v)) if q.on_vocab else None
     if isinstance(q, FailQuery):
@@ -849,7 +998,9 @@ class Compiler:
     def compile(self, pattern: str) -> Query:
         tree = self.parser.parse_basic_query(pattern)
         q = self.mk_query(tree)
-        return q if q is not None else FailQuery()
+        if q is None:
+            return FailQuery()
+        return token_sequence(q) or q
 
     def compile_event_query(self, pattern: str) -> Query:
         tree = self.parser.parse_event_query(pattern)

@@ -231,12 +231,14 @@ def _group_matches(matches: List[Match]) -> List[List[Match]]:
 # ------------------------------------------------------------ scorer loop
 
 def _plain_disjoint(candidates: List[Match]) -> bool:
-    """Plain n-grams with strictly increasing, non-overlapping spans: each
-    is its own same-start group and nothing is skipped, so selection keeps
-    them all. Stops at the first element that breaks the shape."""
+    """No event sketches, strictly increasing and non-overlapping spans:
+    each match is its own same-start group, picks itself and skips
+    nothing, so the list is a fixed point of the scorer loop with the
+    selector on or off (a TokenSequenceQuery's output has this shape).
+    Stops at the first element that breaks the shape."""
     prev_start = prev_end = -1
     for m in candidates:
-        if type(m) is not NGramMatch or m.start <= prev_start or m.start < prev_end:
+        if m.start <= prev_start or m.start < prev_end or type(m) is EventSketch:
             return False
         prev_start, prev_end = m.start, m.end
     return True

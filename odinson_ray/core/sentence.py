@@ -93,34 +93,39 @@ class BatchVocab:
     # ------------------------------------------------- normalized views
 
     def _ensure_nfkc(self):
-        if self._nfkc_map is None:
-            forms = np.array(
-                [t if t.isascii() else normalize_unicode(t) for t in self.terms],
-                dtype=object,
-            )
-            uniq, inv = np.unique(forms, return_inverse=True)
-            self._nfkc_map = inv.astype(np.int32)
-            self._nfkc_terms = uniq
-            self._nfkc_tid = {t: i for i, t in enumerate(uniq)}
+        if self._nfkc_tid is None:
+            self._nfkc_map, self._nfkc_terms, self._nfkc_tid = self._normal_forms(
+                [t if t.isascii() else normalize_unicode(t) for t in self.terms])
 
     def _ensure_agg(self):
-        if self._agg_map is None:
-            forms = np.array(
-                [normalize_unicode_aggressively(t) for t in self.terms], dtype=object
-            )
-            uniq, inv = np.unique(forms, return_inverse=True)
-            self._agg_map = inv.astype(np.int32)
-            self._agg_terms = uniq
-            self._agg_tid = {t: i for i, t in enumerate(uniq)}
+        if self._agg_tid is None:
+            self._agg_map, self._agg_terms, self._agg_tid = self._normal_forms(
+                [normalize_unicode_aggressively(t) for t in self.terms])
+
+    def _normal_forms(self, forms: list):
+        """(term id -> normalized id, normalized terms, normalized term ->
+        id) for the terms' normal ``forms``. When every term is its own
+        form the ids map to themselves and the map is None: the terms are
+        already unique, so no re-unique and no gather is needed."""
+        if all(f == t for f, t in zip(forms, self.terms)):
+            return None, self.terms, {t: i for i, t in enumerate(self.terms)}
+        uniq, inv = np.unique(np.array(forms, dtype=object), return_inverse=True)
+        return inv.astype(np.int32), uniq, {t: i for i, t in enumerate(uniq)}
 
     def _mapped_flat(self, kind: str, field: str) -> np.ndarray:
-        """Flat normalized-id array for a field (one gather per batch)."""
+        """Flat normalized-id array for a field (one gather per batch; the
+        field's own ids when normalization is the identity)."""
         key = (kind, field)
         m = self._mapped.get(key)
         if m is None:
+            if kind == "nfkc":
+                self._ensure_nfkc()
+                id_map = self._nfkc_map
+            else:
+                self._ensure_agg()
+                id_map = self._agg_map
             base = self.fields[field]
-            m = (self._nfkc_map if kind == "nfkc" else self._agg_map)[base]
-            self._mapped[key] = m
+            m = self._mapped[key] = base if id_map is None else id_map[base]
         return m
 
     def _normalized(self, field: str):

@@ -380,62 +380,44 @@ def q_supplier_part_counts(sf_dir: str):
     NOT IN side).
 
     Shape: both exclusion sides are DIMENSION-bounded and broadcast
-    once via ray.put (part attrs keyed by partkey, bad-supplier id
-    set); the fact scan collapses to per-batch distinct
-    (brand, size, suppkey) rows, ONE groupby dedups them globally, and
-    a count combiner + second small groupby yields the per-cell
-    distinct counts — the fact table is never joined through a
-    shuffle."""
+    once via ray.put as Arrow/numpy columns (the kept parts sorted by
+    key, the bad-supplier keys); each fact batch resolves its links by
+    ``searchsorted``/``isin``, and two map-side combines (the distinct
+    (brand, size, supplier) rows, then their per-cell count) finish
+    without a shuffle at this size — the fact table is never joined
+    through one."""
+    import pyarrow.parquet as pq
     import ray
-    from ray.data.aggregate import Count
 
     from odinson_ray.stages.link import get_broadcast
 
     from ..sources.io import clean_rd as rd
 
-    part = rd.read_parquet(f"{sf_dir}/part.parquet",
-                           columns=["p_partkey", "p_brand", "p_size"])
-    attrs = {}
-    for b in part.iter_batches(batch_format="pyarrow"):
-        for k, br, sz in zip(b["p_partkey"].to_pylist(),
-                             b["p_brand"].to_pylist(),
-                             b["p_size"].to_pylist()):
-            if br != "Brand#13":
-                attrs[int(k)] = (br, int(sz))
-    supp = rd.read_parquet(f"{sf_dir}/supplier.parquet",
-                           columns=["s_suppkey", "s_acctbal"])
-    bad = set()
-    for b in supp.iter_batches(batch_format="pyarrow"):
-        for k, a in zip(b["s_suppkey"].to_pylist(),
-                        b["s_acctbal"].to_pylist()):
-            if a < 0:
-                bad.add(int(k))
-    ref = ray.put((attrs, frozenset(bad)))
+    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"])
+    part = part.filter(pc.not_equal(part["p_brand"], "Brand#13")).sort_by("p_partkey")
+    supp = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_acctbal"])
+    bad = pc.filter(supp["s_suppkey"], pc.less(supp["s_acctbal"], 0))
+    ref = ray.put((part["p_partkey"].to_numpy(),
+                   part["p_brand"].combine_chunks(),
+                   part["p_size"].cast(pa.int64()).combine_chunks(),
+                   bad.to_numpy()))
 
     def cells(t: pa.Table) -> pa.Table:
-        attrs_b, bad_b = get_broadcast(ref)
+        keys, brand, size, bad_keys = get_broadcast(ref)
         pk = t["l_partkey"].to_numpy(zero_copy_only=False)
         sk = t["l_suppkey"].to_numpy(zero_copy_only=False)
-        seen = set()
-        for p_, s_ in zip(pk, sk):
-            a = attrs_b.get(int(p_))
-            if a is not None and int(s_) not in bad_b:
-                seen.add((a[0], a[1], int(s_)))
-        if not seen:
-            return pa.table({"p_brand": pa.array([], pa.string()),
-                             "p_size": pa.array([], pa.int64()),
-                             "supp": pa.array([], pa.int64())})
-        br, sz, sp = zip(*sorted(seen))
-        return pa.table({"p_brand": pa.array(br, pa.string()),
-                         "p_size": pa.array(sz, pa.int64()),
-                         "supp": pa.array(sp, pa.int64())})
+        at = np.searchsorted(keys, pk)
+        keep = at < len(keys)
+        keep[keep] = keys[at[keep]] == pk[keep]
+        keep &= np.isin(sk, bad_keys, invert=True)
+        rows = pa.array(at[keep])
+        return pa.table({"p_brand": brand.take(rows), "p_size": size.take(rows),
+                         "supp": pa.array(sk[keep], pa.int64())})
 
     links = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                             columns=["l_partkey", "l_suppkey"])
-    distinct = (links.map_batches(cells, batch_format="pyarrow")
-                .groupby(["p_brand", "p_size", "supp"])
-                .aggregate(Count(alias_name="_c")).drop_columns(["_c"]))
-
+    distinct = combine_aggregate(links.map_batches(cells, batch_format="pyarrow"),
+                                 ["p_brand", "p_size", "supp"], [])
     return combine_aggregate(distinct, ["p_brand", "p_size"],
                              [("supplier_cnt", None, "count_all")])
 

@@ -334,9 +334,9 @@ def test_benchmark_engine_is_index_backed(monkeypatch):
     visited = []
 
     class CountingCtx(Ctx):
-        def __init__(self, sent, sent_idx, state=None):
+        def __init__(self, sent, sent_idx, *args):
             visited.append(sent_idx)
-            super().__init__(sent, sent_idx, state)
+            super().__init__(sent, sent_idx, *args)
 
     first, second = engine.docs[0].sentences[0].tokens()[:2]
     bigram = f"[word={first}] [word={second}]"
