@@ -86,8 +86,7 @@ class TermQuery(Query):
         return [NGramMatch(i, i + 1) for i in ctx.sent.positions_for_term(self.field, self.term)]
 
     def token_mask(self, v: BatchVocab) -> np.ndarray:
-        m = v.term_mask(self.field, self.term)
-        return m if m is not None else _no_positions(v)
+        return _memo_mask(self, v, lambda: v.term_mask(self.field, self.term))
 
     def token_positions(self, sent: SentenceIndex) -> set:
         return set(sent.positions_for_term(self.field, self.term))
@@ -105,8 +104,7 @@ class PredicateTermQuery(Query):
         return [NGramMatch(i, i + 1) for i in positions]
 
     def token_mask(self, v: BatchVocab) -> np.ndarray:
-        m = v.pred_mask(self.field, self, self._pred)
-        return m if m is not None else _no_positions(v)
+        return _memo_mask(self, v, lambda: v.pred_mask(self.field, self, self._pred))
 
     def token_positions(self, sent: SentenceIndex) -> set:
         return set(sent.positions_matching(self.field, self, self._pred))
@@ -199,6 +197,17 @@ class OrQuery(Query):
 
 def _no_positions(v: BatchVocab) -> np.ndarray:
     return np.zeros(int(v.offsets[-1]), bool)
+
+
+def _memo_mask(q: Query, v: BatchVocab, compute) -> np.ndarray:
+    """A leaf's flat token mask, computed once per compiled query and
+    vocabulary (``sentence_mask`` and the token-sequence scan both ask)."""
+    memo = v.query_memo(q)
+    mask = memo.get("mask")
+    if mask is None:
+        m = compute()
+        mask = memo["mask"] = m if m is not None else _no_positions(v)
+    return mask
 
 
 class TokenAnd:

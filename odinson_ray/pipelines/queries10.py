@@ -18,7 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from odinson_ray.stages.shuffle import (
-    adaptive_inner_join, combine_aggregate, global_topk, partial_aggregate)
+    broadcast_or_join, combine_aggregate, global_topk, partial_aggregate)
 
 
 def _rd():
@@ -34,15 +34,14 @@ def _cents(col) -> pa.ChunkedArray:
 
 # ===================================== TPC-H Q10-class: returned revenue
 
-def q_returned_revenue_topk(sf_dir: str, k: int = 20,
-                            gate: int = 5_000_000):
+def q_returned_revenue_topk(sf_dir: str, k: int = 20):
     """Top customers by revenue from RETURNED lineitems: the returned
     rows collapse through a map-side per-orderkey cents combiner before
     either join (the join input is bounded by |orders with returns|,
     not |lineitem|), then orderkey->custkey and custkey->name joins run
-    through the adaptive broadcast-vs-shuffle gate (dimension-sized ->
-    zero-shuffle broadcast; corpus-sized -> distributed hash join), and
-    the top-k is the pruned global selection."""
+    through ``broadcast_or_join`` (dimension-sized -> zero-shuffle
+    broadcast; corpus-sized -> distributed hash join), and the top-k is
+    the pruned global selection."""
     rd = _rd()
 
     def li_partial(t: pa.Table) -> pa.Table:
@@ -60,8 +59,8 @@ def q_returned_revenue_topk(sf_dir: str, k: int = 20,
 
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_custkey"])
-    j1 = adaptive_inner_join(
-        li, orders, on="l_orderkey", right_on="o_orderkey", gate=gate,
+    j1 = broadcast_or_join(
+        li, orders, on="l_orderkey", right_on="o_orderkey",
         left_schema=pa.schema([("l_orderkey", pa.int64()),
                                ("pc_", pa.int64())]),
         right_schema=pa.schema([("o_orderkey", pa.int64()),
@@ -72,8 +71,8 @@ def q_returned_revenue_topk(sf_dir: str, k: int = 20,
 
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_name"])
-    j2 = adaptive_inner_join(
-        per_cust, cust, on="o_custkey", right_on="c_custkey", gate=gate,
+    j2 = broadcast_or_join(
+        per_cust, cust, on="o_custkey", right_on="c_custkey",
         left_schema=pa.schema([("o_custkey", pa.int64()),
                                ("revenue_cents", pa.int64())]),
         right_schema=pa.schema([("c_custkey", pa.int64()),

@@ -1142,15 +1142,13 @@ def q_market_share(sf_dir: str, region: str = "ASIA",
 
     Distributed shape: nation/region/supplier are CATALOG-sized —
     nation+region fold to a nationkey set, supplier to a target-supplier
-    key set, each broadcast once via ray.put (an adaptive gate à la
-    tfidf would kick in were the supplier catalog ever too big).
-    customer and orders are corpus-sized: customer is filtered to the
-    region IN PLACE (broadcast set lookup, no shuffle) and joined into
-    orders through the adaptive broadcast-vs-shuffle gate
-    (adaptive_inner_join — zero-shuffle when the region customer set is
-    under the gate, distributed hash join when it is corpus-sized);
-    lineitem joins the surviving (orderkey, year) pairs through the
-    same gate, and a per-batch combiner immediately folds to (year,
+    key set, each broadcast once via ray.put. customer and orders are
+    corpus-sized: customer is filtered to the region IN PLACE
+    (broadcast set lookup, no shuffle) and joined into orders through
+    ``broadcast_or_join`` (zero-shuffle while the region customer set
+    fits the broadcast size, distributed hash join when it is
+    corpus-sized); lineitem joins the surviving (orderkey, year) pairs
+    the same way, and a per-batch combiner immediately folds to (year,
     total_cents, target_cents) partials — the year groupby input is
     batch-count sized. Revenue is int64 cents (FLOOR, same expression
     as the oracle); the share is one division per output row."""
@@ -1201,13 +1199,9 @@ def q_market_share(sf_dir: str, region: str = "ASIA",
             pa.int64())
         return pa.table({"o_orderkey": g["o_orderkey"], "o_year": yr})
 
-    from odinson_ray.stages.shuffle import adaptive_inner_join
+    from odinson_ray.stages.shuffle import broadcast_or_join
 
-    # both joins ride the first-class broadcast-vs-shuffle gate: the
-    # region customer set and the surviving (orderkey, year) pairs are
-    # usually far under the gate (zero-shuffle broadcast joins) but the
-    # fallback is the distributed hash join when they are corpus-sized
-    orders = adaptive_inner_join(
+    orders = broadcast_or_join(
         rd.read_parquet(f"{sf_dir}/orders.parquet",
                         columns=["o_orderkey", "o_custkey", "o_orderdate"]),
         custs, on="o_custkey", right_on="c_custkey",
@@ -1234,7 +1228,7 @@ def q_market_share(sf_dir: str, region: str = "ASIA",
         return partial_aggregate(base, ["o_year"],
                                  [("pc", "c", "sum"), ("ptc", "tc", "sum")])
 
-    partials = adaptive_inner_join(
+    partials = broadcast_or_join(
         rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                         columns=["l_orderkey", "l_suppkey",
                                  "l_extendedprice", "l_discount"]),
@@ -2381,9 +2375,9 @@ def q_kg_assortativity(sf_dir: str):
     the oracle evaluates, so the result is hash-exact.
 
     Shape: one degree groupby (union of endpoint mentions), two
-    adaptive joins to attach deg(src)/deg(dst) to each edge, one
+    ``broadcast_or_join`` calls to attach deg(src)/deg(dst) to each edge, one
     sufficient-stats combiner."""
-    from odinson_ray.stages.shuffle import adaptive_inner_join
+    from odinson_ray.stages.shuffle import broadcast_or_join
 
     from .kg import triples_dataset
 
@@ -2406,10 +2400,10 @@ def q_kg_assortativity(sf_dir: str):
 
     s_schema = pa.schema([("src", pa.string()), ("dst", pa.string())])
     d_schema = pa.schema([("entity", pa.string()), ("d", pa.int64())])
-    with_src = adaptive_inner_join(
+    with_src = broadcast_or_join(
         edges, deg, on="src", right_on="entity",
         left_schema=s_schema, right_schema=d_schema)
-    with_both = adaptive_inner_join(
+    with_both = broadcast_or_join(
         with_src.map_batches(
             lambda t: pa.table({"dst": t["dst"], "dx": t["d"]}),
             batch_format="pyarrow"),

@@ -21,7 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from odinson_ray.stages.shuffle import (
-    adaptive_inner_join, combine_aggregate, hash_join, partial_aggregate)
+    broadcast_or_join, combine_aggregate, hash_join, partial_aggregate)
 
 _DAY_US = 86_400 * 1_000_000
 
@@ -49,8 +49,8 @@ def q_bracket_revenue(sf_dir: str):
 
     Shape: the part side is filtered to the union of bracket brands AT
     THE READ (three columns, dimension-sized) and attached through
-    ``adaptive_inner_join`` — broadcast at bench scale, distributed
-    hash join past the gate; the bracket disjunction is one vectorized
+    ``broadcast_or_join`` — broadcast at bench scale, distributed
+    hash join past the broadcast size; the bracket disjunction is one vectorized
     boolean expression per batch; a per-batch (n, cents) combiner means
     the driver sees one row per block, never lineitems."""
     rd = _rd()
@@ -67,7 +67,7 @@ def q_bracket_revenue(sf_dir: str):
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
     )
-    joined = adaptive_inner_join(
+    joined = broadcast_or_join(
         li, part, on="l_partkey", right_on="p_partkey",
         left_schema=pa.schema([
             ("l_partkey", pa.int64()), ("l_quantity", pa.float64()),

@@ -192,7 +192,7 @@ def q_neardup_delta(sf_dir: str):
     Shape: the exact >= 0.95 pair set comes from the AllPairs prefix
     filter (stages/dedup.prefix_jaccard_pairs — candidate prefixes on
     globally rarest tokens, adaptive exact verify); two
-    ``adaptive_inner_join``s attach is-delta flags to the pair
+    ``broadcast_or_join`` calls attach is-delta flags to the pair
     endpoints (pairs are near-dups, orders of magnitude fewer than
     documents); the drop rule is one vectorized expression per pair
     batch emitting dropped ids; survivors come from ONE distributed
@@ -209,8 +209,8 @@ def _delta_survivors(sf_dir: str, pairs):
     """Shared tail of the near-dup delta dedups: attach is-delta flags
     to the (a_id, b_id, j) pair endpoints, apply the oriented drop rule,
     anti-join survivors. Pairs are near-dup-scale by construction, so
-    both flag joins ride the adaptive small-side path."""
-    from odinson_ray.stages.shuffle import adaptive_inner_join, hash_join
+    both flag joins ride ``broadcast_or_join``."""
+    from odinson_ray.stages.shuffle import broadcast_or_join, hash_join
 
     from .queries17 import _DELTA_SOURCES  # one delta definition repo-wide
 
@@ -232,11 +232,11 @@ def _delta_survivors(sf_dir: str, pairs):
     fb = docs.map_batches(flags("b_dlt"), batch_format="pyarrow")
     pair_schema = pa.schema([("a_id", pa.int64()), ("b_id", pa.int64()),
                              ("j", pa.float64())])
-    p1 = adaptive_inner_join(
+    p1 = broadcast_or_join(
         pairs, fa, on="a_id", right_on="doc_id", left_schema=pair_schema,
         right_schema=pa.schema([("doc_id", pa.int64()),
                                 ("a_dlt", pa.int8())]))
-    p2 = adaptive_inner_join(
+    p2 = broadcast_or_join(
         p1, fb, on="b_id", right_on="doc_id",
         left_schema=pair_schema.append(pa.field("a_dlt", pa.int8())),
         right_schema=pa.schema([("doc_id", pa.int64()),

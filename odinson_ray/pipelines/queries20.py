@@ -22,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import combine_aggregate
+from odinson_ray.stages.shuffle import broadcast_or_join, combine_aggregate
 
 _WINDOW = 8
 
@@ -379,45 +379,40 @@ def q_supplier_part_counts(sf_dir: str):
     complaint-list suppliers (here: negative account balance — the
     NOT IN side).
 
-    Shape: both exclusion sides are DIMENSION-bounded and broadcast
-    once via ray.put as Arrow/numpy columns (the kept parts sorted by
-    key, the bad-supplier keys); each fact batch resolves its links by
-    ``searchsorted``/``isin``, and two map-side combines (the distinct
-    (brand, size, supplier) rows, then their per-cell count) finish
-    without a shuffle at this size — the fact table is never joined
-    through one."""
-    import pyarrow.parquet as pq
-    import ray
-
-    from odinson_ray.stages.link import get_broadcast
-
+    Shape: the links anti-join the bad suppliers and then join the kept
+    parts, both through ``broadcast_or_join`` (dimension-bounded right
+    sides: each is broadcast once and every fact batch resolves its
+    links by ``searchsorted``, no shuffle of the fact table); two
+    map-side combines (the distinct (brand, size, supplier) rows, then
+    their per-cell count) finish."""
     from ..sources.io import clean_rd as rd
 
-    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"])
-    part = part.filter(pc.not_equal(part["p_brand"], "Brand#13")).sort_by("p_partkey")
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_acctbal"])
-    bad = pc.filter(supp["s_suppkey"], pc.less(supp["s_acctbal"], 0))
-    ref = ray.put((part["p_partkey"].to_numpy(),
-                   part["p_brand"].combine_chunks(),
-                   part["p_size"].cast(pa.int64()).combine_chunks(),
-                   bad.to_numpy()))
-
-    def cells(t: pa.Table) -> pa.Table:
-        keys, brand, size, bad_keys = get_broadcast(ref)
-        pk = t["l_partkey"].to_numpy(zero_copy_only=False)
-        sk = t["l_suppkey"].to_numpy(zero_copy_only=False)
-        at = np.searchsorted(keys, pk)
-        keep = at < len(keys)
-        keep[keep] = keys[at[keep]] == pk[keep]
-        keep &= np.isin(sk, bad_keys, invert=True)
-        rows = pa.array(at[keep])
-        return pa.table({"p_brand": brand.take(rows), "p_size": size.take(rows),
-                         "supp": pa.array(sk[keep], pa.int64())})
-
+    # one block per dimension read: a split read costs a task per block
+    bad = rd.read_parquet(
+        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_acctbal"],
+        override_num_blocks=1,
+    ).map_batches(lambda t: t.filter(pc.less(t["s_acctbal"], 0))
+                  .select(["s_suppkey"]), batch_format="pyarrow")
+    parts = rd.read_parquet(
+        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"],
+        override_num_blocks=1,
+    ).map_batches(lambda t: t.filter(pc.not_equal(t["p_brand"], "Brand#13")),
+                  batch_format="pyarrow")
     links = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                             columns=["l_partkey", "l_suppkey"])
-    distinct = combine_aggregate(links.map_batches(cells, batch_format="pyarrow"),
-                                 ["p_brand", "p_size", "supp"], [])
+    link_schema = pa.schema([("l_partkey", pa.int64()),
+                             ("l_suppkey", pa.int64())])
+    kept = broadcast_or_join(
+        links, bad, on="l_suppkey", right_on="s_suppkey", how="anti",
+        left_schema=link_schema,
+        right_schema=pa.schema([("s_suppkey", pa.int64())]))
+    cells = broadcast_or_join(
+        kept, parts, on="l_partkey", right_on="p_partkey",
+        left_schema=link_schema,
+        right_schema=pa.schema([("p_partkey", pa.int64()),
+                                ("p_brand", pa.string()),
+                                ("p_size", pa.int64())]))
+    distinct = combine_aggregate(cells, ["p_brand", "p_size", "l_suppkey"], [])
     return combine_aggregate(distinct, ["p_brand", "p_size"],
                              [("supplier_cnt", None, "count_all")])
 

@@ -248,31 +248,25 @@ FROM g
 def q_tpch_q3(sf_dir: str):
     """Shipping-priority revenue: customer ⋈ orders ⋈ lineitem with
     selective date predicates, grouped revenue, global top-10. The
-    canonical star-join: the customer market-segment filter reduces
-    through the repo's ADAPTIVE broadcast-vs-shuffle gate (count the
-    filtered side first — a metadata aggregate; ≤ gate → ray.put the
-    sorted key array once and semi-filter orders with a vectorized
-    searchsorted, zero shuffle; above it → distributed semi hash join —
-    a web-scale segment is NOT driver-small, the same discipline as the
-    MinHash verify and tf-idf vocab gates), the orders×lineitem join is
-    the big shuffle, revenue combines map-side per (orderkey, orderdate)
-    before the global groupby, and the top-k is the pruned global_topk.
-    Revenue in integer cents for bit-exact comparison."""
-    import ray
-
-    from odinson_ray.stages.shuffle import global_topk, hash_join
+    canonical star-join: orders semi-join the market-segment customers
+    through ``broadcast_or_join`` (a broadcast key probe while the
+    segment fits under the broadcast size, a semi hash join past it),
+    the orders×lineitem join is the big shuffle, revenue combines
+    map-side per (orderkey, orderdate) before the global groupby, and
+    the top-k is the pruned global_topk. Revenue in integer cents for
+    bit-exact comparison."""
+    from odinson_ray.stages.shuffle import (
+        broadcast_or_join, global_topk, hash_join)
 
     rd = _rd()
     CUT = np.datetime64("1995-03-15T00:00:00", "us").astype(np.int64)
-    BROADCAST_GATE = int(
-        __import__("os").environ.get("TPCH_Q3_BROADCAST_GATE", "5000000"))
 
     cust = rd.read_parquet(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_mktsegment"]).map_batches(
         lambda t: t.filter(pc.equal(t["c_mktsegment"], "BUILDING")).select(
             ["c_custkey"]),
-        batch_format="pyarrow").materialize()  # counted, then consumed
+        batch_format="pyarrow")
 
     def orders_filter(t: pa.Table) -> pa.Table:
         d = t["o_orderdate"].cast(pa.timestamp("us")).cast(
@@ -284,34 +278,12 @@ def q_tpch_q3(sf_dir: str):
         columns=["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
         orders_filter, batch_format="pyarrow")
 
-    if cust.count() <= BROADCAST_GATE:
-        keys = np.sort(np.concatenate(
-            [b["c_custkey"].to_numpy(zero_copy_only=False)
-             for b in cust.iter_batches(batch_format="pyarrow",
-                                        batch_size=65536)] or
-            [np.array([], dtype=np.int64)]))
-        keys_ref = ray.put(keys)
-
-        def semi_filter(t: pa.Table) -> pa.Table:
-            k = ray.get(keys_ref)
-            ck = t["o_custkey"].to_numpy(zero_copy_only=False)
-            if len(k) == 0:  # empty segment: nothing survives the semi
-                hit = np.zeros(len(ck), dtype=bool)
-            else:
-                pos = np.searchsorted(k, ck)
-                hit = (pos < len(k)) & (k[np.minimum(pos, len(k) - 1)] == ck)
-            return t.filter(pa.array(hit)).select(
-                ["o_orderkey", "o_orderdate"])
-
-        orders = orders.map_batches(semi_filter, batch_format="pyarrow")
-    else:
-        orders = hash_join(
-            orders, cust, on="o_custkey", right_on="c_custkey", how="semi",
-            left_schema=pa.schema([("o_orderkey", pa.int64()),
-                                   ("o_custkey", pa.int64()),
-                                   ("o_orderdate", pa.timestamp("us"))]),
-            right_schema=pa.schema([("c_custkey", pa.int64())]),
-        ).select_columns(["o_orderkey", "o_orderdate"])
+    orders = broadcast_or_join(
+        orders, cust, on="o_custkey", right_on="c_custkey", how="semi",
+        left_schema=pa.schema([("o_orderkey", pa.int64()),
+                               ("o_custkey", pa.int64()),
+                               ("o_orderdate", pa.timestamp("us"))]),
+        right_schema=pa.schema([("c_custkey", pa.int64())]))
 
     def li_filter(t: pa.Table) -> pa.Table:
         d = t["l_shipdate"].cast(pa.timestamp("us")).cast(

@@ -78,7 +78,7 @@ GROUP BY c_count
 
 # ===================================== TPC-H Q7-class: nation trade volume
 
-def q_nation_trade(sf_dir: str, gate: int = 5_000_000):
+def q_nation_trade(sf_dir: str):
     """Revenue between (supplier nation, customer nation, ship year),
     cross-nation only. Scale shape: the customer dimension is NOT
     broadcast (it scales with the corpus) — orders pick up the customer
@@ -86,15 +86,15 @@ def q_nation_trade(sf_dir: str, gate: int = 5_000_000):
     map-side (orderkey, supp_nation, year) combiner with the supplier
     nation from the broadcast supplier->nation map (the one genuinely
     dim-sized lookup, as in q_revenue_by_nation); the big join keys on
-    orderkey; a 3-key combiner finishes. Both distributed joins run
-    through the adaptive broadcast-vs-shuffle gate (zero-shuffle when
-    the right side proves dimension-sized, hash join when it doesn't).
+    orderkey; a 3-key combiner finishes. Both joins are
+    ``broadcast_or_join`` (zero-shuffle while the right side fits the
+    broadcast size, hash join when it doesn't).
     """
     import pandas as pd
     import ray
 
     from odinson_ray.stages.link import get_broadcast
-    from odinson_ray.stages.shuffle import adaptive_inner_join
+    from odinson_ray.stages.shuffle import broadcast_or_join
 
     rd = _rd()
     supp = pd.read_parquet(f"{sf_dir}/supplier.parquet",
@@ -106,12 +106,12 @@ def q_nation_trade(sf_dir: str, gate: int = 5_000_000):
                       zip(supp.s_suppkey, supp.s_nationkey)})
     names_ref = ray.put(n2name)
 
-    orders_cn = adaptive_inner_join(
+    orders_cn = broadcast_or_join(
         rd.read_parquet(f"{sf_dir}/orders.parquet",
                         columns=["o_orderkey", "o_custkey"]),
         rd.read_parquet(f"{sf_dir}/customer.parquet",
                         columns=["c_custkey", "c_nationkey"]),
-        on="o_custkey", right_on="c_custkey", gate=gate,
+        on="o_custkey", right_on="c_custkey",
         left_schema=pa.schema([("o_orderkey", pa.int64()),
                                ("o_custkey", pa.int64())]),
         right_schema=pa.schema([("c_custkey", pa.int64()),
@@ -138,8 +138,8 @@ def q_nation_trade(sf_dir: str, gate: int = 5_000_000):
                  "l_extendedprice", "l_discount"]).map_batches(
         li_partial, batch_format="pyarrow")
 
-    joined = adaptive_inner_join(
-        li, orders_cn, on="l_orderkey", right_on="o_orderkey", gate=gate,
+    joined = broadcast_or_join(
+        li, orders_cn, on="l_orderkey", right_on="o_orderkey",
         left_schema=pa.schema([("l_orderkey", pa.int64()),
                                ("supp_nation", pa.string()),
                                ("l_year", pa.int64()),

@@ -555,9 +555,7 @@ def pq_topk(sf_dir: str, query_vec: np.ndarray, k: int = 10,
 
 def blocked_cosine_pairs(ds, key_col: str = "label", id_col: str = "vec_id",
                          vec_col: str = "embedding", threshold: float = 0.4,
-                         chunk_rows: int = 4096,
-                         broadcast_keys_limit: int = 1_000_000,
-                         parts: int = 512):
+                         chunk_rows: int = 4096, parts: int = 512):
     """Exact all-pairs cosine >= ``threshold`` within ``key_col`` blocks,
     with per-task input BOUNDED regardless of key skew.
 
@@ -578,64 +576,35 @@ def blocked_cosine_pairs(ds, key_col: str = "label", id_col: str = "vec_id",
     concentrate at n_key / n_chunks <= chunk_rows); the kernel is one
     numpy matmul per segment.
 
-    Per-key chunk counts come from one small ``groupby(key).count()``;
-    at or under ``broadcast_keys_limit`` distinct keys the count table
-    is broadcast once via ``ray.put`` (driver holds only the gated key
-    table, tfidf precedent stages/text.py), above it the counts
-    hash-join back onto the rows and nothing key-cardinality-sized
-    touches the driver. Groups are shuffled with the coarse-partition
-    idiom (hash(key, lo, hi) % parts) and resolved per partition from
-    one Arrow sort — per-group dispatch stays off the hot path
-    (segmented_band_pairs precedent, stages/dedup.py).
+    Per-key chunk counts come from one small ``groupby(key).count()``
+    attached to the rows by ``broadcast_or_join`` (broadcast while the
+    count table is small, hash-joined when it is not, so nothing
+    key-cardinality-sized need touch the driver). Groups are shuffled
+    with the coarse-partition idiom (hash(key, lo, hi) % parts) and
+    resolved per partition from one Arrow sort — per-group dispatch
+    stays off the hot path (segmented_band_pairs precedent,
+    stages/dedup.py).
     """
-    import math
-
     import pyarrow.compute as pc
-    import ray
     from ray.data.aggregate import Count
 
-    from .link import get_broadcast
+    from .shuffle import broadcast_or_join
     from .sketch import _splitmix64
 
-    counts = ds.groupby(key_col).aggregate(Count(alias_name="_n")).materialize()
-    n_keys = counts.count()
-
-    def _nchunks(n: np.ndarray) -> np.ndarray:
-        return np.maximum(1, -(-n // chunk_rows)).astype(np.int64)
-
-    if n_keys <= broadcast_keys_limit:
-        keys_l, ns_l = [], []
-        for b in counts.iter_batches(batch_format="pyarrow"):
-            keys_l.extend(b[key_col].to_pylist())
-            ns_l.extend(b["_n"].to_pylist())
-        karr = np.asarray(keys_l)
-        order = np.argsort(karr)
-        karr = karr[order]
-        nch = _nchunks(np.asarray(ns_l, dtype=np.int64)[order])
-        ref = ray.put((karr, nch))
-        with_n = ds
-
-        def _row_nchunks(t: pa.Table) -> np.ndarray:
-            karr_b, nch_b = get_broadcast(ref)
-            kv = t[key_col].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(karr_b, kv)
-            return nch_b[np.minimum(pos, len(nch_b) - 1)]
-    else:
-        from .shuffle import hash_join
-
-        with_n = hash_join(ds, counts, on=key_col)
-
-        def _row_nchunks(t: pa.Table) -> np.ndarray:
-            return _nchunks(t["_n"].to_numpy(zero_copy_only=False))
+    counts = ds.groupby(key_col).aggregate(Count(alias_name="_n"))
+    with_n = broadcast_or_join(ds, counts, on=key_col)
 
     GOLD = np.uint64(0x9E3779B97F4A7C15)
 
     def expand(t: pa.Table) -> pa.Table:
+        # chunks per row: ceil(key count / chunk_rows), at least one
+        n = np.maximum(1, -(-t["_n"].to_numpy(zero_copy_only=False)
+                            // chunk_rows)).astype(np.int64)
+        t = t.drop_columns(["_n"])
         if t.num_rows == 0:
             return t.append_column("_c", pa.array([], pa.int64())) \
                     .append_column("_lo", pa.array([], pa.int64())) \
                     .append_column("_hi", pa.array([], pa.int64()))
-        n = _row_nchunks(t)
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         c = (_splitmix64(ids.astype(np.uint64) * GOLD) % n.astype(np.uint64)).astype(np.int64)
         tot = int(n.sum())
@@ -717,10 +686,8 @@ def blocked_cosine_pairs(ds, key_col: str = "label", id_col: str = "vec_id",
             key_col: pa.array(np.concatenate(out_k), key_type),
         })
 
-    keep = [key_col, id_col, vec_col]
     return (with_n.map_batches(
-                lambda t: expand(t.select([c_ for c_ in keep if c_ in t.column_names]
-                                          + (["_n"] if "_n" in t.column_names else []))),
+                lambda t: expand(t.select([key_col, id_col, vec_col, "_n"])),
                 batch_format="pyarrow")
             .map_batches(add_part, batch_format="pyarrow")
             .groupby("_p")

@@ -222,8 +222,7 @@ def jaccard(a: str, b: str, n: int = 3) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def minhash_lsh_pairs(sf_dir: str, threshold: float = 0.9,
-                      broadcast_docs_threshold: int = 100_000):
+def minhash_lsh_pairs(sf_dir: str, threshold: float = 0.9):
     """Full MinHash-LSH near-dup pipeline; returns a Dataset of verified
     pairs (a_id, b_id, j) with exact jaccard >= threshold.
 
@@ -232,14 +231,9 @@ def minhash_lsh_pairs(sf_dir: str, threshold: float = 0.9,
     stages — no driver-side text loading or candidate materialization
     (VERDICT r01 "What's wrong" #1).
 
-    ADAPTIVE verify: the candidate-count is known exactly (the semi-join
-    prune already collects the candidate id set). When at most
-    ``broadcast_docs_threshold`` documents are candidates, their texts are
-    broadcast once (``ray.put``) and the verify is a single zero-shuffle
-    ``map_batches`` over the pair stream — the standard small-side
-    broadcast, ~100 MB at the default gate assuming few-KB docs. Above
-    the gate (dirty corpora at 100-TB scale) the two distributed hash
-    joins attach texts with one shuffle per side, unchanged."""
+    The verify is :func:`verify_pairs_exact`: texts attach through
+    ``broadcast_or_join``, so they are broadcast while the candidate
+    documents are small and hash-joined when they are not."""
     from ..sources.io import clean_rd as rd
     from ray.data.aggregate import Count
 
@@ -252,12 +246,10 @@ def minhash_lsh_pairs(sf_dir: str, threshold: float = 0.9,
         candidates.groupby(["a_id", "b_id"]).aggregate(Count(alias_name="_n"))
         .drop_columns(["_n"])
     )
-    return verify_pairs_exact(candidates, docs, jaccard, threshold,
-                              broadcast_docs_threshold)
+    return verify_pairs_exact(candidates, docs, jaccard, threshold)
 
 
-def verify_pairs_exact(candidates, docs, sim_fn, threshold: float,
-                       broadcast_docs_threshold: int = 100_000):
+def verify_pairs_exact(candidates, docs, sim_fn, threshold: float):
     """Exact-similarity verification of a candidate-pair Dataset
     (a_id, b_id) against doc texts; returns (a_id, b_id, j) with
     round(sim_fn(a_text, b_text), 6) >= threshold. Shared tail of every
@@ -265,77 +257,40 @@ def verify_pairs_exact(candidates, docs, sim_fn, threshold: float,
 
     SEMI-JOIN PRUNE (VERDICT r02 "What's wrong" #2): the candidate-pair
     set is typically orders of magnitude smaller than the corpus, but the
-    verify joins would otherwise shuffle EVERY document's text. Collect
-    the candidate doc_id set once (it is the small side by construction —
-    near-dup pairs, not documents), broadcast it, and filter ``docs``
-    inside map_batches before either join, so only candidate texts ever
-    enter the shuffle.
-
-    ADAPTIVE verify: when at most ``broadcast_docs_threshold`` documents
-    are candidates, their texts are broadcast once (``ray.put``) and the
-    verify is a single zero-shuffle ``map_batches`` over the pair stream.
-    Above the gate (dirty corpora at 100-TB scale) two distributed hash
-    joins attach texts with one shuffle per side."""
-    import ray
-    import pyarrow.compute as pc
-
-    from .link import get_broadcast
-    from .shuffle import hash_join
+    text joins would otherwise carry EVERY document's text. The distinct
+    candidate ids (a Dataset, never a driver-side set) semi-join
+    ``docs`` first, and the pruned texts are materialized once; two
+    ``broadcast_or_join`` calls then attach the a- and b-side texts —
+    zero-shuffle map stages while the candidate texts fit the broadcast
+    size, one hash join per side past it."""
+    from .shuffle import broadcast_or_join, combine_aggregate
 
     candidates = candidates.materialize()  # small: verified-pair scale
-    cand_ids: set = set()
-    for cb in candidates.iter_batches(batch_format="pyarrow"):
-        cand_ids.update(cb["a_id"].to_pylist())
-        cand_ids.update(cb["b_id"].to_pylist())
-    ids_ref = ray.put(np.fromiter(sorted(cand_ids), dtype=np.int64, count=len(cand_ids)))
-
-    def prune_docs(t: pa.Table) -> pa.Table:
-        ids = get_broadcast(ids_ref)
-        return t.filter(pc.is_in(t["doc_id"], value_set=pa.array(ids, pa.int64())))
-
-    docs = docs.map_batches(prune_docs, batch_format="pyarrow")
-
-    def score(a_texts, b_texts, a, b) -> pa.Table:
-        js = [round(sim_fn(x, y), 6) for x, y in zip(a_texts, b_texts)]
-        out = pa.Table.from_pydict(
-            {"a_id": pa.array(a, pa.int64()), "b_id": pa.array(b, pa.int64()),
-             "j": pa.array(js, pa.float64())}
-        )
-        return out.filter(pa.array([j >= threshold for j in js], pa.bool_()))
-
-    if len(cand_ids) <= broadcast_docs_threshold:
-        # small-side broadcast verify: candidate texts fit comfortably in
-        # a single ray.put; zero shuffles
-        texts: Dict[int, str] = {}
-        for tb in docs.iter_batches(batch_format="pyarrow"):
-            texts.update(zip(tb["doc_id"].to_pylist(), tb["text"].to_pylist()))
-        texts_ref = ray.put(texts)
-
-        def verify_broadcast(t: pa.Table) -> pa.Table:
-            m = get_broadcast(texts_ref)
-            a = t["a_id"].to_pylist()
-            b = t["b_id"].to_pylist()
-            return score([m[x] for x in a], [m[y] for y in b], a, b)
-
-        return candidates.map_batches(verify_broadcast, batch_format="pyarrow")
-
-    pair_schema = pa.schema([("a_id", pa.int64()), ("b_id", pa.int64())])
+    ids = combine_aggregate(candidates.map_batches(
+        lambda t: pa.table({"doc_id": pa.concat_arrays(
+            [t["a_id"].combine_chunks(), t["b_id"].combine_chunks()])}),
+        batch_format="pyarrow"), ["doc_id"], [])
     doc_schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
-    with_a = hash_join(
-        candidates, docs, on="a_id", right_on="doc_id",
+    cand_docs = broadcast_or_join(
+        docs, ids, on="doc_id", how="semi", left_schema=doc_schema,
+        right_schema=pa.schema([("doc_id", pa.int64())])).materialize()
+    pair_schema = pa.schema([("a_id", pa.int64()), ("b_id", pa.int64())])
+    with_a = broadcast_or_join(
+        candidates, cand_docs, on="a_id", right_on="doc_id",
         left_schema=pair_schema, right_schema=doc_schema,
     ).rename_columns({"text": "a_text"})
-    with_a_schema = pa.schema(
-        [("a_id", pa.int64()), ("b_id", pa.int64()), ("a_text", pa.string())]
-    )
-    with_ab = hash_join(
-        with_a, docs, on="b_id", right_on="doc_id",
-        left_schema=with_a_schema, right_schema=doc_schema,
+    with_ab = broadcast_or_join(
+        with_a, cand_docs, on="b_id", right_on="doc_id",
+        left_schema=pair_schema.append(pa.field("a_text", pa.string())),
+        right_schema=doc_schema,
     ).rename_columns({"text": "b_text"})
 
     def verify(t: pa.Table) -> pa.Table:
-        return score(t["a_text"].to_pylist(), t["b_text"].to_pylist(),
-                     t["a_id"].to_pylist(), t["b_id"].to_pylist())
+        js = [round(sim_fn(x, y), 6) for x, y in
+              zip(t["a_text"].to_pylist(), t["b_text"].to_pylist())]
+        out = pa.table({"a_id": t["a_id"], "b_id": t["b_id"],
+                        "j": pa.array(js, pa.float64())})
+        return out.filter(pa.array([j >= threshold for j in js], pa.bool_()))
 
     return with_ab.map_batches(verify, batch_format="pyarrow")
 
@@ -794,8 +749,7 @@ def allpairs_prefix_candidates(feat_rows, threshold: float,
     )
 
 
-def prefix_jaccard_pairs(sf_dir: str, threshold: float = 0.7,
-                         broadcast_docs_threshold: int = 100_000):
+def prefix_jaccard_pairs(sf_dir: str, threshold: float = 0.7):
     """All-pairs token-Jaccard similarity join via PREFIX FILTERING
     (AllPairs/PPJoin family) — exact, unlike MinHash-LSH: returns every
     pair with token_jaccard >= threshold, verified. Candidate
@@ -825,8 +779,7 @@ def prefix_jaccard_pairs(sf_dir: str, threshold: float = 0.7,
 
     feat_rows = docs.map_batches(flat_distinct, batch_format="pyarrow")
     candidates = allpairs_prefix_candidates(feat_rows, threshold)
-    return verify_pairs_exact(candidates, docs, token_jaccard, threshold,
-                              broadcast_docs_threshold)
+    return verify_pairs_exact(candidates, docs, token_jaccard, threshold)
 
 
 # -------------------------------------------- segmented bucket machinery

@@ -15,6 +15,7 @@ in without changing the stage.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import pyarrow as pa
@@ -71,19 +72,26 @@ def map_unique_strings(col, fn) -> pa.Array:
 # per-worker cache for broadcast objects fetched from the object store; a
 # stateless map task resolves the ref once per worker process instead of
 # reserving an actor slot (actor pools that cover every CPU starve the
-# stateless read stages and deadlock the streaming executor)
-_BROADCAST_CACHE: Dict[str, object] = {}
+# stateless read stages and deadlock the streaming executor). Values are
+# zero-copy views that pin their object-store buffers, and warm workers
+# serve job after job, so only the most recently used few are kept.
+_BROADCAST_CACHE: "OrderedDict[str, object]" = OrderedDict()
+_BROADCAST_CACHE_SIZE = 4
 
 
 def get_broadcast(ref):
-    """Resolve a ray.put ref once per worker process (cached)."""
+    """Resolve a ray.put ref once per worker process (LRU-cached)."""
     import ray
 
     if not isinstance(ref, ray.ObjectRef):
         return ref
     key = ref.hex()
-    if key not in _BROADCAST_CACHE:
+    if key in _BROADCAST_CACHE:
+        _BROADCAST_CACHE.move_to_end(key)
+    else:
         _BROADCAST_CACHE[key] = ray.get(ref)
+        while len(_BROADCAST_CACHE) > _BROADCAST_CACHE_SIZE:
+            _BROADCAST_CACHE.popitem(last=False)
     return _BROADCAST_CACHE[key]
 
 

@@ -582,82 +582,96 @@ def combine_aggregate(ds, keys, aggs):
                               for out, _, op in merged])
 
 
-def adaptive_inner_join(left, right, on: str, right_on: str | None = None,
-                        right_suffix: str = "_r",
-                        left_schema: pa.Schema | None = None,
-                        right_schema: pa.Schema | None = None,
-                        gate: int = 5_000_000, partitions: int = 512,
-                        hot_chunk_rows: int = 10_000_000):
-    """Inner join with the repo's adaptive broadcast-vs-shuffle gate
-    made a first-class operator (previously re-implemented ad hoc by
-    tpch_q3's semi filter, the MinHash verify and the tf-idf vocab
-    path). The RIGHT side is materialized and counted (metadata-cheap);
-    at or under ``gate`` rows it is collected ONCE, key-sorted, and
-    ``ray.put`` — the join is then a zero-shuffle ``map_batches`` over
-    the left, resolving duplicates with two ``searchsorted`` calls and
-    pure index arithmetic. Above the gate (a web-scale right side), it
-    falls back to the distributed :func:`hash_join`. Output schema is
-    IDENTICAL on both paths (left names + right payload with
-    ``right_suffix`` on collisions; inner semantics: null keys never
-    match) — pinned by a both-paths pytest.
+#: the one size rule of :func:`broadcast_or_join`: a right side whose
+#: materialized blocks hold at most this many bytes is collected once and
+#: broadcast; a larger one is shuffled. Read at call time (tests force the
+#: shuffle path by setting it to -1).
+BROADCAST_BYTES = 64 << 20
 
-    Use it when the right side is usually dimension-sized but must not
-    be ASSUMED so (customer/orders dims: small at bench scale, corpus
-    sized at 100 TB). Broadcast-path keys must be integers; other key
-    types take the hash_join path regardless of size."""
+
+def broadcastable(ds) -> bool:
+    """True when the materialized Dataset ``ds`` fits under
+    ``BROADCAST_BYTES`` (block metadata; nothing executes)."""
+    return (ds.size_bytes() or 0) <= BROADCAST_BYTES
+
+
+def broadcast_or_join(left, right, on: str, right_on: str | None = None,
+                      how: str = "inner", right_suffix: str = "_r",
+                      left_schema: pa.Schema | None = None,
+                      right_schema: pa.Schema | None = None):
+    """Single-key join that picks broadcast or shuffle from the measured
+    size of its right side. ``right`` is materialized once; when the key
+    is an integer and :func:`broadcastable` holds, it is collected,
+    key-sorted and ``ray.put`` once, and the join is a zero-shuffle
+    ``map_batches`` over the left that resolves each key with one hash
+    lookup of the distinct right keys. Otherwise it is the distributed
+    :func:`hash_join`.
+
+    ``how`` is "inner", "semi" or "anti", with :func:`hash_join`'s
+    semantics on both paths: null keys never match (anti keeps null-key
+    left rows), semi and anti emit left columns only, and right payload
+    columns that collide with left names get ``right_suffix``."""
+    import pandas as pd
     import ray
 
     from .link import get_broadcast
 
+    assert how in ("inner", "semi", "anti"), how
     right_on = right_on or on
+    r = right.materialize()
     ls = as_arrow_schema(left_schema if left_schema is not None
                          else left.schema())
     rs = as_arrow_schema(right_schema if right_schema is not None
-                         else right.schema())
-    ktype = dict(zip(ls.names, ls.types))[on]
-    r = right.materialize()
-    if not pa.types.is_integer(ktype) or r.count() > gate:
-        return hash_join(left, r, on=on, right_on=right_on,
+                         else r.schema())
+    ltypes = dict(zip(ls.names, ls.types))
+    ktype = ltypes[on]
+    if not (pa.types.is_integer(ktype) and broadcastable(r)):
+        return hash_join(left, r, on=on, right_on=right_on, how=how,
                          right_suffix=right_suffix, left_schema=ls,
-                         right_schema=rs, partitions=partitions,
-                         hot_chunk_rows=hot_chunk_rows)
+                         right_schema=rs)
 
     rtypes = dict(zip(rs.names, rs.types))
-    batches = [b for b in r.iter_batches(batch_format="pyarrow",
-                                         batch_size=65536) if b.num_rows]
-    rt = (pa.concat_tables(batches).combine_chunks() if batches
-          else rs.empty_table())
-    rt = rt.filter(pc.is_valid(rt[right_on]))
-    rt = rt.set_column(rt.column_names.index(right_on), right_on,
-                       rt[right_on].cast(ktype))
-    keys = rt[right_on].to_numpy(zero_copy_only=False)
-    order = np.argsort(keys, kind="stable")
-    rt = rt.take(pa.array(order, pa.int64()))
-    side_ref = ray.put((keys[order], rt))
-
     lpay = [c for c in ls.names if c != on]
-    rpay = [c for c in rs.names if c != right_on]
-    rout = {c: (c + right_suffix if c in ls.names else c) for c in rpay}
-    ltypes = dict(zip(ls.names, ls.types))
+    rpay = [c for c in rs.names if c != right_on] if how == "inner" else []
+    rout = {c: (c + right_suffix if c in ltypes else c) for c in rpay}
+    tables = [t for t in ray.get(r.to_arrow_refs()) if t.num_rows]
+    rt = (pa.concat_tables(tables, promote_options="permissive")
+          if tables else rs.empty_table())
+    rt = rt.filter(pc.is_valid(rt[right_on]))
+    keys = rt[right_on].cast(ktype).to_numpy()
+    order = np.argsort(keys, kind="stable")
+    # distinct keys with their first row and run length in key order, plus
+    # an empty run at index -1: a left key's position in ``index`` (-1 when
+    # absent) gives its matching right rows. The index's hash table is
+    # built on its first lookup and kept with the worker's broadcast cache.
+    uniq, starts, counts = np.unique(keys[order], return_index=True,
+                                     return_counts=True)
+    order = pa.array(order, pa.int64())
+    side_ref = ray.put((pd.Index(uniq), np.append(starts, 0),
+                        np.append(counts, 0),
+                        {c: rt[c].cast(rtypes[c]).take(order) for c in rpay}))
 
     def bjoin(t: pa.Table) -> pa.Table:
-        rkeys, rtab = get_broadcast(side_ref)
-        t = t.filter(pc.is_valid(t[on]))  # inner: null never matches
-        k = t[on].combine_chunks().cast(ktype).to_numpy(
-            zero_copy_only=False)
-        lo = np.searchsorted(rkeys, k, "left")
-        hi = np.searchsorted(rkeys, k, "right")
-        cnt = hi - lo
-        offs = np.concatenate(([0], np.cumsum(cnt)))
-        lidx = pa.array(np.repeat(np.arange(len(k)), cnt), pa.int64())
-        ridx = pa.array(np.repeat(lo, cnt)
-                        + (np.arange(offs[-1]) - np.repeat(offs[:-1], cnt)),
-                        pa.int64())
-        out = {on: t[on].combine_chunks().cast(ktype).take(lidx)}
+        index, starts, counts, rcols = get_broadcast(side_ref)
+        k = t[on].combine_chunks().cast(ktype)
+        u = index.get_indexer(pc.fill_null(k, 0).to_numpy(zero_copy_only=False))
+        if k.null_count:  # null never matches
+            u[~pc.is_valid(k).to_numpy(zero_copy_only=False)] = -1
+        if how == "inner":
+            cnt = counts[u]
+            offs = np.concatenate(([0], np.cumsum(cnt)))
+            lidx = np.repeat(np.arange(len(u)), cnt)
+            ridx = pa.array(np.repeat(starts[u], cnt)
+                            + (np.arange(offs[-1]) - np.repeat(offs[:-1], cnt)),
+                            pa.int64())
+        else:
+            lidx = np.flatnonzero((u >= 0) == (how == "semi"))
+        lidx = pa.array(lidx, pa.int64())
+        out = {on: k.take(lidx)}
         for c in lpay:
             out[c] = t[c].combine_chunks().cast(ltypes[c]).take(lidx)
         for c in rpay:
-            out[rout[c]] = rtab[c].take(ridx)
+            out[rout[c]] = rcols[c].take(ridx)
         return pa.Table.from_pydict(out)
 
     return left.map_batches(bjoin, batch_format="pyarrow")

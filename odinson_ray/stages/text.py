@@ -207,19 +207,18 @@ def _pick_top(t: pa.Table, key: str = "doc_id") -> pa.Table:
     })
 
 
-def tfidf_top_term(sf_dir: str, min_df: int = 1,
-                   broadcast_vocab_limit: int = 1_000_000):
+def tfidf_top_term(sf_dir: str, min_df: int = 1):
     """Per-document top tf-idf term (score = tf * ln(N/df), rounded to 6dp;
     ties broken by lexicographically smallest term; documents whose every
     term was min-df-pruned are dropped).
 
     ADAPTIVE two-pass (VERDICT r03 #1): the df table is aggregated
     distributed (optionally min-df-pruned there — the pruning never runs
-    on the driver), then its size is counted. At or under
-    ``broadcast_vocab_limit`` rows the vocabulary is broadcast once via
-    ``ray.put`` and scoring is a single zero-shuffle ``map_batches`` —
-    the driver holds only the gated vocabulary, by construction. Above
-    the gate (open-web corpora where even the pruned vocabulary is too
+    on the driver) and materialized. While it is ``broadcastable`` (the
+    one broadcast size of stages/shuffle.py) the vocabulary is broadcast
+    once via ``ray.put`` and scoring is a single zero-shuffle
+    ``map_batches`` with the per-doc argmax fused in. Past that size
+    (open-web corpora where even the pruned vocabulary is too
     big to broadcast), nothing vocabulary-sized ever touches the driver:
     per-doc (tok, tf) rows hash-join the df Dataset on ``tok``, each
     join group's rows reduce to per-batch per-doc argmax partials, and a
@@ -230,13 +229,13 @@ def tfidf_top_term(sf_dir: str, min_df: int = 1,
     from ..sources.io import clean_rd as rd
 
     from .link import get_broadcast
+    from .shuffle import broadcastable
 
     df_ds = doc_frequency(sf_dir, min_df=min_df).materialize()
-    vocab_n = df_ds.count()
     n_docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"]).count()
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
-    if vocab_n <= broadcast_vocab_limit:
+    if broadcastable(df_ds):
         vocab, dfs = [], []
         for b in df_ds.iter_batches(batch_format="pyarrow"):
             vocab.extend(b["tok"].to_pylist())

@@ -2,7 +2,11 @@
 entry AND its oracle_sql() on the same sf dir, compare row count, column
 names and order-insensitive values. Usage:
 
-    python scripts/check_oracles.py [sf_dir] [query ...]
+    python scripts/check_oracles.py [--shuffle-joins] [sf_dir] [query ...]
+
+``--shuffle-joins`` sets ``stages.shuffle.BROADCAST_BYTES`` to -1 first,
+so every ``broadcast_or_join`` (and every other broadcastable check)
+takes its shuffle path: the oracles then certify the above-gate plans.
 """
 
 from __future__ import annotations
@@ -43,6 +47,11 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def main():
+    if "--shuffle-joins" in sys.argv:
+        sys.argv.remove("--shuffle-joins")
+        from odinson_ray.stages import shuffle
+
+        shuffle.BROADCAST_BYTES = -1
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 

@@ -359,3 +359,28 @@ def test_regex_queries_do_not_grow_engine_memos():
     for i in range(300):
         engine.query(f"[word=/{chr(97 + i % 26)}.{{0,{i // 26}}}/]")
     assert sizes() == before
+
+
+def test_term_masks_computed_once_per_query(monkeypatch):
+    """``sentence_mask`` and the token-sequence scan read one memoized
+    flat mask per term leaf: each term's mask is built once per query
+    and vocabulary."""
+    from odinson_ray.core.matcher import TokenSequenceQuery
+    from odinson_ray.core.sentence import BatchVocab
+
+    engine = _benchmark_style_engine()
+    pattern = "[word=the] [word=big]+"
+    assert isinstance(engine.mk_query(pattern), TokenSequenceQuery)
+    calls = []
+    term_mask = BatchVocab.term_mask
+
+    def counting(self, field, term):
+        calls.append((id(self), field, term))
+        return term_mask(self, field, term)
+
+    monkeypatch.setattr(BatchVocab, "term_mask", counting)
+    got = engine.query(pattern)
+    monkeypatch.undo()
+    assert got
+    assert calls and len(calls) == len(set(calls))
+    assert rows(got) == rows(oracle_query(engine, pattern))

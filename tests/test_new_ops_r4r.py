@@ -67,7 +67,9 @@ def test_tpch_q3_gate_paths_identical(monkeypatch):
 
     sf = "/root/testdata/sf0.001"
     a = q_tpch_q3(sf).to_pandas()
-    monkeypatch.setenv("TPCH_Q3_BROADCAST_GATE", "0")  # force semi join
+    from odinson_ray.stages import shuffle
+
+    monkeypatch.setattr(shuffle, "BROADCAST_BYTES", -1)  # force semi join
     b = q_tpch_q3(sf).to_pandas()
     a = a.sort_values(list(a.columns)).reset_index(drop=True)
     b = b.sort_values(list(b.columns)).reset_index(drop=True)

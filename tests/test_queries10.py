@@ -153,39 +153,3 @@ def test_ipc_empty_layout_keeps_schema(tmp_path):
     ds = read_ipc(root)
     assert ds.count() == 0
     assert set(ds.schema().names) == {"doc_id", "lang", "n_chars"}
-
-
-def test_adaptive_join_both_paths_identical(ray_tmp_factory=None):
-    """adaptive_inner_join broadcast path == hash_join path, including
-    duplicate keys on BOTH sides (cross product), null keys (never
-    match), and right-payload name collisions (suffix)."""
-    import ray.data
-
-    from odinson_ray.stages.shuffle import adaptive_inner_join
-
-    left = ray.data.from_arrow(pa.table({
-        "k": pa.array([1, 1, 2, 3, None, 5], pa.int64()),
-        "v": pa.array([10, 11, 20, 30, 40, 50], pa.int64()),
-    }))
-    right = ray.data.from_arrow(pa.table({
-        "rk": pa.array([1, 1, 2, None, 4], pa.int64()),
-        "v": pa.array([100, 101, 200, 300, 400], pa.int64()),
-        "w": pa.array(["a", "b", "c", "d", "e"], pa.string()),
-    }))
-    ls = pa.schema([("k", pa.int64()), ("v", pa.int64())])
-    rs = pa.schema([("rk", pa.int64()), ("v", pa.int64()),
-                    ("w", pa.string())])
-
-    def run(gate):
-        df = adaptive_inner_join(
-            left, right, on="k", right_on="rk", gate=gate,
-            left_schema=ls, right_schema=rs).to_pandas()
-        return (df.sort_values(list(df.columns))
-                .reset_index(drop=True))
-
-    bcast, hashp = run(10_000), run(0)
-    assert list(bcast.columns) == list(hashp.columns)
-    pd.testing.assert_frame_equal(bcast, hashp)
-    # 1 matches twice x its two left rows = 4 rows; 2 once; nulls drop
-    assert len(bcast) == 5
-    assert set(bcast.columns) == {"k", "v", "v_r", "w"}

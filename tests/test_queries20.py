@@ -154,6 +154,18 @@ def test_scc_decomposition_hand_graph():
                    "x": "x", "y": "x",
                    "i": "i", "o": "o", "o2": "o2"}
 
+    # a chain longer than three trim rounds can peel, plus a 3-cycle:
+    # trim hands what is left to the pivot phase instead of raising
+    chain = [f"n{i}" for i in range(8)]
+    edges = pa.table({
+        "src": pa.array(chain[:-1] + ["a", "b", "c"], pa.string()),
+        "dst": pa.array(chain[1:] + ["b", "c", "a"], pa.string()),
+    })
+    got = {r["entity"]: r["scc_id"]
+           for r in scc_decomposition(rdata.from_arrow(edges),
+                                      max_trim_rounds=3).take_all()}
+    assert got == {**{v: v for v in chain}, "a": "a", "b": "a", "c": "a"}
+
 
 @pytest.mark.usefixtures("ray_session")
 def test_scc_decomposition_pivot_guard():

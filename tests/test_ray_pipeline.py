@@ -75,7 +75,8 @@ def test_kg_pipeline_counts(sf_dir):
     assert df.subj_canon.str.startswith("ent:").all()
 
 
-def test_minhash_matches_exact_jaccard(sf_dir):
+def test_minhash_matches_exact_jaccard(sf_dir, monkeypatch):
+    from odinson_ray.stages import shuffle
     from odinson_ray.stages.dedup import jaccard, minhash_lsh_pairs
 
     pairs = minhash_lsh_pairs(sf_dir, threshold=0.9).to_pandas()
@@ -93,11 +94,10 @@ def test_minhash_matches_exact_jaccard(sf_dir):
                 exact.append((min(a, b), max(a, b)))
     got = {(min(r.a_id, r.b_id), max(r.a_id, r.b_id)) for r in pairs.itertuples()}
     assert got == set(exact)
-    # the distributed hash-join verify path (forced: broadcast gate 0)
+    # the distributed hash-join verify path (forced: broadcast size -1)
     # must return the identical pair set
-    joined = minhash_lsh_pairs(
-        sf_dir, threshold=0.9, broadcast_docs_threshold=0
-    ).to_pandas()
+    monkeypatch.setattr(shuffle, "BROADCAST_BYTES", -1)
+    joined = minhash_lsh_pairs(sf_dir, threshold=0.9).to_pandas()
     got_j = {(min(r.a_id, r.b_id), max(r.a_id, r.b_id)) for r in joined.itertuples()}
     assert got_j == got
 

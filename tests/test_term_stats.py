@@ -84,26 +84,29 @@ def test_shared_passage_pairs_matches_local(ray_session, sf_dir):
     assert got_pairs == want
 
 
-def test_tfidf_join_path_matches_broadcast(ray_session, sf_dir):
-    """broadcast_vocab_limit=0 forces the distributed hash-join path; its
+def test_tfidf_join_path_matches_broadcast(ray_session, sf_dir, monkeypatch):
+    """A broadcast size of -1 forces the distributed hash-join path; its
     output must be identical to the broadcast path (VERDICT r03 #1)."""
+    from odinson_ray.stages import shuffle
     from odinson_ray.stages.text import tfidf_top_term
 
     bc = tfidf_top_term(sf_dir).to_pandas().sort_values("doc_id").reset_index(drop=True)
+    monkeypatch.setattr(shuffle, "BROADCAST_BYTES", -1)
     jn = (
-        tfidf_top_term(sf_dir, broadcast_vocab_limit=0)
+        tfidf_top_term(sf_dir)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(bc[["doc_id", "top_term", "score"]],
                                   jn[["doc_id", "top_term", "score"]])
 
 
-def test_tfidf_min_df_prunes_tail(ray_session, sf_dir):
+def test_tfidf_min_df_prunes_tail(ray_session, sf_dir, monkeypatch):
     """min_df prunes rare terms from the vocabulary in BOTH paths; a doc
     whose best unpruned term differs must agree with a local recompute."""
     import math
     from collections import Counter
 
+    from odinson_ray.stages import shuffle
     from odinson_ray.stages.text import doc_frequency, tfidf_top_term
 
     min_df = 3
@@ -111,10 +114,12 @@ def test_tfidf_min_df_prunes_tail(ray_session, sf_dir):
     assert (dfs["df"] >= min_df).all()
 
     got = tfidf_top_term(sf_dir, min_df=min_df).to_pandas().set_index("doc_id")
+    monkeypatch.setattr(shuffle, "BROADCAST_BYTES", -1)
     got_join = (
-        tfidf_top_term(sf_dir, min_df=min_df, broadcast_vocab_limit=0)
+        tfidf_top_term(sf_dir, min_df=min_df)
         .to_pandas().set_index("doc_id").sort_index()
     )
+    monkeypatch.undo()
     pd.testing.assert_frame_equal(got.sort_index(), got_join)
 
     docs = pd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
