@@ -260,7 +260,6 @@ class SentenceIndex:
         fields: Dict[str, Sequence[str]],
         graph_edges: Sequence[Tuple[int, int, str]] = (),
         graph_roots: Sequence[int] = (),
-        presanitized: bool = False,
         prenormalized_labels: bool = False,
         take_ownership: bool = False,
         shared: Optional[SharedGraphContext] = None,
@@ -274,9 +273,6 @@ class SentenceIndex:
         if take_ownership:
             # caller guarantees fresh, sanitized lists: no defensive copy
             self.fields = fields
-        elif presanitized:
-            # trusted annotator output: skip the per-token sanitize copy
-            self.fields = {k: list(v) for k, v in fields.items() if v is not None}
         else:
             self.fields = {
                 k: [sanitize_token(t) for t in v] for k, v in fields.items() if v is not None

@@ -23,7 +23,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import combine_aggregate, partial_aggregate
+from odinson_ray.stages.shuffle import (coarse_groups, combine_aggregate,
+                                       partial_aggregate)
 
 
 def _rd():
@@ -2664,16 +2665,13 @@ def q_fuzzy_word_pairs(sf_dir: str):
     SymSpell-shaped: each word blocks on itself plus every
     single-character deletion (exact recall for d<=1 — a substitution
     shares a deletion key, an insertion's longer word deletes down to
-    the shorter), fingerprint-blocked candidates pair inside coarse
-    hash(key) partitions (tiny-group rule, r4 sweep — one group per
+    the shorter), fingerprint-blocked candidates pair inside one coarse
+    exchange on the key (tiny-group rule, r4 sweep — one group per
     fingerprint would dispatch one task per vocabulary variant), and an
     exact verify filters. The shuffle key is the deletion fingerprint —
     the full vocabulary never cross-products."""
     rd = _rd()
     from ray.data.aggregate import Count
-    from odinson_ray.stages.sketch import _splitmix64
-
-    PARTS = 256
 
     def vocab(t: pa.Table) -> pa.Table:
         toks = pc.split_pattern(t["p_name"], " ")
@@ -2696,23 +2694,8 @@ def q_fuzzy_word_pairs(sf_dir: str):
         return pa.table({"k": pa.array(keys, pa.string()),
                          "w": pa.array(ws, pa.string())})
 
-    def add_part(t: pa.Table) -> pa.Table:
-        import zlib
-        h = np.array([zlib.crc32(x.encode()) for x in t["k"].to_pylist()],
-                     dtype=np.uint64)
-        p = (_splitmix64(h) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def pairs_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[("k", "ascending"),
-                                          ("w", "ascending")])
-        g = g.take(o)
         nrow = g.num_rows
-        empty = pa.table({"a": pa.array([], pa.string()),
-                          "b": pa.array([], pa.string())})
-        if nrow == 0:
-            return empty
         ks = np.asarray(g["k"].to_pylist(), dtype=object)
         ws = np.asarray(g["w"].to_pylist(), dtype=object)
         # drop (k, w) duplicates, find fingerprint runs
@@ -2736,13 +2719,8 @@ def q_fuzzy_word_pairs(sf_dir: str):
         return pa.table({"a": pa.array(a, pa.string()),
                          "b": pa.array(b, pa.string())})
 
-    cand = (
-        words.map_batches(expand, batch_format="pyarrow")
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(lambda g: pairs_partition(g.drop_columns(["_p"])),
-                    batch_format="pyarrow")
-    )
+    cand = coarse_groups(words.map_batches(expand, batch_format="pyarrow"),
+                         ["k"], pairs_partition, ["w"])
     # a pair can collide under several deletion keys: dedup
     return (
         cand.groupby(["a", "b"]).aggregate(Count(alias_name="_c"))
@@ -2767,29 +2745,12 @@ ORACLES["fuzzy_word_pairs"] = ORACLE_FUZZY_WORD_PAIRS
 
 def q_user_event_history(sf_dir: str):
     """Per-user ordered event history (collect_list/string_agg class):
-    event ids concatenated in (ts, event_id) order. Segmented over coarse
-    hash(user) partitions (tiny-group rule, r4 sweep): ONE sort per
-    partition, one pandas run-grouped join per partition — per-user
-    map_groups would dispatch one task per user."""
-    from odinson_ray.stages.sketch import _splitmix64
-
+    event ids concatenated in (ts, event_id) order. One coarse exchange
+    on user (tiny-group rule, r4 sweep): one pandas run-grouped join per
+    partition — per-user map_groups would dispatch one task per user."""
     rd = _rd()
-    PARTS = 512
-
-    def add_part(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
 
     def history_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        idx = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
-                                            ("ts", "ascending"),
-                                            ("event_id", "ascending")])
-        g = g.take(idx)
-        if g.num_rows == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "history": pa.array([], pa.string())})
         u = g["user_id"].to_numpy(zero_copy_only=False)
         ev = pc.cast(g["event_id"], pa.string()).to_pandas()
         joined = ev.groupby(u, sort=True).agg(",".join)
@@ -2798,14 +2759,10 @@ def q_user_event_history(sf_dir: str):
             "history": pa.array(joined.to_numpy(), pa.string()),
         })
 
-    return (
+    return coarse_groups(
         rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["user_id", "ts", "event_id"])
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(lambda g: history_partition(g.drop_columns(["_p"])),
-                    batch_format="pyarrow")
-    )
+                        columns=["user_id", "ts", "event_id"]),
+        ["user_id"], history_partition, ["ts", "event_id"])
 
 
 ORACLE_USER_EVENT_HISTORY = """
@@ -2822,31 +2779,14 @@ ORACLES["user_event_history"] = ORACLE_USER_EVENT_HISTORY
 
 def q_event_gaps(sf_dir: str):
     """LAG window class: per event, microseconds since the user's
-    previous event ((ts, event_id) order; first event = -1). Segmented
-    over coarse hash(user) partitions (tiny-group rule): ONE sort per
-    partition, one vectorized diff with a reset mask at user changes —
-    per-user map_groups would pay ~2 ms dispatch per user."""
-    from odinson_ray.stages.sketch import _splitmix64
-
+    previous event ((ts, event_id) order; first event = -1). One coarse
+    exchange on user (tiny-group rule): one vectorized diff with a reset
+    mask at user changes — per-user map_groups would pay ~2 ms dispatch
+    per user."""
     rd = _rd()
-    PARTS = 512
-
-    def add_part(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
 
     def gaps_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        idx = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
-                                            ("ts", "ascending"),
-                                            ("event_id", "ascending")])
-        g = g.take(idx)
         n = g.num_rows
-        if n == 0:
-            return pa.table({"event_id": pa.array([], pa.int64()),
-                             "user_id": pa.array([], pa.int64()),
-                             "gap_us": pa.array([], pa.int64())})
         u = g["user_id"].to_numpy(zero_copy_only=False)
         ts = g["ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_numpy(
             zero_copy_only=False)
@@ -2859,14 +2799,10 @@ def q_event_gaps(sf_dir: str):
             "gap_us": pa.array(gap, pa.int64()),
         })
 
-    return (
+    return coarse_groups(
         rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["user_id", "ts", "event_id"])
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(lambda g: gaps_partition(g.drop_columns(["_p"])),
-                    batch_format="pyarrow")
-    )
+                        columns=["user_id", "ts", "event_id"]),
+        ["user_id"], gaps_partition, ["ts", "event_id"])
 
 
 ORACLE_EVENT_GAPS = """
@@ -3418,21 +3354,8 @@ def q_doc_perplexity(sf_dir: str):
         return partial_aggregate(bi.select(["head", "next"]), ["head", "next"],
                                  [("partial_n", None, "count_all")])
 
-    MODEL_PARTS = 512
-
-    def add_head_part(t: pa.Table) -> pa.Table:
-        import zlib
-        h = np.array([zlib.crc32(x.encode()) for x in t["head"].to_pylist()],
-                     dtype=np.int64)
-        return t.append_column("_p", pa.array(h % MODEL_PARTS, pa.int64()))
-
     def model_partition(g: pa.Table) -> pa.Table:
         """One coarse partition of heads -> (bg, c_bg, c_head) rows."""
-        g = g.combine_chunks()
-        if g.num_rows == 0:
-            return pa.table({"bg": pa.array([], pa.string()),
-                             "c_bg": pa.array([], pa.int64()),
-                             "c_head": pa.array([], pa.int64())})
         agg = partial_aggregate(g, ["head", "next"],
                                 [("c_bg", "partial_n", "sum")])
         hd = partial_aggregate(agg, ["head"], [("c_head", "c_bg", "sum")])
@@ -3444,13 +3367,9 @@ def q_doc_perplexity(sf_dir: str):
             "c_head": j["c_head"],
         })
 
-    model_full = (
-        docs.map_batches(model_partial, batch_format="pyarrow")
-        .map_batches(add_head_part, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(lambda g: model_partition(g.drop_columns(["_p"])),
-                    batch_format="pyarrow")
-    )
+    model_full = coarse_groups(
+        docs.map_batches(model_partial, batch_format="pyarrow"),
+        ["head"], model_partition)
 
     def doc_rows(t: pa.Table) -> pa.Table:
         bi = _bigram_tbl(t)
@@ -3486,7 +3405,7 @@ def q_doc_perplexity(sf_dir: str):
         doc_bg, model_full, on="bg",
         left_schema=pa.schema([("doc_id", i64), ("bg", s), ("n_pos", i64)]),
         right_schema=pa.schema([("bg", s), ("c_bg", i64), ("c_head", i64)]),
-        merge_post=score_group, merge_post_coarse=True)
+        merge_post=score_group)
 
     sums = combine_aggregate(joined, "doc_id",
                              [("nll", "_nll", "sum"), ("n", "_n", "sum")])
@@ -3820,8 +3739,6 @@ def q_line_dedup(sf_dir: str):
     # stay under 2^41 for the pack to fit int64.
     LN_CAP = 1 << 22
     from ray.data.aggregate import Min
-    from odinson_ray.stages.sketch import _splitmix64
-    PARTS = 512
 
     def pack(t: pa.Table) -> pa.Table:
         d = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -3833,21 +3750,11 @@ def q_line_dedup(sf_dir: str):
 
     def unpack(t: pa.Table) -> pa.Table:
         ok = t["okey"].to_numpy(zero_copy_only=False)
-        d = ok // LN_CAP
-        p = (_splitmix64(d.astype(np.uint64)) % np.uint64(PARTS)).astype(np.int64)
-        return pa.table({"doc_id": pa.array(d, pa.int64()),
+        return pa.table({"doc_id": pa.array(ok // LN_CAP, pa.int64()),
                          "line_no": pa.array(ok % LN_CAP, pa.int64()),
-                         "line": t["line"],
-                         "_p": pa.array(p, pa.int64())})
+                         "line": t["line"]})
 
     def reassemble_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        idx = pc.sort_indices(g, sort_keys=[("doc_id", "ascending"),
-                                            ("line_no", "ascending")])
-        g = g.take(idx)
-        if g.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "text": pa.array([], pa.string())})
         d = g["doc_id"].to_numpy(zero_copy_only=False)
         joined = g["line"].to_pandas().groupby(d, sort=True).agg(" ".join)
         return pa.table({
@@ -3859,9 +3766,8 @@ def q_line_dedup(sf_dir: str):
     kept = (lines.map_batches(pack, batch_format="pyarrow")
             .groupby("line").aggregate(Min("okey", alias_name="okey"))
             .map_batches(unpack, batch_format="pyarrow"))
-    return (kept.groupby("_p")
-            .map_groups(lambda g: reassemble_partition(g.drop_columns(["_p"])),
-                        batch_format="pyarrow"))
+    return coarse_groups(kept, ["doc_id"], reassemble_partition,
+                         ["line_no"])
 
 
 ORACLE_LINE_DEDUP = """
@@ -3930,19 +3836,14 @@ ORACLES["group_sample_k"] = ORACLE_GROUP_SAMPLE_K
 
 # ===================================== Bloom-filter semi join
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    x = (x + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    return x ^ (x >> np.uint64(31))
-
-
 _BLOOM_BITS = 1 << 17  # 16 KiB bitmap, fixed regardless of key count
 _BLOOM_K = 4
 
 
 def _bloom_positions(keys: np.ndarray) -> np.ndarray:
     """(n, k) bit positions via double hashing of splitmix64."""
+    from odinson_ray.stages.sketch import _splitmix64
+
     k64 = keys.astype(np.uint64)
     h1 = _splitmix64(k64)
     h2 = _splitmix64(k64 ^ np.uint64(0xDEADBEEFCAFEF00D)) | np.uint64(1)
@@ -4014,67 +3915,6 @@ WHERE o_custkey IN (SELECT c_custkey FROM customer WHERE c_acctbal > 9000.0)
 
 QUERIES["bloom_semi_join"] = q_bloom_semi_join
 ORACLES["bloom_semi_join"] = ORACLE_BLOOM_SEMI_JOIN
-
-
-# ===================================== CUBE grouping sets from one combiner
-
-def q_cube_lineitem(sf_dir: str):
-    """GROUP BY CUBE (l_returnflag, l_linestatus): all FOUR grouping sets
-    derived inside the per-batch combiner (<= |fxs| + |f| + |s| + 1 rows
-    per batch), one global groupby serves every set — same shape as
-    rollup_lineitem with the status-only set added."""
-    rd = _rd()
-    from ray.data.aggregate import Sum
-
-    ALL = "__ALL__"
-
-    def partial(t: pa.Table) -> pa.Table:
-        base = pa.table({
-            "l_returnflag": t["l_returnflag"],
-            "l_linestatus": t["l_linestatus"],
-            "q": t["l_quantity"],
-        })
-        both = partial_aggregate(base, ["l_returnflag", "l_linestatus"],
-                                 [("partial_q", "q", "sum")])
-        flag = partial_aggregate(base, ["l_returnflag"],
-                                 [("partial_q", "q", "sum")])
-        flag = flag.add_column(1, "l_linestatus",
-                               pa.array([ALL] * flag.num_rows, pa.string()))
-        stat = partial_aggregate(base, ["l_linestatus"],
-                                 [("partial_q", "q", "sum")])
-        stat = stat.add_column(0, "l_returnflag",
-                               pa.array([ALL] * stat.num_rows, pa.string()))
-        tot = pa.table({
-            "l_returnflag": pa.array([ALL], pa.string()),
-            "l_linestatus": pa.array([ALL], pa.string()),
-            "partial_q": pa.array([pc.sum(base["q"]).as_py() or 0.0],
-                                  pa.float64()),
-        })
-        return pa.concat_tables([both, flag, stat, tot], promote_options="default")
-
-    agg = (
-        rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                        columns=["l_returnflag", "l_linestatus", "l_quantity"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(Sum("partial_q", alias_name="sum_qty"))
-    )
-    return agg.map_batches(
-        lambda t: t.set_column(t.column_names.index("sum_qty"), "sum_qty",
-                               pc.round(t["sum_qty"], 2)),
-        batch_format="pyarrow",
-    )
-
-
-ORACLE_CUBE_LINEITEM = """
-SELECT COALESCE(l_returnflag, '__ALL__') AS l_returnflag,
-       COALESCE(l_linestatus, '__ALL__') AS l_linestatus,
-       round(sum(l_quantity), 2) AS sum_qty
-FROM lineitem GROUP BY CUBE (l_returnflag, l_linestatus)
-"""
-
-QUERIES["cube_lineitem"] = q_cube_lineitem
-ORACLES["cube_lineitem"] = ORACLE_CUBE_LINEITEM
 
 
 # ===================================== distributed exact percent_rank
@@ -4677,29 +4517,13 @@ def q_moving_avg(sf_dir: str, frame: int = 3):
     """Per-user moving average over the last ``frame`` events (SQL ROWS
     BETWEEN 2 PRECEDING AND CURRENT ROW) — the ROWS-frame cousin of
     event_gaps' LAG. Per-group sliding sums via one cumsum + shifted
-    difference (no Python loop). Segmented over coarse hash(user)
-    partitions (tiny-group rule, r4 sweep): ONE sort per partition, the
-    frame clamp folds the per-user reset in as max(i-frame+1, run_start)."""
-    from odinson_ray.stages.sketch import _splitmix64
-
+    difference (no Python loop). One coarse exchange on user (tiny-group
+    rule, r4 sweep): the frame clamp folds the per-user reset in as
+    max(i-frame+1, run_start)."""
     rd = _rd()
-    PARTS = 512
-
-    def add_part(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
 
     def mavg_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        idx = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
-                                            ("ts", "ascending"),
-                                            ("event_id", "ascending")])
-        g = g.take(idx)
         n = g.num_rows
-        if n == 0:
-            return pa.table({"event_id": pa.array([], pa.int64()),
-                             "mavg3": pa.array([], pa.float64())})
         u = g["user_id"].to_numpy(zero_copy_only=False)
         v = g["value"].to_numpy(zero_copy_only=False)
         i = np.arange(n)
@@ -4717,14 +4541,10 @@ def q_moving_avg(sf_dir: str, frame: int = 3):
             "mavg3": pa.array(np.round(s / k, 6), pa.float64()),
         })
 
-    return (
+    return coarse_groups(
         rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["user_id", "ts", "event_id", "value"])
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(lambda g: mavg_partition(g.drop_columns(["_p"])),
-                    batch_format="pyarrow")
-    )
+                        columns=["user_id", "ts", "event_id", "value"]),
+        ["user_id"], mavg_partition, ["ts", "event_id"])
 
 
 ORACLE_MOVING_AVG = """
@@ -4963,28 +4783,10 @@ def q_neardup_keep_best(sf_dir: str):
             "partial_n": pa.array(runs, pa.int64()),
         })
 
-    # final per-group argmax + size over coarse hash(group) partitions
+    # final per-group argmax + size over one coarse exchange on group
     # (tiny-group rule, r4 sweep — one group per cluster would dispatch
-    # one task per cluster): ONE sort per partition, run-first pick and
-    # reduceat size sum
-    from odinson_ray.stages.sketch import _splitmix64
-    PARTS = 512
-
-    def add_part(t: pa.Table) -> pa.Table:
-        gid = t["group_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(gid) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
+    # one task per cluster): run-first pick and reduceat size sum
     def best_final_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        idx = pc.sort_indices(g, sort_keys=[
-            ("group_id", "ascending"), ("kept_n_chars", "descending"),
-            ("kept_doc_id", "ascending")])
-        g = g.take(idx)
-        if g.num_rows == 0:
-            return pa.table({"group_id": pa.array([], pa.int64()),
-                             "kept_doc_id": pa.array([], pa.int64()),
-                             "group_size": pa.array([], pa.int64())})
         gid = g["group_id"].to_numpy(zero_copy_only=False)
         first = np.concatenate(([True], gid[1:] != gid[:-1]))
         starts = np.flatnonzero(first)
@@ -4997,11 +4799,10 @@ def q_neardup_keep_best(sf_dir: str):
             "group_size": pa.array(sizes.astype(np.int64), pa.int64()),
         })
 
-    return (joined.map_batches(best_partial, batch_format="pyarrow")
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(lambda g: best_final_partition(g.drop_columns(["_p"])),
-                        batch_format="pyarrow"))
+    return coarse_groups(
+        joined.map_batches(best_partial, batch_format="pyarrow"),
+        ["group_id"], best_final_partition,
+        [("kept_n_chars", "descending"), "kept_doc_id"])
 
 
 ORACLE_NEARDUP_KEEP_BEST = """
@@ -5319,32 +5120,15 @@ def q_user_ewma(sf_dir: str, alpha: float = 0.3):
     """Per-user exponentially weighted moving average of value over
     (ts, event_id) order, reporting each user's final smoothed level —
     the classic online-feature recurrence s_t = a*v_t + (1-a)*s_{t-1}.
-    Inherently sequential per key; segmented over coarse hash(user)
-    partitions (tiny-group rule, r4 sweep): ONE sort per partition, then
-    pandas' grouped C ewm kernel over the whole partition (per-user reset
-    is native to groupby().ewm()) — no Python loop, no per-user dispatch.
-    RECURSIVE -> no SQL oracle (DuckDB has no ewm); the pytest checks
-    against pandas groupby().ewm() directly."""
-    from odinson_ray.stages.sketch import _splitmix64
-
+    Inherently sequential per key; one coarse exchange on user
+    (tiny-group rule, r4 sweep), then pandas' grouped C ewm kernel over
+    the whole partition (per-user reset is native to groupby().ewm()) —
+    no Python loop, no per-user dispatch. RECURSIVE -> no SQL oracle
+    (DuckDB has no ewm); the pytest checks against pandas
+    groupby().ewm() directly."""
     rd = _rd()
-    PARTS = 512
-
-    def add_part(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
 
     def ewma_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        idx = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
-                                            ("ts", "ascending"),
-                                            ("event_id", "ascending")])
-        g = g.take(idx)
-        if g.num_rows == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64()),
-                             "ewma": pa.array([], pa.float64())})
         df = pd.DataFrame({
             "u": g["user_id"].to_numpy(zero_copy_only=False),
             "v": g["value"].to_numpy(zero_copy_only=False),
@@ -5362,14 +5146,10 @@ def q_user_ewma(sf_dir: str, alpha: float = 0.3):
             "ewma": pa.array(np.round(last, 6), pa.float64()),
         })
 
-    return (
+    return coarse_groups(
         rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["user_id", "ts", "event_id", "value"])
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(lambda g: ewma_partition(g.drop_columns(["_p"])),
-                    batch_format="pyarrow")
-    )
+                        columns=["user_id", "ts", "event_id", "value"]),
+        ["user_id"], ewma_partition, ["ts", "event_id"])
 
 
 QUERIES["user_ewma"] = q_user_ewma
@@ -5499,16 +5279,16 @@ def q_cohort_retention(sf_dir: str):
     the standard growth/retention matrix.
 
     Shape (tiny-group rule): per-batch (user, week) dedup packed into one
-    int64, ONE shuffle on hash(user) % 256 coarse partitions (all rows of
-    a user co-located, so per-partition counts are exact distinct counts
-    and disjoint across partitions), segmented numpy resolve (global
+    int64, ONE coarse exchange on user (all rows of a user co-located,
+    so per-partition counts are exact distinct counts and disjoint
+    across partitions), segmented numpy resolve (global
     (user, week) dedup, per-user min via run boundaries, LOCAL
     (cohort, offset) cells), then a small global groupby sum over cells.
     The wide stream is shuffled once; the second shuffle moves only
     per-partition cells. Packing bound: week index < 2^20 (year ~21800),
     collision-free for user_id < 2^43."""
     rd = _rd()
-    P, W = 256, 1 << 20
+    W = 1 << 20
 
     def proj(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")),
@@ -5516,10 +5296,8 @@ def q_cohort_retention(sf_dir: str):
         week = us // 1_000_000 // 86_400 // 7
         uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         comp = np.unique(uid * W + week)
-        part = ((comp // W).astype(np.uint64) * np.uint64(2654435761)) \
-            % np.uint64(1 << 32) % np.uint64(P)
-        return pa.table({"_c": pa.array(comp, pa.int64()),
-                         "_p": pa.array(part.astype(np.int64), pa.int64())})
+        return pa.table({"_u": pa.array(comp // W, pa.int64()),
+                         "_c": pa.array(comp, pa.int64())})
 
     def resolve(g: pa.Table) -> pa.Table:
         comp = np.unique(g["_c"].to_numpy(zero_copy_only=False))
@@ -5537,11 +5315,10 @@ def q_cohort_retention(sf_dir: str):
         })
 
     cells = (
-        rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["user_id", "ts"])
-        .map_batches(proj, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(resolve, batch_format="pyarrow")
+        coarse_groups(rd.read_parquet(f"{sf_dir}/events.parquet",
+                                      columns=["user_id", "ts"])
+                      .map_batches(proj, batch_format="pyarrow"),
+                      ["_u"], resolve)
         .groupby(["cohort_week", "week_offset"])
         .sum("_n")
     )
@@ -6547,17 +6324,14 @@ def q_basket_pairs(sf_dir: str):
     """Co-occurrence counts of event-type pairs within a (user, day)
     basket. Baskets are ~5 rows — per-basket map_groups would pay the
     tiny-group dispatch tax (the round-4 lesson) — so baskets are
-    co-located with ONE shuffle on hash(user, day) %% 256 coarse
-    partitions and paired with segmented numpy per partition: lexsort,
-    run boundaries, per-run upper-triangle index arithmetic. Pair counts
-    then fold through a small groupby."""
+    co-located with ONE coarse exchange on (user, day) and paired with
+    segmented numpy per partition: run boundaries, per-run
+    upper-triangle index arithmetic. Pair counts then fold through a
+    small groupby."""
     from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.sketch import _splitmix64
 
     rd = _rd()
     day_us = 86400 * 1_000_000
-    PARTS = 256
 
     def distinct_triples(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
@@ -6565,20 +6339,10 @@ def q_basket_pairs(sf_dir: str):
         return pa.table({"user_id": t["user_id"], "day": day,
                          "event_type": t["event_type"]})
 
-    def add_part(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        d = t["day"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u * np.uint64(1_000_003) + d)
-             % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def pair_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
         u = g["user_id"].to_numpy(zero_copy_only=False)
         d = g["day"].to_numpy(zero_copy_only=False)
         ty = np.asarray(g["event_type"].to_pylist(), dtype=object)
-        order = np.lexsort((ty, d, u))
-        u, d, ty = u[order], d[order], ty[order]
         starts = np.concatenate(
             ([0], np.flatnonzero((u[1:] != u[:-1]) | (d[1:] != d[:-1])) + 1,
              [len(u)]))
@@ -6603,15 +6367,14 @@ def q_basket_pairs(sf_dir: str):
         return partial_aggregate(base, ["ta", "tb"],
                                  [("_n", None, "count_all")])
 
+    baskets = combine_aggregate(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["user_id", "ts", "event_type"])
+        .map_batches(distinct_triples, batch_format="pyarrow"),
+        ["user_id", "day", "event_type"], [])
     return (
-        combine_aggregate(
-            rd.read_parquet(f"{sf_dir}/events.parquet",
-                            columns=["user_id", "ts", "event_type"])
-            .map_batches(distinct_triples, batch_format="pyarrow"),
-            ["user_id", "day", "event_type"], [])
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(pair_partition, batch_format="pyarrow")
+        coarse_groups(baskets, ["user_id", "day"], pair_partition,
+                      ["event_type"])
         .groupby(["ta", "tb"])
         .aggregate(Sum("_n", alias_name="n"))
     )
@@ -6639,13 +6402,11 @@ def q_user_top3_types(sf_dir: str):
     """Per-user ordered string_agg of the top-3 event types by count
     (count DESC, type ASC). Counts come from the distinct-pairs
     combiner; grouped_topk bounds each user to 3 rows; the concat runs
-    segmented-numpy inside coarse hash partitions (3-row groups are the
+    segmented-numpy inside one coarse exchange (3-row groups are the
     tiny-group case, never one task each)."""
     from odinson_ray.stages.shuffle import grouped_topk
-    from odinson_ray.stages.sketch import _splitmix64
 
     rd = _rd()
-    PARTS = 256
 
     per_type = combine_aggregate(
         rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -6654,18 +6415,9 @@ def q_user_top3_types(sf_dir: str):
     top3 = grouped_topk(per_type, by="user_id", cols=["n", "event_type"],
                         descending=[True, False], k=3)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def concat_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
         u = g["user_id"].to_numpy(zero_copy_only=False)
-        n = g["n"].to_numpy(zero_copy_only=False)
         ty = np.asarray(g["event_type"].to_pylist(), dtype=object)
-        order = np.lexsort((ty, -n, u))
-        u, ty = u[order], ty[order]
         starts = np.concatenate(
             ([0], np.flatnonzero(u[1:] != u[:-1]) + 1, [len(u)]))
         users, tops = [], []
@@ -6675,9 +6427,8 @@ def q_user_top3_types(sf_dir: str):
         return pa.table({"user_id": pa.array(users, pa.int64()),
                          "top_types": pa.array(tops, pa.string())})
 
-    return (top3.map_batches(add_part, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(concat_partition, batch_format="pyarrow"))
+    return coarse_groups(top3, ["user_id"], concat_partition,
+                         [("n", "descending"), "event_type"])
 
 
 ORACLE_USER_TOP3_TYPES = """
@@ -6748,13 +6499,11 @@ def q_kg_provenance(sf_dir: str, k_docs: int = 5):
     boilerplate triple's full doc set never lands in one task)."""
     from odinson_ray.stages.canon import canonicalize_dataset
     from odinson_ray.stages.shuffle import grouped_topk, hash_join
-    from odinson_ray.stages.sketch import _splitmix64
     from odinson_ray.stages.triples import mentions_to_triples
 
     from .kg import mentions_dataset
 
     SEP = "\x1f"
-    PARTS = 256
 
     mentions = mentions_dataset(sf_dir).map_batches(
         lambda t: t.filter(pc.equal(t["label"], "SVO")),
@@ -6776,20 +6525,9 @@ def q_kg_provenance(sf_dir: str, k_docs: int = 5):
     top = grouped_topk(td, by="tk", cols=["doc_id"], descending=[False],
                        k=k_docs)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        import zlib
-
-        h = np.array([zlib.crc32(x.encode())
-                      for x in t["tk"].to_pylist()], dtype=np.uint64)
-        p = (_splitmix64(h) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def concat_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
         tk = np.asarray(g["tk"].to_pylist(), dtype=object)
         d = np.asarray(g["doc_id"].to_pylist(), dtype=object)
-        order = np.lexsort((d, tk))
-        tk, d = tk[order], d[order]
         starts = np.concatenate(
             ([0], np.flatnonzero(tk[1:] != tk[:-1]) + 1, [len(tk)]))
         keys, docs = [], []
@@ -6799,9 +6537,7 @@ def q_kg_provenance(sf_dir: str, k_docs: int = 5):
         return pa.table({"tk": pa.array(keys, pa.string()),
                          "docs": pa.array(docs, pa.string())})
 
-    posts = (top.map_batches(add_part, batch_format="pyarrow")
-             .groupby("_p").map_groups(concat_partition,
-                                       batch_format="pyarrow"))
+    posts = coarse_groups(top, ["tk"], concat_partition, ["doc_id"])
 
     joined = hash_join(
         ndocs, posts, on="tk",

@@ -18,7 +18,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from odinson_ray.stages.shuffle import (
-    broadcast_or_join, combine_aggregate, global_topk, partial_aggregate)
+    broadcast_or_join, coarse_groups, combine_aggregate, global_topk,
+    partial_aggregate)
 
 
 def _rd():
@@ -101,36 +102,19 @@ ORDER BY revenue_cents DESC, c_custkey LIMIT 20
 
 # ===================================== 3-step funnel progression
 
-def q_funnel3_users(sf_dir: str, parts: int = 512):
+def q_funnel3_users(sf_dir: str):
     """Per-user funnel depth over view -> click -> purchase with strict
     sequential semantics (the click must follow the FIRST view, the
     purchase must follow THAT click; ties break by event_id). One
-    coarse hash(user) shuffle; inside each partition a single sort and
-    three masked ``np.minimum.reduceat`` sweeps compute every user's
-    first-view / first-click-after / first-purchase-after positions at
-    once — no per-user task, no iteration over steps x users."""
-    from odinson_ray.stages.sketch import _splitmix64
-
+    coarse exchange on user; inside each partition three masked
+    ``np.minimum.reduceat`` sweeps compute every user's first-view /
+    first-click-after / first-purchase-after positions at once — no
+    per-user task, no iteration over steps x users."""
     rd = _rd()
     kinds = pa.array(["view", "click", "purchase"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["event_type"], kinds))
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def funnel_partition(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_p"]).combine_chunks()
-        idx = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
-                                            ("ts", "ascending"),
-                                            ("event_id", "ascending")])
-        g = g.take(idx)
         n = g.num_rows
-        empty = pa.table({"user_id": pa.array([], pa.int64()),
-                          "steps": pa.array([], pa.int64())})
-        if n == 0:
-            return empty
         u = g["user_id"].to_numpy(zero_copy_only=False)
         et = g["event_type"].to_numpy(zero_copy_only=False)
         starts = np.concatenate(([0], np.flatnonzero(u[1:] != u[:-1]) + 1))
@@ -152,12 +136,12 @@ def q_funnel3_users(sf_dir: str, parts: int = 512):
             "user_id": pa.array(u[starts[has_view]], pa.int64()),
             "steps": pa.array(steps, pa.int64())})
 
-    return (rd.read_parquet(f"{sf_dir}/events.parquet",
-                            columns=["user_id", "ts", "event_id",
-                                     "event_type"])
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(funnel_partition, batch_format="pyarrow"))
+    return coarse_groups(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["user_id", "ts", "event_id", "event_type"])
+        .map_batches(lambda t: t.filter(pc.is_in(t["event_type"], kinds)),
+                     batch_format="pyarrow"),
+        ["user_id"], funnel_partition, ["ts", "event_id"])
 
 
 ORACLE_FUNNEL3 = """

@@ -13,7 +13,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import combine_aggregate
+from odinson_ray.stages.shuffle import coarse_groups, combine_aggregate
 
 
 def _rd():
@@ -24,36 +24,19 @@ def _rd():
 
 # ===================================== rolling p90 (ROWS frame quantile)
 
-def q_rolling_p90_value(sf_dir: str, frame: int = 5, q: float = 0.9,
-                        parts: int = 512):
+def q_rolling_p90_value(sf_dir: str, frame: int = 5, q: float = 0.9):
     """Per event: the q-quantile of the trailing ``frame`` values within
     the user's (ts, event_id) order — the frame-holding window aggregate
     (unlike moving_avg, a quantile can't be cumsum-decomposed; the frame
-    itself must be materialized). One coarse hash(user) shuffle; inside
-    each partition ONE sort, then every row's frame comes from a single
-    (n x frame) sliding-window view with run boundaries masked to NaN —
-    no per-user task, no per-row loop. Frame memory is n x frame per
-    partition, bounded by the partition size, independent of key skew."""
-    from odinson_ray.stages.sketch import _splitmix64
-
+    itself must be materialized). One coarse exchange on user; inside
+    each partition every row's frame comes from a single (n x frame)
+    sliding-window view with run boundaries masked to NaN — no per-user
+    task, no per-row loop. Frame memory is n x frame per partition,
+    bounded by the partition size, independent of key skew."""
     rd = _rd()
 
-    def add_part(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def roll_partition(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_p"]).combine_chunks()
-        idx = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
-                                            ("ts", "ascending"),
-                                            ("event_id", "ascending")])
-        g = g.take(idx)
         n = g.num_rows
-        if n == 0:
-            return pa.table({"event_id": pa.array([], pa.int64()),
-                             "user_id": pa.array([], pa.int64()),
-                             "p90": pa.array([], pa.float64())})
         u = g["user_id"].to_numpy(zero_copy_only=False)
         v = g["value"].to_numpy(zero_copy_only=False).astype(np.float64)
         starts = np.concatenate(([0], np.flatnonzero(u[1:] != u[:-1]) + 1))
@@ -80,11 +63,10 @@ def q_rolling_p90_value(sf_dir: str, frame: int = 5, q: float = 0.9,
             "p90": pc.round(pa.array(p90, pa.float64()), ndigits=6,
                             round_mode="half_towards_infinity")})
 
-    return (rd.read_parquet(f"{sf_dir}/events.parquet",
-                            columns=["event_id", "user_id", "ts", "value"])
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(roll_partition, batch_format="pyarrow"))
+    return coarse_groups(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["event_id", "user_id", "ts", "value"]),
+        ["user_id"], roll_partition, ["ts", "event_id"])
 
 
 ORACLE_ROLLING_P90 = """

@@ -19,7 +19,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from odinson_ray.stages.shuffle import (
-    combine_aggregate, global_topk, grouped_topk, hash_join, partial_aggregate)
+    coarse_groups, combine_aggregate, global_topk, grouped_topk, hash_join,
+    partial_aggregate)
 
 _DAY_US = 86_400 * 1_000_000
 
@@ -112,7 +113,7 @@ def q_waiting_suppliers(sf_dir: str, late_days: int = 60, k: int = 10):
                                ("l_shipdate", pa.timestamp("us"))]),
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("o_orderdate", pa.timestamp("us"))]),
-        merge_post=per_order, merge_post_coarse=True)
+        merge_post=per_order)
     agg = partials.groupby("l_suppkey").aggregate(
         Sum("pw", alias_name="numwait"))
     return global_topk(agg, ["numwait", "l_suppkey"], [True, False], k)
@@ -899,8 +900,7 @@ GROUP BY sig.v
 
 # ===================================== length-3 sequential pattern mining
 
-def q_seq3_patterns(sf_dir: str, bucket_s: int = 86400,
-                    partitions: int = 256):
+def q_seq3_patterns(sf_dir: str, bucket_s: int = 86400):
     """Contiguous length-3 event-type sequences per user (sequential
     pattern mining's fixed-length core; generalizes event_transitions'
     bigrams): counts of (a, b, c) over each user's (ts, event_id)-sorted
@@ -908,41 +908,26 @@ def q_seq3_patterns(sf_dir: str, bucket_s: int = 86400,
 
     Skew-safe two-stage under the SEGMENTED tiny-group rule (the
     asof/sessionize lesson: never one task per (user, bucket)): stage 1
-    shuffles on hash(user, day-bucket) % ``partitions`` — COARSE
-    partitions — and one sort + segment arithmetic per partition counts
-    every within-bucket triple and emits ONE boundary row per segment
-    whose payload is the bucket's first two + last two event types
-    (count<=4 buckets carry everything — reconstructible from
-    first2+last2; bigger buckets insert a gap sentinel). Stage 2
-    shuffles the boundary rows on hash(user) % ``partitions`` and per
-    user rebuilds the reduced stream in bucket order, counting ONLY
-    windows that span a bucket change — every triple of the true stream
-    is counted exactly once. No task ever holds more than one coarse
-    partition's rows, and group dispatch never scales with user count."""
-    from odinson_ray.stages.sketch import _splitmix64
+    is a coarse exchange on (user, day-bucket) whose segment arithmetic
+    counts every within-bucket triple and emits ONE boundary row per
+    segment whose payload is the bucket's first two + last two event
+    types (count<=4 buckets carry everything — reconstructible from
+    first2+last2; bigger buckets insert a gap sentinel). Stage 2 is a
+    coarse exchange of the boundary rows on user that rebuilds each
+    user's reduced stream in bucket order, counting ONLY windows that
+    span a bucket change — every triple of the true stream is counted
+    exactly once. No task ever holds more than one coarse partition's
+    rows, and group dispatch never scales with user count."""
     from odinson_ray.stages.window import _with_bucket
 
     rd = _rd()
     GAP = "\x00"
     SEP = "\x1f"
 
-    def add_part(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["_bucket"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = _splitmix64(u ^ _splitmix64(b))
-        return t.append_column(
-            "_p", pa.array((h % np.uint64(partitions)).astype(np.int64)))
-
     def seg_partials(g: pa.Table) -> pa.Table:
-        tsv = pc.cast(pc.cast(g["ts"], pa.timestamp("us")),
-                      pa.int64()).to_numpy(zero_copy_only=False)
-        ids = pc.cast(g["event_id"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        users = g["user_id"].to_numpy(zero_copy_only=False)
-        buckets = g["_bucket"].to_numpy(zero_copy_only=False)
-        types = np.asarray(g["event_type"].to_pylist(), dtype=object)
-        o = np.lexsort((ids, tsv, buckets, users))
-        t, u, b = types[o], users[o], buckets[o]
+        u = g["user_id"].to_numpy(zero_copy_only=False)
+        b = g["_bucket"].to_numpy(zero_copy_only=False)
+        t = np.asarray(g["event_type"].to_pylist(), dtype=object)
         n = len(t)
         change = np.concatenate(
             [[True], (u[1:] != u[:-1]) | (b[1:] != b[:-1])])
@@ -991,14 +976,12 @@ def q_seq3_patterns(sf_dir: str, bucket_s: int = 86400,
             "_n": pa.array(cols["_n"], pa.int64()),
         })
 
-    stage1 = (
+    stage1 = coarse_groups(
         rd.read_parquet(f"{sf_dir}/events.parquet",
                         columns=["event_id", "ts", "user_id", "event_type"])
-        .map_batches(lambda t: add_part(_with_bucket(t, "ts", bucket_s)),
-                     batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(lambda g: seg_partials(g.drop_columns(["_p"])),
-                    batch_format="pyarrow")
+        .map_batches(lambda t: _with_bucket(t, "ts", bucket_s),
+                     batch_format="pyarrow"),
+        ["user_id", "_bucket"], seg_partials, ["ts", "event_id"]
     ).materialize()
 
     within = stage1.map_batches(
@@ -1006,19 +989,9 @@ def q_seq3_patterns(sf_dir: str, bucket_s: int = 86400,
         .select(["_a", "_b", "_c", "_n"]),
         batch_format="pyarrow")
 
-    def add_upart(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column(
-            "_p", pa.array((_splitmix64(u) % np.uint64(partitions))
-                           .astype(np.int64)))
-
     def seg_merge(g: pa.Table) -> pa.Table:
-        g = g.filter(pc.equal(g["_kind"], 1))
         u = g["user_id"].to_numpy(zero_copy_only=False)
-        b = g["_bucket"].to_numpy(zero_copy_only=False)
         payloads = np.asarray(g["_a"].to_pylist(), dtype=object)
-        o = np.lexsort((b, u))
-        u, payloads = u[o], payloads[o]
         a_l, b_l, c_l = [], [], []
         i = 0
         while i < len(u):
@@ -1048,10 +1021,10 @@ def q_seq3_patterns(sf_dir: str, bucket_s: int = 86400,
         return partial_aggregate(trip, ["_a", "_b", "_c"],
                                  [("_n", None, "count_all")])
 
-    across = (stage1.map_batches(add_upart, batch_format="pyarrow")
-              .groupby("_p")
-              .map_groups(lambda g: seg_merge(g.drop_columns(["_p"])),
-                          batch_format="pyarrow"))
+    across = coarse_groups(
+        stage1.map_batches(lambda t: t.filter(pc.equal(t["_kind"], 1)),
+                           batch_format="pyarrow"),
+        ["user_id"], seg_merge, ["_bucket"])
 
     return (combine_aggregate(within.union(across), ["_a", "_b", "_c"],
                               [("n", "_n", "sum")])

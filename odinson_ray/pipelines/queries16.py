@@ -21,7 +21,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from odinson_ray.stages.shuffle import (
-    broadcast_or_join, combine_aggregate, hash_join, partial_aggregate)
+    broadcast_or_join, coarse_groups, combine_aggregate, hash_join,
+    partial_aggregate)
 
 _DAY_US = 86_400 * 1_000_000
 
@@ -133,14 +134,11 @@ def q_user_type_kl(sf_dir: str):
     Shape: global type counts are a bounded-domain combiner groupby
     pulled as a driver broadcast (|event types| rows); per-(user, type)
     counts are one combiner groupby; the per-user roll-up follows the
-    tiny-group rule — coarse hash(user) partitions, ONE sort, segmented
+    tiny-group rule — one coarse exchange on user, segmented
     ``np.add.reduceat`` — never a per-user map_groups."""
     import math
 
-    from odinson_ray.stages.sketch import _splitmix64
-
     rd = _rd()
-    PARTS = 512
 
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_type"])
@@ -155,22 +153,11 @@ def q_user_type_kl(sf_dir: str):
     g_arr = np.array([g_by_type[t] for t in types], dtype=np.int64)
     n_total = int(g_arr.sum())
 
-    def part(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def kl_partition(grp: pa.Table) -> pa.Table:
-        grp = grp.combine_chunks()
-        if grp.num_rows == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "kl_micro": pa.array([], pa.int64())})
         u = grp["user_id"].to_numpy(zero_copy_only=False)
         c = grp["c"].to_numpy(zero_copy_only=False)
         ti = np.searchsorted(types, np.asarray(
             grp["event_type"].to_pylist(), dtype=object))
-        o = np.argsort(u, kind="stable")
-        u, c, ti = u[o], c[o], ti[o]
         new = np.ones(len(u), dtype=bool)
         new[1:] = u[1:] != u[:-1]
         first = np.flatnonzero(new)
@@ -190,9 +177,7 @@ def q_user_type_kl(sf_dir: str):
             "kl_micro": pa.array(kl, pa.int64()),
         })
 
-    return (ut.map_batches(part, batch_format="pyarrow")
-            .groupby("_p").map_groups(kl_partition, batch_format="pyarrow")
-            .sort("user_id"))
+    return coarse_groups(ut, ["user_id"], kl_partition).sort("user_id")
 
 
 ORACLE_USER_TYPE_KL = """
@@ -265,7 +250,7 @@ def q_late_order_priority(sf_dir: str, late_days: int = 60):
         right_schema=pa.schema([("o_orderkey", pa.int64()),
                                 ("o_orderdate", pa.timestamp("us")),
                                 ("o_orderpriority", pa.string())]),
-        merge_post=per_order, merge_post_coarse=True)
+        merge_post=per_order)
     return (partials.groupby("o_orderpriority")
             .aggregate(Sum("pc", alias_name="order_count"))
             .sort("o_orderpriority"))

@@ -14,7 +14,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import combine_aggregate
+from odinson_ray.stages.shuffle import coarse_groups, combine_aggregate
 
 
 def _rd():
@@ -176,7 +176,7 @@ _WIN_US = 7 * _DAY_US
 
 
 def overlap_pairs_per_key(ds, key: str, ident: str, start: str,
-                          width_us: int, parts: int = 256):
+                          width_us: int):
     """Count overlapping interval pairs per key, where each row's
     interval is the CLOSED [start, start + width_us]. The classic
     bucketed interval join: every interval is replicated to the
@@ -184,13 +184,11 @@ def overlap_pairs_per_key(ds, key: str, ident: str, start: str,
     pairs form only within a (key, bucket) group, and each overlapping
     pair is counted EXACTLY ONCE by attributing it to the bucket
     containing max(start_a, start_b) (a point both intervals contain iff
-    they overlap). Pairing runs segmented-numpy inside coarse hash
-    partitions — the per-(key,bucket) group never becomes a task — and a
-    group's size is bounded by the key's activity within one window
-    width, not its lifetime row count."""
+    they overlap). Pairing runs segmented-numpy inside one coarse
+    exchange on key — the per-(key,bucket) group never becomes a task —
+    and a group's size is bounded by the key's activity within one
+    window width, not its lifetime row count."""
     from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.sketch import _splitmix64
 
     def expand(t: pa.Table) -> pa.Table:
         s = pc.cast(pc.cast(t[start], pa.timestamp("us")), pa.int64())
@@ -203,29 +201,18 @@ def overlap_pairs_per_key(ds, key: str, ident: str, start: str,
         idx = np.repeat(np.arange(len(s)), reps)
         off = np.arange(len(idx)) - np.repeat(np.cumsum(reps) - reps, reps)
         bkt = b0[idx] + off
-        kk = k[idx].astype(np.uint64)
-        part = (_splitmix64(kk) % np.uint64(parts)).astype(np.int64)
         return pa.table({
             "key": pa.array(k[idx], pa.int64()),
             "ident": pa.array(i[idx], pa.int64()),
             "s": pa.array(s[idx], pa.int64()),
             "bkt": pa.array(bkt, pa.int64()),
-            "_p": pa.array(part, pa.int64()),
         })
 
     def pair_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        order = pc.sort_indices(g, sort_keys=[("key", "ascending"),
-                                              ("bkt", "ascending"),
-                                              ("ident", "ascending")])
-        g = g.take(order)
         k = g["key"].to_numpy(zero_copy_only=False)
         b = g["bkt"].to_numpy(zero_copy_only=False)
         s = g["s"].to_numpy(zero_copy_only=False)
         n = len(k)
-        if n == 0:
-            return pa.table({"key": pa.array([], pa.int64()),
-                             "pn": pa.array([], pa.int64())})
         brk = (k[1:] != k[:-1]) | (b[1:] != b[:-1])
         starts = np.concatenate(([0], np.flatnonzero(brk) + 1, [n]))
         keys_out, cnt_out = [], []
@@ -246,9 +233,8 @@ def overlap_pairs_per_key(ds, key: str, ident: str, start: str,
                          "pn": pa.array(cnt_out, pa.int64())})
 
     return (
-        ds.map_batches(expand, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(pair_partition, batch_format="pyarrow")
+        coarse_groups(ds.map_batches(expand, batch_format="pyarrow"),
+                      ["key"], pair_partition, ["bkt", "ident"])
         .groupby("key").aggregate(Sum("pn", alias_name="n_pairs"))
     )
 

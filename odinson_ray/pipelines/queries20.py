@@ -22,7 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import broadcast_or_join, combine_aggregate
+from odinson_ray.stages.shuffle import (broadcast_or_join, coarse_groups,
+                                       combine_aggregate)
 
 _WINDOW = 8
 
@@ -124,7 +125,7 @@ _ATTR_LOOKBACK_US = 86_400_000_000  # 24 h in timestamp[us] units
 _ATTR_CONV_TYPE = "purchase"
 
 
-def q_attribution_first_touch(sf_dir: str, parts: int = 256):
+def q_attribution_first_touch(sf_dir: str):
     """First-touch attribution: each purchase event attributes to the
     EARLIEST same-user event (ties: smallest event_id) with
     ts in [purchase_ts - 24 h, purchase_ts]. An isolated purchase
@@ -135,11 +136,10 @@ def q_attribution_first_touch(sf_dir: str, parts: int = 256):
     (b, b + 1), so a conversion in bucket c sees every candidate of its
     window inside ONE (user, c) group; conversions are processed only
     in their OWN bucket's group (the replica copy never re-emits).
-    One hash(user) shuffle; per-partition segmented sort + one
-    np.searchsorted per conversion run. Group size is bounded by
-    events-per-user-per-2-lookbacks, independent of corpus length."""
+    One coarse exchange on user; per partition one np.searchsorted per
+    conversion run. Group size is bounded by events-per-user-per-2-
+    lookbacks, independent of corpus length."""
     from ..sources.io import clean_rd as rd
-    from odinson_ray.stages.sketch import _splitmix64
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_id", "user_id", "ts", "event_type"])
@@ -156,27 +156,16 @@ def q_attribution_first_touch(sf_dir: str, parts: int = 256):
         grp[1::2] = b + 1
         out = t.take(pa.array(idx))
         out = out.append_column("_grp", pa.array(grp, pa.int64()))
-        out = out.append_column("_own", pa.array(np.repeat(b, 2) == grp,
-                                                 pa.bool_()))
-        u = out["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(parts)).astype(np.int64)
-        return out.append_column("_p", pa.array(p, pa.int64()))
+        return out.append_column("_own", pa.array(np.repeat(b, 2) == grp,
+                                                  pa.bool_()))
 
     def resolve_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
         empty = pa.table({
             "event_id": pa.array([], pa.int64()),
             "user_id": pa.array([], pa.int64()),
             "first_event_id": pa.array([], pa.int64()),
             "first_type": pa.array([], pa.string()),
         })
-        if g.num_rows == 0:
-            return empty
-        o = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
-                                          ("_grp", "ascending"),
-                                          ("ts", "ascending"),
-                                          ("event_id", "ascending")])
-        g = g.take(o)
         u = g["user_id"].to_numpy(zero_copy_only=False)
         grp = g["_grp"].to_numpy(zero_copy_only=False)
         ts = g["ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_numpy(
@@ -210,10 +199,9 @@ def q_attribution_first_touch(sf_dir: str, parts: int = 256):
             "first_type": pa.array(np.concatenate(out_t).tolist(), pa.string()),
         })
 
-    return (ds.map_batches(replicate, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(lambda g: resolve_partition(g.drop_columns(["_p"])),
-                        batch_format="pyarrow"))
+    return coarse_groups(ds.map_batches(replicate, batch_format="pyarrow"),
+                         ["user_id"], resolve_partition,
+                         ["_grp", "ts", "event_id"])
 
 
 ORACLE_CUBE_LINEITEM = """

@@ -11,7 +11,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import combine_aggregate, partial_aggregate
+from odinson_ray.stages.shuffle import (coarse_groups, combine_aggregate,
+                                       partial_aggregate)
 
 
 def _rd():
@@ -111,7 +112,7 @@ FROM h1 JOIN h2 ON h2.v = h1.v
 # ===================================== global high-water-mark detection
 
 def record_high_counts(ds, order: str, value: str, group: str,
-                       bucket_width: int = 4096, parts: int = 64,
+                       bucket_width: int = 4096,
                        mode: str = "record", lateness: float = 0.0):
     """Rows whose ``value`` strictly exceeds every earlier row's value in
     global ``order`` — the sequential-dependency class (running max over
@@ -128,8 +129,6 @@ def record_high_counts(ds, order: str, value: str, group: str,
     Returns (group, n_records) counts of record-setting rows per group.
     """
     from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.sketch import _splitmix64
 
     NEG = float("-inf")
 
@@ -172,26 +171,11 @@ def record_high_counts(ds, order: str, value: str, group: str,
                   .map_groups(lambda t: carries(t.drop_columns(["_g"])),
                               batch_format="pyarrow"))
 
-    def add_part(t: pa.Table) -> pa.Table:
-        b = t["bkt"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(b) % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
-    unioned = (rows.union(carry_rows)
-               .map_batches(add_part, batch_format="pyarrow"))
-
     def eval_partition(t: pa.Table) -> pa.Table:
-        t = t.combine_chunks()
-        o = pc.sort_indices(t, sort_keys=[("bkt", "ascending"),
-                                          ("o", "ascending")])
-        t = t.take(o)
         b = t["bkt"].to_numpy(zero_copy_only=False)
         x = t["x"].to_numpy(zero_copy_only=False)
         g = t["g"]
         n = len(b)
-        if n == 0:
-            return pa.table({"g": pa.array([], pa.string()),
-                             "pn": pa.array([], pa.int64())})
         starts = np.concatenate(([0], np.flatnonzero(b[1:] != b[:-1]) + 1))
         # each bucket segment leads with its carry row (o = int64 min,
         # x = exclusive prefix max over earlier buckets, -inf for the
@@ -217,8 +201,7 @@ def record_high_counts(ds, order: str, value: str, group: str,
         kept = pa.table({"g": g.filter(pa.array(is_rec))})
         return partial_aggregate(kept, ["g"], [("pn", None, "count_all")])
 
-    return (unioned.groupby("_p")
-            .map_groups(eval_partition, batch_format="pyarrow")
+    return (coarse_groups([rows, carry_rows], ["bkt"], eval_partition, ["o"])
             .groupby("g").aggregate(Sum("pn", alias_name="n_records")))
 
 
@@ -253,32 +236,15 @@ GROUP BY event_type
 def q_twap_value(sf_dir: str):
     """Time-weighted average of value per user (each value weighted by
     the duration until the user's next event; the last event carries no
-    weight) — the LEAD window class, segmented over coarse hash(user)
-    partitions (tiny-group rule): one sort per partition, per-user
-    num/den via np.add.reduceat, boundary contributions masked to zero.
-    A user whose events all share one instant has zero total weight and
-    is emitted with a NULL twap (DuckDB's 0/0)."""
-    from odinson_ray.stages.sketch import _splitmix64
-
+    weight) — the LEAD window class, one coarse exchange on user
+    (tiny-group rule): per-user num/den via np.add.reduceat, boundary
+    contributions masked to zero. A user whose events all share one
+    instant has zero total weight and is emitted with a NULL twap
+    (DuckDB's 0/0)."""
     rd = _rd()
-    PARTS = 512
-
-    def add_part(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
 
     def twap_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        idx = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
-                                            ("ts", "ascending"),
-                                            ("event_id", "ascending")])
-        g = g.take(idx)
         n = g.num_rows
-        empty = pa.table({"user_id": pa.array([], pa.int64()),
-                          "twap": pa.array([], pa.float64())})
-        if n == 0:
-            return empty
         u = g["user_id"].to_numpy(zero_copy_only=False)
         ts = g["ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_numpy(
             zero_copy_only=False)
@@ -302,14 +268,10 @@ def q_twap_value(sf_dir: str):
             "twap": pa.array(twap, pa.float64()),
         })
 
-    return (
+    return coarse_groups(
         rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["user_id", "ts", "event_id", "value"])
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(lambda g: twap_partition(g.drop_columns(["_p"])),
-                    batch_format="pyarrow")
-    )
+                        columns=["user_id", "ts", "event_id", "value"]),
+        ["user_id"], twap_partition, ["ts", "event_id"])
 
 
 ORACLE_TWAP_VALUE = """
@@ -578,7 +540,6 @@ def q_kg_negative_samples(sf_dir: str):
     is unchanged)."""
     import hashlib
 
-
     from odinson_ray.stages.shuffle import grouped_topk, hash_join
 
     from .kg import triples_dataset
@@ -818,14 +779,12 @@ def q_inverted_postings(sf_dir: str, k: int = 10):
     core/src/main/scala/ai/lum/odinson/lucene/index/OdinsonIndexWriter.scala):
     per token, its document frequency and the first 10 doc ids of its
     posting list. grouped_topk bounds every token to k rows before the
-    string fold; the fold runs segmented in coarse hash partitions
+    string fold; the fold is one coarse exchange on the token
     (user_top3_types' shape), so a stopword's full posting list never
     lands in one task."""
     from odinson_ray.stages.shuffle import grouped_topk, hash_join
-    from odinson_ray.stages.sketch import _splitmix64
 
     rd = _rd()
-    PARTS = 256
 
     def tok_partial(t: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(t["text"].combine_chunks(), r"\s+")
@@ -847,22 +806,9 @@ def q_inverted_postings(sf_dir: str, k: int = 10):
     topk = grouped_topk(tok, by="w", cols=["doc_id"], descending=[False],
                         k=k)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        import zlib
-
-        # crc32, NOT Python hash(): str hash is salted per process, and
-        # a token split across partitions would emit partial postings
-        h = np.array([zlib.crc32(w.encode()) for w in t["w"].to_pylist()],
-                     dtype=np.uint64)
-        p = (_splitmix64(h) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def concat_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
         w = np.asarray(g["w"].to_pylist(), dtype=object)
         d = g["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((d, w))
-        w, d = w[order], d[order]
         starts = np.concatenate(
             ([0], np.flatnonzero(w[1:] != w[:-1]) + 1, [len(w)]))
         toks, posts = [], []
@@ -872,9 +818,7 @@ def q_inverted_postings(sf_dir: str, k: int = 10):
         return pa.table({"w": pa.array(toks, pa.string()),
                          "postings": pa.array(posts, pa.string())})
 
-    posts = (topk.map_batches(add_part, batch_format="pyarrow")
-             .groupby("_p")
-             .map_groups(concat_partition, batch_format="pyarrow"))
+    posts = coarse_groups(topk, ["w"], concat_partition, ["doc_id"])
 
     out = hash_join(df, posts, on="w",
                     left_schema=pa.schema([("w", pa.string()),
@@ -1087,17 +1031,15 @@ def q_daily_ffill(sf_dir: str):
     (2) per-user [d0, d1] bounds from a min/max combiner; (3) the grid
     expands bounds rows by days-active (bounded by time range, never by
     event count); (4) grid LEFT JOIN daily-last on the composite key;
-    (5) forward fill runs segmented-vectorized inside coarse hash(user)
-    partitions — the first day of every user has an observation by
-    construction, so a global maximum.accumulate over last-valid indices
-    cannot leak across users."""
+    (5) forward fill runs segmented-vectorized inside one coarse
+    exchange on user — the first day of every user has an observation
+    by construction, so a global maximum.accumulate over last-valid
+    indices cannot leak across users."""
     from ray.data.aggregate import Max, Min
 
     from odinson_ray.stages.shuffle import grouped_topk, hash_join
-    from odinson_ray.stages.sketch import _splitmix64
 
     rd = _rd()
-    PARTS = 256
 
     def keyed(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
@@ -1144,16 +1086,7 @@ def q_daily_ffill(sf_dir: str):
         right_schema=pa.schema([("k", pa.int64()),
                                 ("value", pa.float64())]))
 
-    def add_part(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def ffill(t: pa.Table) -> pa.Table:
-        t = t.combine_chunks()
-        o = pc.sort_indices(t, sort_keys=[("user_id", "ascending"),
-                                          ("day", "ascending")])
-        t = t.take(o)
         v = t["value"].to_numpy(zero_copy_only=False)
         valid = np.asarray(pc.is_valid(t["value"]))
         idx = np.where(valid, np.arange(len(v)), -1)
@@ -1167,8 +1100,7 @@ def q_daily_ffill(sf_dir: str):
             "ffill_value": pa.array(filled, pa.float64()),
         })
 
-    return (joined.map_batches(add_part, batch_format="pyarrow")
-            .groupby("_p").map_groups(ffill, batch_format="pyarrow"))
+    return coarse_groups(joined, ["user_id"], ffill, ["day"])
 
 
 ORACLE_DAILY_FFILL = """

@@ -12,7 +12,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import combine_aggregate, partial_aggregate
+from odinson_ray.stages.shuffle import (coarse_groups, combine_aggregate,
+                                       partial_aggregate)
 
 
 def _rd():
@@ -127,7 +128,7 @@ FROM merged GROUP BY priority
 
 # ===================================== SCD2 dimension build
 
-def q_scd2_intervals(sf_dir: str, parts: int = 256):
+def q_scd2_intervals(sf_dir: str):
     """Slowly-changing-dimension (type 2) build: collapse each customer's
     order-priority history into validity intervals [valid_from, valid_to)
     — one interval per run of consecutive equal priorities in
@@ -135,46 +136,24 @@ def q_scd2_intervals(sf_dir: str, parts: int = 256):
     for the current record). The gaps-and-islands op every dimension
     pipeline needs.
 
-    Scale shape (tiny-group rule): ONE shuffle on hash(custkey) % parts,
-    then every key run in a partition resolves from a single sort +
-    segmented numpy; no per-key task ever forms. A key's whole history
-    must fit the partition — dimension-table semantics (bounded updates
-    per entity), NOT the unbounded-event-stream case (that class uses
-    the (key, bucket) carry decomposition, stages/window.py)."""
-    from odinson_ray.stages.sketch import _splitmix64
-
+    Scale shape (tiny-group rule): ONE coarse exchange on custkey, then
+    every key run in a partition resolves with one pass of segmented
+    numpy; no per-key task ever forms. A key's whole history must fit
+    the partition — dimension-table semantics (bounded updates per
+    entity), NOT the unbounded-event-stream case (that class uses the
+    (key, bucket) carry decomposition, stages/window.py)."""
     rd = _rd()
     ds = rd.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_custkey", "o_orderdate", "o_orderkey",
                  "o_orderpriority"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        h = _splitmix64(
-            t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.uint64))
-        p = (h % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def resolve(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_p"]).combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[("o_custkey", "ascending"),
-                                          ("o_orderdate", "ascending"),
-                                          ("o_orderkey", "ascending")])
-        g = g.take(o)
         c = g["o_custkey"].to_numpy(zero_copy_only=False)
         d = g["o_orderdate"].cast(pa.timestamp("us")).cast(
             pa.int64()).to_numpy(zero_copy_only=False)  # unit-normalized
         p = g["o_orderpriority"].to_numpy(zero_copy_only=False)
         n = len(c)
-        if n == 0:  # schema must match the live branch (incl. _same)
-            return pa.table({
-                "o_custkey": pa.array([], pa.int64()),
-                "priority": pa.array([], pa.string()),
-                "valid_from": pa.array([], pa.timestamp("us")),
-                "valid_to": pa.array([], pa.timestamp("us")),
-                "_same": pa.array([], pa.bool_()),
-                "n_orders": pa.array([], pa.int64()),
-            })
         new_key = np.empty(n, dtype=bool)
         new_key[0] = True
         new_key[1:] = c[1:] != c[:-1]
@@ -186,11 +165,10 @@ def q_scd2_intervals(sf_dir: str, parts: int = 256):
         # valid_to = next run's valid_from when same customer, else NULL
         nxt = np.empty(len(starts), dtype=np.int64)
         same = np.empty(len(starts), dtype=bool)
-        if len(starts):
-            nxt[:-1] = run_from[1:]
-            nxt[-1] = 0
-            same[:-1] = run_cust[1:] == run_cust[:-1]
-            same[-1] = False
+        nxt[:-1] = run_from[1:]
+        nxt[-1] = 0
+        same[:-1] = run_cust[1:] == run_cust[:-1]
+        same[-1] = False
         vt = pa.array(np.where(same, nxt, 0).astype(np.int64),
                       pa.int64()).cast(pa.timestamp("us"))
         return pa.table({
@@ -203,8 +181,8 @@ def q_scd2_intervals(sf_dir: str, parts: int = 256):
             "n_orders": pa.array(run_n, pa.int64()),
         })
 
-    out = (ds.map_batches(add_part, batch_format="pyarrow")
-           .groupby("_p").map_groups(resolve, batch_format="pyarrow"))
+    out = coarse_groups(ds, ["o_custkey"], resolve,
+                        ["o_orderdate", "o_orderkey"])
 
     def null_open(t: pa.Table) -> pa.Table:
         vt = pc.if_else(t["_same"], t["valid_to"],
@@ -869,35 +847,20 @@ FROM pairs JOIN deg d1 ON d1.v = n1 JOIN deg d2 ON d2.v = n2
 
 # ===================================== interval-union active time
 
-def q_user_active_time(sf_dir: str, window_s: int = 300, parts: int = 512):
+def q_user_active_time(sf_dir: str, window_s: int = 300):
     """Per-user ACTIVE TIME: the measure of the union of [ts, ts+300 s)
     intervals over the user's events — the engagement metric that,
     unlike a raw count, doesn't double-count bursts. With a fixed
     interval length the union has the closed form Σ min(Δi, L) + L over
     consecutive gaps, so it rides the segmented LAG shape (one coarse
-    hash(user) shuffle, one sort per partition, vectorized diff with
-    reset masks — a user's rows are co-located by the hash, so the
-    per-user sum is complete within its partition)."""
-    from odinson_ray.stages.sketch import _splitmix64
-
+    exchange on user, vectorized diff with reset masks — a user's rows
+    are co-located, so the per-user sum is complete within its
+    partition)."""
     rd = _rd()
     L = window_s * 1_000_000
 
-    def add_part(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def active_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        idx = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
-                                            ("ts", "ascending"),
-                                            ("event_id", "ascending")])
-        g = g.take(idx)
         n = g.num_rows
-        if n == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "active_us": pa.array([], pa.int64())})
         u = g["user_id"].to_numpy(zero_copy_only=False)
         ts = g["ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_numpy(
             zero_copy_only=False)  # normalize any source unit to us
@@ -913,14 +876,10 @@ def q_user_active_time(sf_dir: str, window_s: int = 300, parts: int = 512):
             "active_us": pa.array(sums, pa.int64()),
         })
 
-    return (
+    return coarse_groups(
         rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["user_id", "ts", "event_id"])
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(lambda g: active_partition(g.drop_columns(["_p"])),
-                    batch_format="pyarrow")
-    )
+                        columns=["user_id", "ts", "event_id"]),
+        ["user_id"], active_partition, ["ts", "event_id"])
 
 
 ORACLE_USER_ACTIVE_TIME = """
@@ -992,35 +951,21 @@ FROM c, tot
 # ===================================== conversion-window funnel
 
 def q_funnel_window(sf_dir: str, a: str = "view", b: str = "purchase",
-                    window_h: int = 24, parts: int = 512):
+                    window_h: int = 24):
     """Users who convert WITHIN A WINDOW: a '{b}' event in
     (first_{a}, first_{a} + window]. Unlike funnel_users' min/max
     combiner (order only), window membership needs the user's events
-    together — ONE coarse hash(user) shuffle, then per partition a
-    single sort + segmented numpy: first-A per user run via masked
-    minimum.reduceat, B-in-window via one vectorized mask, per-run any()
-    via reduceat. No per-user task, no event leaves its partition."""
+    together — ONE coarse exchange on user, then per partition segmented
+    numpy: first-A per user run via masked minimum.reduceat, B-in-window
+    via one vectorized mask, per-run any() via reduceat. No per-user
+    task, no event leaves its partition."""
     from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.sketch import _splitmix64
 
     rd = _rd()
     W = window_h * 3_600_000_000
 
-    def add_part(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["event_type"], pa.array([a, b])))
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def converted_partition(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_p"]).combine_chunks()
-        idx = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
-                                            ("ts", "ascending")])
-        g = g.take(idx)
         n = g.num_rows
-        if n == 0:
-            return pa.table({"pn": pa.array([0], pa.int64())})
         u = g["user_id"].to_numpy(zero_copy_only=False)
         ts = g["ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_numpy(
             zero_copy_only=False)
@@ -1037,11 +982,13 @@ def q_funnel_window(sf_dir: str, a: str = "view", b: str = "purchase",
         n_conv = int(np.add.reduceat(hit, starts).astype(bool).sum())
         return pa.table({"pn": pa.array([n_conv], pa.int64())})
 
-    out = (rd.read_parquet(f"{sf_dir}/events.parquet",
-                           columns=["user_id", "ts", "event_type"])
-           .map_batches(add_part, batch_format="pyarrow")
-           .groupby("_p")
-           .map_groups(converted_partition, batch_format="pyarrow"))
+    out = coarse_groups(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["user_id", "ts", "event_type"])
+        .map_batches(
+            lambda t: t.filter(pc.is_in(t["event_type"], pa.array([a, b]))),
+            batch_format="pyarrow"),
+        ["user_id"], converted_partition, ["ts"])
     return (out.map_batches(
         lambda t: t.append_column("_g", pa.array([0] * t.num_rows,
                                                  pa.int64())),
@@ -1065,40 +1012,26 @@ WHERE e.event_type = 'purchase'
 
 # ===================================== stream-stream windowed self-join
 
-def q_window_join_counts(sf_dir: str, window_h: int = 1, parts: int = 512):
+def q_window_join_counts(sf_dir: str, window_h: int = 1):
     """Stream-stream windowed join: for every ordered pair of events of
     the same user with ts_b ∈ (ts_a, ts_a + 1 h] ((ts, event_id) order —
     ties counted once, deterministically), the (type_a, type_b)
     co-occurrence counts. The symmetric cousin of the as-of join: ONE
-    coarse hash(user) shuffle, per-partition sort, per-row window ends
-    from ONE vectorized searchsorted, pair explosion via run-position
-    index arithmetic (bounded by per-user activity within the window —
-    the quantity the join is ABOUT), per-batch type-pair count combiner.
-    No per-user task; no event row leaves its partition."""
+    coarse exchange on user, per-row window ends from ONE vectorized
+    searchsorted, pair explosion via run-position index arithmetic
+    (bounded by per-user activity within the window — the quantity the
+    join is ABOUT), per-batch type-pair count combiner. No per-user
+    task; no event row leaves its partition."""
     from ray.data.aggregate import Sum
-
-    from odinson_ray.stages.sketch import _splitmix64
 
     rd = _rd()
     W = window_h * 3_600_000_000
 
-    def add_part(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def pairs_partition(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_p"]).combine_chunks()
-        idx = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
-                                            ("ts", "ascending"),
-                                            ("event_id", "ascending")])
-        g = g.take(idx)
         n = g.num_rows
         empty = pa.table({"ta": pa.array([], pa.string()),
                           "tb": pa.array([], pa.string()),
                           "pn": pa.array([], pa.int64())})
-        if n == 0:
-            return empty
         u = g["user_id"].to_numpy(zero_copy_only=False)
         ts = g["ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_numpy(
             zero_copy_only=False)
@@ -1129,12 +1062,11 @@ def q_window_join_counts(sf_dir: str, window_h: int = 1, parts: int = 512):
         return partial_aggregate(tab, ["ta", "tb"],
                                  [("pn", None, "count_all")])
 
-    return (rd.read_parquet(f"{sf_dir}/events.parquet",
-                            columns=["user_id", "ts", "event_id",
-                                     "event_type"])
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(pairs_partition, batch_format="pyarrow")
+    return (coarse_groups(
+                rd.read_parquet(f"{sf_dir}/events.parquet",
+                                columns=["user_id", "ts", "event_id",
+                                         "event_type"]),
+                ["user_id"], pairs_partition, ["ts", "event_id"])
             .groupby(["ta", "tb"]).aggregate(Sum("pn", alias_name="n")))
 
 

@@ -27,7 +27,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import combine_aggregate, partial_aggregate
+from odinson_ray.stages.shuffle import (coarse_groups, combine_aggregate,
+                                       partial_aggregate)
 
 _SEP = "\x1f"
 _STR = pa.string()
@@ -144,7 +145,7 @@ def q_kg_inverse_candidates(sf_dir: str):
 
     matched = hash_join(fwd, rev, on="k", left_schema=kp,
                         right_schema=kp, right_suffix="_r",
-                        merge_post=pair_counts, merge_post_coarse=True)
+                        merge_post=pair_counts)
     support = matched.groupby(["r1", "r2"]).aggregate(
         Sum("pn", alias_name="support"))
 
@@ -162,7 +163,7 @@ def q_kg_inverse_candidates(sf_dir: str):
 
     return hash_join(support, n_pairs, on="r1", right_on="pred",
                      left_schema=sup_schema, right_schema=np_schema,
-                     merge_post=conf, merge_post_coarse=True)
+                     merge_post=conf)
 
 
 def _inverse_oracle(body: str) -> str:
@@ -215,29 +216,19 @@ def q_kg_path_patterns(sf_dir: str):
     mp = pa.schema([("m", _STR), ("pred", _STR)])
 
     def cross_counts(g: pa.Table) -> pa.Table:
-        empty = pa.table({"r1": pa.array([], _STR), "r2": pa.array([], _STR),
-                          "pn": pa.array([], _I64)})
-        # join group = one middle; left side rows carry pred, right pred_r
-        n_in = g.num_rows  # inner join: every row pairs one in with one out
-        # hash_join merge_post receives the MERGED cross product? No — it
-        # receives the joined rows; recover per-side tallies from the
-        # distinct (pred, pred_r) counts, which already ARE the product.
-        agg = partial_aggregate(
+        # joined rows pair one in-edge (pred) with one out-edge (pred_r)
+        return partial_aggregate(
             g.select(["pred", "pred_r"]).rename_columns(["r1", "r2"]),
             ["r1", "r2"], [("pn", None, "count_all")])
-        if agg.num_rows == 0:
-            return empty
-        return agg
 
     def guard(n_in, n_out):
         # degree cap decided before the cross product is built
-        # (elementwise-safe: hash_join calls this with int64 arrays on
-        # the coarse path, scalars on the per-key path)
+        # (hash_join calls this with int64 arrays of group sizes)
         return (n_in <= _PATH_MID_CAP) & (n_out <= _PATH_MID_CAP)
 
     matched = hash_join(inc, out, on="m", left_schema=mp, right_schema=mp,
                         right_suffix="_r", merge_post=cross_counts,
-                        group_filter=guard, merge_post_coarse=True)
+                        group_filter=guard)
     return matched.groupby(["r1", "r2"]).aggregate(
         Sum("pn", alias_name="n_paths"))
 
@@ -262,37 +253,23 @@ def q_kg_rule_implications(sf_dir: str):
     """Single-atom rule mining (AMIE-lite): for ordered predicate pairs
     r1 != r2, support = |entity pairs (x, y) with BOTH r1(x, y) and
     r2(x, y)| and confidence = support / |r1 pairs| — the Horn-rule seed
-    r1(x,y) => r2(x,y). The entity-pair co-grouping runs over COARSE
-    hash(pair) partitions (tiny-group rule): one sort per partition,
-    per-run predicate-pair enumeration (runs are the predicate sets of
-    one entity pair — tiny by construction), never one task per entity
-    pair."""
+    r1(x,y) => r2(x,y). The entity-pair co-grouping is one coarse
+    exchange on the pair (tiny-group rule): per-run predicate-pair
+    enumeration (runs are the predicate sets of one entity pair — tiny
+    by construction), never one task per entity pair."""
     from ray.data.aggregate import Count, Sum
 
     from odinson_ray.stages.shuffle import hash_join
-    from odinson_ray.stages.sketch import _splitmix64
 
-    PARTS = 256
     spo = _kg_distinct_spo(sf_dir)
 
     def keyed(t: pa.Table) -> pa.Table:
-        import zlib
-        k = pc.binary_join_element_wise(t["s"], t["o"], _SEP)
-        h = np.array([zlib.crc32(x.encode()) for x in k.to_pylist()],
-                     dtype=np.uint64)
-        p = (_splitmix64(h) % np.uint64(PARTS)).astype(np.int64)
-        return pa.table({"k": k, "pred": t["pred"],
-                         "_p": pa.array(p, pa.int64())})
+        return pa.table({"k": pc.binary_join_element_wise(t["s"], t["o"], _SEP),
+                         "pred": t["pred"]})
 
     def pairs_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[("k", "ascending"),
-                                          ("pred", "ascending")])
-        g = g.take(o)
         empty = pa.table({"r1": pa.array([], _STR), "r2": pa.array([], _STR),
                           "pn": pa.array([], _I64)})
-        if g.num_rows == 0:
-            return empty
         ks = np.asarray(g["k"].to_pylist(), dtype=object)
         ps = np.asarray(g["pred"].to_pylist(), dtype=object)
         newk = np.ones(len(ks), dtype=bool)
@@ -314,10 +291,8 @@ def q_kg_rule_implications(sf_dir: str):
         t = pa.table({"r1": pa.array(a, _STR), "r2": pa.array(b, _STR)})
         return partial_aggregate(t, ["r1", "r2"], [("pn", None, "count_all")])
 
-    support = (spo.map_batches(keyed, batch_format="pyarrow")
-               .groupby("_p")
-               .map_groups(lambda g: pairs_partition(g.drop_columns(["_p"])),
-                           batch_format="pyarrow")
+    support = (coarse_groups(spo.map_batches(keyed, batch_format="pyarrow"),
+                             ["k"], pairs_partition, ["pred"])
                .groupby(["r1", "r2"]).aggregate(Sum("pn", alias_name="support")))
 
     n_pairs = spo.groupby("pred").aggregate(Count(alias_name="n1"))

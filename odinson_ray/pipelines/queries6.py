@@ -24,7 +24,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import combine_aggregate, partial_aggregate
+from odinson_ray.stages.shuffle import (coarse_groups, combine_aggregate,
+                                       partial_aggregate)
 
 _SEP = "\x1f"
 _STR = pa.string()
@@ -35,21 +36,6 @@ def _spo(sf_dir: str):
     from .queries5 import _kg_distinct_spo
 
     return _kg_distinct_spo(sf_dir)
-
-
-def _coarse_part(col: pa.ChunkedArray, partitions: int = 256) -> pa.Array:
-    """hash(key) % partitions for a string column (tiny-group rule: the
-    per-key groups behind these operators are tiny, so they shuffle on
-    COARSE partitions and resolve every key run in one segmented sweep,
-    never one task per key)."""
-    import zlib
-
-    from odinson_ray.stages.sketch import _splitmix64
-
-    h = np.array([zlib.crc32(x.encode()) for x in col.to_pylist()],
-                 dtype=np.uint64)
-    return pa.array((_splitmix64(h) % np.uint64(partitions)).astype(np.int64),
-                    pa.int64())
 
 
 # ===================================== transitive-relation discovery
@@ -327,32 +313,18 @@ def q_kg_majority_object(sf_dir: str):
     string — deterministic), with agreement = winner weight / total
     weight and the number of competing objects. This is the conflict-
     resolution vote a KG fusion stage runs before asserting a canonical
-    fact. EXECUTION SHAPE (tiny-group rule): shuffle on coarse
-    hash(pred, s) partitions, resolve every key run in ONE sort +
-    segmented first/reduceat sweep — never one task per (pred, s)."""
+    fact. EXECUTION SHAPE (tiny-group rule): one coarse exchange on
+    (pred, s), every key run resolved in ONE segmented first/reduceat
+    sweep — never one task per (pred, s)."""
     keyed_rows = _weighted_spo(sf_dir)
 
     def keyed(t: pa.Table) -> pa.Table:
         k = pc.binary_join_element_wise(t["pred"], t["s"], _SEP)
         return pa.table({
             "k": k, "pred": t["pred"], "s": t["s"], "o": t["o"], "w": t["w"],
-            "_p": _coarse_part(k.combine_chunks()),
         })
 
     def resolve(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        if g.num_rows == 0:
-            return pa.table({"pred": pa.array([], _STR),
-                             "s": pa.array([], _STR),
-                             "top_obj": pa.array([], _STR),
-                             "w_top": pa.array([], _I64),
-                             "w_total": pa.array([], _I64),
-                             "n_objs": pa.array([], _I64),
-                             "agreement": pa.array([], pa.float64())})
-        idx = pc.sort_indices(g, sort_keys=[("k", "ascending"),
-                                            ("w", "descending"),
-                                            ("o", "ascending")])
-        g = g.take(idx)
         ks = np.asarray(g["k"].to_pylist(), dtype=object)
         w = g["w"].to_numpy(zero_copy_only=False).astype(np.int64)
         new = np.ones(len(ks), dtype=bool)
@@ -373,10 +345,8 @@ def q_kg_majority_object(sf_dir: str):
                 np.round(wtop.astype(np.float64) / wtot, 6), pa.float64()),
         })
 
-    return (keyed_rows.map_batches(keyed, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(lambda g: resolve(g.drop_columns(["_p"])),
-                        batch_format="pyarrow"))
+    return coarse_groups(keyed_rows.map_batches(keyed, batch_format="pyarrow"),
+                         ["k"], resolve, [("w", "descending"), "o"])
 
 
 def _majority_oracle(body: str) -> str:
@@ -418,24 +388,7 @@ def q_kg_entity_profiles(sf_dir: str):
         batch_format="pyarrow")
         .groupby(["s", "pred"]).aggregate(Sum("w", alias_name="pw")))
 
-    def keyed(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "s": t["s"], "pred": t["pred"], "pw": t["pw"],
-            "_p": _coarse_part(t["s"].combine_chunks()),
-        })
-
     def resolve(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        if g.num_rows == 0:
-            return pa.table({"s": pa.array([], _STR),
-                             "top_pred": pa.array([], _STR),
-                             "out_w": pa.array([], _I64),
-                             "n_preds": pa.array([], _I64),
-                             "top_share": pa.array([], pa.float64())})
-        idx = pc.sort_indices(g, sort_keys=[("s", "ascending"),
-                                            ("pw", "descending"),
-                                            ("pred", "ascending")])
-        g = g.take(idx)
         ks = np.asarray(g["s"].to_pylist(), dtype=object)
         w = g["pw"].to_numpy(zero_copy_only=False).astype(np.int64)
         new = np.ones(len(ks), dtype=bool)
@@ -454,10 +407,8 @@ def q_kg_entity_profiles(sf_dir: str):
                 pa.float64()),
         })
 
-    prof = (per_pred.map_batches(keyed, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(lambda g: resolve(g.drop_columns(["_p"])),
-                        batch_format="pyarrow"))
+    prof = coarse_groups(per_pred, ["s"], resolve,
+                         [("pw", "descending"), "pred"])
 
     n_objs = (combine_aggregate(wspo, ["s", "o"], [])
               .groupby("s").aggregate(Count(alias_name="n_objs")))

@@ -13,7 +13,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import combine_aggregate, partial_aggregate
+from odinson_ray.stages.shuffle import (coarse_groups, combine_aggregate,
+                                       partial_aggregate)
 
 SEP = "\x1f"
 
@@ -684,18 +685,16 @@ def q_kg_pred_cooccurrence(sf_dir: str):
     within the SAME document, with document counts — the relation-level
     analog of entity PMI (schema induction: predicates that co-occur
     often are candidates for composition rules). Distinct (doc, pred)
-    rows shuffle ONCE on a coarse doc-hash; per-partition pairing is
+    rows go through ONE coarse exchange on doc; per-partition pairing is
     segmented index arithmetic over doc runs (pair count per doc is
     C(#preds, 2) <= C(6, 2) — bounded by the predicate vocabulary)."""
     from ray.data.aggregate import Sum
 
     from odinson_ray.stages.canon import canonicalize_dataset
-    from odinson_ray.stages.sketch import _splitmix64
     from odinson_ray.stages.triples import mentions_to_triples
 
     from .kg import mentions_dataset
 
-    PARTS = 256
     mentions = mentions_dataset(sf_dir).map_batches(
         lambda t: t.filter(pc.equal(t["label"], "SVO")),
         batch_format="pyarrow")
@@ -704,29 +703,10 @@ def q_kg_pred_cooccurrence(sf_dir: str):
 
     dp = combine_aggregate(trips, ["doc_id", "pred"], [])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        import hashlib
-
-        d = t["doc_id"].combine_chunks()
-        uniq = pc.unique(d)
-        hv = np.array([int(hashlib.md5(v.encode()).hexdigest()[:12], 16)
-                       for v in uniq.to_pylist()], dtype=np.uint64)
-        p = pa.array((hv % PARTS).astype(np.int64), pa.int64())
-        idx = pc.index_in(d, value_set=uniq)
-        return t.append_column("_p", p.take(idx))
-
     def pair_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[("doc_id", "ascending"),
-                                          ("pred", "ascending")])
-        g = g.take(o)
         d = g["doc_id"].to_numpy(zero_copy_only=False)
         p = g["pred"].to_numpy(zero_copy_only=False)
         n = len(d)
-        if n == 0:
-            return pa.table({"pred_a": pa.array([], pa.string()),
-                             "pred_b": pa.array([], pa.string()),
-                             "pn": pa.array([], pa.int64())})
         starts = np.concatenate(([0], np.flatnonzero(d[1:] != d[:-1]) + 1))
         lens = np.diff(np.append(starts, n))
         # per-run all pairs (i < j): vectorized via per-run repeat
@@ -746,9 +726,7 @@ def q_kg_pred_cooccurrence(sf_dir: str):
         return partial_aggregate(tab, ["pred_a", "pred_b"],
                                  [("pn", None, "count_all")])
 
-    return (dp.map_batches(add_part, batch_format="pyarrow")
-            .groupby("_p").map_groups(pair_partition,
-                                      batch_format="pyarrow")
+    return (coarse_groups(dp, ["doc_id"], pair_partition, ["pred"])
             .groupby(["pred_a", "pred_b"])
             .aggregate(Sum("pn", alias_name="n_docs")))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.stages.shuffle import combine_aggregate
+from odinson_ray.stages.shuffle import coarse_groups, combine_aggregate
 
 
 def _rd():
@@ -322,35 +322,19 @@ FROM li GROUP BY ym
 
 # ===================================== CEP: view->purchase conversions
 
-def q_cep_conversions(sf_dir: str, parts: int = 512):
+def q_cep_conversions(sf_dir: str):
     """Complex-event-processing rule with reset semantics: count, per
     user, purchases preceded by at least one view SINCE THE PREVIOUS
     PURCHASE (each view streak converts at most once). Needs each
-    user's ordered event sequence — ONE coarse hash(user) shuffle, then
-    per partition a single sort + segmented cumulative-count arithmetic
-    (no per-user task, no regex engine, no Python loop)."""
-    from odinson_ray.stages.sketch import _splitmix64
-
+    user's ordered event sequence — ONE coarse exchange on user, then
+    per partition segmented cumulative-count arithmetic (no per-user
+    task, no regex engine, no Python loop)."""
     rd = _rd()
 
-    def add_part(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["event_type"],
-                              pa.array(["view", "purchase"])))
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(u) % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def conv_partition(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_p"]).combine_chunks()
-        idx = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
-                                            ("ts", "ascending"),
-                                            ("event_id", "ascending")])
-        g = g.take(idx)
         n = g.num_rows
         empty = pa.table({"user_id": pa.array([], pa.int64()),
                           "n_conversions": pa.array([], pa.int64())})
-        if n == 0:
-            return empty
         u = g["user_id"].to_numpy(zero_copy_only=False)
         is_view = np.asarray(pc.equal(g["event_type"], "view"))
         starts = np.concatenate(([0], np.flatnonzero(u[1:] != u[:-1]) + 1))
@@ -376,12 +360,13 @@ def q_cep_conversions(sf_dir: str, parts: int = 512):
         return pa.table({"user_id": pa.array(uniq, pa.int64()),
                          "n_conversions": pa.array(cnt, pa.int64())})
 
-    return (rd.read_parquet(f"{sf_dir}/events.parquet",
-                            columns=["user_id", "ts", "event_id",
-                                     "event_type"])
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(conv_partition, batch_format="pyarrow"))
+    return coarse_groups(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["user_id", "ts", "event_id", "event_type"])
+        .map_batches(lambda t: t.filter(pc.is_in(
+            t["event_type"], pa.array(["view", "purchase"]))),
+            batch_format="pyarrow"),
+        ["user_id"], conv_partition, ["ts", "event_id"])
 
 
 ORACLE_CEP_CONVERSIONS = """

@@ -555,7 +555,7 @@ def pq_topk(sf_dir: str, query_vec: np.ndarray, k: int = 10,
 
 def blocked_cosine_pairs(ds, key_col: str = "label", id_col: str = "vec_id",
                          vec_col: str = "embedding", threshold: float = 0.4,
-                         chunk_rows: int = 4096, parts: int = 512):
+                         chunk_rows: int = 4096):
     """Exact all-pairs cosine >= ``threshold`` within ``key_col`` blocks,
     with per-task input BOUNDED regardless of key skew.
 
@@ -579,16 +579,13 @@ def blocked_cosine_pairs(ds, key_col: str = "label", id_col: str = "vec_id",
     Per-key chunk counts come from one small ``groupby(key).count()``
     attached to the rows by ``broadcast_or_join`` (broadcast while the
     count table is small, hash-joined when it is not, so nothing
-    key-cardinality-sized need touch the driver). Groups are shuffled
-    with the coarse-partition idiom (hash(key, lo, hi) % parts) and
-    resolved per partition from one Arrow sort — per-group dispatch
-    stays off the hot path (segmented_band_pairs precedent,
-    stages/dedup.py).
+    key-cardinality-sized need touch the driver). Groups go through
+    one coarse exchange on (key, lo, hi), so per-group dispatch stays
+    off the hot path (segmented_band_pairs precedent, stages/dedup.py).
     """
-    import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
-    from .shuffle import broadcast_or_join
+    from .shuffle import broadcast_or_join, coarse_groups
     from .sketch import _splitmix64
 
     counts = ds.groupby(key_col).aggregate(Count(alias_name="_n"))
@@ -617,31 +614,11 @@ def blocked_cosine_pairs(ds, key_col: str = "label", id_col: str = "vec_id",
                   .append_column("_lo", pa.array(np.minimum(c_rep, j), pa.int64())) \
                   .append_column("_hi", pa.array(np.maximum(c_rep, j), pa.int64()))
 
-    def add_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("_p", pa.array([], pa.int64()))
-        from .sketch import _hash_values
-
-        h = (_hash_values(t[key_col])
-             ^ _splitmix64(t["_lo"].to_numpy(zero_copy_only=False).astype(np.uint64))
-             ^ _splitmix64((t["_hi"].to_numpy(zero_copy_only=False)
-                            + 7777).astype(np.uint64)))
-        return t.append_column(
-            "_p", pa.array((h % np.uint64(parts)).astype(np.int64), pa.int64()))
-
     def pairs_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
         key_type = g.schema.field(key_col).type
         empty = pa.table({"a_id": pa.array([], pa.int64()),
                           "b_id": pa.array([], pa.int64()),
                           key_col: pa.array([], key_type)})
-        if g.num_rows == 0:
-            return empty
-        o = pc.sort_indices(g, sort_keys=[(key_col, "ascending"),
-                                          ("_lo", "ascending"),
-                                          ("_hi", "ascending"),
-                                          (id_col, "ascending")])
-        g = g.take(o)
         keys = g[key_col].to_numpy(zero_copy_only=False)
         lo = g["_lo"].to_numpy(zero_copy_only=False)
         hi = g["_hi"].to_numpy(zero_copy_only=False)
@@ -686,10 +663,8 @@ def blocked_cosine_pairs(ds, key_col: str = "label", id_col: str = "vec_id",
             key_col: pa.array(np.concatenate(out_k), key_type),
         })
 
-    return (with_n.map_batches(
-                lambda t: expand(t.select([key_col, id_col, vec_col, "_n"])),
-                batch_format="pyarrow")
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(lambda g: pairs_partition(g.drop_columns(["_p"])),
-                        batch_format="pyarrow"))
+    return coarse_groups(
+        with_n.map_batches(
+            lambda t: expand(t.select([key_col, id_col, vec_col, "_n"])),
+            batch_format="pyarrow"),
+        [key_col, "_lo", "_hi"], pairs_partition, [id_col])

@@ -27,7 +27,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .shuffle import partial_aggregate
+from .shuffle import coarse_groups, partial_aggregate
 
 N_HASHES = 128
 N_BANDS = 32
@@ -136,51 +136,18 @@ def minhash_bands_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def _bucket_pairs(g: pa.Table) -> pa.Table:
-    """Arrow-format group fn: cheap per-group overhead matters — LSH
-    banding produces one (usually singleton) group per band hash."""
-    ids = np.unique(g["doc_id"].to_numpy(zero_copy_only=False))
-    if len(ids) < 2:
-        return pa.table({"a_id": pa.array([], pa.int64()),
-                         "b_id": pa.array([], pa.int64())})
-    ia, ib = np.triu_indices(len(ids), k=1)
-    return pa.table({"a_id": pa.array(ids[ia], pa.int64()),
-                     "b_id": pa.array(ids[ib], pa.int64())})
-
-
-def segmented_band_pairs(bands, parts: int = 512):
+def segmented_band_pairs(bands):
     """Candidate pairs from (band_id, band_hash, doc_id) rows — the
-    coarse-partition segmented form of ``groupby(bucket).map_groups``
-    (tiny-group rule): LSH banding yields one MOSTLY-SINGLETON group per
-    band hash, so per-group dispatch IS the cost at corpus scale. One
-    hash(bucket) shuffle co-locates each bucket; a partition resolves
-    every bucket run from one sort (dup (bucket, doc) rows collapse in
-    the same pass); the per-run triu loop touches only runs with >= 2
-    distinct docs."""
-    import zlib
-
-    from .sketch import _splitmix64
-
-    GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        bid = t["band_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bh = np.array([zlib.crc32(x.encode())
-                       for x in t["band_hash"].to_pylist()], dtype=np.uint64)
-        p = (_splitmix64(bid * GOLD + bh) % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
+    coarse-exchange form of ``groupby(bucket).map_groups`` (tiny-group
+    rule): LSH banding yields one MOSTLY-SINGLETON group per band hash,
+    so per-group dispatch IS the cost at corpus scale. A partition
+    resolves every bucket run in one pass (dup (bucket, doc) rows
+    collapse in the same pass); the per-run triu loop touches only runs
+    with >= 2 distinct docs."""
     def pair_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[("band_id", "ascending"),
-                                          ("band_hash", "ascending"),
-                                          ("doc_id", "ascending")])
-        g = g.take(o)
         n = g.num_rows
         empty = pa.table({"a_id": pa.array([], pa.int64()),
                           "b_id": pa.array([], pa.int64())})
-        if n == 0:
-            return empty
         bid = g["band_id"].to_numpy(zero_copy_only=False)
         bh = np.asarray(g["band_hash"].to_pylist(), dtype=object)
         did = g["doc_id"].to_numpy(zero_copy_only=False)
@@ -209,10 +176,8 @@ def segmented_band_pairs(bands, parts: int = 512):
             "b_id": pa.array(np.concatenate(ib_all), pa.int64()),
         })
 
-    return (bands.map_batches(add_part, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(lambda g: pair_partition(g.drop_columns(["_p"])),
-                        batch_format="pyarrow"))
+    return coarse_groups(bands, ["band_id", "band_hash"], pair_partition,
+                         ["doc_id"])
 
 
 def jaccard(a: str, b: str, n: int = 3) -> float:
@@ -361,25 +326,6 @@ def simhash_block_rows(batch: pa.Table) -> pa.Table:
             "doc_id": pa.array(np.repeat(doc_ids, 8), pa.int64()),
             "h": pa.array(h_rep, pa.uint64()),
         }
-    )
-
-
-def _hamming_pairs_group(g: pd.DataFrame, max_hamming: int) -> pd.DataFrame:
-    members = sorted({(int(d), int(h)) for d, h in zip(g["doc_id"], g["h"])})
-    rows_a: List[int] = []
-    rows_b: List[int] = []
-    rows_d: List[int] = []
-    for i in range(len(members)):
-        a, ha = members[i]
-        for k in range(i + 1, len(members)):
-            b, hb = members[k]
-            d = bin(ha ^ hb).count("1")
-            if d <= max_hamming:
-                rows_a.append(a)
-                rows_b.append(b)
-                rows_d.append(d)
-    return pd.DataFrame({"a_id": rows_a, "b_id": rows_b, "hamming": rows_d}).astype(
-        {"a_id": "int64", "b_id": "int64", "hamming": "int64"}
     )
 
 
@@ -537,29 +483,6 @@ def passage_window_rows(batch: pa.Table, window: int = 8) -> pa.Table:
     })
 
 
-def _window_pairs(g: pa.Table, max_window_docs: int | None = None) -> pa.Table:
-    empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                      "doc_b": pa.array([], pa.int64())})
-    ids = np.unique(g["doc_id"].to_numpy(zero_copy_only=False))
-    if len(ids) < 2:
-        return empty
-    if max_window_docs is not None and len(ids) > max_window_docs:
-        # HOT WINDOW (boilerplate): k docs would emit k^2/2 pairs in this
-        # one task. Drop it LOUDLY — suffix-array dedup pipelines do the
-        # same for high-frequency substrings (VERDICT r03 #3).
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "shared_passage_pairs: dropping hot window %s shared by %d docs "
-            "(> max_window_docs=%d); these docs pair via their other windows",
-            g["w"][0].as_py() if g.num_rows else "?", len(ids), max_window_docs,
-        )
-        return empty
-    ia, ib = np.triu_indices(len(ids), k=1)
-    return pa.table({"doc_a": pa.array(ids[ia], pa.int64()),
-                     "doc_b": pa.array(ids[ib], pa.int64())})
-
-
 def shared_passage_pairs(sf_dir: str, window: int = 8,
                          max_window_docs: int | None = 256):
     """Document pairs sharing at least one exact ``window``-token passage —
@@ -603,7 +526,7 @@ def token_jaccard(a: str, b: str) -> float:
 
 
 def allpairs_prefix_candidates(feat_rows, threshold: float,
-                               parts: int = 512, block_col: "str | None" = None):
+                               block_col: "str | None" = None):
     """Shared AllPairs/PPJoin candidate generation over FEATURE rows
     (``feat``: string, ``doc_id``: int64, ``n``: int64 = the doc's
     distinct-feature count, plus ``block_col`` when pairs must stay
@@ -630,14 +553,11 @@ def allpairs_prefix_candidates(feat_rows, threshold: float,
     (they are distinct per doc by contract, so the count IS document
     frequency); ceil is computed conservatively LOW (ceil(t*n - 1e-9))
     so float overshoot can only lengthen a prefix, never break
-    completeness. Both group stages run segmented over coarse hash
-    partitions (the tiny-group rule: one task per DOCUMENT / per
-    FEATURE otherwise)."""
-    import pyarrow.compute as pc
+    completeness. Both group stages are coarse exchanges (the tiny-group
+    rule: one task per DOCUMENT / per FEATURE otherwise)."""
     from ray.data.aggregate import Count
 
     from .shuffle import hash_join
-    from .sketch import _splitmix64
 
     # feat_rows feeds BOTH the df aggregate and the join left side;
     # without the pin the whole upstream feature extraction (per-doc
@@ -655,20 +575,8 @@ def allpairs_prefix_candidates(feat_rows, threshold: float,
                         right_schema=pa.schema([("feat", pa.string()),
                                                 ("df", pa.int64())]))
 
-    def part_by_doc(t: pa.Table) -> pa.Table:
-        d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(d) % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def prefix_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[("doc_id", "ascending"),
-                                          ("df", "ascending"),
-                                          ("feat", "ascending")])
-        g = g.take(o)
         nrow = g.num_rows
-        if nrow == 0:
-            return g.select(keep_cols)
         d = g["doc_id"].to_numpy(zero_copy_only=False)
         nn = g["n"].to_numpy(zero_copy_only=False)
         newd = np.ones(nrow, dtype=bool)
@@ -681,35 +589,13 @@ def allpairs_prefix_candidates(feat_rows, threshold: float,
         keep = rank < plen
         return g.filter(pa.array(keep)).select(keep_cols)
 
-    pref = (with_df.map_batches(part_by_doc, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(lambda g: prefix_partition(g.drop_columns(["_p"])),
-                        batch_format="pyarrow"))
-
-    def part_by_feat(t: pa.Table) -> pa.Table:
-        import zlib
-
-        if block_col:
-            keys = [f"{b}\x1f{f}" for b, f in
-                    zip(t[block_col].to_pylist(), t["feat"].to_pylist())]
-        else:
-            keys = t["feat"].to_pylist()
-        h = np.array([zlib.crc32(x.encode()) for x in keys], dtype=np.uint64)
-        p = (_splitmix64(h) % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
-    bucket_sort = ([(block_col, "ascending")] if block_col else []) + \
-        [("feat", "ascending"), ("doc_id", "ascending")]
+    pref = coarse_groups(with_df, ["doc_id"], prefix_partition,
+                         ["df", "feat"])
 
     def pairs_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=bucket_sort)
-        g = g.take(o)
         nrow = g.num_rows
         empty = pa.table({"a_id": pa.array([], pa.int64()),
                           "b_id": pa.array([], pa.int64())})
-        if nrow == 0:
-            return empty
         tk = np.asarray(g["feat"].to_pylist(), dtype=object)
         if block_col:
             bk = np.asarray(g[block_col].to_pylist(), dtype=object)
@@ -739,11 +625,9 @@ def allpairs_prefix_candidates(feat_rows, threshold: float,
         return pa.table({"a_id": pa.array(np.concatenate(a_all), pa.int64()),
                          "b_id": pa.array(np.concatenate(b_all), pa.int64())})
 
+    bucket = ([block_col] if block_col else []) + ["feat"]
     return (
-        pref.map_batches(part_by_feat, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(lambda g: pairs_partition(g.drop_columns(["_p"])),
-                    batch_format="pyarrow")
+        coarse_groups(pref, bucket, pairs_partition, ["doc_id"])
         .groupby(["a_id", "b_id"]).aggregate(Count(alias_name="_n"))
         .drop_columns(["_n"])
     )
@@ -796,33 +680,16 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
         np.int64)
 
 
-def segmented_hamming_pairs(rows, max_hamming: int, parts: int = 512):
+def segmented_hamming_pairs(rows, max_hamming: int):
     """(blk, sub, doc_id, h) rows -> candidate (a_id, b_id, hamming)
-    pairs with hamming <= max_hamming, segmented (tiny-group rule: a
-    Hamming block bucket is mostly singleton, like an LSH band bucket)."""
-    from .sketch import _splitmix64
-
-    GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        blk = t["blk"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        sub = t["sub"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(blk * GOLD + sub) % np.uint64(parts)).astype(
-            np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
+    pairs with hamming <= max_hamming, one coarse exchange (tiny-group
+    rule: a Hamming block bucket is mostly singleton, like an LSH band
+    bucket)."""
     def pair_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[("blk", "ascending"),
-                                          ("sub", "ascending"),
-                                          ("doc_id", "ascending")])
-        g = g.take(o)
         n = g.num_rows
         empty = pa.table({"a_id": pa.array([], pa.int64()),
                           "b_id": pa.array([], pa.int64()),
                           "hamming": pa.array([], pa.int64())})
-        if n == 0:
-            return empty
         blk = g["blk"].to_numpy(zero_copy_only=False)
         sub = g["sub"].to_numpy(zero_copy_only=False)
         did = g["doc_id"].to_numpy(zero_copy_only=False)
@@ -852,39 +719,20 @@ def segmented_hamming_pairs(rows, max_hamming: int, parts: int = 512):
             "hamming": pa.array(np.concatenate(d_all), pa.int64()),
         })
 
-    return (rows.map_batches(add_part, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(lambda g: pair_partition(g.drop_columns(["_p"])),
-                        batch_format="pyarrow"))
+    return coarse_groups(rows, ["blk", "sub"], pair_partition, ["doc_id"])
 
 
-def segmented_window_pairs(rows, max_window_docs: int | None,
-                           parts: int = 512):
+def segmented_window_pairs(rows, max_window_docs: int | None):
     """(w, doc_id) window-fingerprint rows -> doc pairs sharing a window,
     segmented; hot windows (> max_window_docs distinct docs) drop LOUDLY
     inside the same pass (VERDICT r03 #3), so a boilerplate window's
     k^2/2 pair matrix never forms."""
     import logging
-    import zlib
-
-    from .sketch import _splitmix64
-
-    def add_part(t: pa.Table) -> pa.Table:
-        h = np.array([zlib.crc32(x.encode())
-                      for x in t["w"].to_pylist()], dtype=np.uint64)
-        p = (_splitmix64(h) % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
 
     def pair_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[("w", "ascending"),
-                                          ("doc_id", "ascending")])
-        g = g.take(o)
         n = g.num_rows
         empty = pa.table({"doc_a": pa.array([], pa.int64()),
                           "doc_b": pa.array([], pa.int64())})
-        if n == 0:
-            return empty
         w = np.asarray(g["w"].to_pylist(), dtype=object)
         did = g["doc_id"].to_numpy(zero_copy_only=False)
         neww = np.ones(n, dtype=bool)
@@ -919,10 +767,7 @@ def segmented_window_pairs(rows, max_window_docs: int | None,
             "doc_b": pa.array(np.concatenate(b_all), pa.int64()),
         })
 
-    return (rows.map_batches(add_part, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(lambda g: pair_partition(g.drop_columns(["_p"])),
-                        batch_format="pyarrow"))
+    return coarse_groups(rows, ["w"], pair_partition, ["doc_id"])
 
 
 # ------------------------------------------- duplicated-passage coverage
@@ -963,7 +808,7 @@ def window_instance_rows(batch: pa.Table, window: int = 8) -> pa.Table:
     })
 
 
-def dup_passage_coverage(sf_dir: str, window: int = 8, parts: int = 512):
+def dup_passage_coverage(sf_dir: str, window: int = 8):
     """Per-document duplicated-passage coverage — the REMOVAL-side
     statistic of exact-substring training-data dedup (Lee et al. 2022's
     dedup step quantified per doc; shared_passage_pairs is the
@@ -979,35 +824,14 @@ def dup_passage_coverage(sf_dir: str, window: int = 8, parts: int = 512):
     ONCE on doc_id and a segmented interval-union kernel computes
     coverage as sum(min(next_start - start, window)) over sorted
     starts. Output: (doc_id, n_tokens, dup_tokens, dup_frac)."""
-    import pyarrow.compute as pc
-
     from ..sources.io import clean_rd as rd
-    from .sketch import _splitmix64
-
     rows = (
         rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
         .map_batches(lambda t: window_instance_rows(t, window),
                      batch_format="pyarrow")
     )
 
-    def part_by_w(t: pa.Table) -> pa.Table:
-        import zlib
-
-        h = np.array([zlib.crc32(x.encode()) for x in t["w"].to_pylist()],
-                     dtype=np.uint64)
-        p = (_splitmix64(h) % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def shared_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "start": pa.array([], pa.int64()),
-                          "n": pa.array([], pa.int64())})
-        if g.num_rows == 0:
-            return empty
-        o = pc.sort_indices(g, sort_keys=[("w", "ascending"),
-                                          ("doc_id", "ascending")])
-        g = g.take(o)
         w = np.asarray(g["w"].to_pylist(), dtype=object)
         d = g["doc_id"].to_numpy(zero_copy_only=False)
         nrow = len(d)
@@ -1021,27 +845,9 @@ def dup_passage_coverage(sf_dir: str, window: int = 8, parts: int = 512):
         keep = distinct[run_id] >= 2
         return g.filter(pa.array(keep)).select(["doc_id", "start", "n"])
 
-    shared = (rows.map_batches(part_by_w, batch_format="pyarrow")
-              .groupby("_p")
-              .map_groups(lambda g: shared_partition(g.drop_columns(["_p"])),
-                          batch_format="pyarrow"))
-
-    def part_by_doc(t: pa.Table) -> pa.Table:
-        d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(d) % np.uint64(parts)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
+    shared = coarse_groups(rows, ["w"], shared_partition, ["doc_id"])
 
     def coverage_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "n_tokens": pa.array([], pa.int64()),
-                          "dup_tokens": pa.array([], pa.int64()),
-                          "dup_frac": pa.array([], pa.float64())})
-        if g.num_rows == 0:
-            return empty
-        o = pc.sort_indices(g, sort_keys=[("doc_id", "ascending"),
-                                          ("start", "ascending")])
-        g = g.take(o)
         d = g["doc_id"].to_numpy(zero_copy_only=False)
         s = g["start"].to_numpy(zero_copy_only=False)
         n = g["n"].to_numpy(zero_copy_only=False)
@@ -1070,7 +876,4 @@ def dup_passage_coverage(sf_dir: str, window: int = 8, parts: int = 512):
                 np.round(cov / ntok.astype(np.float64), 6), pa.float64()),
         })
 
-    return (shared.map_batches(part_by_doc, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(lambda g: coverage_partition(g.drop_columns(["_p"])),
-                        batch_format="pyarrow"))
+    return coarse_groups(shared, ["doc_id"], coverage_partition, ["start"])

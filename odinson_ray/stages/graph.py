@@ -107,7 +107,7 @@ def oriented_wedges(oriented, keep_center: bool = False):
         ab, ac, on="src",
         left_schema=pa.schema([("src", _STR), ("b", _STR), ("db", pa.int64())]),
         right_schema=pa.schema([("src", _STR), ("c", _STR), ("dc", pa.int64())]),
-        merge_post=keep_ranked, merge_post_coarse=True)
+        merge_post=keep_ranked)
 
 
 def triangle_count(edges) -> int:
@@ -247,8 +247,6 @@ def label_propagation(edges, rounds: int | None = 3, pin=None,
             t = t.filter(pc.equal(t["c"], t["mc"]))
             return pa.table({"v": t["a"], "lab": t["lab"]})
 
-        # plain map_batches AFTER the coarse-partition join (merge_post
-        # would force the per-key join path: tiny per-vertex groups)
         best = hash_join(counts, maxc, on="a",
                          left_schema=cnt_schema, right_schema=mc_schema,
                          ).map_batches(keep_best, batch_format="pyarrow")
@@ -332,7 +330,7 @@ def adamic_adar_pairs(edges, max_center_degree: int = 1000):
         left, right, on="v",
         left_schema=pa.schema([("v", _STR), ("n1", _STR), ("w", pa.float64())]),
         right_schema=pa.schema([("v", _STR), ("n2", _STR)]),
-        merge_post=keep_ordered, merge_post_coarse=True)
+        merge_post=keep_ordered)
     return pairs.groupby(["n1", "n2"]).aggregate(Sum("w", alias_name="aa"))
 
 
@@ -426,7 +424,7 @@ def jaccard_pairs(edges, max_center_degree: int = 1000):
         left, right, on="v",
         left_schema=pa.schema([("v", _STR), ("n1", _STR)]),
         right_schema=pa.schema([("v", _STR), ("n2", _STR)]),
-        merge_post=keep_ordered, merge_post_coarse=True)
+        merge_post=keep_ordered)
     common = pairs.groupby(["n1", "n2"]).aggregate(
         Sum("c", alias_name="common"))
 

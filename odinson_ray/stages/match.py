@@ -320,7 +320,7 @@ class GrammarMatcher:
             toks = text.split(" ") if text else []
             fields, edges, roots = annotate_tokens_fast(toks)
             out.append(SentenceIndex(fields, edges, roots,
-                                     presanitized=True, prenormalized_labels=True,
+                                     prenormalized_labels=True,
                                      take_ownership=True))
         return out
 

@@ -1,15 +1,23 @@
 """Skew-aware shuffle utilities.
 
 Zipfian-hot keys (frequent entities) make a naive groupby shuffle lopsided:
-one reducer receives the head key's entire stream. Two complementary
-mitigations, both used by the KG pipeline:
+one reducer receives the head key's entire stream, and high-cardinality
+keys make per-key groups pay their dispatch cost millions of times. The
+mechanisms here, used by every pipeline:
 
 1. ``partial-aggregate before shuffle``: :func:`partial_aggregate`
    collapses each batch to one row per distinct key, bounding any key's
    fan-in to the number of batches, and :func:`combine_aggregate` merges
    the partials with one groupby. Best when the aggregate is algebraic
    (count/sum/min/max). It is the package's only per-batch Arrow groupby.
-2. ``salted_aggregate`` (here): an explicit salt column splits each key
+2. ``coarse exchange``: :func:`coarse_groups` shuffles rows on
+   ``hash(keys) % COARSE_PARTS`` and hands each partition, sorted by key,
+   to one function that sweeps all its key runs at once. It is the
+   package's only hand-made partition column; :func:`hash_join` and
+   :func:`grouped_topk` are built on it.
+3. ``broadcast or shuffle``: :func:`broadcast_or_join` broadcasts a right
+   side under ``BROADCAST_BYTES`` and hash-joins a larger one.
+4. ``salted_aggregate``: an explicit salt column splits each key
    into ``salt`` sub-keys; stage 1 aggregates (key, salt) — spreading a hot
    key over ``salt`` reducers — and stage 2 merges the per-salt partials
    with a groupby that is at most ``salt`` rows per key. Use when values
@@ -44,31 +52,89 @@ def as_arrow_schema(s) -> pa.Schema:
     return pa.schema(fields)
 
 
-def _partition_ids(col: pa.ChunkedArray, partitions: int) -> pa.Array:
-    """Deterministic vectorized partition id for a join-key column.
+#: the one partition count of :func:`coarse_groups` (and the default of
+#: :func:`hash_join`). Read on the driver when each is called, so setting
+#: it to 1 puts every key in one partition.
+COARSE_PARTS = 512
 
-    Any deterministic pure function of the key value works (it only
+_PART = "__part"
+_GOLD = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _partition_ids(t: pa.Table, keys, parts: int) -> pa.Array:
+    """Deterministic vectorized partition id of each row's ``keys``.
+
+    Any deterministic pure function of the key values works (it only
     decides co-location, never output values): splitmix64 for integer
-    keys, pandas' C siphash (fixed default key, stable across processes)
-    for strings/objects. Null keys land in partition 0 and are handled
-    as the dedicated null segment by the merge.
-    """
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    vals = arr.to_numpy(zero_copy_only=False)
-    if np.issubdtype(vals.dtype, np.integer):
-        from .sketch import _splitmix64
+    columns, pandas' C siphash (fixed default key, stable across
+    processes) for the rest, mixed across columns. A row with a null key
+    lands in partition 0."""
+    import pandas as pd
 
-        h = _splitmix64(vals.astype(np.uint64))
-    else:
-        import pandas as pd
+    from .sketch import _splitmix64
 
-        h = pd.util.hash_array(
-            np.asarray(arr.to_pandas(), dtype=object), categorize=False)
-    p = (h % np.uint64(partitions)).astype(np.int64)
-    null_mask = ~np.asarray(pc.is_valid(arr))
-    if null_mask.any():
-        p[null_mask] = 0
+    h = np.zeros(t.num_rows, dtype=np.uint64)
+    null = np.zeros(t.num_rows, dtype=bool)
+    for i, k in enumerate(keys):
+        arr = t[k].combine_chunks()
+        if arr.null_count:
+            null |= ~np.asarray(pc.is_valid(arr))
+        if pa.types.is_integer(arr.type):
+            hk = _splitmix64(pc.fill_null(arr, 0).to_numpy(
+                zero_copy_only=False).astype(np.uint64))
+        else:
+            hk = pd.util.hash_array(arr.to_numpy(zero_copy_only=False),
+                                    categorize=False)
+        h = hk if i == 0 else _splitmix64(h * _GOLD + hk)
+    p = (h % np.uint64(parts)).astype(np.int64)
+    p[null] = 0
     return pa.array(p, pa.int64())
+
+
+def coarse_groups(ds, keys, fn, order=()):
+    """The coarse-partition exchange: ``fn`` resolves many keys at once.
+
+    Each row is tagged with ``hash(keys) % COARSE_PARTS`` and the tag is
+    the only shuffle key (the sort-based shuffle ``groupby().map_groups()``
+    runs, so no partition spans two blocks). ``fn`` is called once per
+    shuffled block, on one ``pa.Table`` holding one or more whole
+    partitions sorted by ``(*keys, *order)`` (nulls last), tag dropped,
+    so it sweeps the key runs with one pass of numpy. An entry of
+    ``order`` is a column (ascending) or a ``(column, "descending")``
+    pair. ``ds`` may be a list of Datasets, each tagged by its own last
+    map stage and then unioned.
+
+    Why not one call per key, or per partition: ``map_groups`` pays a
+    fixed dispatch and Arrow-call cost per group (~2 ms), and join,
+    window and bucket keys are mostly high-cardinality, so at scale that
+    cost IS the operator (the tiny-group rule of SCALE.md); one call per
+    block is the floor. ``fn`` must be multi-key-safe; a hot key still
+    lands whole in one block."""
+    return _exchange(ds, keys, fn, order, COARSE_PARTS)
+
+
+def _exchange(ds, keys, fn, order, parts: int):
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    sort_keys = [c if isinstance(c, tuple) else (c, "ascending")
+                 for c in (*keys, *order)]
+
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column(_PART, _partition_ids(t, keys, parts))
+
+    def resolve(g: pa.Table):
+        if g.num_rows:
+            g = g.drop_columns([_PART])
+            yield fn(g.take(pc.sort_indices(g, sort_keys=sort_keys))
+                     .combine_chunks())
+
+    parts_ds = [d.map_batches(tag, batch_format="pyarrow")
+                for d in (ds if isinstance(ds, (list, tuple)) else [ds])]
+    tagged = parts_ds[0].union(*parts_ds[1:]) if len(parts_ds) > 1 \
+        else parts_ds[0]
+    # the shuffle of map_groups, with one call per block instead of one
+    # per tag value
+    return tagged.sort(_PART).map_batches(resolve, batch_size=None,
+                                          batch_format="pyarrow")
 
 
 def _seg_arange(seg_starts: np.ndarray, seg_lens: np.ndarray) -> np.ndarray:
@@ -83,14 +149,18 @@ def _seg_arange(seg_starts: np.ndarray, seg_lens: np.ndarray) -> np.ndarray:
     return seg_starts[rep] + offs
 
 
+#: past this many output rows, one key's cross product in
+#: :func:`hash_join` is emitted in chunked sub-tables (read at call time)
+HOT_CHUNK_ROWS = 10_000_000
+
+
 def hash_join(left, right, on: str, right_on: str | None = None,
               how: str = "inner", right_suffix: str = "_r",
               left_schema: pa.Schema | None = None,
               right_schema: pa.Schema | None = None,
-              merge_post=None, hot_chunk_rows: int = 10_000_000,
-              partitions: int = 512, group_filter=None,
-              merge_post_coarse: bool = False):
-    """Distributed single-key hash join built on ``groupby().map_groups()``.
+              merge_post=None, partitions: int | None = None,
+              group_filter=None):
+    """Distributed single-key hash join over the coarse exchange.
 
     Why not ``Dataset.join``: Ray 2.49's hash-shuffle join (a) crashes
     when a shuffle partition receives no shard on one side (the empty
@@ -98,52 +168,41 @@ def hash_join(left, right, on: str, right_on: str | None = None,
     join and poisons downstream operators) — routine for sparse sides —
     and (b) reserves whole-CPU aggregator actors up front, which
     deadlocks chained joins on small clusters. This implementation keeps
-    the same discipline (each side is key-shuffled exactly once, the
-    merge runs per key partition, nothing touches the driver) but uses
-    the sort-based groupby shuffle, which handles empty partitions.
+    the same discipline (each side is key-shuffled exactly once, nothing
+    touches the driver) but uses the sort-based groupby shuffle, which
+    handles empty partitions.
 
     Both sides are projected to one common schema (other side's columns
     null-filled WITH EXPLICIT ARROW TYPES, so schemas unify across
-    blocks), unioned, shuffled once by key, and cross-producted per key
-    group. ``how`` is "inner", "left_outer", "full_outer", "semi" or
-    "anti" — full_outer additionally emits unmatched RIGHT rows with
-    null left columns (the key column carries COALESCE(l.key, r.key)
-    semantics; null-key rows from BOTH sides are emitted unmatched, as
-    in SQL); semi
-    emits each left row with >= 1 right match ONCE (left columns only,
-    no cross product), anti emits left rows with NO right match
-    (NOT EXISTS semantics: null-key left rows never match, so anti
-    emits them). Right payload columns that collide with left names get
+    blocks), tagged, unioned and shuffled once on ``hash(key) %
+    partitions`` (``COARSE_PARTS`` unless given: the driver-iterative
+    graph loops size it from their edge counts). Each shuffled block's
+    merge is one dictionary_encode plus segmented numpy index arithmetic
+    for EVERY key run at once (the :func:`coarse_groups` shape). ``how`` is
+    "inner", "left_outer", "full_outer", "semi" or "anti" — full_outer
+    additionally emits unmatched RIGHT rows with null left columns (the
+    key column carries COALESCE(l.key, r.key) semantics; null-key rows
+    from BOTH sides are emitted unmatched, as in SQL); semi emits each
+    left row with >= 1 right match ONCE (left columns only, no cross
+    product), anti emits left rows with NO right match (NOT EXISTS
+    semantics: null-key left rows never match, so anti emits them).
+    Right payload columns that collide with left names get
     ``right_suffix``.
 
     ``merge_post``: optional fn(pa.Table) -> pa.Table applied to each
-    key group's joined rows INSIDE the join reducer. Per-group
-    postprocessing (e.g. an ordered cumsum seeded by a joined offset)
-    would otherwise need its own groupby on the same key — a whole extra
-    all-to-all shuffle for rows that are already co-located here.
-
-    EXECUTION SHAPE (r4, tiny-group rule): without ``merge_post`` the
-    shuffle key is ``hash(key) % partitions`` — COARSE partitions, not
-    per-key groups — and each partition's merge is one Arrow sort + one
-    dictionary_encode + segmented numpy index arithmetic for EVERY key
-    run at once. Per-key ``map_groups`` pays ~2 ms of dispatch +
-    Arrow-call overhead per group; join keys are mostly high-cardinality
-    (doc ids, entity keys), so at web scale that overhead IS the join
-    cost (the same fix took asof_join's resolve 43.7 s -> 1.2 s).
-    ``merge_post`` callers keep the per-key path by default: their
-    contract is a single-key table (seeded cumsums, per-center ranks).
-    Callers whose postprocess is itself key-grouped (it re-groups by the
-    join key internally) can pass ``merge_post_coarse=True`` to run it
-    once per coarse partition instead — per-key dispatch disappears
-    from the plan (r5: late_order_priority 6.3 s -> coarse).
+    shuffled block's joined rows INSIDE the join reducer, once per block
+    and also when nothing in it matched (so the dataset's schema is the
+    post-processed one). It sees many keys at once and may see an empty
+    table: key-grouped postprocessing (e.g. a seeded cumsum, a per-key
+    rank) groups by the join key itself, and that costs no extra
+    shuffle because the rows are already co-located here.
 
     ``group_filter``: optional size predicate fn(n_left, n_right) -> bool
-    evaluated per key group BEFORE its cross product is built; failing
-    groups emit nothing (inner-only). Must be numpy-elementwise-safe
-    (called with int64 arrays on the coarse path) — e.g.
-    ``lambda nl, nr: (nl <= cap) & (nr <= cap)``. This is where degree
-    caps belong: both group sizes are known here for free, so a hub
-    bound costs no extra pass (kg_path_patterns' middle-degree cap).
+    array, evaluated on the per-key group sizes (int64 arrays) BEFORE
+    the cross product is built; failing groups emit nothing (inner-only).
+    E.g. ``lambda nl, nr: (nl <= cap) & (nr <= cap)``. This is where
+    degree caps belong: both group sizes are known here for free, so a
+    hub bound costs no extra pass (kg_path_patterns' middle-degree cap).
     """
     assert how in ("inner", "left_outer", "full_outer", "semi", "anti"), how
     assert group_filter is None or how == "inner", \
@@ -159,15 +218,12 @@ def hash_join(left, right, on: str, right_on: str | None = None,
     lpay = [c for c in ls.names if c != on]
     rpay = [c for c in rs.names if c != right_on]
     rout = {c: (c + right_suffix if c in ls.names else c) for c in rpay}
-
-    coarse = merge_post is None or merge_post_coarse
+    hot_rows = HOT_CHUNK_ROWS
 
     def proj_left(t: pa.Table) -> pa.Table:
         n = len(t)
-        k = t[on].combine_chunks().cast(ktype)
-        data = {"_k": k, "_side": pa.array(np.zeros(n, dtype=np.int8))}
-        if coarse:
-            data["_p"] = _partition_ids(k, partitions)
+        data = {"_k": t[on].combine_chunks().cast(ktype),
+                "_side": pa.array(np.zeros(n, dtype=np.int8))}
         for c in lpay:
             data["_l_" + c] = t[c].combine_chunks().cast(ltypes[c])
         for c in rpay:
@@ -176,104 +232,13 @@ def hash_join(left, right, on: str, right_on: str | None = None,
 
     def proj_right(t: pa.Table) -> pa.Table:
         n = len(t)
-        k = t[right_on].combine_chunks().cast(ktype)
-        data = {"_k": k, "_side": pa.array(np.ones(n, dtype=np.int8))}
-        if coarse:
-            data["_p"] = _partition_ids(k, partitions)
+        data = {"_k": t[right_on].combine_chunks().cast(ktype),
+                "_side": pa.array(np.ones(n, dtype=np.int8))}
         for c in lpay:
             data["_l_" + c] = pa.nulls(n, ltypes[c])
         for c in rpay:
             data["_r_" + c] = t[c].combine_chunks().cast(rtypes[c])
         return pa.Table.from_pydict(data)
-
-    def merge(g: pa.Table) -> pa.Table:
-        """Vectorized per-key merge: build left/right index arrays for the
-        cross product and gather with Arrow ``take`` — no per-row Python.
-
-        SQL semantics for NULL keys: NULL never equals NULL, so the
-        null-key group produces no matches (inner) / unmatched left rows
-        (left_outer).
-
-        Memory bound: one hot key with n x m matching rows builds its full
-        n*m-row output table in a single task (same bound as any hash
-        join's per-key output); a warning fires past 10M rows so skew is
-        visible rather than silent.
-        """
-        g = g.combine_chunks()
-        side = g["_side"].to_numpy(zero_copy_only=False)
-        li = np.flatnonzero(side == 0)
-        ri = np.flatnonzero(side == 1)
-        null_key = bool(g.num_rows) and not g["_k"][0].is_valid
-        if null_key and how != "full_outer":
-            ri = ri[:0]  # NULL keys never match
-        if (group_filter is not None and li.size and ri.size
-                and not bool(group_filter(li.size, ri.size))):
-            ri = ri[:0]  # filtered group: no matches (inner -> empty)
-        if how in ("semi", "anti"):
-            lidx = li if bool(ri.size) == (how == "semi") else li[:0]
-            out = {on: g["_k"].take(lidx)}
-            for c in lpay:
-                out[c] = g["_l_" + c].take(lidx)
-            joined = pa.Table.from_pydict(out)
-            if merge_post is not None and joined.num_rows:
-                joined = merge_post(joined)
-            return joined
-        if how == "full_outer" and (li.size == 0 or ri.size == 0 or null_key):
-            # no matches in this group: the projected union already holds
-            # nulls for the other side's columns on every row, so emitting
-            # both sides unmatched is a plain take of all rows
-            lidx = ridx = np.concatenate([li, ri])
-        elif li.size == 0 or ri.size == 0:
-            if how == "inner" or li.size == 0:
-                lidx = li[:0]
-            else:  # left_outer, no right match: _r_* cols of left rows
-                lidx = li  # are already null by construction
-            ridx = lidx
-        else:
-            if li.size * ri.size > hot_chunk_rows:
-                # HOT-KEY MITIGATION (VERDICT r03 #9): the cross product is
-                # inherent to the join output, but building it in one shot
-                # needs two n*m int64 index arrays PLUS one contiguous
-                # n*m-row table. Emit chunked instead: slice the left index
-                # into <= hot_chunk_rows/m pieces and take per piece — peak
-                # extra memory is one chunk's indices, and the output table
-                # holds chunked (non-contiguous) columns downstream ops
-                # stream over.
-                import warnings
-
-                warnings.warn(
-                    f"hash_join: hot key expands to {li.size}x{ri.size} rows "
-                    "in one task; emitting in chunked sub-tables "
-                    "(consider pre-aggregating or salting upstream)",
-                    RuntimeWarning,
-                )
-                per = max(1, hot_chunk_rows // max(ri.size, 1))
-                pieces = []
-                for s in range(0, li.size, per):
-                    lch = li[s:s + per]
-                    lidx = np.repeat(lch, ri.size)
-                    ridx = np.tile(ri, lch.size)
-                    out = {on: g["_k"].take(lidx)}
-                    for c in lpay:
-                        out[c] = g["_l_" + c].take(lidx)
-                    for c in rpay:
-                        out[rout[c]] = g["_r_" + c].take(ridx)
-                    pieces.append(pa.Table.from_pydict(out))
-                joined = pa.concat_tables(pieces)
-                if merge_post is not None and joined.num_rows:
-                    joined = merge_post(joined)
-                return joined
-            lidx = np.repeat(li, ri.size)
-            ridx = np.tile(ri, li.size)
-        out = {on: g["_k"].take(lidx)}
-        for c in lpay:
-            out[c] = g["_l_" + c].take(lidx)
-        for c in rpay:
-            out[rout[c]] = g["_r_" + c].take(ridx)
-        joined = pa.Table.from_pydict(out)
-        if merge_post is not None and joined.num_rows:
-            joined = merge_post(joined)
-        return joined
 
     def _emit(g: pa.Table, lidx: np.ndarray, ridx: np.ndarray) -> pa.Table:
         out = {on: g["_k"].take(lidx)}
@@ -283,21 +248,18 @@ def hash_join(left, right, on: str, right_on: str | None = None,
             out[rout[c]] = g["_r_" + c].take(ridx)
         return pa.Table.from_pydict(out)
 
-    def merge_partition(g: pa.Table) -> pa.Table:
-        """Segmented merge of a COARSE hash partition: every key run in
-        the partition resolved from one sort + one dictionary_encode +
-        numpy index arithmetic — no per-key Arrow calls or dispatch.
+    def merge(g: pa.Table) -> pa.Table:
+        """Segmented merge of one partition, sorted by (key, side): key
+        runs contiguous, left rows before right rows within a run, nulls
+        in one trailing segment (code -1). SQL semantics for null keys:
+        never matched; emitted unmatched by left_outer/full_outer/anti.
 
-        Null-key rows land in one trailing segment (code -1) and follow
-        SQL semantics exactly as the per-key path did: never matched;
-        emitted unmatched by left_outer/full_outer/anti.
-        """
-        g = g.combine_chunks()
+        Memory bound: one hot key with n x m matching rows builds its
+        n*m output rows in this task (the bound of any hash join);
+        past ``HOT_CHUNK_ROWS`` a warning fires and the key is emitted
+        in chunked sub-tables, so peak extra memory is one chunk's
+        indices."""
         n = g.num_rows
-        # key runs contiguous, left rows before right rows within a run,
-        # nulls at the end (Arrow sort default null_placement)
-        g = g.take(pc.sort_indices(
-            g, sort_keys=[("_k", "ascending"), ("_side", "ascending")]))
         enc = pc.dictionary_encode(g["_k"].combine_chunks())
         codes = enc.indices.to_numpy(zero_copy_only=False)
         if codes.dtype.kind == "f":  # nulls present -> float with nan
@@ -326,7 +288,7 @@ def hash_join(left, right, on: str, right_on: str | None = None,
         ls, lc, rc = starts[matched], lcnt[matched], rcnt[matched]
         rstart, out_n = ls + lc, lc * rc
         pieces = []
-        hot = out_n > hot_chunk_rows
+        hot = out_n > hot_rows
         if hot.any():
             import warnings
 
@@ -339,7 +301,7 @@ def hash_join(left, right, on: str, right_on: str | None = None,
                 )
                 li = np.arange(ls[i], ls[i] + lc[i])
                 ri = np.arange(rstart[i], rstart[i] + rc[i])
-                per = max(1, hot_chunk_rows // max(int(rc[i]), 1))
+                per = max(1, hot_rows // max(int(rc[i]), 1))
                 for s in range(0, int(lc[i]), per):
                     lch = li[s:s + per]
                     pieces.append(_emit(g, np.repeat(lch, ri.size),
@@ -370,31 +332,11 @@ def hash_join(left, right, on: str, right_on: str | None = None,
         pieces.append(_emit(g, lidx, ridx))
         return pa.concat_tables(pieces) if len(pieces) > 1 else pieces[0]
 
-    both = left.map_batches(proj_left, batch_format="pyarrow").union(
-        right.map_batches(proj_right, batch_format="pyarrow")
-    )
-    if coarse:
-        if merge_post is not None:
-            # merge_post_coarse contract: the fn receives one COARSE
-            # partition's joined rows (MANY keys) and must be
-            # multi-key-safe (e.g. it groups by the join key itself).
-            # This keeps per-key postprocessing off the per-group
-            # dispatch path (the tiny-group rule) for callers whose
-            # postprocess is itself an aggregation.
-            def merge_partition_post(g: pa.Table) -> pa.Table:
-                # merge_post runs on EMPTY joined tables too: a partition
-                # whose keys all fail to match still emits a block, and
-                # skipping the callback there would leak the pre-post
-                # schema into the dataset (schema unification / downstream
-                # aggregates then fail when every partition is empty).
-                # merge_post_coarse callers must therefore be empty-safe.
-                return merge_post(merge_partition(g))
-
-            return both.groupby("_p").map_groups(
-                merge_partition_post, batch_format="pyarrow")
-        return both.groupby("_p").map_groups(
-            merge_partition, batch_format="pyarrow")
-    return both.groupby("_k").map_groups(merge, batch_format="pyarrow")
+    fn = merge if merge_post is None else (lambda g: merge_post(merge(g)))
+    return _exchange([left.map_batches(proj_left, batch_format="pyarrow"),
+                      right.map_batches(proj_right, batch_format="pyarrow")],
+                     ["_k"], fn, ["_side"],
+                     COARSE_PARTS if partitions is None else partitions)
 
 
 def _sort_keys(cols, descending):
@@ -420,54 +362,32 @@ def global_topk(ds, cols, descending, k: int):
     return pruned.sort(cols, descending=descending).limit(k)
 
 
-def grouped_topk(ds, by: str, cols, descending, k: int, schema=None,
-                 partitions: int = 512):
+def grouped_topk(ds, by: str, cols, descending, k: int, schema=None):
     """Per-group top-k with a per-batch combiner: each batch keeps at most
     k rows per key (exact for the same subset reason as global_topk), so
     the shuffle moves <= k x num_batches rows per key and no hot key can
-    pin a reducer with its full row set.
+    pin a reducer with its full row set. The final selection is one
+    :func:`coarse_groups` exchange: every key run in a partition is
+    resolved by the same segmented rank arithmetic as the combiner."""
+    order = [(c, "descending" if d else "ascending")
+             for c, d in zip(cols, descending)]
 
-    EXECUTION SHAPE (tiny-group rule): the final selection shuffles on
-    ``hash(by) % partitions`` — COARSE partitions, not per-key groups —
-    and every key run in a partition is resolved by ONE sort + the same
-    segmented rank arithmetic as the combiner. The per-key ``map_groups``
-    this replaced paid ~2 ms dispatch per group, which dominates once
-    key counts reach millions (the asof/sessionize lesson)."""
+    def _rank(t: pa.Table) -> pa.Table:
+        keys = t[by].to_numpy(zero_copy_only=False)
+        starts = np.concatenate([[0], np.flatnonzero(keys[1:] != keys[:-1]) + 1])
+        rank = np.arange(len(keys)) - np.repeat(starts, np.diff(np.append(starts, len(keys))))
+        return t.filter(pa.array(rank < k))
 
     def _rank_filter(t: pa.Table) -> pa.Table:
         if t.schema.metadata:
             t = t.replace_schema_metadata(None)  # keep schemas hashable
         if t.num_rows == 0:
             return t
-        idx = pc.sort_indices(
-            t, sort_keys=[(by, "ascending")] + _sort_keys(cols, descending))
-        t = t.take(idx)
-        keys = t[by].to_numpy(zero_copy_only=False)
-        starts = np.concatenate([[0], np.flatnonzero(keys[1:] != keys[:-1]) + 1])
-        rank = np.arange(len(keys)) - np.repeat(starts, np.diff(np.append(starts, len(keys))))
-        return t.filter(pa.array(rank < k))
-
-    def add_part(t: pa.Table) -> pa.Table:
-        from .sketch import _splitmix64
-
-        col = t[by]
-        if pa.types.is_integer(col.type):
-            h = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-        else:
-            import zlib
-
-            h = np.array([zlib.crc32(str(x).encode())
-                          for x in col.to_pylist()], dtype=np.uint64)
-        p = (_splitmix64(h) % np.uint64(partitions)).astype(np.int64)
-        return t.append_column("_gtp", pa.array(p, pa.int64()))
-
-    def resolve(g: pa.Table) -> pa.Table:
-        return _rank_filter(g.drop_columns(["_gtp"]))
+        return _rank(t.take(pc.sort_indices(
+            t, sort_keys=[(by, "ascending")] + order)))
 
     pruned = ds.map_batches(_rank_filter, batch_format="pyarrow")
-    return (pruned.map_batches(add_part, batch_format="pyarrow")
-            .groupby("_gtp")
-            .map_groups(resolve, batch_format="pyarrow"))
+    return coarse_groups(pruned, [by], _rank, order)
 
 
 def add_salt(batch: pa.Table, key: str, salt: int) -> pa.Table:

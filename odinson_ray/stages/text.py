@@ -285,7 +285,7 @@ def tfidf_top_term(sf_dir: str, min_df: int = 1):
 
     joined = hash_join(tf_ds, df_ds, on="tok", how="inner",
                        left_schema=tf_schema, right_schema=df_schema,
-                       merge_post=score_group, merge_post_coarse=True)
+                       merge_post=score_group)
     # final per-doc argmax via grouped_topk k=1 — segmented coarse
     # partitions, never one task per document (the map_groups this
     # replaced dispatched corpus-many tiny groups)

@@ -28,12 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .shuffle import as_arrow_schema, combine_aggregate, partial_aggregate
-
-# coarse fan-out for the as-of final resolve: enough partitions that a
-# 256-node cluster keeps every core busy, few enough that per-partition
-# run counts amortize the per-group overhead
-ASOF_PARTITIONS = 1024
+from .shuffle import (as_arrow_schema, coarse_groups, combine_aggregate,
+                      partial_aggregate)
 
 
 def _with_bucket(t: pa.Table, ts: str, bucket_s: int) -> pa.Table:
@@ -86,55 +82,25 @@ def session_spans(ds, key: str = "user_id", ts: str = "ts",
     columns: (key, session_start_us, session_end_us, n_events).
 
     EXECUTION SHAPE (tiny-group rule): neither stage forms per-key
-    groups — both shuffle on COARSE hash partitions (hash(key, bucket)
-    then hash(key), SESSION_PARTITIONS each) and process every
-    (key, bucket) / key run in a partition from ONE sort + segmented
-    numpy. The per-(key,bucket) map_groups this replaced paid ~2 ms of
-    dispatch per group: 1.5M groups (50k users x 30 days) took 99 s on
-    a 2M-row input; the segmented form is bounded by the sort.
+    groups — both are coarse exchanges (on (key, bucket), then on key)
+    that process every (key, bucket) / key run in a partition with one
+    pass of segmented numpy. The per-(key,bucket) map_groups this
+    replaced paid ~2 ms of dispatch per group: 1.5M groups (50k users x
+    30 days) took 99 s on a 2M-row input; the segmented form is bounded
+    by the sort.
     """
-    from .sketch import _splitmix64
-
-    PARTS = 512
     gap_us = gap_s * 1_000_000
 
-    key_t = as_arrow_schema(ds.schema()).field(key).type
-    int_key = pa.types.is_integer(key_t)
-
-    def _key_hash(keys: pa.ChunkedArray) -> np.ndarray:
-        if int_key:
-            k = keys.to_numpy(zero_copy_only=False).astype(np.uint64)
-        else:
-            import zlib
-
-            k = np.array([zlib.crc32(str(x).encode())
-                          for x in keys.to_pylist()], dtype=np.uint64)
-        return k
-
-    def part1(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         t = _with_bucket(t, ts, bucket_s)
-        h = _key_hash(t[key]) * np.uint64(0x9E3779B97F4A7C15) + \
-            t["_bucket"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_splitmix64(h) % np.uint64(PARTS)).astype(np.int64)
         return pa.table({
             key: t[key],
             "_bucket": t["_bucket"],
             "_ts": pc.cast(pc.cast(t[ts], pa.timestamp("us")), pa.int64()),
-            "_p": pa.array(p, pa.int64()),
         })
 
     def frag_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[(key, "ascending"),
-                                          ("_bucket", "ascending"),
-                                          ("_ts", "ascending")])
-        g = g.take(o)
         n = g.num_rows
-        if n == 0:
-            return pa.table({key: pa.array([], key_t),
-                             "_fs": pa.array([], pa.int64()),
-                             "_fe": pa.array([], pa.int64()),
-                             "_fn": pa.array([], pa.int64())})
         k = g[key].to_numpy(zero_copy_only=False)
         b = g["_bucket"].to_numpy(zero_copy_only=False)
         tu = g["_ts"].to_numpy(zero_copy_only=False)
@@ -151,23 +117,8 @@ def session_spans(ds, key: str = "user_id", ts: str = "ts",
                             pa.int64()),
         })
 
-    def part2(t: pa.Table) -> pa.Table:
-        p = (_splitmix64(_key_hash(t[key])) % np.uint64(PARTS)).astype(
-            np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
     def merge_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[(key, "ascending"),
-                                          ("_fs", "ascending"),
-                                          ("_fe", "ascending")])
-        g = g.take(o)
         n = g.num_rows
-        if n == 0:
-            return pa.table({key: pa.array([], key_t),
-                             "session_start_us": pa.array([], pa.int64()),
-                             "session_end_us": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64())})
         k = g[key].to_numpy(zero_copy_only=False)
         fs = g["_fs"].to_numpy(zero_copy_only=False)
         fe = g["_fe"].to_numpy(zero_copy_only=False)
@@ -185,12 +136,9 @@ def session_spans(ds, key: str = "user_id", ts: str = "ts",
             "n_events": pa.array(np.add.reduceat(fn, seg), pa.int64()),
         })
 
-    frags = (ds.map_batches(part1, batch_format="pyarrow")
-             .groupby("_p")
-             .map_groups(frag_partition, batch_format="pyarrow"))
-    return (frags.map_batches(part2, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(merge_partition, batch_format="pyarrow"))
+    frags = coarse_groups(ds.map_batches(project, batch_format="pyarrow"),
+                          [key, "_bucket"], frag_partition, ["_ts"])
+    return coarse_groups(frags, [key], merge_partition, ["_fs", "_fe"])
 
 
 def running_total(ds, key: str = "user_id", ts: str = "ts",
@@ -245,8 +193,6 @@ def running_total(ds, key: str = "user_id", ts: str = "ts",
         return pc.binary_join_element_wise(
             pc.cast(keys, pa.string()), pc.cast(buckets, pa.string()), "|")
 
-    jk_type = pa.int64() if int_key else pa.string()
-
     def add_jk(t: pa.Table) -> pa.Table:
         t = _with_bucket(t, ts, bucket_s)
         return t.append_column("_jk", _jk_of(t[key], t["_bucket"]))
@@ -260,43 +206,11 @@ def running_total(ds, key: str = "user_id", ts: str = "ts",
             _with_bucket(t.select([key, ts, value]), ts, bucket_s),
             [key, "_bucket"], [("_ps", value, "sum")])
 
-    from .sketch import _splitmix64
-
-    PARTS = 512
-
-    def _jk_part(jk: pa.ChunkedArray) -> pa.Array:
-        if jk_type == pa.int64():
-            h = jk.to_numpy(zero_copy_only=False).astype(np.uint64)
-        else:
-            import zlib
-
-            h = np.array([zlib.crc32(x.encode())
-                          for x in jk.to_pylist()], dtype=np.uint64)
-        return pa.array((_splitmix64(h) % np.uint64(PARTS)).astype(np.int64))
-
-    # offsets: per-batch partials -> coarse hash(key) partitions -> one
-    # sort + segmented exclusive prefix per partition (tiny-group rule:
-    # a per-key map_groups here would pay dispatch per key)
-    def part_by_key(t: pa.Table) -> pa.Table:
-        if int_key:
-            h = t[key].to_numpy(zero_copy_only=False).astype(np.uint64)
-        else:
-            import zlib
-
-            h = np.array([zlib.crc32(str(x).encode())
-                          for x in t[key].to_pylist()], dtype=np.uint64)
-        p = (_splitmix64(h) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
+    # offsets: per-batch partials -> coarse exchange on key -> segmented
+    # exclusive prefix per partition (tiny-group rule: a per-key
+    # map_groups here would pay dispatch per key)
     def offsets_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[(key, "ascending"),
-                                          ("_bucket", "ascending")])
-        g = g.take(o)
         n = g.num_rows
-        if n == 0:
-            return pa.table({"_jk": pa.array([], jk_type),
-                             "_offset": pa.array([], pa.float64())})
         k = g[key].to_numpy(zero_copy_only=False)
         b = g["_bucket"].to_numpy(zero_copy_only=False)
         s = g["_ps"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -319,19 +233,14 @@ def running_total(ds, key: str = "user_id", ts: str = "ts",
         return pa.table({"_jk": jk,
                          "_offset": pa.array(off, pa.float64())})
 
-    offs = (
-        ds.map_batches(batch_bsums, batch_format="pyarrow")
-        .map_batches(part_by_key, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(lambda g: offsets_partition(g.drop_columns(["_p"])),
-                    batch_format="pyarrow")
-    )
+    offs = coarse_groups(ds.map_batches(batch_bsums, batch_format="pyarrow"),
+                         [key], offsets_partition, ["_bucket"])
 
     # seeded cumsum WITHOUT a per-group join: offset rows union into the
     # event stream tagged to sort FIRST within their (key, bucket) run,
-    # ONE coarse hash(_jk) shuffle co-locates each run, and a segmented
+    # ONE coarse exchange on _jk co-locates each run, and a segmented
     # run-reset cumsum (seeded by the offset row) resolves every run in
-    # a partition from one sort — the merge_post per-(key,bucket) join
+    # a partition in one pass — the merge_post per-(key,bucket) join
     # this replaced dispatched one task-side call per composite key
     i8 = pa.int8()
 
@@ -357,24 +266,8 @@ def running_total(ds, key: str = "user_id", ts: str = "ts",
             "_x": t["_offset"],
         })
 
-    unioned = (ds.map_batches(ev_rows, batch_format="pyarrow")
-               .union(offs.map_batches(off_rows, batch_format="pyarrow")))
-
-    def add_jkp(t: pa.Table) -> pa.Table:
-        return t.append_column("_p", _jk_part(t["_jk"]))
-
     def resolve_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[("_jk", "ascending"),
-                                          ("_tag", "ascending"),
-                                          (ts, "ascending"),
-                                          (order, "ascending")])
-        g = g.take(o)
         n = g.num_rows
-        if n == 0:
-            return pa.table({order: pa.array([], pa.int64()),
-                             key: pa.array([], key_t),
-                             out: pa.array([], pa.float64())})
         jk = g["_jk"].to_numpy(zero_copy_only=False)
         x = g["_x"].to_numpy(zero_copy_only=False)
         newr = np.ones(n, dtype=bool)
@@ -392,10 +285,10 @@ def running_total(ds, key: str = "user_id", ts: str = "ts",
             out: pa.array(run[ev_mask], pa.float64()),
         })
 
-    return (unioned.map_batches(add_jkp, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(lambda g: resolve_partition(g.drop_columns(["_p"])),
-                        batch_format="pyarrow"))
+    return coarse_groups(
+        [ds.map_batches(ev_rows, batch_format="pyarrow"),
+         offs.map_batches(off_rows, batch_format="pyarrow")],
+        ["_jk"], resolve_partition, ["_tag", ts, order])
 
 
 def running_drawdown(ds, key: str = "user_id", ts: str = "ts",
@@ -432,8 +325,6 @@ def running_drawdown(ds, key: str = "user_id", ts: str = "ts",
         return pc.binary_join_element_wise(
             pc.cast(keys, pa.string()), pc.cast(buckets, pa.string()), "|")
 
-    jk_type = pa.int64() if int_key else pa.string()
-
     def add_jk(t: pa.Table) -> pa.Table:
         t = _with_bucket(t, ts, bucket_s)
         return t.append_column("_jk", _jk_of(t[key], t["_bucket"]))
@@ -443,33 +334,11 @@ def running_drawdown(ds, key: str = "user_id", ts: str = "ts",
             _with_bucket(t.select([key, ts, value]), ts, bucket_s),
             [key, "_bucket"], [("_mx", value, "max")])
 
-    from .sketch import _splitmix64
-
-    PARTS = 512
-
-    def part_by_key(t: pa.Table) -> pa.Table:
-        if int_key:
-            h = t[key].to_numpy(zero_copy_only=False).astype(np.uint64)
-        else:
-            import zlib
-
-            h = np.array([zlib.crc32(str(x).encode())
-                          for x in t[key].to_pylist()], dtype=np.uint64)
-        p = (_splitmix64(h) % np.uint64(PARTS)).astype(np.int64)
-        return t.append_column("_p", pa.array(p, pa.int64()))
-
-    # carries: coarse hash(key) partitions, segmented exclusive prefix
-    # max per key run (tiny-group rule — a per-key map_groups here paid
+    # carries: coarse exchange on key, segmented exclusive prefix max
+    # per key run (tiny-group rule — a per-key map_groups here paid
     # dispatch per key)
     def carries_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[(key, "ascending"),
-                                          ("_bucket", "ascending")])
-        g = g.take(o)
         n = g.num_rows
-        if n == 0:
-            return pa.table({"_jk": pa.array([], jk_type),
-                             "_carry": pa.array([], pa.float64())})
         k = g[key].to_numpy(zero_copy_only=False)
         b = g["_bucket"].to_numpy(zero_copy_only=False)
         m = g["_mx"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -494,17 +363,13 @@ def running_drawdown(ds, key: str = "user_id", ts: str = "ts",
                     pa.array(bb, pa.int64()))
         return pa.table({"_jk": jk, "_carry": pa.array(carry, pa.float64())})
 
-    carry_ds = (
-        ds.map_batches(batch_bmax, batch_format="pyarrow")
-        .map_batches(part_by_key, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(lambda g: carries_partition(g.drop_columns(["_p"])),
-                    batch_format="pyarrow")
-    )
+    carry_ds = coarse_groups(
+        ds.map_batches(batch_bmax, batch_format="pyarrow"),
+        [key], carries_partition, ["_bucket"])
 
     # seeded cummax without a per-group join: carry rows union into the
     # event stream (tag 0 sorts first in each (key,bucket) run), one
-    # coarse hash(jk) shuffle, per-run cummax seeded by the carry
+    # coarse exchange on jk, per-run cummax seeded by the carry
     i8 = pa.int8()
 
     def ev_rows(t: pa.Table) -> pa.Table:
@@ -529,35 +394,8 @@ def running_drawdown(ds, key: str = "user_id", ts: str = "ts",
             "_x": t["_carry"],
         })
 
-    unioned = (ds.map_batches(ev_rows, batch_format="pyarrow")
-               .union(carry_ds.map_batches(carry_rows,
-                                           batch_format="pyarrow")))
-
-    def _jk_part(jk: pa.ChunkedArray) -> pa.Array:
-        if jk_type == pa.int64():
-            h = jk.to_numpy(zero_copy_only=False).astype(np.uint64)
-        else:
-            import zlib
-
-            h = np.array([zlib.crc32(x.encode())
-                          for x in jk.to_pylist()], dtype=np.uint64)
-        return pa.array((_splitmix64(h) % np.uint64(PARTS)).astype(np.int64))
-
-    def add_jkp(t: pa.Table) -> pa.Table:
-        return t.append_column("_p", _jk_part(t["_jk"]))
-
     def resolve_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        o = pc.sort_indices(g, sort_keys=[("_jk", "ascending"),
-                                          ("_tag", "ascending"),
-                                          (ts, "ascending"),
-                                          (order, "ascending")])
-        g = g.take(o)
         n = g.num_rows
-        if n == 0:
-            return pa.table({order: pa.array([], pa.int64()),
-                             key: pa.array([], key_t),
-                             out: pa.array([], pa.float64())})
         jk = g["_jk"].to_numpy(zero_copy_only=False)
         x = g["_x"].to_numpy(zero_copy_only=False)
         newr = np.ones(n, dtype=bool)
@@ -577,10 +415,10 @@ def running_drawdown(ds, key: str = "user_id", ts: str = "ts",
             out: pa.array(dd[ev_mask], pa.float64()),
         })
 
-    return (unioned.map_batches(add_jkp, batch_format="pyarrow")
-            .groupby("_p")
-            .map_groups(lambda g: resolve_partition(g.drop_columns(["_p"])),
-                        batch_format="pyarrow"))
+    return coarse_groups(
+        [ds.map_batches(ev_rows, batch_format="pyarrow"),
+         carry_ds.map_batches(carry_rows, batch_format="pyarrow")],
+        ["_jk"], resolve_partition, ["_tag", ts, order])
 
 
 def asof_join_latest(events, orders, key: str = "user_id", ts: str = "ts",
@@ -625,8 +463,6 @@ def asof_join_latest(events, orders, key: str = "user_id", ts: str = "ts",
         return pc.binary_join_element_wise(
             pc.cast(keys, pa.string()), pc.cast(buckets, pa.string()), "|")
 
-    jk_type = pa.int64() if int_key else pa.string()
-
     def _project(t: pa.Table, side: int, id_col: str) -> pa.Table:
         t = _with_bucket(t, ts, bucket_s)
         return pa.table({
@@ -637,10 +473,10 @@ def asof_join_latest(events, orders, key: str = "user_id", ts: str = "ts",
             "_id": pc.cast(t[id_col], pa.int64()),
         })
 
-    left = events.map_batches(
-        lambda t: _project(t, 0, ev_id), batch_format="pyarrow"
-    ).union(orders.map_batches(
-        lambda t: _project(t, 1, ord_id), batch_format="pyarrow"))
+    sides = [events.map_batches(lambda t: _project(t, 0, ev_id),
+                                batch_format="pyarrow"),
+             orders.map_batches(lambda t: _project(t, 1, ord_id),
+                                batch_format="pyarrow")]
 
     # ---- stage 1: per-batch partials (order best per bucket, event buckets)
     def order_partials(t: pa.Table) -> pa.Table:
@@ -678,42 +514,21 @@ def asof_join_latest(events, orders, key: str = "user_id", ts: str = "ts",
             "_bid": pa.nulls(g.num_rows, pa.int64()),
         })
 
-    partials = orders.map_batches(order_partials, batch_format="pyarrow").union(
-        events.map_batches(event_buckets, batch_format="pyarrow"))
+    partials = [orders.map_batches(order_partials, batch_format="pyarrow"),
+                events.map_batches(event_buckets, batch_format="pyarrow")]
 
     # ---- stage 2: per-key exclusive prefix-best over bucket partials,
-    # computed over COARSE key partitions (hash(_k) % ASOF_PARTITIONS)
-    # rather than one map_groups task per key: per-key groups here are
-    # O(#buckets) rows — tiny — and the per-group dispatch plus per-key
-    # Arrow-call overhead of the first version (pa.array x3 + _jk_of per
-    # KEY) measured 6 s of remote wall on a 100k-event input. One
-    # Arrow->numpy conversion per partition, scalar numpy inside, one
-    # vectorized _jk_of over ALL output rows at the end.
-    def add_kgk(t: pa.Table) -> pa.Table:
-        if int_key:
-            from .sketch import _splitmix64
-
-            kv = t["_k"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            gk = (_splitmix64(kv) % np.uint64(ASOF_PARTITIONS)).astype(np.int64)
-        else:
-            import hashlib
-
-            gk = np.fromiter(
-                (int.from_bytes(hashlib.md5(str(s).encode()).digest()[:8],
-                                "little") % ASOF_PARTITIONS
-                 for s in t["_k"].to_pylist()),
-                dtype=np.int64, count=len(t))
-        return t.append_column("_kgk", pa.array(gk, pa.int64()))
-
+    # one coarse exchange on key rather than one map_groups task per key:
+    # per-key groups here are O(#buckets) rows — tiny — and the per-group
+    # dispatch plus per-key Arrow-call overhead of the first version
+    # (pa.array x3 + _jk_of per KEY) measured 6 s of remote wall on a
+    # 100k-event input. One Arrow->numpy conversion per partition, scalar
+    # numpy inside, one vectorized _jk_of over ALL output rows at the end.
     def carries_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        k = g["_k"].to_numpy(zero_copy_only=False)
-        b = g["_bucket"].to_numpy(zero_copy_only=False)
-        bts = g["_bts"].to_numpy(zero_copy_only=False)  # float w/ nan nulls
-        bid = g["_bid"].to_numpy(zero_copy_only=False)
-        perm = np.lexsort((b, k))
-        k_s, b_s = k[perm], b[perm]
-        bts_s, bid_s = bts[perm], bid[perm]
+        k_s = g["_k"].to_numpy(zero_copy_only=False)
+        b_s = g["_bucket"].to_numpy(zero_copy_only=False)
+        bts_s = g["_bts"].to_numpy(zero_copy_only=False)  # float w/ nan nulls
+        bid_s = g["_bid"].to_numpy(zero_copy_only=False)
         starts = np.concatenate(
             ([0], np.flatnonzero(k_s[1:] != k_s[:-1]) + 1, [len(k_s)]))
         out_k, out_b, out_ts, out_id = [], [], [], []
@@ -745,9 +560,8 @@ def asof_join_latest(events, orders, key: str = "user_id", ts: str = "ts",
                          "_cts": pa.array(out_ts, pa.int64()),
                          "_cid": pa.array(out_id, pa.int64())})
 
-    carry_rows = (partials.map_batches(add_kgk, batch_format="pyarrow")
-                  .groupby("_kgk")
-                  .map_groups(carries_partition, batch_format="pyarrow"))
+    carry_rows = coarse_groups(partials, ["_k"], carries_partition,
+                               ["_bucket"])
 
     # ---- final resolve over COARSE key partitions (r4 perf fix).
     # The first version hash-joined carries onto the event/order stream
@@ -757,10 +571,10 @@ def asof_join_latest(events, orders, key: str = "user_id", ts: str = "ts",
     # in the join reducer (measured: 43 s of remote wall for a 100k-event
     # input; at web scale those groups number in the billions, so the
     # overhead IS the cost). Instead: union the carry rows into the
-    # side-tagged stream, shuffle ONCE on hash(_jk) % ASOF_PARTITIONS,
-    # and resolve every _jk run in a partition with one Arrow->numpy
-    # conversion + one lexsort + a per-run numpy loop (~5 us/run, no
-    # Arrow calls inside). Same output, one fewer shuffle leg. A hot
+    # side-tagged stream, ONE coarse exchange on _jk, and resolve every
+    # _jk run of a (_jk, _ts, _id)-sorted partition with one Arrow->numpy
+    # conversion + a per-run numpy loop (~5 us/run, no Arrow calls
+    # inside). Same output, one fewer shuffle leg. A hot
     # (key, bucket) still bounds per-task rows exactly as before —
     # partitions split by hash, runs stay intact.
     def carry_project(t: pa.Table) -> pa.Table:
@@ -774,34 +588,11 @@ def asof_join_latest(events, orders, key: str = "user_id", ts: str = "ts",
             "_ts": t["_cts"], "_id": t["_cid"],
         })
 
-    both = left.union(
-        carry_rows.map_batches(carry_project, batch_format="pyarrow"))
-
-    def add_gk(t: pa.Table) -> pa.Table:
-        if int_key:
-            from .sketch import _splitmix64
-
-            jk = t["_jk"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            gk = (_splitmix64(jk) % np.uint64(ASOF_PARTITIONS)).astype(np.int64)
-        else:
-            import hashlib
-
-            gk = np.fromiter(
-                (int.from_bytes(hashlib.md5(s.encode()).digest()[:8],
-                                "little") % ASOF_PARTITIONS
-                 for s in t["_jk"].to_pylist()),
-                dtype=np.int64, count=len(t))
-        return t.append_column("_gk", pa.array(gk, pa.int64()))
-
     def resolve_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        jk = g["_jk"].to_numpy(zero_copy_only=False)
-        side = g["_side"].to_numpy(zero_copy_only=False)
-        tsv = g["_ts"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ids = g["_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        perm = np.lexsort((ids, tsv, jk))
-        jk_s, side_s = jk[perm], side[perm]
-        ts_s, id_s = tsv[perm], ids[perm]
+        jk_s = g["_jk"].to_numpy(zero_copy_only=False)
+        side_s = g["_side"].to_numpy(zero_copy_only=False)
+        ts_s = g["_ts"].to_numpy(zero_copy_only=False).astype(np.int64)
+        id_s = g["_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         starts = np.concatenate(
             ([0], np.flatnonzero(jk_s[1:] != jk_s[:-1]) + 1, [len(jk_s)]))
         out_ids, out_res, out_pos = [], [], []
@@ -826,7 +617,7 @@ def asof_join_latest(events, orders, key: str = "user_id", ts: str = "ts",
             keep = ei[valid]
             out_ids.append(id_r[keep])
             out_res.append(res[valid])
-            out_pos.append(perm[a + keep])
+            out_pos.append(a + keep)
         if not out_ids:
             return pa.table({ev_id: pa.array([], pa.int64()),
                              key: pa.array([], key_t),
@@ -838,9 +629,10 @@ def asof_join_latest(events, orders, key: str = "user_id", ts: str = "ts",
             out: pa.array(np.concatenate(out_res), pa.int64()),
         })
 
-    return (both.map_batches(add_gk, batch_format="pyarrow")
-            .groupby("_gk")
-            .map_groups(resolve_partition, batch_format="pyarrow"))
+    return coarse_groups(
+        sides + [carry_rows.map_batches(carry_project,
+                                        batch_format="pyarrow")],
+        ["_jk"], resolve_partition, ["_ts", "_id"])
 
 
 def pd_isnan(a: np.ndarray) -> np.ndarray:
@@ -963,7 +755,7 @@ def interval_coverage(ds, key: str = "user_id", ts: str = "ts",
     pieces clipped to that bucket — so no piece's contribution is ever
     double-counted across buckets.
 
-    Stage 2 (coarse hash(key, bucket) partitions, tiny-group rule): one
+    Stage 2 (coarse exchange on (key, bucket), tiny-group rule): one
     sort per partition over boundary EVENTS (+1 at start, -1 at end),
     then a fully vectorized sweep — segmented inclusive prefix sum of
     the deltas per (key, bucket) run, covered = sum of inter-boundary
@@ -972,23 +764,12 @@ def interval_coverage(ds, key: str = "user_id", ts: str = "ts",
     holds more than one coarse partition; a key with 10^9 events
     contributes O(time-range / bucket_s) stage-2 rows, never O(events).
     """
-    from .sketch import _splitmix64
-
     assert width_s <= bucket_s, "pieces per interval must be <= 2"
-    PARTS = 512
     width_us = width_s * 1_000_000
     bucket_us = bucket_s * 1_000_000
 
     key_t = as_arrow_schema(ds.schema()).field(key).type
     int_key = pa.types.is_integer(key_t)
-
-    def _key_hash(keys: pa.ChunkedArray) -> np.ndarray:
-        if int_key:
-            return keys.to_numpy(zero_copy_only=False).astype(np.uint64)
-        import zlib
-
-        return np.array([zlib.crc32(str(x).encode())
-                         for x in keys.to_pylist()], dtype=np.uint64)
 
     def clip(t: pa.Table) -> pa.Table:
         s = pc.cast(pc.cast(t[ts], pa.timestamp("us")),
@@ -1004,21 +785,13 @@ def interval_coverage(ds, key: str = "user_id", ts: str = "ts",
         ce = np.concatenate([np.minimum(e, edge), e[idx2]])
         bk = np.concatenate([b0, b0[idx2] + 1])
         k2 = pa.concat_arrays([keys, keys.take(pa.array(idx2, pa.int64()))])
-        h = _key_hash(pa.chunked_array([k2])) * \
-            np.uint64(0x9E3779B97F4A7C15) + bk.astype(np.uint64)
-        p = (_splitmix64(h) % np.uint64(PARTS)).astype(np.int64)
         return pa.table({
             key: k2, "_bucket": pa.array(bk, pa.int64()),
             "_cs": pa.array(cs, pa.int64()), "_ce": pa.array(ce, pa.int64()),
-            "_p": pa.array(p, pa.int64()),
         })
 
     def sweep(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
         n_iv = g.num_rows
-        if n_iv == 0:
-            return pa.table({key: pa.array([], key_t),
-                             "_pcov": pa.array([], pa.int64())})
         keys = g[key].combine_chunks()
         k2 = pa.concat_arrays([keys, keys])
         b = g["_bucket"].to_numpy(zero_copy_only=False)
@@ -1050,6 +823,6 @@ def interval_coverage(ds, key: str = "user_id", ts: str = "ts",
 
     from ray.data.aggregate import Sum
 
-    return (ds.map_batches(clip, batch_format="pyarrow")
-            .groupby("_p").map_groups(sweep, batch_format="pyarrow")
+    return (coarse_groups(ds.map_batches(clip, batch_format="pyarrow"),
+                          [key, "_bucket"], sweep)
             .groupby(key).aggregate(Sum("_pcov", alias_name=out)))

@@ -2,11 +2,16 @@
 entry AND its oracle_sql() on the same sf dir, compare row count, column
 names and order-insensitive values. Usage:
 
-    python scripts/check_oracles.py [--shuffle-joins] [sf_dir] [query ...]
+    python scripts/check_oracles.py [--shuffle-joins] [--one-partition] [sf_dir] [query ...]
 
 ``--shuffle-joins`` sets ``stages.shuffle.BROADCAST_BYTES`` to -1 first,
 so every ``broadcast_or_join`` (and every other broadcastable check)
 takes its shuffle path: the oracles then certify the above-gate plans.
+``--one-partition`` sets ``stages.shuffle.COARSE_PARTS`` to 1 first, so
+every ``coarse_groups`` exchange (and every ``hash_join`` without its own
+partition count) puts all keys in one partition: the oracles then
+certify that each resolve function and ``merge_post`` handles many
+keys at once.
 """
 
 from __future__ import annotations
@@ -47,11 +52,14 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def main():
+    from odinson_ray.stages import shuffle
+
     if "--shuffle-joins" in sys.argv:
         sys.argv.remove("--shuffle-joins")
-        from odinson_ray.stages import shuffle
-
         shuffle.BROADCAST_BYTES = -1
+    if "--one-partition" in sys.argv:
+        sys.argv.remove("--one-partition")
+        shuffle.COARSE_PARTS = 1
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 

@@ -45,16 +45,18 @@ def _brute_pairs(t: pa.Table, threshold: float):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_blocked_pairs_exact_under_chunking():
+def test_blocked_pairs_exact_under_chunking(monkeypatch):
     import ray.data as rdata
 
+    from odinson_ray.stages import shuffle
     from odinson_ray.stages.ann import blocked_cosine_pairs
 
+    monkeypatch.setattr(shuffle, "COARSE_PARTS", 16)
     t = _corpus()
     # chunk_rows=64 forces the hot label into ceil(600/64)=10 chunks ->
     # 55 chunk-pair groups; threshold low enough that pairs cross chunks
     got = blocked_cosine_pairs(rdata.from_arrow(t), threshold=0.25,
-                               chunk_rows=64, parts=16).take_all()
+                               chunk_rows=64).take_all()
     got_set = {(min(r["a_id"], r["b_id"]), max(r["a_id"], r["b_id"]),
                 int(r["label"])) for r in got}
     assert len(got) == len(got_set)  # each pair emitted exactly once
@@ -63,19 +65,21 @@ def test_blocked_pairs_exact_under_chunking():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_blocked_pairs_group_input_bounded_on_hot_label():
+def test_blocked_pairs_group_input_bounded_on_hot_label(monkeypatch):
     """The expanded dataset's (label, _lo, _hi) groups — the kernel's
     per-segment input — never exceed 2 * chunk_rows, however hot the
     label."""
     import ray.data as rdata
 
+    from odinson_ray.stages import shuffle
     from odinson_ray.stages.ann import blocked_cosine_pairs
 
+    monkeypatch.setattr(shuffle, "COARSE_PARTS", 16)
     t = _corpus(n_hot=600, n_cold=0)
     chunk_rows = 64
     ds = rdata.from_arrow(t)
     pairs = blocked_cosine_pairs(ds, threshold=0.25,
-                                 chunk_rows=chunk_rows, parts=16)
+                                 chunk_rows=chunk_rows)
     pairs.take_all()  # executes end-to-end; exactness pinned above
 
     # verify the boundedness invariant of the expansion with the same

@@ -133,8 +133,8 @@ def test_full_outer_join(ray_session):
     assert sorted(right_only.k.fillna(-1)) == [-1.0, 4.0]
 
 
-def test_hash_join_hot_key_chunked_emission(ray_session):
-    """Past hot_chunk_rows the hot key's cross product is emitted in
+def test_hash_join_hot_key_chunked_emission(ray_session, monkeypatch):
+    """Past HOT_CHUNK_ROWS the hot key's cross product is emitted in
     chunked sub-tables; output rows/values are identical to the one-shot
     path (VERDICT r03 #9)."""
     import warnings
@@ -143,6 +143,7 @@ def test_hash_join_hot_key_chunked_emission(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
+    from odinson_ray.stages import shuffle
     from odinson_ray.stages.shuffle import hash_join
 
     left = rd.from_arrow(pa.table({
@@ -155,10 +156,11 @@ def test_hash_join_hot_key_chunked_emission(ray_session):
     }))
     ls = pa.schema([("k", pa.string()), ("lv", pa.int64())])
     rs = pa.schema([("k", pa.string()), ("rv", pa.int64())])
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), monkeypatch.context() as m:
         warnings.simplefilter("ignore", RuntimeWarning)
+        m.setattr(shuffle, "HOT_CHUNK_ROWS", 10_000)
         chunked = hash_join(left, right, on="k", left_schema=ls,
-                            right_schema=rs, hot_chunk_rows=10_000).to_pandas()
+                            right_schema=rs).to_pandas()
     oneshot = hash_join(left, right, on="k", left_schema=ls,
                         right_schema=rs).to_pandas()
     key = ["k", "lv", "rv"]
@@ -172,9 +174,8 @@ def test_hash_join_hot_key_chunked_emission(ray_session):
 
 def test_group_filter_both_paths(ray_session):
     """group_filter drops whole key groups BEFORE the cross product is
-    built, on both the coarse segmented path (no merge_post; called with
-    int64 arrays) and the per-key path (merge_post; called with scalars).
-    Groups passing the filter are joined unchanged."""
+    built (called with int64 arrays of group sizes), with and without a
+    merge_post. Groups passing the filter are joined unchanged."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -200,3 +201,69 @@ def test_group_filter_both_paths(ray_session):
     for got in (coarse, perkey):
         assert set(got.k) == {"ok"}  # hub (5x5) filtered out entirely
         assert sorted(zip(got.lv, got.rv)) == [(10, 20), (11, 20)]
+
+
+def test_merge_post_and_group_filter_one_partition(ray_session, monkeypatch):
+    """At COARSE_PARTS=1 every key shares one partition: merge_post runs
+    once over all keys' joined rows, also when nothing matched, and
+    group_filter still drops only the failing key groups."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from odinson_ray.stages import shuffle
+    from odinson_ray.stages.shuffle import hash_join, partial_aggregate
+
+    monkeypatch.setattr(shuffle, "COARSE_PARTS", 1)
+    left = rd.from_arrow(pa.table({
+        "k": pa.array(["hub"] * 5 + ["ok", "ok", "solo", None], pa.string()),
+        "lv": pa.array([0, 1, 2, 3, 4, 10, 11, 30, 40], pa.int64()),
+    }))
+    right = rd.from_arrow(pa.table({
+        "k": pa.array(["hub"] * 5 + ["ok", "two", "two", None], pa.string()),
+        "rv": pa.array([0, 1, 2, 3, 4, 20, 21, 22, 50], pa.int64()),
+    }))
+    ls = pa.schema([("k", pa.string()), ("lv", pa.int64())])
+    rs = pa.schema([("k", pa.string()), ("rv", pa.int64())])
+    flt = lambda nl, nr: (nl <= 3) & (nr <= 3)  # noqa: E731
+
+    def per_key(t: pa.Table) -> pa.Table:
+        # one row per key (and one batch row count) proves the call saw
+        # every key of the partition at once
+        agg = partial_aggregate(t, ["k"], [("n", None, "count_all"),
+                                           ("s", "rv", "sum")])
+        return agg.append_column(
+            "calls", pa.array([t.num_rows] * agg.num_rows, pa.int64()))
+
+    got = hash_join(left, right, on="k", left_schema=ls, right_schema=rs,
+                    group_filter=flt, merge_post=per_key).to_pandas()
+    assert sorted(zip(got.k, got.n, got.s)) == [("ok", 2, 40)]
+    assert set(got.calls) == {2}
+    full = hash_join(left, right, on="k", left_schema=ls, right_schema=rs,
+                     merge_post=per_key).to_pandas()
+    assert sorted(zip(full.k, full.n, full.s)) == [("hub", 25, 50),
+                                                   ("ok", 2, 40)]
+    assert set(full.calls) == {27}  # one call over both keys' rows
+    # nothing matches: merge_post still runs, so its schema is the output's
+    none = hash_join(left, right, on="k", left_schema=ls, right_schema=rs,
+                     group_filter=lambda nl, nr: nl < 0, merge_post=per_key)
+    assert none.count() == 0
+    assert none.schema().names == ["k", "n", "s", "calls"]
+
+
+def test_int_keys_colocate_when_a_batch_holds_nulls(ray_session):
+    """An integer key hashes to the same partition whether or not its
+    batch also holds null keys (a null makes Arrow's numpy view float)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from odinson_ray.stages.shuffle import hash_join
+
+    keys = list(range(40))
+    left = rd.from_arrow(pa.table({
+        "k": pa.array(keys + [None], pa.int64()),
+        "lv": pa.array(range(41), pa.int64())}))
+    right = rd.from_arrow(pa.table({
+        "k": pa.array(keys, pa.int64()),
+        "rv": pa.array(range(40), pa.int64())}))
+    got = hash_join(left, right, on="k").to_pandas()
+    assert sorted(zip(got.k, got.lv, got.rv)) == [(k, k, k) for k in keys]

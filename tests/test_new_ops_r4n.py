@@ -32,10 +32,12 @@ def orders_dir(tmp_path):
     return str(tmp_path)
 
 
-def test_scd2_runs_collapse(orders_dir):
+def test_scd2_runs_collapse(orders_dir, monkeypatch):
     from odinson_ray.pipelines.queries4 import q_scd2_intervals
+    from odinson_ray.stages import shuffle
 
-    out = q_scd2_intervals(orders_dir, parts=4).to_pandas()
+    monkeypatch.setattr(shuffle, "COARSE_PARTS", 4)
+    out = q_scd2_intervals(orders_dir).to_pandas()
     out = out.sort_values(["o_custkey", "valid_from"]).reset_index(drop=True)
     # cust 1: two runs (URGENT x2 then HIGH); cust 2: one run; cust 3: one
     assert len(out) == 4
@@ -65,9 +67,11 @@ def test_merge_upsert_branches(orders_dir):
     assert by_pri["4-LOW"] == 7700
 
 
-def test_scd2_empty_partitions(orders_dir):
+def test_scd2_empty_partitions(orders_dir, monkeypatch):
     # parts >> keys: most partitions are empty and must emit the schema
     from odinson_ray.pipelines.queries4 import q_scd2_intervals
+    from odinson_ray.stages import shuffle
 
-    out = q_scd2_intervals(orders_dir, parts=64).to_pandas()
+    monkeypatch.setattr(shuffle, "COARSE_PARTS", 64)
+    out = q_scd2_intervals(orders_dir).to_pandas()
     assert len(out) == 4

@@ -76,7 +76,7 @@ def test_tpch_q3_gate_paths_identical(monkeypatch):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_window_join_piecewise_sorted_ts(tmp_path):
+def test_window_join_piecewise_sorted_ts(tmp_path, monkeypatch):
     # two users whose time ranges interleave: a global searchsorted over
     # the concatenated (piecewise-sorted) ts array would corrupt window
     # ends — this pins the per-run correctness
@@ -101,7 +101,10 @@ def test_window_join_piecewise_sorted_ts(tmp_path):
     df["props"] = "{}"
     pq2.write_table(pa.Table.from_pandas(df, preserve_index=False),
                     str(tmp_path / "events.parquet"))
-    out = q_window_join_counts(str(tmp_path), parts=1).to_pandas()
+    from odinson_ray.stages import shuffle
+
+    monkeypatch.setattr(shuffle, "COARSE_PARTS", 1)
+    out = q_window_join_counts(str(tmp_path)).to_pandas()
     got = {(r.ta, r.tb): r.n for r in out.itertuples()}
     assert got == {("a", "b"): 2, ("b", "b"): 1}
     # ("b","b"): u2's rows 5,6 are 2min apart -> in-window pair

@@ -8,7 +8,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 from hypothesis import given, settings, strategies as st
+
+from odinson_ray.stages import shuffle
 
 
 def _events_dir(users, ts_us, types=None):
@@ -69,7 +72,9 @@ def test_window_join_property(ray_session, data):
     ts_us = [t * H for t in ts]  # boundary-exact windows
 
     d = _events_dir(users, ts_us, types)
-    out = q_window_join_counts(d, parts=4).to_pandas()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(shuffle, "COARSE_PARTS", 4)
+        out = q_window_join_counts(d).to_pandas()
     got = {(r.ta, r.tb): r.n for r in out.itertuples()}
 
     exp = {}
@@ -108,7 +113,9 @@ def test_scd2_property(ray_session, data):
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                    os.path.join(d, "orders.parquet"))
 
-    out = q_scd2_intervals(d, parts=4).to_pandas()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(shuffle, "COARSE_PARTS", 4)
+        out = q_scd2_intervals(d).to_pandas()
     out = out.sort_values(["o_custkey", "valid_from"]).reset_index(drop=True)
 
     # twin: per cust, sort by (date, key), collapse runs

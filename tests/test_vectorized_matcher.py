@@ -82,7 +82,7 @@ def test_vectorized_path_matches_reference_path(seed):
             toks = t.split(" ") if t else []
             fields, edges, roots = annotate_tokens_fast(toks)
             rsents.append(
-                SentenceIndex(fields, edges, roots, presanitized=True,
+                SentenceIndex(fields, edges, roots,
                               prenormalized_labels=True, take_ownership=True)
             )
         got.extend(_mention_rows(f"d{d}", vsents, extractors))
