@@ -1,6 +1,7 @@
 """Benchmark harness.
 
     python bench.py             # one JSON line with headline + per-query secs
+                                # and perfbench's calibration figure calib_s
     python bench.py --scaling   # same headline at num_cpus=8 and 32 in fresh
                                 # processes; prints throughputs + efficiency
 
@@ -295,9 +296,22 @@ def _init_ray(num_cpus: int) -> None:
     import __ray_entry__  # noqa: F401  registers package by-value for workers
 
 
+def calibrate() -> float:
+    """perfbench's fixed CPU calibration figure (``perfbench/run.py``), to
+    normalize results taken on different hosts or at different times."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.calibrate()
+
+
 def run_bench() -> dict:
     import ray
 
+    calib_s = calibrate()
     _init_ray(NUM_CPUS)
     import __ray_entry__
 
@@ -331,6 +345,7 @@ def run_bench() -> dict:
         "headline_docs": n_docs,
         "headline_triples": n_triples,
         "docs_per_sec": round(n_docs / headline_sec, 1),
+        "calib_s": calib_s,
     }
     ray.shutdown()
     return result

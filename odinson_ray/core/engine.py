@@ -189,7 +189,8 @@ class DocumentEngine:
                 kept = m.match.remove_trigger_overlaps()
                 if kept is None:
                     continue
-                out.append(Mention(kept, m.label, m.sent_idx, m.found_by, m.doc_id))
+                out.append(m if kept is m.match
+                           else Mention(kept, m.label, m.sent_idx, m.found_by, m.doc_id))
             else:
                 out.append(m)
         return out

@@ -4,9 +4,20 @@ This is the Ray-side analogue of the reference's OdinsonQuery tree and Spans
 automata, executed per sentence inside map_batches. Each compiled node
 implements ``matches(ctx) -> list[Match]`` returning ALL candidate matches
 sorted by (start, end) — match disambiguation happens afterwards in
-selector.select_matches, exactly like OdinsonScorer + MatchSelector. The
-one compiled kernel, :class:`TokenSequenceQuery`, returns only the
-matches the selector would keep when the caller selects (``Ctx.select``).
+selector.select_matches, exactly like OdinsonScorer + MatchSelector.
+
+Two shapes are compiled, each behind a per-rule check, with the
+interpreter as the fallback that is always correct:
+
+- :class:`TokenSequenceQuery` (:func:`token_sequence`): a concatenation
+  of single-token clauses, which returns only the matches the selector
+  would keep when the caller selects (``Ctx.select``);
+- the single-hop event kernel inside :class:`EventQueryNode`
+  (:func:`single_hop_event`): an atom trigger whose arguments are each
+  one ``>label``/``<label``/``>/regex/``/``>>``/``<<`` hop to ``[]`` or
+  an atom, any quantifier, which returns the packaged events. Multi-hop
+  or quantified hops, label unions, ``@Label`` (typed, promoted)
+  destinations, ``|`` triggers and edge-field atoms stay interpreted.
 
 Compiler ported from reference: compiler/QueryCompiler.scala (including the
 wildcard-merging / distinct-clauses simplifications, which matter for
@@ -37,8 +48,10 @@ from .matches import (
     OrMatch,
     RepetitionMatch,
     StateMatch,
+    argument_metadata,
     sort_key,
 )
+from .selector import package_event
 from .sentence import ALL_TOKEN_FIELDS, DEFAULT_TOKEN_FIELD, EDGE_FIELDS, BatchVocab, SentenceIndex
 
 
@@ -730,12 +743,23 @@ def _path_key(m: Match) -> tuple:
 
 class EventQueryNode(Query):
     """Trigger + required/optional argument traversals; emits EventSketch
-    candidates (reference: OdinsonEventQuery.scala matchEvents, :289-345)."""
+    candidates (reference: OdinsonEventQuery.scala matchEvents, :289-345).
+
+    When :func:`single_hop_event` accepts the rule (``hops`` is set), the
+    single-hop kernel answers instead: it returns the packaged EventMatch
+    list that select_matches makes of the sketches, the same with
+    selection on or off (one single-token trigger per start)."""
 
     def __init__(self, trigger: Query, required: List[ArgSpec], optional: List[ArgSpec]):
         self.trigger = trigger
         self.required = required
         self.optional = optional
+        self.hops = single_hop_event(trigger, required, optional)
+        # (outgoing, label) of each required hop over one exact label
+        self._exact_required = [(outgoing, exact) for _, outgoing, exact, _, _
+                                in (self.hops or ())[:len(required)] if exact is not None]
+        # the metadata of an event where every argument has landings
+        self._all_metadata = argument_metadata(required + optional)
 
     def _match_argument(self, ctx, src_matches, arg: ArgSpec):
         """trigger -> [(spec, match)] grouped by path origin."""
@@ -752,6 +776,8 @@ class EventQueryNode(Query):
         return grouped
 
     def matches(self, ctx):
+        if self.hops is not None:
+            return self._single_hop_events(ctx)
         trigger_matches = self.trigger.matches(ctx)
         sketches: Dict[int, Tuple[Match, List[Tuple[ArgSpec, Match]]]] = {}
         if self.required:
@@ -778,6 +804,90 @@ class EventQueryNode(Query):
         out = [EventSketch(t, ms) for t, ms in sketches.values()]
         out.sort(key=sort_key)
         return out
+
+    def _single_hop_events(self, ctx):
+        """The kernel: per trigger token, each argument's landings are the
+        distinct in-sentence destinations of its matching edges where the
+        destination atom holds; a trigger missing a required argument
+        yields nothing, the rest are packaged as select_matches would."""
+        sent = ctx.sent
+        starts = None  # tokens with an edge of every exact required label
+        for outgoing, label in self._exact_required:
+            positions = sent.postings("outgoing" if outgoing else "incoming").get(label)
+            if not positions:
+                return []
+            starts = set(positions) if starts is None else starts.intersection(positions)
+        triggers = self.trigger.matches(ctx)
+        if starts is not None:
+            triggers = [t for t in triggers if t.start in starts]
+        graph, length = sent.graph, sent.length
+        n_required = len(self.required)
+        holds: Dict[int, set] = {}  # hop -> positions where its destination atom holds
+        dsts: Dict[int, NGramMatch] = {}
+        out = []
+        for t in triggers:
+            args = []
+            for i, (spec, outgoing, exact, regex, dest) in enumerate(self.hops):
+                landings = []
+                for d, label in (graph.outgoing if outgoing else graph.incoming)[t.start]:
+                    if exact is not None:
+                        if label != exact:
+                            continue
+                    elif regex is not None and not regex.matches(label):
+                        continue
+                    if d in landings or not 0 <= d < length:
+                        continue
+                    if dest is not None:
+                        ok = holds.get(i)
+                        if ok is None:
+                            ok = holds[i] = {m.start for m in dest.matches(ctx)}
+                        if d not in ok:
+                            continue
+                    landings.append(d)
+                if landings:
+                    ms = []
+                    for d in landings:
+                        dm = dsts.get(d)
+                        if dm is None:
+                            dm = dsts[d] = NGramMatch(d, d + 1)
+                        ms.append(GraphTraversalMatch(t, dm))
+                    args.append((spec, ms))
+                elif i < n_required:
+                    break
+            else:
+                meta = (self._all_metadata if len(args) == len(self.hops)
+                        else argument_metadata(spec for spec, _ in args))
+                out.extend(package_event(t, args, meta))
+        return out
+
+
+def single_hop_event(trigger: Query, required: List[ArgSpec], optional: List[ArgSpec]):
+    """The argument hops of an event the single-hop kernel answers, or
+    None. The shape: an atom trigger (see :func:`_is_atom`) and arguments,
+    any quantifier, that are one ``>label``, ``<label``, ``>/regex/``,
+    ``>>`` or ``<<`` hop to ``[]`` or an atom. Multi-hop or quantified
+    hops, label unions, ``@Label`` destinations and ``|`` triggers stay
+    interpreted. Per argument: (spec, outgoing, exact label or None,
+    regex label matcher or None, destination atom or None for ``[]``)."""
+    if not _is_atom(trigger):
+        return None
+    hops = []
+    for spec in required + optional:
+        full = spec.full_traversal
+        if type(full) is not SingleStepFullTraversal or not _is_atom(full.surface):
+            return None
+        g = full.traversal
+        if type(g) in (trav.Outgoing, trav.Incoming):
+            exact = g.matcher.string if type(g.matcher) is trav.ExactLabelMatcher else None
+            regex = None if exact is not None else g.matcher
+        elif type(g) in (trav.OutgoingWildcard, trav.IncomingWildcard):
+            exact = regex = None
+        else:
+            return None
+        outgoing = type(g) in (trav.Outgoing, trav.OutgoingWildcard)
+        dest = None if type(full.surface) is AllNGramsQuery else full.surface
+        hops.append((spec, outgoing, exact, regex, dest))
+    return hops
 
 
 # ============================================================ token sequences

@@ -42,9 +42,6 @@ class Match:
         return f"{type(self).__name__}({self.start},{self.end})"
 
 
-EMPTY_CAPTURES: List[NamedCapture] = []
-
-
 class NGramMatch(Match):
     __slots__ = ("start", "end")
 
@@ -205,11 +202,13 @@ class EventMatch(Match):
 
     def remove_trigger_overlaps(self) -> Optional["EventMatch"]:
         """Drop args overlapping the trigger; None if a required arg count
-        falls below min (reference: OdinsonMatch.scala:72-83)."""
-        captures = [
-            c for c in self._captures
-            if not (c.captured.start < self.trigger.end and self.trigger.start < c.captured.end)
-        ]
+        falls below min (reference: OdinsonMatch.scala:72-83). ``self``
+        itself when no arg overlaps."""
+        ts, te = self.trigger.start, self.trigger.end
+        captures = [c for c in self._captures
+                    if not (c.captured.start < te and ts < c.captured.end)]
+        if len(captures) == len(self._captures):
+            return self
         counts: dict = {}
         for c in captures:
             counts[c.name] = counts.get(c.name, 0) + 1
@@ -237,12 +236,17 @@ class EventSketch(Match):
 
     @property
     def argument_metadata(self) -> List[ArgumentMetadata]:
-        seen = []
-        for spec, _ in self.arg_sketches:
-            meta = ArgumentMetadata(spec.name, spec.min, spec.max, spec.promote)
-            if meta not in seen:
-                seen.append(meta)
-        return seen
+        return argument_metadata(spec for spec, _ in self.arg_sketches)
+
+
+def argument_metadata(specs) -> List[ArgumentMetadata]:
+    """The distinct argument metadata of ``specs``, in first-seen order."""
+    seen = {}
+    for spec in specs:
+        key = (spec.name, spec.min, spec.max, spec.promote)
+        if key not in seen:
+            seen[key] = ArgumentMetadata(*key)
+    return list(seen.values())
 
 
 def sort_key(m: Match):

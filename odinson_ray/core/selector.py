@@ -14,6 +14,7 @@ from itertools import combinations, product
 from typing import Dict, List, Tuple
 
 from .matches import (
+    ArgumentMetadata,
     ConcatMatch,
     EventMatch,
     EventSketch,
@@ -174,43 +175,46 @@ def _expand_first(ms: List[Match]) -> List[Match]:
 # ------------------------------------------------------------ event packaging
 
 def package_events(sketch: EventSketch) -> List[EventMatch]:
-    # reference :131-136
-    packages = _package_arguments(sketch.arg_sketches)
-    meta = sketch.argument_metadata
-    return [EventMatch(sketch.trigger, caps, meta) for caps in packages]
-
-
-def _package_arguments(args: List[Tuple[object, Match]]) -> List[List[NamedCapture]]:
-    # group by argument spec (reference :138-148)
+    # reference :131-148: group the sketch's matches by argument spec
     grouped: Dict[int, Tuple[object, List[Match]]] = {}
-    for spec, m in args:
+    for spec, m in sketch.arg_sketches:
         key = id(spec)
         if key not in grouped:
             grouped[key] = (spec, [])
         grouped[key][1].append(m)
-    packaged = [_package_argument(spec, ms) for spec, ms in grouped.values()]
-    # cartesian product of per-argument packages
-    return [[cap for pkg in combo for cap in pkg] for combo in product(*packaged)]
+    args = []
+    for spec, all_matches in grouped.values():
+        matches: List[Match] = []
+        for g in _group_matches(all_matches):
+            matches.extend(pick_matches(g))
+        args.append((spec, matches))
+    return package_event(sketch.trigger, args, sketch.argument_metadata)
 
 
-def _package_argument(spec, all_matches: List[Match]) -> List[List[NamedCapture]]:
+def package_event(trigger: Match, args: List[Tuple[object, List[Match]]],
+                  meta: List[ArgumentMetadata]) -> List[EventMatch]:
+    """The events of one trigger whose arguments ``(spec, matches)``, in
+    spec order, each hold at least one match, and whose metadata is
+    ``meta``: every argument packaged by its quantifier, combined by
+    cartesian product (reference :131-175)."""
+    packaged = [_package_argument(spec, ms) for spec, ms in args]
+    return [EventMatch(trigger, [cap for pkg in combo for cap in pkg], meta)
+            for combo in product(*packaged)]
+
+
+def _package_argument(spec, matches: List[Match]) -> List[List[NamedCapture]]:
     # reference :150-175
-    matches: List[Match] = []
-    for g in _group_matches(all_matches):
-        matches.extend(pick_matches(g))
     mn, mx = spec.min, spec.max
+    caps = [NamedCapture(spec.name, spec.label, m) for m in matches]
+    if mn == mx == 1:
+        return [[cap] for cap in caps]
     if mx is not None and mn == mx:
-        packages = [list(c) for c in combinations(matches, mn)]
-    elif mx is not None:
-        if len(matches) < mn:
-            packages = []
-        elif len(matches) > mx:
-            packages = [list(c) for c in combinations(matches, mx)]
-        else:
-            packages = [matches]
-    else:
-        packages = [] if len(matches) < mn else [matches]
-    return [[NamedCapture(spec.name, spec.label, m) for m in pkg] for pkg in packages]
+        return [list(c) for c in combinations(caps, mn)]
+    if len(caps) < mn:
+        return []
+    if mx is not None and len(caps) > mx:
+        return [list(c) for c in combinations(caps, mx)]
+    return [caps]
 
 
 def _group_matches(matches: List[Match]) -> List[List[Match]]:
@@ -246,8 +250,10 @@ def _plain_disjoint(candidates: List[Match]) -> bool:
 
 def select_matches(candidates: List[Match], disable_match_selector: bool = False) -> List[Match]:
     """Consume candidates (sorted by start,end): group same-start, pick, skip
-    overlapping later starts (reference: OdinsonScorer.scala:56-76)."""
-    if _plain_disjoint(candidates):
+    overlapping later starts (reference: OdinsonScorer.scala:56-76).
+    Only packaging makes an EventMatch, so a list that starts with one
+    is already selected (the single-hop event kernel's output)."""
+    if not candidates or type(candidates[0]) is EventMatch or _plain_disjoint(candidates):
         return candidates
     if disable_match_selector:
         out: List[Match] = []

@@ -52,19 +52,6 @@ FIELDS_TYPE = pa.struct([("name", pa.string()), ("tokens", pa.list_(pa.string())
 
 EMPTY_ARGS: List[Dict] = []  # shared, never mutated (pa.array only reads)
 
-MENTIONS_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.string()),
-        ("sent_id", pa.int32()),
-        ("label", pa.string()),
-        ("found_by", pa.string()),
-        ("start", pa.int32()),
-        ("end", pa.int32()),
-        ("text", pa.string()),
-        ("args", pa.list_(ARG_TYPE)),
-    ]
-)
-
 
 def sentence_index_from_struct(s: Dict, *, vocab: Optional[BatchVocab] = None,
                                slot: int = -1,

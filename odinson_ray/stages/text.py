@@ -1,11 +1,10 @@
-"""Text-analysis operators: language ID, quality scoring, token counting,
-fingerprinting. All vectorized-or-cheap per-batch maps (no shuffles).
+"""Text-analysis operators: language ID, PII scrubbing, document
+frequency and TF-IDF, content fingerprints and quality masks.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List
+from typing import Dict
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -36,62 +35,6 @@ def langid_batch(batch: pa.Table) -> pa.Table:
     preds = [predict_lang(t) for t in batch["text"].to_pylist()]
     return pa.Table.from_pydict(
         {"doc_id": batch["doc_id"], "lang_pred": pa.array(preds, pa.string())}
-    )
-
-
-def token_count_batch(batch: pa.Table) -> pa.Table:
-    toks = pc.split_pattern(batch["text"], " ")
-    return pa.Table.from_pydict(
-        {
-            "doc_id": batch["doc_id"],
-            "n_tokens": pc.cast(pc.list_value_length(toks), pa.int64()),
-        }
-    )
-
-
-def fingerprint_batch(batch: pa.Table) -> pa.Table:
-    fps = [hashlib.md5(x.encode("utf-8")).hexdigest() for x in batch["text"].to_pylist()]
-    return pa.Table.from_pydict(
-        {"doc_id": batch["doc_id"], "fp": pa.array(fps, pa.string())}
-    )
-
-
-def rolling_fingerprints(text: str, window: int = 8, base: int = 257,
-                         mod: int = (1 << 61) - 1) -> List[int]:
-    """Rolling polynomial hash over the token stream (winnowing-style
-    document fingerprints)."""
-    toks = text.split(" ") if text else []
-    hs = [int.from_bytes(hashlib.md5(t.encode()).digest()[:8], "little") % mod for t in toks]
-    if len(hs) < window:
-        return [sum(h * pow(base, i, mod) for i, h in enumerate(hs)) % mod] if hs else []
-    out = []
-    power = pow(base, window - 1, mod)
-    cur = 0
-    for i, h in enumerate(hs):
-        cur = (cur * base + h) % mod
-        if i >= window:
-            cur = (cur - hs[i - window] * pow(base, window, mod)) % mod
-        if i >= window - 1:
-            out.append(cur)
-    return out
-
-
-def quality_batch(batch: pa.Table, stopwords=("the", "a")) -> pa.Table:
-    texts = batch["text"].to_pylist()
-    n_tokens, stop_ratio, avg_len = [], [], []
-    for txt in texts:
-        toks = txt.split(" ") if txt else []
-        n = len(toks)
-        n_tokens.append(n)
-        stop_ratio.append(round(sum(tk in stopwords for tk in toks) / n, 6) if n else 0.0)
-        avg_len.append(round(sum(len(tk) for tk in toks) / n, 6) if n else 0.0)
-    return pa.Table.from_pydict(
-        {
-            "doc_id": batch["doc_id"],
-            "n_tokens": pa.array(n_tokens, pa.int64()),
-            "stop_ratio": pa.array(stop_ratio, pa.float64()),
-            "avg_token_len": pa.array(avg_len, pa.float64()),
-        }
     )
 
 

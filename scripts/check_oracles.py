@@ -2,7 +2,8 @@
 entry AND its oracle_sql() on the same sf dir, compare row count, column
 names and order-insensitive values. Usage:
 
-    python scripts/check_oracles.py [--shuffle-joins] [--one-partition] [sf_dir] [query ...]
+    python scripts/check_oracles.py [--shuffle-joins] [--one-partition] [--from QUERY]
+                                    [sf_dir] [query ...]
 
 ``--shuffle-joins`` sets ``stages.shuffle.BROADCAST_BYTES`` to -1 first,
 so every ``broadcast_or_join`` (and every other broadcastable check)
@@ -12,6 +13,12 @@ every ``coarse_groups`` exchange (and every ``hash_join`` without its own
 partition count) puts all keys in one partition: the oracles then
 certify that each resolve function and ``merge_post`` handles many
 keys at once.
+
+Each query is announced by a flushed ``RUN <name>`` line, so a run that
+dies outright names the query to resume from with ``--from <name>``
+(registry order; that query and the ones after it run). A query that
+leaves the Ray session dead counts as failed; Ray is shut down and
+started again, and the run goes on with the next query.
 """
 
 from __future__ import annotations
@@ -51,6 +58,27 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
+def init_ray():
+    import ray
+    from ray.data import DataContext
+
+    ray.init(address="local", num_cpus=8, include_dashboard=False,
+             ignore_reinit_error=True, logging_level="ERROR")
+    DataContext.get_current().enable_progress_bars = False
+
+
+def session_alive() -> bool:
+    """Whether the Ray session still answers an object-store round trip."""
+    import ray
+
+    if not ray.is_initialized():
+        return False
+    try:
+        return ray.get(ray.put(1), timeout=60) == 1
+    except Exception:
+        return False
+
+
 def main():
     from odinson_ray.stages import shuffle
 
@@ -60,17 +88,20 @@ def main():
     if "--one-partition" in sys.argv:
         sys.argv.remove("--one-partition")
         shuffle.COARSE_PARTS = 1
+    start = None
+    if "--from" in sys.argv:
+        i = sys.argv.index("--from")
+        if i + 1 == len(sys.argv):
+            sys.exit("--from needs a query name")
+        start = sys.argv[i + 1]
+        del sys.argv[i:i + 2]
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 ignore_reinit_error=True, logging_level="ERROR")
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
+        init_ray()
 
     con = duckdb.connect()
     for t in TABLES:
@@ -81,18 +112,27 @@ def main():
     import __ray_entry__ as e
 
     qs, oracles = e.queries(), e.oracle_sql()
+    if start is not None and start not in qs:
+        sys.exit(f"--from {start}: no such query")
     failures = 0
     import time
 
     for name, fn in qs.items():
-        if only and name not in only:
+        if name == start:
+            start = None
+        if start is not None or (only and name not in only):
             continue
+        print(f"RUN {name}", flush=True)
         t0 = time.time()
         try:
             ray_df = normalize(to_pandas(fn(sf_dir)))
         except Exception as ex:
             print(f"FAIL {name}: ray error {type(ex).__name__}: {ex}")
             failures += 1
+            if not session_alive():
+                print(f"RESTART after {name}: the Ray session is dead", flush=True)
+                ray.shutdown()
+                init_ray()
             continue
         sql = oracles.get(name)
         if sql is None:

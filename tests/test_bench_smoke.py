@@ -54,6 +54,7 @@ def test_bench_main_emits_parseable_json():
     assert rec["headline_docs"] > 0
     assert rec["headline_triples"] > 0
     assert rec["unit"] == "sec"
+    assert rec["calib_s"] > 0
 
 
 @pytest.mark.skipif(not os.path.isdir(SF), reason="testdata missing")

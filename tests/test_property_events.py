@@ -17,10 +17,12 @@ scorer's overlap-skip is pinned separately by the conformance corpus
 and TestEvents parity)."""
 
 from itertools import combinations, product
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import odinson_ray.core.matcher as matcher
 from odinson_ray.core.matcher import Compiler, Ctx
 from odinson_ray.core.selector import select_matches
 from odinson_ray.core.sentence import SentenceIndex
@@ -88,6 +90,15 @@ def brute_events(words, edges, trig, args):
     return sorted(events)
 
 
+def _events(q, sent):
+    return sorted(
+        (m.trigger.start, m.trigger.end,
+         tuple(sorted((c.name, c.captured.start, c.captured.end)
+                      for c in m.named_captures)))
+        for m in select_matches(q.matches(Ctx(sent, 0, None)),
+                                disable_match_selector=True))
+
+
 @settings(max_examples=200, deadline=None)
 @given(event_cases())
 def test_events_match_bruteforce(case):
@@ -96,10 +107,10 @@ def test_events_match_bruteforce(case):
                          [tuple(e) for e in edges], [0])
     pattern = render_event(trig, args)
     q = compiler.compile_event_query(pattern)
-    got = sorted(
-        (m.trigger.start, m.trigger.end,
-         tuple(sorted((c.name, c.captured.start, c.captured.end)
-                      for c in m.named_captures)))
-        for m in select_matches(q.matches(Ctx(sent, 0, None)),
-                                disable_match_selector=True))
+    got = _events(q, sent)
     assert got == brute_events(words, edges, trig, args), pattern
+    # the same model holds with the single-hop event kernel compiled out
+    with mock.patch.object(matcher, "single_hop_event", lambda *a: None):
+        interp = compiler.compile_event_query(pattern)
+    assert interp.hops is None
+    assert _events(interp, sent) == brute_events(words, edges, trig, args), pattern

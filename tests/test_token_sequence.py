@@ -162,6 +162,11 @@ def test_benchmark_rules_compile_to_the_kernel():
     assert prepared == {"tech-entity": "TokenSequenceQuery", "np": "TokenSequenceQuery",
                         "svo": "EventQueryNode", "tech-context": "OrQuery",
                         "conj-chain": "GraphTraversalQueryNode"}
+    # the flagship svo runs the single-hop event kernel; the prepared svo
+    # (a promoted argument, an @NP destination) stays interpreted
+    assert flagship["svo"].hops is not None
+    assert {e.name: e.query.hops is None for e in RuleReader().compile_rule_string(
+        _prepared_grammar()) if e.name == "svo"} == {"svo": True}
 
 
 # ------------------------------------------------------------ whole cascades
