@@ -160,7 +160,7 @@ def headline_pipeline(sf_dir: str, num_cpus: int, replicate: int):
 
     from odinson_ray.pipelines.kg import FLAGSHIP_RULES, count_triples
     from odinson_ray.stages.triples import aggregate_triples
-    from odinson_ray.sources.io import clean_rd as rd
+    from odinson_ray.sources.io import read_table
 
     import pyarrow.parquet as pq
 
@@ -224,7 +224,7 @@ def headline_pipeline(sf_dir: str, num_cpus: int, replicate: int):
     files = sorted(
         os.path.join(cache, f) for f in os.listdir(cache) if f.endswith(".parquet")
     )
-    docs = rd.read_parquet(
+    docs = read_table(
         files,
         columns=["doc_id", "text", "lang", "source"],
         override_num_blocks=nb,
@@ -316,12 +316,12 @@ def run_bench() -> dict:
     import __ray_entry__
 
     # warm the OS page cache so we measure compute+shuffle, not first read
-    from odinson_ray.sources.io import clean_rd as rd
+    from odinson_ray.sources.io import read_table
 
     for t in ("documents", "lineitem", "orders", "events", "embeddings"):
         p = f"{SF_DIR}/{t}.parquet"
         if os.path.exists(p):
-            rd.read_parquet(p).count()
+            read_table(p).count()
 
     # headline: full KG pipeline over replicated documents (input prep is
     # inside but untimed; headline_pipeline returns its own timed window)

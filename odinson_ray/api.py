@@ -178,9 +178,12 @@ class OdinsonEngine:
 
     @staticmethod
     def extract_dataset(docs_ds, rules_yaml: str, variables=None,
-                        concurrency: int = 4, batch_size: int = 256):
+                        concurrency: Optional[int] = None,
+                        batch_size: int = 256):
         """The same grammar as a Ray Data matcher stage over an
-        interleaved-docs Dataset (with or without a sentences column)."""
+        interleaved-docs Dataset (with or without a sentences column).
+        Uncapped by default, so the stage fuses with the next per-batch
+        stage (stages.match.match_batches)."""
         from .stages.match import GrammarMatcher, match_batches
 
         return match_batches(docs_ds, GrammarMatcher, rules_yaml, variables,

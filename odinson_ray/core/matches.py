@@ -66,6 +66,8 @@ class StateMatch(Match):
 
     @staticmethod
     def from_match(m: Match) -> "StateMatch":
+        if isinstance(m, StateMatch):
+            return m  # never mutated, so a copy would only cost time
         caps = [
             NamedCapture(c.name, c.label, StateMatch.from_match(c.captured))
             for c in m.named_captures

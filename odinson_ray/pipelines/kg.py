@@ -63,9 +63,9 @@ def _read_docs(sf_dir: str, docs_per_block: int):
     poorly across it (measured in bench.py). Capped at 64k blocks: past
     that, shard the job itself (state/checkpoint.py fragment runner)
     rather than asking one driver to track the block metadata."""
-    from ..sources.io import document_read_columns, documents_path, read_table
+    from ..sources.io import document_read_columns, read_table, table_path
 
-    path = documents_path(sf_dir)
+    path = table_path(sf_dir, "documents")
     cols = document_read_columns(path)
     nb = None
     if path.endswith(".parquet"):
@@ -172,7 +172,7 @@ def checkpoint_triples(raw_triples, checkpoint_dir: Optional[str] = None):
     completed checkpoint instead of re-running the matcher (the
     per-shard/manifest variant of the same pattern is
     state/checkpoint.py)."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import read_table
 
     if checkpoint_dir is None:
         checkpoint_dir = os.path.join(
@@ -186,7 +186,7 @@ def checkpoint_triples(raw_triples, checkpoint_dir: Optional[str] = None):
             shutil.rmtree(tmp, ignore_errors=True)  # empty stream: nothing to spill
             return raw_triples
         os.replace(tmp, checkpoint_dir)
-    return rd.read_parquet(checkpoint_dir)
+    return read_table(checkpoint_dir)
 
 
 def triples_dataset(sf_dir: str, rules_yaml: str = FLAGSHIP_RULES,

@@ -140,7 +140,7 @@ rules:
 """
         try:
             ds = match_batches(read_interleaved(sf_dir), GrammarMatcher, rules,
-                               concurrency=2, batch_size=128)
+                               batch_size=128)
             rows = ds.limit(limit).to_pandas()
         except Exception as e:
             print(f"error: {e}")

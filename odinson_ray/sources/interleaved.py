@@ -109,10 +109,10 @@ def read_interleaved(sf_dir: str, columns=None):
     """documents table -> interleaved Dataset (column-pruned read).
     Reads documents.lance when present, else documents.parquet
     (sources/io.py format dispatch)."""
-    from .io import documents_path, read_table
+    from .io import table
 
-    ds = read_table(documents_path(sf_dir),
-                    columns=["doc_id", "text", "lang", "source"])
+    ds = table(sf_dir, "documents",
+               columns=["doc_id", "text", "lang", "source"])
     return ds.map_batches(build_interleaved, batch_format="pyarrow")
 
 
@@ -153,6 +153,6 @@ def prepare_corpus(sf_dir: str, out_dir: str, num_blocks: int = 16) -> None:
 def read_prepared(out_dir: str):
     """Read a prepared (pre-annotated) corpus; the matcher will use the
     stored sentences column instead of annotating inline."""
-    from .io import clean_rd as rd
+    from .io import read_table
 
-    return rd.read_parquet(out_dir)
+    return read_table(out_dir)

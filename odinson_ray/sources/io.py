@@ -5,10 +5,10 @@ sandbox has no ``lance``/``pylance`` library, so every dataset in this
 repo is parquet (VERDICT r02 missing #3). This module makes the swap
 structural instead of a docstring promise: readers/writers dispatch on
 the path's extension, the Lance branch is import-gated with an
-actionable error, and ``documents_path`` prefers ``documents.lance``
-over ``documents.parquet`` when both exist — so dropping Lance files
-into a data dir on a machine with the library activates the Lance path
-with no code change.
+actionable error, and ``table``/``table_path`` prefer ``{name}.lance``
+over ``{name}.parquet`` when both exist — so dropping Lance files into
+a data dir on a machine with the library activates the Lance path, for
+the flagship and the query suite alike, with no code change.
 
 Ray Data has native ``read_lance``/``write_lance`` (ray.data.read_lance
 wraps lance.dataset fragments into Ray blocks), so the Lance branch is
@@ -60,58 +60,51 @@ def _clean_schema_of(path, columns):
         return None
 
 
-def read_parquet_clean(path, columns=None, **kwargs):
-    """ray.data.read_parquet with schema metadata stripped AT THE READ.
-    pandas-written parquet carries a b'pandas' metadata key that makes
-    pa.Schema unhashable, so every downstream schema dedup falls to the
-    slow unify path and logs "Failed to hash the schemas". Passing an
-    explicit stripped schema makes the read tasks themselves emit clean
-    blocks (a post-read map_batches strip is too late — the warning
-    fires when the read outputs are batched). Falls back to the
-    map_batches strip when the schema can't be pre-read (exotic paths,
-    filesystems)."""
-    import ray.data as rd
+def read_table(path, columns=None, override_num_blocks=None):
+    """Dataset from a parquet or Lance path: a file, a directory or a
+    list of parquet files (whatever ``ray.data.read_parquet`` accepts),
+    or a ``.lance`` table.
 
-    if "schema" not in kwargs:
-        schema = _clean_schema_of(path, columns)
-        if schema is not None:
-            return rd.read_parquet(path, columns=columns, schema=schema,
-                                   **kwargs)
-    return rd.read_parquet(path, columns=columns, **kwargs).map_batches(
-        _strip_meta, batch_format="pyarrow")
-
-
-class _CleanRD:
-    """Drop-in stand-in for the ``ray.data`` module that routes
-    ``read_parquet`` through :func:`read_parquet_clean` and proxies
-    everything else — lets call sites keep the ``rd.`` idiom."""
-
-    read_parquet = staticmethod(read_parquet_clean)
-
-    def __getattr__(self, name):
-        import ray.data as rd
-
-        return getattr(rd, name)
-
-
-clean_rd = _CleanRD()
-
-
-def read_table(path: str, columns=None, override_num_blocks=None):
-    """Dataset from a parquet or Lance path (extension-dispatched)."""
+    Schema metadata is stripped AT THE READ: pandas-written parquet
+    carries a b'pandas' key that makes pa.Schema unhashable, so every
+    downstream schema dedup would fall to the slow unify path and log
+    "Failed to hash the schemas". Passing an explicit stripped schema
+    makes the read tasks themselves emit clean blocks (a post-read
+    map_batches strip is too late: the warning fires when the read
+    outputs are batched); the map_batches strip is the fallback when
+    the schema can't be pre-read (exotic paths, filesystems)."""
     import ray.data as rd
 
     kwargs = {}
     if override_num_blocks is not None:
         kwargs["override_num_blocks"] = override_num_blocks
-    if path.endswith(".lance"):
+    if isinstance(path, str) and path.endswith(".lance"):
         try:
             import lance  # noqa: F401
         except ImportError as e:
             raise ImportError(f"{path} {_LANCE_HELP}") from e
         return rd.read_lance(path, columns=columns, **kwargs).map_batches(
             _strip_meta, batch_format="pyarrow")
-    return read_parquet_clean(path, columns=columns, **kwargs)
+    schema = _clean_schema_of(path, columns)
+    if schema is not None:
+        return rd.read_parquet(path, columns=columns, schema=schema,
+                               **kwargs)
+    return rd.read_parquet(path, columns=columns, **kwargs).map_batches(
+        _strip_meta, batch_format="pyarrow")
+
+
+def table_path(sf_dir: str, name: str) -> str:
+    """The ``name`` table of a data dir: ``{name}.lance`` when present,
+    else ``{name}.parquet``."""
+    lance_path = os.path.join(sf_dir, f"{name}.lance")
+    if os.path.exists(lance_path):
+        return lance_path
+    return os.path.join(sf_dir, f"{name}.parquet")
+
+
+def table(sf_dir: str, name: str, columns=None):
+    """Dataset over the ``name`` table of a data dir (see table_path)."""
+    return read_table(table_path(sf_dir, name), columns=columns)
 
 
 def write_table(ds, path: str, **kwargs):
@@ -123,14 +116,6 @@ def write_table(ds, path: str, **kwargs):
             raise ImportError(f"{path} {_LANCE_HELP}") from e
         return ds.write_lance(path, **kwargs)
     return ds.write_parquet(path, **kwargs)
-
-
-def documents_path(sf_dir: str) -> str:
-    """The documents table of a data dir: prefer Lance when present."""
-    lance_path = os.path.join(sf_dir, "documents.lance")
-    if os.path.exists(lance_path):
-        return lance_path
-    return os.path.join(sf_dir, "documents.parquet")
 
 
 def read_parquet_evolved(paths, target_schema=None, columns=None):
@@ -174,7 +159,7 @@ def read_parquet_evolved(paths, target_schema=None, columns=None):
         have = set(pq.read_schema(p).names)
         cols = [c for c in target_schema.names if c in have]
         datasets.append(
-            read_parquet_clean(p, columns=cols or None).map_batches(
+            read_table(p, columns=cols or None).map_batches(
                 conform, batch_format="pyarrow"))
     out = datasets[0]
     for d in datasets[1:]:
@@ -220,7 +205,7 @@ def write_ipc_layout(src_parquet: str, columns) -> str:
                          "rows": pa.array([t.num_rows], pa.int64())})
 
     schema = _clean_schema_of(src_parquet, cols)
-    written = (clean_rd.read_parquet(src_parquet, columns=cols)
+    written = (read_table(src_parquet, columns=cols)
                .map_batches(write_block, batch_format="pyarrow")
                .to_pandas())
     # an all-empty source yields zero summary batches -> no columns

@@ -79,11 +79,11 @@ def _make_scorer(qref):
 def brute_force_topk(sf_dir: str, query_vec: np.ndarray, k: int = 10):
     """Exact cosine top-k via per-batch matmul + global sort/limit."""
     import ray
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     q = np.asarray(query_vec, dtype=np.float64)
     qref = ray.put(q / np.linalg.norm(q))
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    ds = table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     from .shuffle import global_topk
 
     return global_topk(
@@ -144,7 +144,7 @@ def build_bucket_layout(sf_dir: str, n_planes: "int | None" = None) -> str:
     import time
 
     import pyarrow.parquet as pq
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     if n_planes is None:
         n_rows = pq.read_metadata(f"{sf_dir}/embeddings.parquet").num_rows
@@ -161,7 +161,7 @@ def build_bucket_layout(sf_dir: str, n_planes: "int | None" = None) -> str:
     # builders delete each other's in-progress fragments and publish a
     # truncated layout
     tmp = tempfile.mkdtemp(prefix=os.path.basename(out) + ".tmp.", dir=_ANN_CACHE_ROOT)
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    ds = table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     ds.map_batches(
         lambda t: add_bucket_batch(t, n_planes), batch_format="pyarrow"
     ).write_parquet(tmp, partition_cols=["bucket"])
@@ -222,7 +222,9 @@ def lsh_topk(sf_dir: str, query_vec: np.ndarray, k: int = 10, probes: int = 6):
     (set ODINSON_RAY_ANN_CACHE on a multi-node cluster; the default
     node-local /tmp root is structurally rejected there)."""
     import ray
-    from ..sources.io import clean_rd as rd
+    import ray.data
+
+    from ..sources.io import read_table
 
     import json
 
@@ -242,12 +244,12 @@ def lsh_topk(sf_dir: str, query_vec: np.ndarray, k: int = 10, probes: int = 6):
         for rel in buckets.get(str(b), {}).get("files", [])
     ]
     if not paths:
-        return rd.from_arrow(
+        return ray.data.from_arrow(
             pa.table({"vec_id": pa.array([], pa.int64()),
                       "score": pa.array([], pa.float64())})
         )
     qref = ray.put(qn)
-    ds = rd.read_parquet(paths, columns=["vec_id", "embedding"])
+    ds = read_table(paths, columns=["vec_id", "embedding"])
     from .shuffle import global_topk
 
     return global_topk(
@@ -299,7 +301,7 @@ def build_ivf_layout(sf_dir: str, n_lists: "int | None" = None,
 
     import pyarrow.parquet as pq
     import ray
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     from .link import get_broadcast
     from .sample import _embedding_matrix, kmeans_centroids
@@ -328,8 +330,8 @@ def build_ivf_layout(sf_dir: str, n_lists: "int | None" = None,
         return t.append_column(
             "list", pa.array([idsb[i] for i in a], pa.int64()))
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
+    ds = table(sf_dir, "embeddings",
+               columns=["vec_id", "embedding"])
     ds.map_batches(assign, batch_format="pyarrow").write_parquet(
         tmp, partition_cols=["list"])
     lists = {}
@@ -356,7 +358,9 @@ def ivf_topk(sf_dir: str, query_vec: np.ndarray, k: int = 10, nprobe: int = 4):
     import json
 
     import ray
-    from ..sources.io import clean_rd as rd
+    import ray.data
+
+    from ..sources.io import read_table
 
     layout = build_ivf_layout(sf_dir)
     with open(os.path.join(layout, "_meta.json")) as fh:
@@ -372,12 +376,12 @@ def ivf_topk(sf_dir: str, query_vec: np.ndarray, k: int = 10, nprobe: int = 4):
         for rel in meta["lists"].get(str(b), {}).get("files", [])
     ]
     if not paths:
-        return rd.from_arrow(
+        return ray.data.from_arrow(
             pa.table({"vec_id": pa.array([], pa.int64()),
                       "score": pa.array([], pa.float64())})
         )
     qref = ray.put(q / np.linalg.norm(q))
-    ds = rd.read_parquet(paths, columns=["vec_id", "embedding"])
+    ds = read_table(paths, columns=["vec_id", "embedding"])
     from .shuffle import global_topk
 
     return global_topk(
@@ -446,7 +450,7 @@ def build_pq_layout(sf_dir: str, m: int = PQ_M, codes: int = PQ_CODES) -> str:
     import tempfile
 
     import ray
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
     from .link import get_broadcast
     from .sample import _embedding_matrix
     from .shuffle import global_topk
@@ -459,8 +463,8 @@ def build_pq_layout(sf_dir: str, m: int = PQ_M, codes: int = PQ_CODES) -> str:
     tmp = tempfile.mkdtemp(prefix=os.path.basename(out) + ".tmp.",
                            dir=_ANN_CACHE_ROOT)
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
+    ds = table(sf_dir, "embeddings",
+               columns=["vec_id", "embedding"])
 
     def with_hash(t: pa.Table) -> pa.Table:
         ids = t["vec_id"].to_numpy(zero_copy_only=False)
@@ -507,7 +511,7 @@ def pq_topk(sf_dir: str, query_vec: np.ndarray, k: int = 10,
 
     import pyarrow.compute as pc
     import ray
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import read_table, table
     from .link import get_broadcast
     from .shuffle import global_topk
 
@@ -530,7 +534,7 @@ def pq_topk(sf_dir: str, query_vec: np.ndarray, k: int = 10,
         return pa.table({"vec_id": t["vec_id"],
                          "adc": pa.array(d, pa.float64())})
 
-    codes_ds = rd.read_parquet(layout)
+    codes_ds = read_table(layout)
     short = global_topk(
         codes_ds.map_batches(adc, batch_format="pyarrow"),
         ["adc", "vec_id"], [False, False], shortlist).take_all()
@@ -543,8 +547,8 @@ def pq_topk(sf_dir: str, query_vec: np.ndarray, k: int = 10,
         return t.filter(mask)
 
     qref = ray.put(q)
-    exact = (rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                             columns=["vec_id", "embedding"])
+    exact = (table(sf_dir, "embeddings",
+                   columns=["vec_id", "embedding"])
              .map_batches(rerank, batch_format="pyarrow")
              .map_batches(_make_scorer(qref), batch_format="pyarrow"))
     return global_topk(exact, ["score", "vec_id"], [True, False], k)

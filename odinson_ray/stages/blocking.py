@@ -16,8 +16,9 @@ exactly with NO tiny groups:
    boundary; per-chunk pair lists come from one vectorized searchsorted
    + repeat — no per-pair or per-group Python.
 
-Used by queries7.q_sorted_neighborhood_pairs (documents) and
-queries7.q_er_funnel (entity resolution).
+Used by q_sorted_neighborhood_pairs (pipelines/queries/dedup.py,
+documents) and q_er_funnel (pipelines/queries/graph.py, entity
+resolution).
 """
 
 from __future__ import annotations

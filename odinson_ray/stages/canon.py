@@ -156,7 +156,9 @@ def connected_components(edges_ds, max_rounds: int = 25,
     path exists for) take the propagation rounds unchanged; pass
     ``small_graph_threshold=0`` to force them (tests do).
     ``stats["rounds"]`` is 0 on the driver path."""
-    from ..sources.io import clean_rd as rd
+    import ray.data
+
+    from ..sources.io import read_table
     from ray.data.aggregate import Min
 
     from .shuffle import hash_join
@@ -173,7 +175,7 @@ def connected_components(edges_ds, max_rounds: int = 25,
         shutil.rmtree(path, ignore_errors=True)
         os.makedirs(path, exist_ok=True)
         lazy_ds.write_parquet(path)
-        return rd.read_parquet(path)
+        return read_table(path)
 
     _nbr_schema = pa.schema([("node", pa.string()), ("nbr", pa.string())])
     _lbl_schema = pa.schema([("node", pa.string()), ("label", pa.string())])
@@ -210,7 +212,7 @@ def connected_components(edges_ds, max_rounds: int = 25,
         if stats is not None:
             stats["rounds"] = 0
         ordered = sorted(nodes)
-        return rd.from_arrow(pa.table({
+        return ray.data.from_arrow(pa.table({
             "node": pa.array(ordered, pa.string()),
             "root": pa.array([uf.find(n) for n in ordered], pa.string()),
         }))

@@ -81,11 +81,11 @@ def decontaminate(sf_dir: str, n: int = 5, eval_mod: int = 97):
     reference's shingling — but everything around it is columnar.
     """
     import ray
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     from .link import get_broadcast
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = table(sf_dir, "documents", columns=["doc_id", "text"])
     ref = ray.put(eval_ngram_set(docs, n, eval_mod))
 
     def flag(t: pa.Table) -> pa.Table:
@@ -155,12 +155,12 @@ def semdedup(sf_dir: str, k: Optional[int] = None, refinements: int = 1,
     the `shared_passage_pairs(max_window_docs)` pattern.
     """
     import ray
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     from .link import get_broadcast
     from .sample import _argmin_sqdist, _embedding_matrix, kmeans_centroids
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    ds = table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     if k is None:
         k = clusters_for_rows(ds.count(), target=target_cluster_rows)
 
@@ -265,10 +265,10 @@ def repetition_batch(t: pa.Table) -> pa.Table:
 
 
 def repetition_signals(sf_dir: str):
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
-    return rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    return table(
+        sf_dir, "documents", columns=["doc_id", "text"]
     ).map_batches(repetition_batch, batch_format="pyarrow")
 
 
@@ -302,10 +302,10 @@ def pack_chunks_batch(t: pa.Table, width: int = 32, stride: int = 24) -> pa.Tabl
 
 
 def pack_chunks(sf_dir: str, width: int = 32, stride: int = 24):
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
-    return rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    return table(
+        sf_dir, "documents", columns=["doc_id", "text"]
     ).map_batches(
         lambda t: pack_chunks_batch(t, width, stride), batch_format="pyarrow"
     )
@@ -329,11 +329,11 @@ def fuzzy_decontaminate(sf_dir: str, threshold: float = 0.9,
 
     import ray
 
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
     from .link import get_broadcast
     from ..stages.dedup import N_BANDS, ROWS_PER_BAND, _batch_signatures, jaccard
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def _is_eval_mask(t: pa.Table) -> np.ndarray:
         return t["doc_id"].to_numpy(zero_copy_only=False) % eval_mod == 0

@@ -199,11 +199,11 @@ def minhash_lsh_pairs(sf_dir: str, threshold: float = 0.9):
     The verify is :func:`verify_pairs_exact`: texts attach through
     ``broadcast_or_join``, so they are broadcast while the candidate
     documents are small and hash-joined when they are not."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import read_table
     from ray.data.aggregate import Count
 
     docs_path = f"{sf_dir}/documents.parquet"
-    docs = rd.read_parquet(docs_path, columns=["doc_id", "text"])
+    docs = read_table(docs_path, columns=["doc_id", "text"])
     bands = docs.map_batches(minhash_bands_batch, batch_format="pyarrow")
     candidates = segmented_band_pairs(bands)
     # distributed candidate dedup (a pair may collide in many bands)
@@ -339,10 +339,10 @@ def simhash_pairs(sf_dir: str, max_hamming: int = 6):
 
     Only (blk, sub, doc_id, h) rows and candidate pairs shuffle — never
     documents. Returns a Dataset of (a_id, b_id, hamming)."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
     from ray.data.aggregate import Min
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    docs = table(sf_dir, "documents", columns=["doc_id", "text"])
     rows = docs.map_batches(simhash_block_rows, batch_format="pyarrow")
     pairs = segmented_hamming_pairs(rows, max_hamming)
     # a pair may collide in several blocks; Hamming distance is identical in
@@ -364,10 +364,10 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3, block_col: str = "s
     is the segmented columnar pipeline."""
     import pyarrow.compute as pc
 
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text", block_col])
+    docs = table(sf_dir, "documents",
+                 columns=["doc_id", "text", block_col])
 
     def shingle_rows(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -391,8 +391,8 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.3, block_col: str = "s
                                             block_col=block_col)
     return verify_pairs_exact(
         candidates,
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "text"]),
+        table(sf_dir, "documents",
+              columns=["doc_id", "text"]),
         jaccard, threshold)
 
 
@@ -409,7 +409,7 @@ def neardup_groups(sf_dir: str, threshold: float = 0.9):
     components (stages/canon.connected_components, zero-padded ids so
     lexicographic min == numeric min), and group ids come back onto the
     full doc table via a left-outer hash join."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     from .canon import connected_components
     from .shuffle import hash_join
@@ -424,7 +424,7 @@ def neardup_groups(sf_dir: str, threshold: float = 0.9):
 
     roots = connected_components(pairs.map_batches(to_edges, batch_format="pyarrow"))
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    docs = table(sf_dir, "documents", columns=["doc_id"])
 
     def add_key(t: pa.Table) -> pa.Table:
         return t.append_column(
@@ -500,11 +500,11 @@ def shared_passage_pairs(sf_dir: str, window: int = 8,
     extra shuffle. ``max_window_docs=None`` disables the cap. Default 256
     is far above the synthetic fixtures' max (4 at sf0.1), so the DuckDB
     oracle stays exact."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
     from ray.data.aggregate import Count
 
     rows = (
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+        table(sf_dir, "documents", columns=["doc_id", "text"])
         .map_batches(lambda t: passage_window_rows(t, window), batch_format="pyarrow")
     )
     pairs = segmented_window_pairs(rows, max_window_docs)
@@ -643,10 +643,10 @@ def prefix_jaccard_pairs(sf_dir: str, threshold: float = 0.7):
     adaptive exact verify (``verify_pairs_exact``)."""
     import pyarrow.compute as pc
 
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = table(sf_dir, "documents",
+                 columns=["doc_id", "text"])
 
     def flat_distinct(t: pa.Table) -> pa.Table:
         toks = pc.split_pattern(t["text"], " ")
@@ -824,9 +824,9 @@ def dup_passage_coverage(sf_dir: str, window: int = 8):
     ONCE on doc_id and a segmented interval-union kernel computes
     coverage as sum(min(next_start - start, window)) over sorted
     starts. Output: (doc_id, n_tokens, dup_tokens, dup_frac)."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
     rows = (
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+        table(sf_dir, "documents", columns=["doc_id", "text"])
         .map_batches(lambda t: window_instance_rows(t, window),
                      batch_format="pyarrow")
     )

@@ -69,7 +69,7 @@ def bucket_layout(src_parquet: str, key: str, columns,
     ``columns``: list of source columns, or {src: out} dict to rename at
     write time (joins need the SAME key name on both layouts — bucket on
     the post-rename ``key``)."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import read_table
 
     rename = dict(columns) if isinstance(columns, dict) else {
         c: c for c in columns}
@@ -87,7 +87,7 @@ def bucket_layout(src_parquet: str, key: str, columns,
         return t.append_column(
             "_bucket", pa.array(_bucket_ids(t[key], n_buckets), pa.int64()))
 
-    (rd.read_parquet(src_parquet, columns=list(rename))
+    (read_table(src_parquet, columns=list(rename))
      .map_batches(tag, batch_format="pyarrow")
      .write_parquet(tmp, partition_cols=["_bucket"]))
     buckets = {}
@@ -178,7 +178,7 @@ def zonemap_layout(src_parquet: str, ts_col: str, columns,
     Idempotent per corpus version; atomic publish."""
     import pyarrow.parquet as pq
 
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import read_table
 
     out = _layout_dir(src_parquet, ts_col, n_shards,
                       "zonemap:" + ",".join(sorted(columns)))
@@ -188,7 +188,7 @@ def zonemap_layout(src_parquet: str, ts_col: str, columns,
     os.makedirs(_CACHE_ROOT, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=os.path.basename(out) + ".tmp.",
                            dir=_CACHE_ROOT)
-    (rd.read_parquet(src_parquet, columns=list(columns))
+    (read_table(src_parquet, columns=list(columns))
      .repartition(n_shards)
      .write_parquet(tmp))
     files = []
@@ -231,7 +231,7 @@ def zonemap_scan(root: str, lo_us: int, hi_us: int):
     [lo_us, hi_us) — the caller applies the exact residual filter (zone
     maps are a superset guarantee). Returns (dataset_or_None,
     n_files_read, n_files_total); None when every file is skipped."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import read_table
 
     with open(os.path.join(root, "_meta.json")) as fh:
         meta = json.load(fh)
@@ -240,7 +240,7 @@ def zonemap_scan(root: str, lo_us: int, hi_us: int):
     total = len(meta["files"])
     if not keep:
         return None, 0, total
-    ds = rd.read_parquet([os.path.join(root, f) for f in keep])
+    ds = read_table([os.path.join(root, f) for f in keep])
     return ds, len(keep), total
 
 
@@ -331,7 +331,7 @@ def zorder_layout(src_parquet: str, col_x: str, col_y: str, columns,
     import pyarrow.parquet as pq
     from ray.data.aggregate import Max, Min
 
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import read_table
 
     out = _layout_dir(src_parquet, f"{col_x}|{col_y}", n_shards,
                       "zorder:" + ",".join(sorted(columns)))
@@ -342,7 +342,7 @@ def zorder_layout(src_parquet: str, col_x: str, col_y: str, columns,
     tmp = tempfile.mkdtemp(prefix=os.path.basename(out) + ".tmp.",
                            dir=_CACHE_ROOT)
 
-    ds = rd.read_parquet(src_parquet, columns=list(columns))
+    ds = read_table(src_parquet, columns=list(columns))
     stats = ds.map_batches(
         lambda t: pa.table({"x": pa.array(_col_i64(t, col_x)),
                             "y": pa.array(_col_i64(t, col_y))}),
@@ -394,7 +394,7 @@ def zorder_scan(root: str, x_lo: int, x_hi: int, y_lo: int, y_hi: int):
     half-open rectangle [x_lo, x_hi) x [y_lo, y_hi). The caller applies
     the exact residual filter. Returns (dataset_or_None, n_read,
     n_total)."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import read_table
 
     with open(os.path.join(root, "_meta.json")) as fh:
         meta = json.load(fh)
@@ -404,7 +404,7 @@ def zorder_scan(root: str, x_lo: int, x_hi: int, y_lo: int, y_hi: int):
     total = len(meta["files"])
     if not keep:
         return None, 0, total
-    ds = rd.read_parquet([os.path.join(root, f) for f in keep])
+    ds = read_table([os.path.join(root, f) for f in keep])
     return ds, len(keep), total
 
 
@@ -528,7 +528,7 @@ def hive_layout(src_parquet: str, part_col: str, columns) -> str:
     ``part_col`` to identifier-ish strings (langs, sources, dates); a
     value needing URL-escaping would round-trip through Ray's writer
     encoding and is rejected here rather than silently re-encoded."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import read_table
 
     cols = sorted(set(columns) | {part_col})
     out = _layout_dir(src_parquet, part_col, 0, ",".join(cols) + ":hive")
@@ -538,7 +538,7 @@ def hive_layout(src_parquet: str, part_col: str, columns) -> str:
     os.makedirs(_CACHE_ROOT, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=os.path.basename(out) + ".tmp.",
                            dir=_CACHE_ROOT)
-    (rd.read_parquet(src_parquet, columns=cols)
+    (read_table(src_parquet, columns=cols)
      .write_parquet(tmp, partition_cols=[part_col]))
     parts: dict = {}
     prefix = f"{part_col}="
@@ -565,7 +565,7 @@ def hive_scan(root: str, value: str):
     Dataset; empty partition -> an empty Dataset."""
     import ray.data
 
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import read_table
 
     with open(os.path.join(root, "_meta.json")) as fh:
         meta = json.load(fh)
@@ -586,7 +586,7 @@ def hive_scan(root: str, value: str):
         return t.append_column(
             part_col, pa.array([str(value)] * t.num_rows, pa.string()))
 
-    return (rd.read_parquet([os.path.join(root, f) for f in files])
+    return (read_table([os.path.join(root, f) for f in files])
             .map_batches(restore, batch_format="pyarrow"))
 
 
@@ -616,7 +616,7 @@ def bloom_layout(src_parquet: str, key_col: str, columns,
     _meta.json. Idempotent per corpus version; atomic publish."""
     import pyarrow.parquet as pq
 
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import read_table
 
     out = _layout_dir(src_parquet, key_col, n_shards,
                       f"bloom{bits_per_key}x{k_hashes}:"
@@ -627,7 +627,7 @@ def bloom_layout(src_parquet: str, key_col: str, columns,
     os.makedirs(_CACHE_ROOT, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=os.path.basename(out) + ".tmp.",
                            dir=_CACHE_ROOT)
-    (rd.read_parquet(src_parquet, columns=list(columns))
+    (read_table(src_parquet, columns=list(columns))
      .repartition(n_shards)
      .write_parquet(tmp))
 
@@ -666,7 +666,7 @@ def bloom_scan(root: str, probe_keys):
     residual filter). Returns (dataset_or_None, n_files_read,
     n_files_total). The manifest is KBs per file; probing is driver-side
     bit arithmetic, no file I/O for skipped shards."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import read_table
 
     with open(os.path.join(root, "_meta.json")) as fh:
         meta = json.load(fh)
@@ -683,5 +683,5 @@ def bloom_scan(root: str, probe_keys):
     total = len(meta["files"])
     if not keep:
         return None, 0, total
-    ds = rd.read_parquet([os.path.join(root, f) for f in keep])
+    ds = read_table([os.path.join(root, f) for f in keep])
     return ds, len(keep), total

@@ -139,7 +139,7 @@ def video_frames(sf_dir: str, fps: float = 1.0, max_frames: int = 8,
     """Deterministic video manifest (doc_id % 7 == 0 -> media://vid/<id>)
     -> frame-sample rows via the actor pool. Small batches: real video
     rows carry large payloads."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     def manifest(t: pa.Table) -> pa.Table:
         ids = [int(v) for v in t["doc_id"].to_pylist()]
@@ -149,7 +149,7 @@ def video_frames(sf_dir: str, fps: float = 1.0, max_frames: int = 8,
             "media_ref": pa.array([f"media://vid/{i}" for i in keep], pa.string()),
         })
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"]).map_batches(
+    ds = table(sf_dir, "documents", columns=["doc_id"]).map_batches(
         manifest, batch_format="pyarrow"
     )
     return ds.map_batches(

@@ -34,7 +34,7 @@ def stratified_sample(sf_dir: str, rates: Optional[Dict[str, int]] = None,
     """Per-language deterministic sample of documents: keep a row when
     hash(doc_id) lands in the stratum's first ``tenths`` buckets of 10.
     ``rates`` maps lang -> tenths kept (e.g. {"en": 5} keeps ~50% of en)."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     rates = rates or {"en": 5}
 
@@ -48,8 +48,8 @@ def stratified_sample(sf_dir: str, rates: Optional[Dict[str, int]] = None,
         return t.filter(pa.array(b < thresholds))
 
     return (
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "lang", "text"])
+        table(sf_dir, "documents",
+              columns=["doc_id", "lang", "text"])
         .map_batches(keep, batch_format="pyarrow")
     )
 
@@ -82,7 +82,7 @@ def kmeans_centroids(sf_dir: str, k: int = 8, refinements: int = 1):
     shape). Shared by kmeans_assign and the IVF ANN layout (stages/ann)."""
     import pyarrow.dataset as pads
     import ray
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     from .link import get_broadcast
 
@@ -93,8 +93,8 @@ def kmeans_centroids(sf_dir: str, k: int = 8, refinements: int = 1):
     centroids = _embedding_matrix(seed)
     cluster_ids = list(range(len(seed)))
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
+    ds = table(sf_dir, "embeddings",
+               columns=["vec_id", "embedding"])
 
     for _ in range(refinements):
         ref = ray.put((np.asarray(centroids), list(cluster_ids)))
@@ -143,14 +143,14 @@ def kmeans_assign(sf_dir: str, k: int = 8, refinements: int = 1):
     dropped (mirrors the SQL oracle exactly). Ties break toward the
     lower cluster id."""
     import ray
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     from .link import get_broadcast
 
     centroids, cluster_ids = kmeans_centroids(sf_dir, k, refinements)
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
+    ds = table(sf_dir, "embeddings",
+               columns=["vec_id", "embedding"])
 
     ref = ray.put((np.asarray(centroids), list(cluster_ids)))
 
@@ -177,7 +177,7 @@ def domain_mix(sf_dir: str, weights_tenths: Optional[Dict[str, int]] = None,
     Membership and multiplicity are pure functions of (doc_id, source) —
     no RNG state, no shuffle, identical under retries and at any
     parallelism, which is what a 100-TB mixing job needs for resumability."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     weights_tenths = weights_tenths or {"src0": 25, "src1": 3}
 
@@ -196,6 +196,6 @@ def domain_mix(sf_dir: str, weights_tenths: Optional[Dict[str, int]] = None,
         })
 
     return (
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
+        table(sf_dir, "documents", columns=["doc_id", "source"])
         .map_batches(mix, batch_format="pyarrow")
     )

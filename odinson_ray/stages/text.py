@@ -60,10 +60,10 @@ def scrub_batch(batch: pa.Table) -> pa.Table:
 
 def scrub_pii(sf_dir: str):
     """Redact emails / IPv4s / long digit runs from the text column."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
-    return rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    return table(
+        sf_dir, "documents", columns=["doc_id", "text"]
     ).map_batches(scrub_batch, batch_format="pyarrow")
 
 
@@ -95,10 +95,10 @@ def doc_frequency(sf_dir: str, min_df: int = 1):
     driver): open-web vocabularies are dominated by df==1 junk tokens
     (URLs, hashes, typos), and pruning them bounds every downstream
     consumer of the vocabulary."""
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     ds = combine_aggregate(
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+        table(sf_dir, "documents", columns=["text"])
         .map_batches(df_partial_batch, batch_format="pyarrow"),
         "tok", [("df", "partial_df", "sum")])
     if min_df > 1:
@@ -169,14 +169,14 @@ def tfidf_top_term(sf_dir: str, min_df: int = 1):
     so the result is identical to the broadcast path."""
     import numpy as np
     import ray
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     from .link import get_broadcast
     from .shuffle import broadcastable
 
     df_ds = doc_frequency(sf_dir, min_df=min_df).materialize()
-    n_docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"]).count()
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    n_docs = table(sf_dir, "documents", columns=["doc_id"]).count()
+    docs = table(sf_dir, "documents", columns=["doc_id", "text"])
 
     if broadcastable(df_ds):
         vocab, dfs = [], []

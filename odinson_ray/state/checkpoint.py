@@ -96,7 +96,7 @@ def read_snapshot(out_dir: str, as_of_seq: Optional[int] = None):
     any historical manifest seq otherwise) — the time-travel read a
     reproducible training-data pipeline needs: the exact bytes a past
     run trained on stay addressable after appends, updates and deletes."""
-    from ..sources.io import clean_rd
+    from ..sources.io import read_table
 
     dirs = CheckpointManifest(out_dir).resolve_dirs(as_of_seq)
     files = [os.path.join(d, f)
@@ -104,7 +104,7 @@ def read_snapshot(out_dir: str, as_of_seq: Optional[int] = None):
              if f.endswith(".parquet")]
     if not files:
         return None
-    return clean_rd.read_parquet(files)
+    return read_table(files)
 
 
 def run_sharded(
@@ -174,9 +174,9 @@ def _doc_columns(sf_dir: str) -> list:
     """Shard-runner read columns — delegates to the single shared sniff
     (sources/io.document_read_columns) so this and the flagship read
     cannot drift."""
-    from ..sources.io import document_read_columns
+    from ..sources.io import document_read_columns, table_path
 
-    return document_read_columns(f"{sf_dir}/documents.parquet")
+    return document_read_columns(table_path(sf_dir, "documents"))
 
 
 def _count_error_triples(shard_out: str) -> int:
@@ -192,12 +192,13 @@ def _count_error_triples(shard_out: str) -> int:
 
 
 def kg_run_sharded(sf_dir: str, out_dir: str, num_shards: int = 4,
-                   rules_yaml: Optional[str] = None, concurrency: int = 4) -> Dict[str, dict]:
+                   rules_yaml: Optional[str] = None,
+                   concurrency: Optional[int] = None) -> Dict[str, dict]:
     """Checkpointed flagship run: documents split into doc_id-range shards;
     each shard runs the full KG pipeline and writes its triples partition."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     from ..pipelines.kg import FLAGSHIP_RULES
     from ..stages.match import GrammarMatcher, match_batches
@@ -210,8 +211,8 @@ def kg_run_sharded(sf_dir: str, out_dir: str, num_shards: int = 4,
     def run_shard(shard: str, shard_out: str) -> dict:
         i = int(shard)
         lo, hi = bounds[i], bounds[i + 1]
-        docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=_doc_columns(sf_dir))
+        docs = table(sf_dir, "documents",
+                     columns=_doc_columns(sf_dir))
         docs = docs.map_batches(
             # replace_schema_metadata: the source parquet's b'pandas'
             # metadata makes pa.Schema unhashable and defeats Ray Data's
@@ -266,7 +267,8 @@ def fragment_content_version(sf_dir: str, lo: int, hi: int) -> str:
 
 
 def kg_run_fragments(sf_dir: str, out_dir: str, fragments, rules_yaml: Optional[str] = None,
-                     concurrency: int = 4, retract_missing: bool = False) -> Dict[str, dict]:
+                     concurrency: Optional[int] = None,
+                     retract_missing: bool = False) -> Dict[str, dict]:
     """Incremental-refresh analogue (the reference's IncrementalOdinsonIndex
     append/update/delete path, IncrementalOdinsonIndex.scala:104-121):
     ``fragments`` is a list of (name, lo_doc_id, hi_doc_id) or
@@ -280,7 +282,7 @@ def kg_run_fragments(sf_dir: str, out_dir: str, fragments, rules_yaml: Optional[
       have their outputs removed and are marked retracted."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    from ..sources.io import clean_rd as rd
+    from ..sources.io import table
 
     from ..pipelines.kg import FLAGSHIP_RULES
     from ..stages.match import GrammarMatcher, match_batches
@@ -293,8 +295,8 @@ def kg_run_fragments(sf_dir: str, out_dir: str, fragments, rules_yaml: Optional[
 
     def run_shard(shard: str, shard_out: str) -> dict:
         lo, hi = bounds[shard]
-        docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=_doc_columns(sf_dir))
+        docs = table(sf_dir, "documents",
+                     columns=_doc_columns(sf_dir))
         docs = docs.map_batches(
             # replace_schema_metadata: the source parquet's b'pandas'
             # metadata makes pa.Schema unhashable and defeats Ray Data's

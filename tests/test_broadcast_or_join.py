@@ -95,13 +95,13 @@ def test_string_key(monkeypatch):
 
 
 def _nation_trade(sf):
-    from odinson_ray.pipelines.queries9 import q_nation_trade
+    from odinson_ray.pipelines.queries.relational import q_nation_trade
 
     return q_nation_trade(sf)
 
 
 def _tpch_q3(sf):
-    from odinson_ray.pipelines.queries4 import q_tpch_q3
+    from odinson_ray.pipelines.queries.relational import q_tpch_q3
 
     return q_tpch_q3(sf)
 
@@ -119,13 +119,13 @@ def _tfidf_top_term(sf):
 
 
 def _embedding_neardup(sf):
-    from odinson_ray.pipelines.queries import q_embedding_neardup
+    from odinson_ray.pipelines.queries.similarity import q_embedding_neardup
 
     return q_embedding_neardup(sf)
 
 
 def _supplier_part_counts(sf):
-    from odinson_ray.pipelines.queries20 import q_supplier_part_counts
+    from odinson_ray.pipelines.queries.relational import q_supplier_part_counts
 
     return q_supplier_part_counts(sf)
 

@@ -1,7 +1,7 @@
 """stages/shuffle.coarse_groups: the one coarse-partition exchange. Pinned
 against a per-key reference at one, three and the default number of
-partitions, and guarded against hand-made partition columns and
-duplicate query registrations growing back."""
+partitions, and guarded against hand-made partition columns growing
+back."""
 
 import ast
 import pathlib
@@ -238,32 +238,3 @@ def q(ds, parts):
 '''
     found = _hand_made_partition_groupbys(ast.parse(src))
     assert [cols for _, cols in found] == [["_bkt"]]
-
-
-def test_no_query_name_registered_twice():
-    """A name assigned twice in pipelines/ silently replaces the first
-    definition (a dead query that still costs reading and upkeep)."""
-    seen = {}
-    for path in sorted((PKG / "pipelines").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for n in ast.walk(tree):
-            names = []
-            if isinstance(n, ast.Assign):
-                for t in n.targets:
-                    if (isinstance(t, ast.Subscript)
-                            and isinstance(t.value, ast.Name)
-                            and isinstance(t.slice, ast.Constant)):
-                        names.append((t.value.id.lower(), t.slice.value))
-            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-                  and n.func.attr == "update"
-                  and isinstance(n.func.value, ast.Name)
-                  and n.args and isinstance(n.args[0], ast.Dict)):
-                names += [(n.func.value.id.lower(), k.value)
-                          for k in n.args[0].keys
-                          if isinstance(k, ast.Constant)]
-            for reg, name in names:
-                if reg in ("queries", "oracles"):
-                    seen.setdefault((reg, name), []).append(
-                        f"{path.name}:{n.lineno}")
-    dup = {k: v for k, v in seen.items() if len(v) > 1}
-    assert not dup, dup

@@ -27,7 +27,7 @@ def test_session_spans_single_event(ray_session):
 
 
 def test_record_highs_single_row(ray_session):
-    from odinson_ray.pipelines.queries3 import record_high_counts
+    from odinson_ray.pipelines.queries.events import record_high_counts
 
     t = pa.table({"o": pa.array([0], pa.int64()),
                   "x": pa.array([1.5], pa.float64()),
@@ -37,7 +37,7 @@ def test_record_highs_single_row(ray_session):
 
 
 def test_overlap_pairs_no_overlaps(ray_session):
-    from odinson_ray.pipelines.queries2 import overlap_pairs_per_key
+    from odinson_ray.pipelines.queries.relational import overlap_pairs_per_key
 
     W = 1000
     t = pa.table({
@@ -88,7 +88,7 @@ def test_bpe_empty_corpus(ray_session):
 def test_twap_single_event_users_dropped(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
-    from odinson_ray.pipelines.queries3 import q_twap_value
+    from odinson_ray.pipelines.queries.events import q_twap_value
 
     t = pa.table({
         "user_id": pa.array([1, 2, 2], pa.int64()),
@@ -106,7 +106,7 @@ def test_twap_single_event_users_dropped(ray_session, tmp_path):
 def test_quantiles_cont_single_value_group(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
-    from odinson_ray.pipelines.queries2 import q_value_quantiles_cont
+    from odinson_ray.pipelines.queries.events import q_value_quantiles_cont
 
     t = pa.table({"event_type": pa.array(["x"], pa.string()),
                   "value": pa.array([3.25], pa.float64())})
@@ -166,7 +166,7 @@ def test_checkpoint_time_travel(ray_session, sf_dir, tmp_path):
 
 
 def test_record_highs_empty_input(ray_session):
-    from odinson_ray.pipelines.queries3 import record_high_counts
+    from odinson_ray.pipelines.queries.events import record_high_counts
 
     t = pa.table({"o": pa.array([], pa.int64()),
                   "x": pa.array([], pa.float64()),

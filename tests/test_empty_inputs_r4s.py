@@ -44,11 +44,11 @@ def empty_sf(tmp_path_factory):
     "q_corpus_shuffle_head",
 ])
 def test_empty_corpus_yields_empty(empty_sf, qname):
-    from odinson_ray.pipelines import queries4 as q4
+    from odinson_ray.pipelines.queries import QUERIES
 
     import pandas as pd
 
-    r = getattr(q4, qname)(empty_sf)
+    r = QUERIES[qname.removeprefix("q_")](empty_sf)
     if isinstance(r, pd.DataFrame):
         n = len(r)
     elif isinstance(r, pa.Table):
@@ -66,7 +66,7 @@ def test_zorder_empty_source(empty_sf, monkeypatch, tmp_path):
     import odinson_ray.stages.layout as layout
 
     monkeypatch.setattr(layout, "_CACHE_ROOT", str(tmp_path / "cache"))
-    from odinson_ray.pipelines.queries4 import q_zorder_range_agg
+    from odinson_ray.pipelines.queries.formats import q_zorder_range_agg
 
     r = q_zorder_range_agg(empty_sf)
     df = r.to_pandas() if hasattr(r, "to_pandas") else r

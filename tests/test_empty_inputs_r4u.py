@@ -19,36 +19,36 @@ def empty_docs(tmp_path_factory):
 
 
 def test_dsir_select_empty(ray_session, empty_docs):
-    from odinson_ray.pipelines.queries17 import q_dsir_select
+    from odinson_ray.pipelines.queries.text import q_dsir_select
 
     assert q_dsir_select(empty_docs).take_all() == []
 
 
 def test_dedup_delta_empty(ray_session, empty_docs):
-    from odinson_ray.pipelines.queries17 import q_dedup_delta
+    from odinson_ray.pipelines.queries.dedup import q_dedup_delta
 
     assert q_dedup_delta(empty_docs).take_all() == []
 
 
 def test_vocab_hapax_empty(ray_session, empty_docs):
-    from odinson_ray.pipelines.queries18 import q_vocab_hapax
+    from odinson_ray.pipelines.queries.text import q_vocab_hapax
 
     assert q_vocab_hapax(empty_docs).take_all() == []
 
 
 def test_coref_antecedents_empty(ray_session, empty_docs):
-    from odinson_ray.pipelines.queries19 import q_coref_antecedents
+    from odinson_ray.pipelines.queries.text import q_coref_antecedents
 
     assert q_coref_antecedents(empty_docs).take_all() == []
 
 
 def test_k_anonymity_empty(ray_session, empty_docs):
-    from odinson_ray.pipelines.queries19 import q_k_anonymity_risk
+    from odinson_ray.pipelines.queries.text import q_k_anonymity_risk
 
     assert q_k_anonymity_risk(empty_docs).take_all() == []
 
 
 def test_kg_bgp_query_empty(ray_session, empty_docs):
-    from odinson_ray.pipelines.queries18 import q_kg_bgp_query
+    from odinson_ray.pipelines.queries.graph import q_kg_bgp_query
 
     assert q_kg_bgp_query(empty_docs).take_all() == []

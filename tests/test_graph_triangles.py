@@ -195,7 +195,7 @@ def test_unrolled_oracle_round_budgets(ray_session):
     valid only while the real KG converges within the unroll. Pin the
     actual round counts at sf0.01 (the driver's correctness-gate scale)
     against those budgets with generous headroom."""
-    from odinson_ray.pipelines.queries2 import _kg_edges
+    from odinson_ray.pipelines.queries.graph import _kg_edges
     from odinson_ray.stages.graph import k_truss, maximal_independent_set
 
     edges = _kg_edges("/root/testdata/sf0.01").materialize()

@@ -7,9 +7,9 @@ import pytest
 
 
 def test_parquet_path_reads(ray_session, sf_dir):
-    from odinson_ray.sources.io import documents_path, read_table
+    from odinson_ray.sources.io import read_table, table_path
 
-    p = documents_path(sf_dir)
+    p = table_path(sf_dir, "documents")
     assert p.endswith("documents.parquet")  # no .lance in the test data
     ds = read_table(p, columns=["doc_id", "text"])
     t = ds.take_batch(5, batch_format="pyarrow")
@@ -30,12 +30,12 @@ def test_lance_path_gated(tmp_path):
 
 
 def test_documents_path_prefers_lance(tmp_path):
-    from odinson_ray.sources.io import documents_path
+    from odinson_ray.sources.io import table_path
 
     (tmp_path / "documents.parquet").touch()
-    assert documents_path(str(tmp_path)).endswith("documents.parquet")
+    assert table_path(str(tmp_path), "documents").endswith("documents.parquet")
     (tmp_path / "documents.lance").mkdir()
-    assert documents_path(str(tmp_path)).endswith("documents.lance")
+    assert table_path(str(tmp_path), "documents").endswith("documents.lance")
 
 
 def test_document_read_columns_keeps_lance_metadata(tmp_path):

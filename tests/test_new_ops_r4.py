@@ -15,7 +15,7 @@ def _ray(ray_session):
 
 
 def test_hll_matches_exact_within_tolerance(sf_dir):
-    from odinson_ray.pipelines.queries import q_approx_users_per_type
+    from odinson_ray.pipelines.queries.events import q_approx_users_per_type
 
     got = q_approx_users_per_type(sf_dir).to_pandas().set_index("event_type")
     ev = pd.read_parquet(f"{sf_dir}/events.parquet",
@@ -46,7 +46,7 @@ def test_hll_merge_invariant_to_partitioning(sf_dir):
 
 
 def test_bm25_scores_match_local(sf_dir):
-    from odinson_ray.pipelines.queries import BM25_QUERY, q_bm25_topk
+    from odinson_ray.pipelines.queries.text import BM25_QUERY, q_bm25_topk
 
     got = q_bm25_topk(sf_dir).to_pandas()
     docs = pd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -72,7 +72,7 @@ def test_bm25_scores_match_local(sf_dir):
 
 
 def test_doc_split_deterministic_and_complete(sf_dir):
-    from odinson_ray.pipelines.queries import q_doc_split_counts
+    from odinson_ray.pipelines.queries.text import q_doc_split_counts
 
     a = q_doc_split_counts(sf_dir).to_pandas().set_index("split")["n_docs"]
     b = q_doc_split_counts(sf_dir).to_pandas().set_index("split")["n_docs"]
@@ -105,7 +105,7 @@ def test_fuzzy_decontaminate_finds_planted_dup(tmp_path):
 def test_per_source_long_docs_matches_local(sf_dir):
     import math
 
-    from odinson_ray.pipelines.queries import q_per_source_long_docs
+    from odinson_ray.pipelines.queries.text import q_per_source_long_docs
 
     got = q_per_source_long_docs(sf_dir).to_pandas()
     docs = pd.read_parquet(f"{sf_dir}/documents.parquet",

@@ -30,7 +30,7 @@ def _local_line_dedup(docs: pd.DataFrame, width: int = 10) -> dict[int, str]:
 
 
 def test_line_dedup_matches_local(sf_dir):
-    from odinson_ray.pipelines.queries import q_line_dedup
+    from odinson_ray.pipelines.queries.dedup import q_line_dedup
 
     got = q_line_dedup(sf_dir).to_pandas()
     docs = pd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -46,7 +46,7 @@ def test_line_dedup_boilerplate_kept_once(tmp_path):
     rows = [{"doc_id": d, "text": boiler + f" tail{d}"} for d in (3, 1, 9, 4, 7)]
     pd.DataFrame(rows).to_parquet(tmp_path / "documents.parquet")
 
-    from odinson_ray.pipelines.queries import q_line_dedup
+    from odinson_ray.pipelines.queries.dedup import q_line_dedup
 
     got = dict(zip(*(lambda df: (df.doc_id, df.text))(
         q_line_dedup(str(tmp_path)).to_pandas())))
@@ -56,7 +56,7 @@ def test_line_dedup_boilerplate_kept_once(tmp_path):
 
 
 def test_group_sample_k_deterministic_bottom_k(sf_dir):
-    from odinson_ray.pipelines.queries import q_group_sample_k
+    from odinson_ray.pipelines.queries.events import q_group_sample_k
 
     got = q_group_sample_k(sf_dir).to_pandas()
     ev = pd.read_parquet(f"{sf_dir}/events.parquet",
@@ -73,7 +73,7 @@ def test_group_sample_k_deterministic_bottom_k(sf_dir):
 
 
 def test_bloom_semi_join_exact_despite_false_positives(sf_dir):
-    from odinson_ray.pipelines.queries import q_bloom_semi_join
+    from odinson_ray.pipelines.queries.relational import q_bloom_semi_join
 
     got = q_bloom_semi_join(sf_dir).to_pandas()
     cust = pd.read_parquet(f"{sf_dir}/customer.parquet",
@@ -87,7 +87,8 @@ def test_bloom_semi_join_exact_despite_false_positives(sf_dir):
 
 
 def test_bloom_bitmap_has_no_false_negatives():
-    from odinson_ray.pipelines.queries import _BLOOM_BITS, _bloom_positions
+    from odinson_ray.pipelines.queries.relational import (_BLOOM_BITS,
+                                                          _bloom_positions)
 
     rng = np.random.default_rng(7)
     members = rng.integers(0, 1 << 40, size=2000)
@@ -103,7 +104,7 @@ def test_bloom_bitmap_has_no_false_negatives():
 def test_cms_heavy_hitters_one_sided_error(sf_dir):
     from collections import Counter
 
-    from odinson_ray.pipelines.queries import q_cms_token_counts
+    from odinson_ray.pipelines.queries.text import q_cms_token_counts
 
     got = q_cms_token_counts(sf_dir).to_pandas()
     docs = pd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
@@ -123,7 +124,7 @@ def test_cms_heavy_hitters_one_sided_error(sf_dir):
 
 
 def test_value_percent_rank_matches_pandas(sf_dir):
-    from odinson_ray.pipelines.queries import q_value_percent_rank
+    from odinson_ray.pipelines.queries.events import q_value_percent_rank
 
     got = q_value_percent_rank(sf_dir).to_pandas()
     ev = pd.read_parquet(f"{sf_dir}/events.parquet",
@@ -137,7 +138,7 @@ def test_value_percent_rank_matches_pandas(sf_dir):
 
 
 def test_star_join_revenue_exact_cents(sf_dir):
-    from odinson_ray.pipelines.queries import q_star_join_revenue
+    from odinson_ray.pipelines.queries.relational import q_star_join_revenue
 
     got = q_star_join_revenue(sf_dir).to_pandas()
     orders = pd.read_parquet(f"{sf_dir}/orders.parquet",
@@ -156,7 +157,7 @@ def test_star_join_revenue_exact_cents(sf_dir):
 
 
 def test_profile_columns_matches_pandas(sf_dir):
-    from odinson_ray.pipelines.queries import q_profile_columns
+    from odinson_ray.pipelines.queries.relational import q_profile_columns
 
     got = q_profile_columns(sf_dir).to_pandas().set_index("col_name")
     li = pd.read_parquet(f"{sf_dir}/lineitem.parquet")
@@ -171,7 +172,7 @@ def test_profile_columns_matches_pandas(sf_dir):
 def test_winsorize_values_matches_pandas(sf_dir):
     import math
 
-    from odinson_ray.pipelines.queries import q_winsorize_values
+    from odinson_ray.pipelines.queries.events import q_winsorize_values
 
     got = q_winsorize_values(sf_dir).to_pandas().set_index("event_id").w_value
     ev = pd.read_parquet(f"{sf_dir}/events.parquet",
@@ -191,7 +192,8 @@ def test_winsorize_values_matches_pandas(sf_dir):
 
 
 def test_pq_topk_recall_vs_brute_force(sf_dir):
-    from odinson_ray.pipelines.queries import _query_vec, q_ann_pq_topk
+    from odinson_ray.pipelines.queries.similarity import (_query_vec,
+                                                          q_ann_pq_topk)
     from odinson_ray.stages.ann import brute_force_topk
 
     got = q_ann_pq_topk(sf_dir).to_pandas()

@@ -12,7 +12,7 @@ def _ray(ray_session):
 
 
 def test_global_row_number_matches_pandas(sf_dir):
-    from odinson_ray.pipelines.queries import q_global_row_number
+    from odinson_ray.pipelines.queries.relational import q_global_row_number
 
     got = q_global_row_number(sf_dir).to_pandas()
     orders = pd.read_parquet(f"{sf_dir}/orders.parquet",
@@ -33,7 +33,7 @@ def test_global_row_number_ties_break_on_key(tmp_path):
                   "o_totalprice": [10.0, 10.0, 10.0, 10.0]}).to_parquet(
         tmp_path / "orders.parquet")
 
-    from odinson_ray.pipelines.queries import q_global_row_number
+    from odinson_ray.pipelines.queries.relational import q_global_row_number
 
     got = q_global_row_number(str(tmp_path)).to_pandas().sort_values("rn")
     assert got.o_orderkey.tolist() == [1, 3, 5, 9]
@@ -46,7 +46,7 @@ def test_ntile_uneven_split(tmp_path):
                   "o_totalprice": np.linspace(100.0, 10.0, 10)}).to_parquet(
         tmp_path / "orders.parquet")
 
-    from odinson_ray.pipelines.queries import q_ntile_orders
+    from odinson_ray.pipelines.queries.relational import q_ntile_orders
 
     got = q_ntile_orders(str(tmp_path)).to_pandas().sort_values("tile")
     assert got.n_orders.tolist() == [3, 3, 2, 2]
@@ -55,7 +55,7 @@ def test_ntile_uneven_split(tmp_path):
 
 
 def test_corr_matches_numpy(sf_dir):
-    from odinson_ray.pipelines.queries import q_corr_lineitem
+    from odinson_ray.pipelines.queries.relational import q_corr_lineitem
 
     got = q_corr_lineitem(sf_dir).to_pandas()
     li = pd.read_parquet(
@@ -69,7 +69,7 @@ def test_corr_matches_numpy(sf_dir):
 
 
 def test_histogram_counts_and_coverage(sf_dir):
-    from odinson_ray.pipelines.queries import q_value_histogram
+    from odinson_ray.pipelines.queries.events import q_value_histogram
 
     got = q_value_histogram(sf_dir).to_pandas()
     ev = pd.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
@@ -84,7 +84,7 @@ def test_histogram_counts_and_coverage(sf_dir):
 
 
 def test_moving_avg_matches_pandas(sf_dir):
-    from odinson_ray.pipelines.queries import q_moving_avg
+    from odinson_ray.pipelines.queries.events import q_moving_avg
 
     got = q_moving_avg(sf_dir).to_pandas()
     ev = pd.read_parquet(f"{sf_dir}/events.parquet",
@@ -108,7 +108,7 @@ def test_moving_avg_frame_shorter_at_group_start(tmp_path):
         "value": [2.0, 4.0, 6.0, 8.0],
     }).to_parquet(tmp_path / "events.parquet")
 
-    from odinson_ray.pipelines.queries import q_moving_avg
+    from odinson_ray.pipelines.queries.events import q_moving_avg
 
     got = q_moving_avg(str(tmp_path)).to_pandas().sort_values("event_id")
     assert got.mavg3.tolist() == [2.0, 3.0, 4.0, 6.0]
@@ -121,7 +121,7 @@ def test_token_entropy_extremes(tmp_path):
         "text": ["x x x x", "a b c d"],
     }).to_parquet(tmp_path / "documents.parquet")
 
-    from odinson_ray.pipelines.queries import q_token_entropy
+    from odinson_ray.pipelines.queries.text import q_token_entropy
 
     got = q_token_entropy(str(tmp_path)).to_pandas().set_index("doc_id")
     assert got.loc[1].entropy == 0.0
@@ -183,7 +183,7 @@ def test_prefix_jaccard_planted_pair(tmp_path):
 
 
 def test_user_top_type_matches_pandas(sf_dir):
-    from odinson_ray.pipelines.queries import q_user_top_type
+    from odinson_ray.pipelines.queries.events import q_user_top_type
 
     got = q_user_top_type(sf_dir).to_pandas()
     ev = pd.read_parquet(f"{sf_dir}/events.parquet",
@@ -200,7 +200,7 @@ def test_user_top_type_matches_pandas(sf_dir):
 
 
 def test_neardup_keep_best_invariants(sf_dir):
-    from odinson_ray.pipelines.queries import q_neardup_keep_best
+    from odinson_ray.pipelines.queries.dedup import q_neardup_keep_best
 
     got = q_neardup_keep_best(sf_dir).to_pandas()
     docs = pd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -218,7 +218,7 @@ def test_approx_quantiles_rank_error(sf_dir):
     """Sketch estimates must land within ~1.5% rank error of exact."""
     import ray
     from odinson_ray.stages.sketch import approx_quantiles
-    from odinson_ray.sources.io import clean_rd as rd
+    import ray.data as rd
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
     est = approx_quantiles(ds, "value", qs=(0.5, 0.9, 0.99))
@@ -245,7 +245,7 @@ def test_approx_quantiles_exact_when_small():
 
 
 def test_token_budget_prefix_semantics(sf_dir):
-    from odinson_ray.pipelines.queries import q_token_budget
+    from odinson_ray.pipelines.queries.text import q_token_budget
 
     got = q_token_budget(sf_dir).to_pandas()
     docs = pd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -265,7 +265,7 @@ def test_token_budget_prefix_semantics(sf_dir):
 
 
 def test_bucketed_join_matches_pandas(sf_dir):
-    from odinson_ray.pipelines.queries import q_bucketed_join_revenue
+    from odinson_ray.pipelines.queries.formats import q_bucketed_join_revenue
 
     got = q_bucketed_join_revenue(sf_dir).to_pandas()
     orders = pd.read_parquet(f"{sf_dir}/orders.parquet",
@@ -362,7 +362,7 @@ def test_global_row_number_skewed_keys(tmp_path):
                   "o_totalprice": prices}).to_parquet(
         tmp_path / "orders.parquet")
 
-    from odinson_ray.pipelines.queries import q_global_row_number
+    from odinson_ray.pipelines.queries.relational import q_global_row_number
 
     got = q_global_row_number(str(tmp_path)).to_pandas()
     want = (pd.DataFrame({"o_orderkey": np.arange(5000),
@@ -391,7 +391,7 @@ def test_quantile_boundaries_balanced_on_skew():
 
 
 def test_regress_matches_numpy(sf_dir):
-    from odinson_ray.pipelines.queries import q_regress_lineitem
+    from odinson_ray.pipelines.queries.relational import q_regress_lineitem
 
     got = q_regress_lineitem(sf_dir).to_pandas()
     li = pd.read_parquet(
@@ -406,7 +406,7 @@ def test_regress_matches_numpy(sf_dir):
 
 
 def test_user_ewma_matches_pandas(sf_dir):
-    from odinson_ray.pipelines.queries import q_user_ewma
+    from odinson_ray.pipelines.queries.events import q_user_ewma
 
     got = q_user_ewma(sf_dir).to_pandas().set_index("user_id")
     ev = pd.read_parquet(f"{sf_dir}/events.parquet",
@@ -419,7 +419,7 @@ def test_user_ewma_matches_pandas(sf_dir):
 
 
 def test_media_resize_semantics(sf_dir):
-    from odinson_ray.pipelines.queries import q_media_resize
+    from odinson_ray.pipelines.queries.formats import q_media_resize
 
     got = q_media_resize(sf_dir).to_pandas()
     assert len(got) > 0

@@ -83,7 +83,7 @@ def test_running_drawdown_bucket_boundary(tmp_path):
 
 
 def test_cohort_retention_matches_pandas(tmp_path):
-    from odinson_ray.pipelines.queries import q_cohort_retention
+    from odinson_ray.pipelines.queries.events import q_cohort_retention
 
     path, df = _zipf_events(tmp_path, n=4000, n_users=60, seed=5)
     got = (
@@ -111,7 +111,7 @@ def test_weighted_sample_parallelism_invariant(tmp_path):
     """The sample is a pure function of doc_id: identical membership at 1
     block and at 16 blocks (resumable / cluster-size-independent), and
     higher-weight docs are favored over a uniform draw."""
-    from odinson_ray.pipelines.queries import q_weighted_sample
+    from odinson_ray.pipelines.queries.text import q_weighted_sample
 
     rng = np.random.default_rng(3)
     n = 2000

@@ -26,7 +26,7 @@ def test_skyline_tie_semantics(tmp_path):
     """Equal (date, price) duplicates are BOTH on the skyline (neither
     strictly dominates); an equal price at an earlier date dominates a
     later one; a same-date lower price is dominated."""
-    from odinson_ray.pipelines.queries import q_skyline_orders
+    from odinson_ray.pipelines.queries.relational import q_skyline_orders
 
     _orders(tmp_path, [
         (1, "2024-01-01", 10.00),   # skyline
@@ -41,7 +41,7 @@ def test_skyline_tie_semantics(tmp_path):
 
 
 def test_skyline_matches_bruteforce(tmp_path):
-    from odinson_ray.pipelines.queries import q_skyline_orders
+    from odinson_ray.pipelines.queries.relational import q_skyline_orders
 
     rng = np.random.default_rng(7)
     n = 400
@@ -69,7 +69,7 @@ def test_latest_events_tiebreak_across_blocks(tmp_path):
     the per-batch combiner and the reducer."""
     import ray.data as rd
 
-    from odinson_ray.pipelines.queries import q_latest_events
+    from odinson_ray.pipelines.queries.events import q_latest_events
 
     ts = pd.Timestamp("2024-05-01")
     a = pd.DataFrame({
@@ -96,7 +96,7 @@ def test_latest_events_tiebreak_across_blocks(tmp_path):
 
 
 def test_snapshot_diff_classes(tmp_path):
-    from odinson_ray.pipelines.queries import q_snapshot_diff
+    from odinson_ray.pipelines.queries.relational import q_snapshot_diff
 
     # keys chosen to hit each class: 97 removed, 11/22 repriced (changed),
     # 101 -> both an add (-101) and unchanged itself, 5 untouched
@@ -113,7 +113,7 @@ def test_snapshot_diff_classes(tmp_path):
 
 
 def test_unpivot_measure_totals(tmp_path):
-    from odinson_ray.pipelines.queries import q_unpivot_measures
+    from odinson_ray.pipelines.queries.relational import q_unpivot_measures
 
     rng = np.random.default_rng(3)
     n = 500

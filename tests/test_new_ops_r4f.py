@@ -23,7 +23,7 @@ def _write_events(tmp_path, df):
 def test_window_distinct_users_cross_batch(tmp_path):
     """A user appearing in the same (day, type) cell in many separate
     files must count once; the same user in two days counts per day."""
-    from odinson_ray.pipelines.queries import q_window_distinct_users
+    from odinson_ray.pipelines.queries.events import q_window_distinct_users
 
     d = tmp_path / "events.parquet"
     d.mkdir()
@@ -42,7 +42,7 @@ def test_window_distinct_users_cross_batch(tmp_path):
 
 
 def test_dense_rank_dates_gaps_and_ties(tmp_path):
-    from odinson_ray.pipelines.queries import q_dense_rank_dates
+    from odinson_ray.pipelines.queries.relational import q_dense_rank_dates
 
     df = pd.DataFrame({
         "o_orderkey": np.arange(6, dtype=np.int64),
@@ -58,7 +58,7 @@ def test_dense_rank_dates_gaps_and_ties(tmp_path):
 
 
 def test_geo_mean_matches_numpy(tmp_path):
-    from odinson_ray.pipelines.queries import q_geo_mean_value
+    from odinson_ray.pipelines.queries.events import q_geo_mean_value
 
     rng = np.random.default_rng(5)
     df = _write_events(tmp_path, pd.DataFrame({
@@ -73,7 +73,7 @@ def test_geo_mean_matches_numpy(tmp_path):
 
 
 def test_props_stats_extraction(tmp_path):
-    from odinson_ray.pipelines.queries import q_props_stats
+    from odinson_ray.pipelines.queries.events import q_props_stats
 
     df = _write_events(tmp_path, pd.DataFrame({
         "ts": pd.Timestamp("2024-01-01"),
@@ -91,7 +91,7 @@ def test_attribution_asof_boundary(tmp_path):
     """An order placed exactly at the event ts IS eligible (<=); a later
     order is not; the event's value lands on the matched order's
     priority."""
-    from odinson_ray.pipelines.queries import q_attribution_value
+    from odinson_ray.pipelines.queries.events import q_attribution_value
 
     ts = pd.Timestamp("2024-06-01 12:00:00")
     _write_events(tmp_path, pd.DataFrame({
@@ -119,7 +119,7 @@ def test_attribution_asof_boundary(tmp_path):
 
 
 def test_revenue_share_sums_to_one(tmp_path):
-    from odinson_ray.pipelines.queries import q_revenue_share
+    from odinson_ray.pipelines.queries.relational import q_revenue_share
 
     rng = np.random.default_rng(9)
     pd.DataFrame({

@@ -19,7 +19,7 @@ def _disc_median(v):
 
 
 def test_value_mad_matches_reference(tmp_path):
-    from odinson_ray.pipelines.queries import q_value_mad
+    from odinson_ray.pipelines.queries.events import q_value_mad
 
     rng = np.random.default_rng(13)
     # odd- and even-sized groups, duplicate values to stress the
@@ -40,7 +40,7 @@ def test_value_mad_matches_reference(tmp_path):
 
 
 def test_except_presence_flags(tmp_path):
-    from odinson_ray.pipelines.queries import q_urgent_not_low_custs
+    from odinson_ray.pipelines.queries.relational import q_urgent_not_low_custs
 
     df = pd.DataFrame({
         "o_custkey": np.array([1, 1, 2, 3, 3, 4], dtype=np.int64),
@@ -55,7 +55,7 @@ def test_except_presence_flags(tmp_path):
 
 
 def test_jsonl_roundtrip_preserves_rows(tmp_path):
-    from odinson_ray.pipelines.queries import q_jsonl_roundtrip_langs
+    from odinson_ray.pipelines.queries.formats import q_jsonl_roundtrip_langs
 
     df = pd.DataFrame({
         "doc_id": np.arange(50, dtype=np.int64),

@@ -15,7 +15,7 @@ def _ray(ray_session):
 
 
 def test_embedding_cov_matches_numpy(tmp_path):
-    from odinson_ray.pipelines.queries import q_embedding_cov
+    from odinson_ray.pipelines.queries.similarity import q_embedding_cov
 
     rng = np.random.default_rng(21)
     n, d = 700, 8
@@ -41,7 +41,7 @@ def test_bfs_levels_min_distance(tmp_path, monkeypatch):
     import pyarrow as pa
     import ray.data as rd
 
-    import odinson_ray.pipelines.queries as Q
+    import odinson_ray.pipelines.queries.graph as Q
 
     edges = [("S", "A"), ("S", "B"), ("S", "C"),     # S outdeg 3 -> seed
              ("A", "D"), ("B", "D"),                 # diamond to D (level 2)

@@ -17,7 +17,7 @@ def test_rolling_distinct_window_edges(tmp_path):
     """User active on day 0 counts in windows 0..6 and NOT in window 7;
     a user active on days 0 and 3 counts once in the overlapping
     windows 3..6."""
-    from odinson_ray.pipelines.queries import q_rolling_distinct_users
+    from odinson_ray.pipelines.queries.events import q_rolling_distinct_users
 
     base = pd.Timestamp("2024-01-01")
     df = pd.DataFrame({
@@ -42,7 +42,7 @@ def test_rolling_distinct_window_edges(tmp_path):
 
 
 def test_trending_tokens_ties_and_k(tmp_path):
-    from odinson_ray.pipelines.queries import q_trending_tokens
+    from odinson_ray.pipelines.queries.text import q_trending_tokens
 
     # doc_id 0 and 7 land on day 0; "b" and "c" tie at 2 -> token-asc
     df = pd.DataFrame({

@@ -23,7 +23,7 @@ def test_basket_pairs_distinct_within_basket(tmp_path):
     """Duplicate (user, day, type) rows collapse before pairing; pairs
     are per-basket and ordered (ta < tb); different days of the same
     user are different baskets."""
-    from odinson_ray.pipelines.queries import q_basket_pairs
+    from odinson_ray.pipelines.queries.events import q_basket_pairs
 
     _events(tmp_path, [
         (1, "2024-01-01 08:00", "view"),
@@ -42,7 +42,7 @@ def test_basket_pairs_distinct_within_basket(tmp_path):
 
 
 def test_basket_pairs_matches_bruteforce(tmp_path):
-    from odinson_ray.pipelines.queries import q_basket_pairs
+    from odinson_ray.pipelines.queries.events import q_basket_pairs
 
     rng = np.random.default_rng(31)
     n = 3000
@@ -64,7 +64,7 @@ def test_basket_pairs_matches_bruteforce(tmp_path):
 
 
 def test_user_top3_ordering_and_truncation(tmp_path):
-    from odinson_ray.pipelines.queries import q_user_top3_types
+    from odinson_ray.pipelines.queries.events import q_user_top3_types
 
     rows = []
     # user 1: a x3, b x2, c x2, d x1 -> "a,b,c" (tie b/c -> asc)

@@ -107,7 +107,7 @@ def test_overlap_pairs_matches_bruteforce(ray_session):
     boundary touches (closed-interval semantics)."""
     import ray.data as rd
 
-    from odinson_ray.pipelines.queries2 import overlap_pairs_per_key
+    from odinson_ray.pipelines.queries.relational import overlap_pairs_per_key
 
     W = 7 * 86_400 * 1_000_000
     rng = np.random.RandomState(7)
@@ -145,7 +145,7 @@ def test_quantile_cont_matches_numpy(ray_session, tmp_path):
     """quantile_cont == numpy's linear interpolation on the raw values."""
     import pyarrow.parquet as pq
 
-    from odinson_ray.pipelines.queries2 import q_value_quantiles_cont
+    from odinson_ray.pipelines.queries.events import q_value_quantiles_cont
 
     rng = np.random.RandomState(3)
     n = 997
@@ -193,7 +193,7 @@ def test_label_propagation_fixpoint_nonconvergence_raises(ray_session):
 
 
 def test_kg_label_prop_spill_identical(ray_session, tmp_path):
-    from odinson_ray.pipelines.queries2 import q_kg_label_prop
+    from odinson_ray.pipelines.queries.graph import q_kg_label_prop
 
     sf = "/root/testdata/sf0.001"
     base = sorted((r["entity"], r["community"])

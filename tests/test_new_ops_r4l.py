@@ -11,7 +11,7 @@ def test_record_highs_matches_bruteforce(ray_session):
     width so carries cross many bucket boundaries."""
     import ray.data as rd
 
-    from odinson_ray.pipelines.queries3 import record_high_counts
+    from odinson_ray.pipelines.queries.events import record_high_counts
 
     rng = np.random.RandomState(11)
     n = 3000
@@ -40,7 +40,7 @@ def test_record_highs_matches_bruteforce(ray_session):
 def test_record_highs_tie_not_record(ray_session):
     import ray.data as rd
 
-    from odinson_ray.pipelines.queries3 import record_high_counts
+    from odinson_ray.pipelines.queries.events import record_high_counts
 
     ds = rd.from_arrow(pa.table({
         "o": pa.array([0, 1, 2, 3], pa.int64()),
@@ -57,8 +57,8 @@ def test_gnn_neighbor_agg_small_graph(ray_session, tmp_path):
     documents corpus is overkill; instead check the hop operator's math
     on a synthetic edge set through the same mean_hop decomposition by
     comparing against a local twin over the KG fixture at sf0.001."""
-    from odinson_ray.pipelines.queries2 import _kg_edges
-    from odinson_ray.pipelines.queries3 import q_gnn_neighbor_agg
+    from odinson_ray.pipelines.queries.graph import _kg_edges
+    from odinson_ray.pipelines.queries.graph import q_gnn_neighbor_agg
 
     edges = [(r["lo"], r["hi"])
              for r in _kg_edges("/root/testdata/sf0.001").take_all()]
@@ -81,7 +81,7 @@ def test_gnn_neighbor_agg_small_graph(ray_session, tmp_path):
 def test_twap_matches_local(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
-    from odinson_ray.pipelines.queries3 import q_twap_value
+    from odinson_ray.pipelines.queries.events import q_twap_value
 
     rng = np.random.RandomState(5)
     n = 300
@@ -110,7 +110,7 @@ def test_twap_matches_local(ray_session, tmp_path):
 
 
 def test_csv_roundtrip_counts(ray_session):
-    from odinson_ray.pipelines.queries3 import q_csv_roundtrip
+    from odinson_ray.pipelines.queries.formats import q_csv_roundtrip
 
     rows = q_csv_roundtrip("/root/testdata/sf0.001").take_all()
     assert sum(r["n"] for r in rows) > 0

@@ -61,7 +61,7 @@ def test_bpe_matches_local_twin(ray_session):
 
 
 def test_bpe_on_documents_runs(ray_session):
-    from odinson_ray.pipelines.queries3 import q_bpe_merges
+    from odinson_ray.pipelines.queries.text import q_bpe_merges
 
     t = q_bpe_merges("/root/testdata/sf0.001", k=3)
     assert t.num_rows == 3
@@ -74,7 +74,7 @@ def test_apriori_prunes_infrequent_items(ray_session, tmp_path):
     dropped; any pair touching an infrequent item never forms."""
     import pyarrow.parquet as pq
 
-    from odinson_ray.pipelines.queries3 import q_apriori_pairs
+    from odinson_ray.pipelines.queries.text import q_apriori_pairs
 
     # 20 docs: x,y in all; z in 15 (frequent, pairs with x only 9 times);
     # q in 2 (infrequent item)
@@ -170,7 +170,7 @@ def test_kg_negative_samples_invariants(ray_session):
     """Negatives are never real triples, never the true object or the
     subject itself, at most 2 per positive, attempts ordered first."""
     from odinson_ray.pipelines.kg import triples_dataset
-    from odinson_ray.pipelines.queries3 import q_kg_negative_samples
+    from odinson_ray.pipelines.queries.graph import q_kg_negative_samples
 
     sf = "/root/testdata/sf0.001"
     pos = {(r["subj_canon"], r["pred"], r["obj_canon"])
@@ -230,7 +230,7 @@ def test_daily_ffill_gaps(ray_session, tmp_path):
     users emit one row."""
     import pyarrow.parquet as pq
 
-    from odinson_ray.pipelines.queries3 import q_daily_ffill
+    from odinson_ray.pipelines.queries.events import q_daily_ffill
 
     D = 86_400 * 1_000_000
     rows = [

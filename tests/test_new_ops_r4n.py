@@ -33,7 +33,7 @@ def orders_dir(tmp_path):
 
 
 def test_scd2_runs_collapse(orders_dir, monkeypatch):
-    from odinson_ray.pipelines.queries4 import q_scd2_intervals
+    from odinson_ray.pipelines.queries.relational import q_scd2_intervals
     from odinson_ray.stages import shuffle
 
     monkeypatch.setattr(shuffle, "COARSE_PARTS", 4)
@@ -51,7 +51,7 @@ def test_scd2_runs_collapse(orders_dir, monkeypatch):
 
 
 def test_merge_upsert_branches(orders_dir):
-    from odinson_ray.pipelines.queries4 import q_merge_upsert
+    from odinson_ray.pipelines.queries.relational import q_merge_upsert
 
     out = q_merge_upsert(orders_dir).to_pandas()
     total_n = int(out.n.sum())
@@ -69,7 +69,7 @@ def test_merge_upsert_branches(orders_dir):
 
 def test_scd2_empty_partitions(orders_dir, monkeypatch):
     # parts >> keys: most partitions are empty and must emit the schema
-    from odinson_ray.pipelines.queries4 import q_scd2_intervals
+    from odinson_ray.pipelines.queries.relational import q_scd2_intervals
     from odinson_ray.stages import shuffle
 
     monkeypatch.setattr(shuffle, "COARSE_PARTS", 64)

@@ -23,7 +23,7 @@ def docs_dir(tmp_path):
 
 
 def test_skipgram_pairs_counts(docs_dir):
-    from odinson_ray.pipelines.queries4 import q_skipgram_pairs
+    from odinson_ray.pipelines.queries.text import q_skipgram_pairs
 
     out = q_skipgram_pairs(docs_dir, k=100).to_pandas()
     got = {(r.center, r.context): r.n for r in out.itertuples()}
@@ -42,7 +42,7 @@ def test_skipgram_pairs_counts(docs_dir):
 
 
 def test_equidepth_buckets_sum(tmp_path):
-    from odinson_ray.pipelines.queries4 import q_equidepth_histogram
+    from odinson_ray.pipelines.queries.events import q_equidepth_histogram
 
     # heavy tie mass: half the rows share one value -> ties must land in
     # the LOWER bucket consistently (value > boundary is false on ties)
@@ -65,7 +65,7 @@ def test_equidepth_buckets_sum(tmp_path):
 def test_random_walks_deterministic():
     # two runs on the same corpus -> identical walks (argmin-md5 choice
     # is a pure function of (cur, step, neighbor), not of partitioning)
-    from odinson_ray.pipelines import queries4 as q4
+    from odinson_ray.pipelines.queries import graph as q4
 
     sf = "/root/testdata/sf0.001"
     a = q4.q_kg_random_walks(sf).to_pandas()

@@ -8,7 +8,7 @@ import pyarrow.parquet as pq
 
 
 def test_pca_matches_exact_numpy(tmp_path):
-    from odinson_ray.pipelines.queries4 import q_pca_topcomp
+    from odinson_ray.pipelines.queries.similarity import q_pca_topcomp
 
     rng = np.random.default_rng(11)
     d, n = 8, 4000
@@ -44,7 +44,7 @@ def test_pca_matches_exact_numpy(tmp_path):
 
 
 def test_llr_known_contingency(tmp_path):
-    from odinson_ray.pipelines.queries4 import q_collocations_llr
+    from odinson_ray.pipelines.queries.text import q_collocations_llr
 
     # corpus engineered so ('new','york') has k11=6, and marginals are
     # hand-computable

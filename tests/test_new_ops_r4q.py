@@ -46,7 +46,7 @@ def test_hll_overlap_missing_group():
 
 
 def test_user_active_time_bursts(tmp_path):
-    from odinson_ray.pipelines.queries4 import q_user_active_time
+    from odinson_ray.pipelines.queries.events import q_user_active_time
 
     # user 1: burst of 3 events 10 s apart (union ≈ 320 s, not 900);
     # user 2: two events 10 min apart (two disjoint windows = 600 s)

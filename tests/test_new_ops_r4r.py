@@ -8,7 +8,7 @@ import ray
 
 
 def test_funnel_window_boundaries(tmp_path):
-    from odinson_ray.pipelines.queries4 import q_funnel_window
+    from odinson_ray.pipelines.queries.events import q_funnel_window
 
     base = pd.Timestamp("2024-01-01 00:00:00")
     rows = [
@@ -63,7 +63,7 @@ def test_cms_join_size_bound():
 def test_tpch_q3_gate_paths_identical(monkeypatch):
     import pandas as pd
 
-    from odinson_ray.pipelines.queries4 import q_tpch_q3
+    from odinson_ray.pipelines.queries.relational import q_tpch_q3
 
     sf = "/root/testdata/sf0.001"
     a = q_tpch_q3(sf).to_pandas()
@@ -83,7 +83,7 @@ def test_window_join_piecewise_sorted_ts(tmp_path, monkeypatch):
     import pandas as pd
     import pyarrow.parquet as pq2
 
-    from odinson_ray.pipelines.queries4 import q_window_join_counts
+    from odinson_ray.pipelines.queries.events import q_window_join_counts
 
     base = pd.Timestamp("2024-01-01")
     rows = [

@@ -10,8 +10,8 @@ SF = "/root/testdata/sf0.001"
 def test_functional_preds_consistency(ray_session):
     """n_subjects per pred must equal the distinct (pred, subj) count of
     the shared distinct-spo front end; rates bounded in [0, 1]."""
-    from odinson_ray.pipelines.queries5 import (_kg_distinct_spo,
-                                                q_kg_functional_preds)
+    from odinson_ray.pipelines.queries.graph import (_kg_distinct_spo,
+                                                     q_kg_functional_preds)
 
     out = q_kg_functional_preds(SF).to_pandas()
     assert len(out) and (out.multi_rate.between(0, 1)).all()
@@ -23,8 +23,8 @@ def test_functional_preds_consistency(ray_session):
 
 
 def test_inverse_and_implications_confidence_bounds(ray_session):
-    from odinson_ray.pipelines.queries5 import (q_kg_inverse_candidates,
-                                                q_kg_rule_implications)
+    from odinson_ray.pipelines.queries.graph import (q_kg_inverse_candidates,
+                                                     q_kg_rule_implications)
 
     inv = q_kg_inverse_candidates(SF).to_pandas()
     assert len(inv) and (inv.confidence <= 1.0 + 1e-9).all()
@@ -34,7 +34,7 @@ def test_inverse_and_implications_confidence_bounds(ray_session):
 
 
 def test_path_patterns_nonempty_and_positive(ray_session):
-    from odinson_ray.pipelines.queries5 import q_kg_path_patterns
+    from odinson_ray.pipelines.queries.graph import q_kg_path_patterns
 
     out = q_kg_path_patterns(SF).to_pandas()
     assert len(out) and (out.n_paths > 0).all()
@@ -43,7 +43,7 @@ def test_path_patterns_nonempty_and_positive(ray_session):
 def test_ngram_novelty_synthetic(ray_session, tmp_path):
     """Two identical docs -> novelty 0 (every 5-gram shared); a doc with
     fully unique text -> 1; a short doc (<5 tokens) drops out."""
-    from odinson_ray.pipelines.queries5 import q_ngram_novelty
+    from odinson_ray.pipelines.queries.text import q_ngram_novelty
 
     dup = "a b c d e f g h"
     uniq = "q w e r t y u i o p"

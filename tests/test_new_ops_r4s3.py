@@ -8,7 +8,7 @@ SF = "/root/testdata/sf0.001"
 
 
 def _spo_df():
-    from odinson_ray.pipelines.queries5 import _kg_distinct_spo
+    from odinson_ray.pipelines.queries.graph import _kg_distinct_spo
 
     return _kg_distinct_spo(SF).to_pandas()
 
@@ -16,7 +16,7 @@ def _spo_df():
 def test_transitive_preds_matches_pandas(ray_session):
     """Cap is far above sf0.001 degrees, so an uncapped pandas twin must
     agree exactly."""
-    from odinson_ray.pipelines.queries6 import q_kg_transitive_preds
+    from odinson_ray.pipelines.queries.graph import q_kg_transitive_preds
 
     out = (q_kg_transitive_preds(SF).to_pandas()
            .sort_values("pred").reset_index(drop=True))
@@ -38,7 +38,7 @@ def test_transitive_preds_matches_pandas(ray_session):
 def test_composition_rules_spot_check(ray_session):
     """Support/confidence bounds plus one exact pandas spot check of a
     single (r1, r2, r3) cell."""
-    from odinson_ray.pipelines.queries6 import q_kg_composition_rules
+    from odinson_ray.pipelines.queries.graph import q_kg_composition_rules
 
     out = q_kg_composition_rules(SF).to_pandas()
     assert len(out) and (out.confidence <= 1.0 + 1e-9).all()
@@ -55,7 +55,8 @@ def test_composition_rules_spot_check(ray_session):
 
 
 def test_majority_object_matches_pandas(ray_session):
-    from odinson_ray.pipelines.queries6 import _weighted_spo, q_kg_majority_object
+    from odinson_ray.pipelines.queries.graph import (_weighted_spo,
+                                                     q_kg_majority_object)
 
     out = q_kg_majority_object(SF).to_pandas()
     w = _weighted_spo(SF).to_pandas()
@@ -75,7 +76,8 @@ def test_majority_object_matches_pandas(ray_session):
 
 
 def test_entity_profiles_consistency(ray_session):
-    from odinson_ray.pipelines.queries6 import _weighted_spo, q_kg_entity_profiles
+    from odinson_ray.pipelines.queries.graph import (_weighted_spo,
+                                                     q_kg_entity_profiles)
 
     out = q_kg_entity_profiles(SF).to_pandas()
     w = _weighted_spo(SF).to_pandas()

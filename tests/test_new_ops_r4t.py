@@ -24,7 +24,7 @@ def _local_snm_pairs(sf_dir, window=3):
 
 
 def test_snm_pairs_match_bruteforce(ray_session):
-    from odinson_ray.pipelines.queries7 import q_sorted_neighborhood_pairs
+    from odinson_ray.pipelines.queries.dedup import q_sorted_neighborhood_pairs
 
     got = {(r["doc_a"], r["doc_b"])
            for r in q_sorted_neighborhood_pairs(SF).take_all()}
@@ -36,7 +36,7 @@ def test_snm_chunk_boundary_exact(ray_session):
     replication (last window-1 ranks forwarded) must reproduce the
     brute-force pair set exactly — no lost or duplicated boundary
     pair."""
-    from odinson_ray.pipelines.queries7 import q_sorted_neighborhood_pairs
+    from odinson_ray.pipelines.queries.dedup import q_sorted_neighborhood_pairs
 
     got_rows = q_sorted_neighborhood_pairs(SF, window=3, chunk=7).take_all()
     got = [(r["doc_a"], r["doc_b"]) for r in got_rows]
@@ -47,7 +47,7 @@ def test_snm_chunk_boundary_exact(ray_session):
 def test_band_join_matches_bruteforce(ray_session):
     # sf0.01: the band is non-trivially populated (24 nations match);
     # sf0.001 would vacuously pass with zero pairs
-    from odinson_ray.pipelines.queries7 import q_band_join_acctbal
+    from odinson_ray.pipelines.queries.relational import q_band_join_acctbal
 
     sf = "/root/testdata/sf0.01"
     sup = pq.read_table(f"{sf}/supplier.parquet").to_pandas()
@@ -65,7 +65,7 @@ def test_band_join_matches_bruteforce(ray_session):
 def test_band_join_boundary_bucket(ray_session, tmp_path):
     """Pairs exactly delta apart straddle a bucket boundary — the 3-way
     replication must still find them exactly once."""
-    from odinson_ray.pipelines.queries7 import q_band_join_acctbal
+    from odinson_ray.pipelines.queries.relational import q_band_join_acctbal
 
     d = tmp_path / "sf"
     d.mkdir()
@@ -91,7 +91,7 @@ def test_band_join_boundary_bucket(ray_session, tmp_path):
 
 
 def test_dq_checks_flags_synthetic_violations(ray_session, tmp_path):
-    from odinson_ray.pipelines.queries7 import q_dq_checks
+    from odinson_ray.pipelines.queries.relational import q_dq_checks
 
     d = tmp_path / "sf"
     d.mkdir()
@@ -126,7 +126,7 @@ def test_dq_checks_flags_synthetic_violations(ray_session, tmp_path):
 
 
 def test_dq_checks_clean_testdata(ray_session):
-    from odinson_ray.pipelines.queries7 import q_dq_checks
+    from odinson_ray.pipelines.queries.relational import q_dq_checks
 
     df = q_dq_checks(SF)
     assert list(df.columns) == ["check_name", "violations"]
@@ -134,7 +134,7 @@ def test_dq_checks_clean_testdata(ray_session):
 
 
 def test_temporal_triples_window_sane(ray_session):
-    from odinson_ray.pipelines.queries7 import q_kg_temporal_triples
+    from odinson_ray.pipelines.queries.graph import q_kg_temporal_triples
 
     df = q_kg_temporal_triples(SF).to_pandas()
     assert len(df) > 0
@@ -145,7 +145,7 @@ def test_temporal_triples_window_sane(ray_session):
 
 
 def test_surface_variants_counts(ray_session):
-    from odinson_ray.pipelines.queries7 import q_kg_surface_variants
+    from odinson_ray.pipelines.queries.graph import q_kg_surface_variants
 
     df = q_kg_surface_variants(SF).to_pandas()
     assert (df["n_surfaces"] >= 1).all()
@@ -156,7 +156,7 @@ def test_surface_variants_merges_plurals(ray_session, tmp_path):
     """The testdata vocabulary has no plural forms, so engineer a corpus
     where 'table' and 'tables' both appear as SVO subjects: the
     canonicalizer must merge them under one entity with n_surfaces=2."""
-    from odinson_ray.pipelines.queries7 import q_kg_surface_variants
+    from odinson_ray.pipelines.queries.graph import q_kg_surface_variants
 
     d = tmp_path / "sf"
     d.mkdir()
@@ -178,7 +178,7 @@ def test_surface_variants_merges_plurals(ray_session, tmp_path):
 
 
 def test_fd_violations_synthetic(ray_session, tmp_path):
-    from odinson_ray.pipelines.queries7 import q_fd_violations
+    from odinson_ray.pipelines.queries.relational import q_fd_violations
 
     d = tmp_path / "sf"
     d.mkdir()
@@ -202,7 +202,7 @@ def test_fd_violations_synthetic(ray_session, tmp_path):
 
 
 def test_pred_cooccurrence_bounds(ray_session):
-    from odinson_ray.pipelines.queries7 import q_kg_pred_cooccurrence
+    from odinson_ray.pipelines.queries.graph import q_kg_pred_cooccurrence
 
     df = q_kg_pred_cooccurrence(SF).to_pandas()
     assert (df["pred_a"] < df["pred_b"]).all(), "pairs must be ordered"
@@ -212,7 +212,7 @@ def test_pred_cooccurrence_bounds(ray_session):
 
 
 def test_triple_confidence_consistency(ray_session):
-    from odinson_ray.pipelines.queries7 import q_kg_triple_confidence
+    from odinson_ray.pipelines.queries.graph import q_kg_triple_confidence
 
     df = q_kg_triple_confidence(SF).to_pandas()
     assert len(df) > 0
@@ -222,7 +222,7 @@ def test_triple_confidence_consistency(ray_session):
 
 
 def test_event_throttle_first_per_window(ray_session):
-    from odinson_ray.pipelines.queries7 import q_event_throttle
+    from odinson_ray.pipelines.queries.events import q_event_throttle
 
     ev = pq.read_table(f"{SF}/events.parquet",
                        columns=["user_id", "event_id", "ts"]).to_pandas()
@@ -241,7 +241,7 @@ def test_event_throttle_first_per_window(ray_session):
 
 
 def test_curation_funnel_monotone_and_consistent(ray_session):
-    from odinson_ray.pipelines.queries7 import q_curation_funnel
+    from odinson_ray.pipelines.queries.text import q_curation_funnel
 
     df = q_curation_funnel(SF).set_index("stage")["docs_remaining"]
     assert df["total"] >= df["exact_dedup"] >= df["quality"] \
@@ -250,7 +250,7 @@ def test_curation_funnel_monotone_and_consistent(ray_session):
 
 
 def test_entity_timeline_consistency(ray_session):
-    from odinson_ray.pipelines.queries7 import q_kg_entity_timeline
+    from odinson_ray.pipelines.queries.graph import q_kg_entity_timeline
 
     df = q_kg_entity_timeline(SF).to_pandas()
     assert len(df) > 0
@@ -263,7 +263,7 @@ def test_er_funnel_merges_typos(ray_session, tmp_path):
     """Engineered corpus: 'table'/'tables' collapse at the canon stage,
     'tabel' (transposition, distance 2) only at the edit-distance merge
     — the funnel must show each stage doing its own work."""
-    from odinson_ray.pipelines.queries7 import q_er_funnel
+    from odinson_ray.pipelines.queries.graph import q_er_funnel
 
     d = tmp_path / "sf"
     d.mkdir()
@@ -290,7 +290,7 @@ def test_er_funnel_merges_typos(ray_session, tmp_path):
 def test_levenshtein_matches_duckdb(ray_session):
     import duckdb
 
-    from odinson_ray.pipelines.queries7 import _levenshtein
+    from odinson_ray.pipelines.queries.graph import _levenshtein
 
     con = duckdb.connect()
     cases = [("table", "tabel"), ("scan", "scans"), ("", "abc"),
@@ -301,7 +301,7 @@ def test_levenshtein_matches_duckdb(ray_session):
 
 
 def test_shortest_cost_triangle_inequality(ray_session):
-    from odinson_ray.pipelines.queries7 import q_kg_shortest_cost
+    from odinson_ray.pipelines.queries.graph import q_kg_shortest_cost
 
     df = q_kg_shortest_cost(SF).to_pandas()
     assert (df["cost"] >= 0).all()
@@ -313,8 +313,8 @@ def test_shortest_cost_triangle_inequality(ray_session):
 def test_postings_layout_cached_and_exact(ray_session):
     import os
 
-    from odinson_ray.pipelines.queries7 import (_postings_layout,
-                                                q_postings_layout_query)
+    from odinson_ray.pipelines.queries.patterns import (
+        _postings_layout, q_postings_layout_query)
 
     root1 = _postings_layout(SF)
     meta = os.path.join(root1, "_meta.json")
@@ -338,7 +338,7 @@ def test_postings_layout_cached_and_exact(ray_session):
 
 
 def test_indexed_phrase_matches_bruteforce(ray_session):
-    from odinson_ray.pipelines.queries7 import q_indexed_phrase_query
+    from odinson_ray.pipelines.queries.patterns import q_indexed_phrase_query
 
     docs = pq.read_table(f"{SF}/documents.parquet",
                          columns=["doc_id", "text"]).to_pandas()
@@ -395,9 +395,9 @@ def test_merge_layouts_guards_and_links(ray_session, tmp_path):
 def test_indexed_regex_vocab_cache_and_bruteforce(ray_session):
     import os
 
-    from odinson_ray.pipelines.queries7 import (_postings_layout,
-                                                _term_dictionary,
-                                                q_indexed_regex_query)
+    from odinson_ray.pipelines.queries.patterns import (_postings_layout,
+                                                        _term_dictionary,
+                                                        q_indexed_regex_query)
 
     root = _postings_layout(SF)
     vocab = _term_dictionary(root)

@@ -46,7 +46,7 @@ def _brute_dsir(sf_dir, B=256, target="en", k=50):
 
 
 def test_dsir_select_matches_bruteforce(ray_session):
-    from odinson_ray.pipelines.queries17 import q_dsir_select
+    from odinson_ray.pipelines.queries.text import q_dsir_select
 
     got = [(r["doc_id"], r["lang"], r["w_micro"])
            for r in q_dsir_select(SF).take_all()]
@@ -56,7 +56,7 @@ def test_dsir_select_matches_bruteforce(ray_session):
 def test_dsir_target_ranks_above_median(ray_session):
     """The selection must actually prefer the target domain: the top-50
     English share must strictly exceed the corpus English share."""
-    from odinson_ray.pipelines.queries17 import q_dsir_select
+    from odinson_ray.pipelines.queries.text import q_dsir_select
 
     rows = q_dsir_select(SF).take_all()
     en_top = sum(1 for r in rows if r["lang"] == "en") / len(rows)
@@ -69,7 +69,7 @@ def test_dsir_target_ranks_above_median(ray_session):
 def test_dsir_short_docs_excluded(ray_session, tmp_path):
     """< 2 tokens -> no bigram evidence -> excluded from the scored set
     on both the Ray and the SQL side."""
-    from odinson_ray.pipelines.queries17 import q_dsir_select
+    from odinson_ray.pipelines.queries.text import q_dsir_select
 
     pq.write_table(pa.table({
         "doc_id": pa.array([1, 2, 3], pa.int64()),
@@ -107,7 +107,7 @@ def test_dedup_delta_drops_base_and_within_dups(ray_session, tmp_path):
         (12, "src3", "eta theta iota"),
         (13, "src7", "kappa lambda mu"),
     ])
-    from odinson_ray.pipelines.queries17 import q_dedup_delta
+    from odinson_ray.pipelines.queries.dedup import q_dedup_delta
 
     got = [(r["doc_id"], r["source"]) for r in q_dedup_delta(str(tmp_path)).take_all()]
     assert got == [(11, "src7"), (13, "src7")]
@@ -116,7 +116,8 @@ def test_dedup_delta_drops_base_and_within_dups(ray_session, tmp_path):
 def test_dedup_delta_passthrough_on_real_data(ray_session):
     """The testdata has no duplicate texts, so every delta doc survives
     — pins the anti join's no-match path and the packing roundtrip."""
-    from odinson_ray.pipelines.queries17 import _DELTA_SOURCES, q_dedup_delta
+    from odinson_ray.pipelines.queries.dedup import (_DELTA_SOURCES,
+                                                     q_dedup_delta)
 
     docs = pq.read_table(f"{SF}/documents.parquet",
                          columns=["doc_id", "source"]).to_pylist()

@@ -10,7 +10,7 @@ SF = "/root/testdata/sf0.001"
 
 def test_kg_bgp_query_matches_bruteforce(ray_session):
     from odinson_ray.pipelines.queries import QUERIES
-    from odinson_ray.pipelines.queries18 import _BGP_P1, _BGP_P2
+    from odinson_ray.pipelines.queries.graph import _BGP_P1, _BGP_P2
 
     trips = QUERIES["kg_triples"](SF).to_pandas()
     arms = {p: defaultdict(set) for p in (_BGP_P1, _BGP_P2)}

@@ -36,8 +36,8 @@ def _brute_coref(texts, anaphor, antes):
 
 
 def test_coref_randomized_vs_bruteforce(ray_session, tmp_path):
-    from odinson_ray.pipelines.queries19 import (_ANAPHOR, _ANTECEDENTS,
-                                                 q_coref_antecedents)
+    from odinson_ray.pipelines.queries.text import (_ANAPHOR, _ANTECEDENTS,
+                                                    q_coref_antecedents)
 
     rng = np.random.default_rng(71)
     vocab = list(_ANTECEDENTS) + [_ANAPHOR, "filler", "noise"]
@@ -60,7 +60,7 @@ def test_coref_batch_independence(ray_session, tmp_path):
     """Links are a pure per-doc function: running each doc as its own
     one-doc corpus yields exactly the whole-corpus rows (no state can
     leak across documents, whatever the batch split)."""
-    from odinson_ray.pipelines.queries19 import q_coref_antecedents
+    from odinson_ray.pipelines.queries.text import q_coref_antecedents
 
     texts = ["customer the the spark the", "the customer the",
              "table the spark the customer"]
@@ -86,9 +86,9 @@ def test_neardup_delta_randomized_vs_bruteforce(ray_session, tmp_path):
     every base/delta boundary) vs the O(n^2) jaccard enumeration of the
     keep rule: survive iff no >=t partner in base and no lower-id >=t
     partner in delta."""
-    from odinson_ray.pipelines.queries17 import _DELTA_SOURCES
-    from odinson_ray.pipelines.queries19 import (_ND_THRESHOLD,
-                                                 q_neardup_delta)
+    from odinson_ray.pipelines.queries.dedup import _DELTA_SOURCES
+    from odinson_ray.pipelines.queries.dedup import (_ND_THRESHOLD,
+                                                     q_neardup_delta)
 
     rng = np.random.default_rng(97)
     vocab = np.array([f"w{i}" for i in range(12)])
@@ -130,8 +130,8 @@ def test_neardup_delta_randomized_vs_bruteforce(ray_session, tmp_path):
 
 
 def test_k_anonymity_randomized_vs_bruteforce(ray_session, tmp_path):
-    from odinson_ray.pipelines.queries19 import (_KANON_K, _LEN_BUCKET,
-                                                 q_k_anonymity_risk)
+    from odinson_ray.pipelines.queries.text import (_KANON_K, _LEN_BUCKET,
+                                                    q_k_anonymity_risk)
 
     rng = np.random.default_rng(83)
     n = 300

@@ -4,7 +4,7 @@ import pandas as pd
 
 
 def test_pagerank_spill_matches_default(ray_session, sf_dir, tmp_path):
-    from odinson_ray.pipelines.queries import q_pagerank_entities
+    from odinson_ray.pipelines.queries.graph import q_pagerank_entities
 
     default = q_pagerank_entities(sf_dir).to_pandas()
     spilled = q_pagerank_entities(sf_dir, checkpoint_dir=str(tmp_path)).to_pandas()

@@ -67,7 +67,7 @@ def test_session_spans_property(ray_session, data):
 def test_record_highs_property(ray_session, data):
     import ray.data as rd
 
-    from odinson_ray.pipelines.queries3 import record_high_counts
+    from odinson_ray.pipelines.queries.events import record_high_counts
 
     n = data.draw(st.integers(3, 80))
     vals = data.draw(st.lists(

@@ -35,7 +35,7 @@ def _events_dir(users, ts_us, types=None):
 @settings(max_examples=5, deadline=None)
 @given(st.data())
 def test_user_active_time_property(ray_session, data):
-    from odinson_ray.pipelines.queries4 import q_user_active_time
+    from odinson_ray.pipelines.queries.events import q_user_active_time
 
     n = data.draw(st.integers(3, 40))
     users = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
@@ -61,7 +61,7 @@ def test_user_active_time_property(ray_session, data):
 @settings(max_examples=5, deadline=None)
 @given(st.data())
 def test_window_join_property(ray_session, data):
-    from odinson_ray.pipelines.queries4 import q_window_join_counts
+    from odinson_ray.pipelines.queries.events import q_window_join_counts
 
     n = data.draw(st.integers(3, 30))
     users = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
@@ -92,7 +92,7 @@ def test_window_join_property(ray_session, data):
 @settings(max_examples=5, deadline=None)
 @given(st.data())
 def test_scd2_property(ray_session, data):
-    from odinson_ray.pipelines.queries4 import q_scd2_intervals
+    from odinson_ray.pipelines.queries.relational import q_scd2_intervals
 
     n = data.draw(st.integers(2, 30))
     custs = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))

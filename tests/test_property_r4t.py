@@ -27,7 +27,7 @@ def test_overlap_pairs_randomized_vs_bruteforce():
     which the CLOSED-interval semantics must count."""
     import ray
 
-    from odinson_ray.pipelines.queries2 import overlap_pairs_per_key
+    from odinson_ray.pipelines.queries.relational import overlap_pairs_per_key
 
     rng = np.random.default_rng(11)
     n = 300
@@ -61,7 +61,7 @@ def test_daily_ffill_randomized_vs_pandas(tmp_path):
     """5 users, random multi-event days with gaps: the distributed
     grid + LOCF must equal pandas' resample('D').last().ffill() over
     the per-day last value (ts desc, event_id desc)."""
-    from odinson_ray.pipelines.queries3 import q_daily_ffill
+    from odinson_ray.pipelines.queries.events import q_daily_ffill
 
     rng = np.random.default_rng(13)
     n = 400
@@ -102,7 +102,7 @@ def test_daily_ffill_randomized_vs_pandas(tmp_path):
 def test_value_cume_dist_randomized_vs_numpy(tmp_path):
     """Random 2dp values over 3 types: cume_dist per event must equal
     (# values <= v within its type) / n_type, rounded to 6dp."""
-    from odinson_ray.pipelines.queries15 import q_value_cume_dist
+    from odinson_ray.pipelines.queries.events import q_value_cume_dist
 
     rng = np.random.default_rng(17)
     n = 500

@@ -47,9 +47,9 @@ def _write(tmp_path, rows):
 
 
 def test_dsir_randomized_vs_bruteforce(tmp_path):
-    from odinson_ray.pipelines.queries17 import (_DSIR_B, _DSIR_K,
-                                                 _DSIR_TARGET,
-                                                 q_dsir_select)
+    from odinson_ray.pipelines.queries.text import (_DSIR_B, _DSIR_K,
+                                                    _DSIR_TARGET,
+                                                    q_dsir_select)
 
     rng = np.random.default_rng(23)
     rows = _random_docs(rng, 120)
@@ -82,8 +82,8 @@ def test_dsir_randomized_vs_bruteforce(tmp_path):
 
 
 def test_dedup_delta_randomized_vs_bruteforce(tmp_path):
-    from odinson_ray.pipelines.queries17 import (_DELTA_SOURCES,
-                                                 q_dedup_delta)
+    from odinson_ray.pipelines.queries.dedup import (_DELTA_SOURCES,
+                                                     q_dedup_delta)
 
     rng = np.random.default_rng(31)
     # texts drawn from a SMALL pool so cross- and within-corpus
@@ -127,7 +127,7 @@ def test_dedup_delta_randomized_vs_bruteforce(tmp_path):
 
 
 def test_vocab_hapax_randomized_vs_bruteforce(tmp_path):
-    from odinson_ray.pipelines.queries18 import q_vocab_hapax
+    from odinson_ray.pipelines.queries.text import q_vocab_hapax
 
     rng = np.random.default_rng(47)
     rows = [r for r in _random_docs(rng, 150) if r["text"]]
@@ -156,7 +156,7 @@ def test_kg_bgp_randomized_vs_bruteforce(tmp_path, monkeypatch):
     grammar corpus."""
     import ray.data as rd
 
-    from odinson_ray.pipelines import queries18
+    from odinson_ray.pipelines.queries import graph as queries18
 
     rng = np.random.default_rng(59)
     preds = ["scan", "join", "sort"]
@@ -168,7 +168,7 @@ def test_kg_bgp_randomized_vs_bruteforce(tmp_path, monkeypatch):
         "o": pa.array([t[2] for t in trips]),
     })
     monkeypatch.setattr(
-        "odinson_ray.pipelines.queries5._kg_distinct_spo",
+        "odinson_ray.pipelines.queries.graph._kg_distinct_spo",
         lambda sf_dir: rd.from_arrow(tbl).repartition(7))
 
     arms = {p: defaultdict(set) for p in ("scan", "join")}

@@ -5,8 +5,10 @@ below with the reason it is kept.
 
 A reference is a name read in code, an attribute, an imported name, or an
 identifier inside a short string literal (``perfbench/layers.py`` names
-the callables it wraps as strings). A name's own definition does not
-count, nor does this file, which names the allow-listed ones.
+the callables it wraps as strings). A function decorated with
+``@query(...)`` counts as referenced: the decorator registers it in the
+query registry. A name's own definition does not count, nor does this
+file, which names the allow-listed ones.
 """
 
 from __future__ import annotations
@@ -39,8 +41,20 @@ def _py_files(path):
         yield from (os.path.join(d, n) for n in sorted(names) if n.endswith(".py"))
 
 
+def _registered(node):
+    """Whether a definition is decorated with ``@query(...)``."""
+    for d in getattr(node, "decorator_list", ()):
+        f = d.func if isinstance(d, ast.Call) else d
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        if name == "query":
+            return True
+    return False
+
+
 def _definitions(tree):
     for node in tree.body:
+        if _registered(node):
+            continue
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name
         elif isinstance(node, ast.Assign):
@@ -98,7 +112,8 @@ def test_guard_flags_an_unreferenced_definition(tmp_path):
         "PROBE_READ = 1\nPROBE_LOST: int = 2\n\n\n"
         "def probe_caller():\n    return PROBE_READ + probe_called()\n\n\n"
         "def probe_called():\n    return 0\n\n\n"
-        "def probe_lost():\n    return 0\n\n\nclass ProbeLost:\n    pass\n")
+        "def probe_lost():\n    return 0\n\n\nclass ProbeLost:\n    pass\n\n\n"
+        "@query('probe')\ndef probe_registered():\n    return 0\n")
     (tmp_path / "user.py").write_text("import mod\n\nmod.probe_caller()\n")
     rel = os.path.relpath(str(tmp_path), REPO)
     found = {n for _, n in unreferenced_public_names((rel,))}

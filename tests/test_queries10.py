@@ -58,16 +58,16 @@ def empty_sf(tmp_path_factory):
     "q_ipc_roundtrip_agg",
 ])
 def test_empty_inputs(empty_sf, qname):
-    from odinson_ray.pipelines import queries10 as q10
+    from odinson_ray.pipelines.queries import QUERIES
 
-    assert _rows(getattr(q10, qname)(empty_sf)) == 0
+    assert _rows(QUERIES[qname.removeprefix("q_")](empty_sf)) == 0
 
 
 def test_funnel3_strict_order(tmp_path):
     """click BEFORE the first view doesn't advance; purchase BEFORE the
     qualifying click doesn't advance; ts ties break by event_id; users
     with no view emit nothing."""
-    from odinson_ray.pipelines.queries10 import q_funnel3_users
+    from odinson_ray.pipelines.queries.events import q_funnel3_users
 
     t0 = 1_600_000_000_000_000
     rows = [
@@ -100,7 +100,7 @@ def test_dp_noise_formula_and_determinism(tmp_path):
     of the md5-seeded uniform, and repeated runs agree exactly."""
     import hashlib
 
-    from odinson_ray.pipelines.queries10 import q_dp_event_counts
+    from odinson_ray.pipelines.queries.events import q_dp_event_counts
 
     rows = [(i, i, 1_600_000_000_000_000 + i, "view") for i in range(7)]
     rows += [(100 + i, i, 1_600_000_100_000_000 + i, "click")

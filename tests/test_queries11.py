@@ -29,7 +29,8 @@ def _numpy_logreg(X, y, iters, lr):
 def test_logreg_matches_numpy_twin(tmp_path):
     """Same features, same iterations -> same weights (up to float
     summation order across blocks) and EXACT same accuracy."""
-    from odinson_ray.pipelines.queries11 import doc_features, q_logreg_quality
+    from odinson_ray.pipelines.queries.text import (doc_features,
+                                                    q_logreg_quality)
 
     rng = np.random.RandomState(7)
     texts, langs = [], []
@@ -64,7 +65,7 @@ def test_logreg_matches_numpy_twin(tmp_path):
 
 
 def test_logreg_empty_input(tmp_path):
-    from odinson_ray.pipelines.queries11 import q_logreg_quality
+    from odinson_ray.pipelines.queries.text import q_logreg_quality
 
     _write_docs(tmp_path / "documents.parquet", [], [])
     got = q_logreg_quality(str(tmp_path), iters=2)
@@ -110,7 +111,7 @@ def _python_bpe_counts(texts, k):
 
 
 def test_bpe_encode_matches_reference(tmp_path):
-    from odinson_ray.pipelines.queries11 import q_bpe_encode
+    from odinson_ray.pipelines.queries.text import q_bpe_encode
 
     texts = ["the cat the hat", "the cattle rattle", "hat cat chat",
              "that that the the the"] * 3
@@ -123,7 +124,7 @@ def test_bpe_encode_matches_reference(tmp_path):
 
 
 def test_bpe_encode_empty(tmp_path):
-    from odinson_ray.pipelines.queries11 import q_bpe_encode
+    from odinson_ray.pipelines.queries.text import q_bpe_encode
 
     _write_docs(tmp_path / "documents.parquet", [], [])
     assert q_bpe_encode(str(tmp_path)).count() == 0

@@ -24,7 +24,7 @@ def test_rolling_p90_frame_never_crosses_users(tmp_path):
     """Each user's first rows see only their own short frame — the
     sliding-window mask must cut at run boundaries, including when two
     users are adjacent in the partition sort."""
-    from odinson_ray.pipelines.queries12 import q_rolling_p90_value
+    from odinson_ray.pipelines.queries.events import q_rolling_p90_value
 
     t0 = 1_600_000_000_000_000
     rows = ([(i, 1, t0 + i, float(v))
@@ -43,7 +43,7 @@ def test_rolling_p90_frame_never_crosses_users(tmp_path):
 
 
 def test_rolling_p90_empty(tmp_path):
-    from odinson_ray.pipelines.queries12 import q_rolling_p90_value
+    from odinson_ray.pipelines.queries.events import q_rolling_p90_value
 
     _write_events(tmp_path / "events.parquet", [])
     assert q_rolling_p90_value(str(tmp_path)).count() == 0
@@ -52,7 +52,7 @@ def test_rolling_p90_empty(tmp_path):
 def test_feature_mi_independent_and_dependent(tmp_path):
     """MI is ~0 for a feature independent of the label and maximal
     (= label entropy) for one that determines it."""
-    from odinson_ray.pipelines.queries12 import q_feature_mi
+    from odinson_ray.pipelines.queries.text import q_feature_mi
 
     # en docs: all vowels (vow_bin 9); zh docs: no vowels (vow_bin 0);
     # lengths identical across labels -> len_bin independent of y
@@ -75,7 +75,7 @@ def test_feature_mi_independent_and_dependent(tmp_path):
 
 
 def test_feature_mi_empty(tmp_path):
-    from odinson_ray.pipelines.queries12 import q_feature_mi
+    from odinson_ray.pipelines.queries.text import q_feature_mi
 
     pq.write_table(pa.table({
         "doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string()),

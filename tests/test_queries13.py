@@ -21,7 +21,7 @@ def test_indexed_and_dedup_and_all_clauses(tmp_path):
     """A sentence with repeated clause tokens appears ONCE; a sentence
     missing any clause never appears; matches across sentence
     boundaries don't count."""
-    from odinson_ray.pipelines.queries13 import q_indexed_and_query
+    from odinson_ray.pipelines.queries.patterns import q_indexed_and_query
 
     filler = " ".join(["w"] * 17)
     texts = [
@@ -42,7 +42,7 @@ def test_indexed_and_dedup_and_all_clauses(tmp_path):
 def test_indexed_near_slop_and_order(tmp_path):
     """Unordered: both (a before b) and (b before a) pairs emit; pairs
     past the slop or across sentences don't."""
-    from odinson_ray.pipelines.queries13 import q_indexed_near_query
+    from odinson_ray.pipelines.queries.patterns import q_indexed_near_query
 
     #        pos: 0  1  2  3  4  5 ...
     texts = ["aa x bb x x aa " + " ".join(["y"] * 4)   # sent0 only
@@ -59,8 +59,8 @@ def test_indexed_near_slop_and_order(tmp_path):
 
 
 def test_indexed_and_empty_and_missing_token(tmp_path):
-    from odinson_ray.pipelines.queries13 import (q_indexed_and_query,
-                                                 q_indexed_near_query)
+    from odinson_ray.pipelines.queries.patterns import (q_indexed_and_query,
+                                                        q_indexed_near_query)
 
     _write_docs(tmp_path / "documents.parquet", ["aa bb"])
     assert q_indexed_and_query(

@@ -20,7 +20,7 @@ def _write_docs(path, texts):
 def test_indexed_bool_or_and_not(tmp_path):
     """ANY-of matches either clause; the NOT clause vetoes the whole
     sentence even when an OR clause also hits; repeats dedup."""
-    from odinson_ray.pipelines.queries14 import q_indexed_bool_query
+    from odinson_ray.pipelines.queries.patterns import q_indexed_bool_query
 
     texts = [
         "aa x y",          # aa -> hit
@@ -42,8 +42,8 @@ def test_bootstrap_deterministic_and_weighted(tmp_path):
     hand-computed weighted mean."""
     import hashlib
 
-    from odinson_ray.pipelines.queries14 import (_POIS_CDF,
-                                                 q_bootstrap_means)
+    from odinson_ray.pipelines.queries.events import (_POIS_CDF,
+                                                      q_bootstrap_means)
 
     vals = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
     pq.write_table(pa.table({
@@ -73,7 +73,7 @@ def test_bootstrap_deterministic_and_weighted(tmp_path):
 
 
 def test_federated_union_triples_counts(tmp_path):
-    from odinson_ray.pipelines.queries14 import q_federated_union_counts
+    from odinson_ray.pipelines.queries.text import q_federated_union_counts
 
     _write_docs(tmp_path / "documents.parquet",
                 ["aaa bbb", "cc", "dddd eee ff"])
@@ -85,7 +85,7 @@ def test_federated_union_triples_counts(tmp_path):
 
 
 def test_rag_chunks_overlap_and_ragged_tail(tmp_path):
-    from odinson_ray.pipelines.queries14 import q_rag_chunks
+    from odinson_ray.pipelines.queries.text import q_rag_chunks
 
     toks = [f"t{i}" for i in range(20)]
     _write_docs(tmp_path / "documents.parquet", [" ".join(toks), "solo"])

@@ -23,7 +23,7 @@ def test_waiting_suppliers_sole_late_on_multi_supplier_f_orders(tmp_path):
     supplier, and EXACTLY ONE distinct supplier shipped late — the
     Q21 EXISTS/NOT-EXISTS pair. Duplicate late lines from the same
     supplier count once (distinct semantics)."""
-    from odinson_ray.pipelines.queries15 import q_waiting_suppliers
+    from odinson_ray.pipelines.queries.relational import q_waiting_suppliers
 
     pq.write_table(pa.table({
         "o_orderkey": pa.array([1, 2, 3, 4, 5], pa.int64()),
@@ -55,7 +55,7 @@ def test_waiting_suppliers_sole_late_on_multi_supplier_f_orders(tmp_path):
 
 
 def test_cheapest_supplier_argmin_with_suppkey_tiebreak(tmp_path):
-    from odinson_ray.pipelines.queries15 import q_cheapest_supplier
+    from odinson_ray.pipelines.queries.relational import q_cheapest_supplier
 
     rows = [  # (part, supp, ext, qty) -> unit micro
         (1, 5, 20.0, 10.0),   # 2.0
@@ -82,7 +82,7 @@ def test_cheapest_supplier_argmin_with_suppkey_tiebreak(tmp_path):
 def test_top_supplier_revenue_window_and_max_ties(tmp_path):
     """Out-of-window rows are pruned; ALL suppliers tied at the max are
     returned (Q15 returns every supplier matching the max view row)."""
-    from odinson_ray.pipelines.queries15 import q_top_supplier_revenue
+    from odinson_ray.pipelines.queries.relational import q_top_supplier_revenue
 
     rows = [  # (supp, ext, disc, shipdate)
         (1, 100.0, 0.0, "1996-02-01"),
@@ -104,7 +104,7 @@ def test_top_supplier_revenue_window_and_max_ties(tmp_path):
 
 
 def test_orc_roundtrip_matches_direct_agg(tmp_path):
-    from odinson_ray.pipelines.queries15 import q_orc_roundtrip_agg
+    from odinson_ray.pipelines.queries.formats import q_orc_roundtrip_agg
 
     langs = ["en", "en", "de", "fr", "de", "en"]
     texts = ["a b", "ccc", "dd", "e", "ff ff", "ggg g"]
@@ -131,7 +131,7 @@ def test_orc_roundtrip_matches_direct_agg(tmp_path):
 def test_nb_lang_confusion_separable_corpus_is_diagonal(tmp_path):
     """Disjoint vocabularies per language -> the self-classification
     confusion matrix is exactly diagonal."""
-    from odinson_ray.pipelines.queries15 import q_nb_lang_confusion
+    from odinson_ray.pipelines.queries.text import q_nb_lang_confusion
 
     docs = [("en", "the cat"), ("en", "the dog"), ("en", "the cow"),
             ("de", "der hund"), ("de", "der baum")]
@@ -157,7 +157,7 @@ def test_kg_harmonic_multi_source_min_distances(tmp_path, monkeypatch):
     import ray.data as rd
 
     import odinson_ray.pipelines.kg as kg_mod
-    from odinson_ray.pipelines.queries15 import q_kg_harmonic
+    from odinson_ray.pipelines.queries.graph import q_kg_harmonic
 
     edges = [("S1", "A"), ("S1", "B"), ("S1", "C"), ("S1", "S2"),
              ("S2", "A"), ("S2", "E"), ("S2", "F"),
@@ -186,7 +186,7 @@ def test_kg_stress_paths_diamond_with_tail(tmp_path, monkeypatch):
     import ray.data as rd
 
     import odinson_ray.pipelines.kg as kg_mod
-    from odinson_ray.pipelines.queries15 import q_kg_stress_paths
+    from odinson_ray.pipelines.queries.graph import q_kg_stress_paths
 
     edges = [("S", "A"), ("S", "B"), ("A", "C"), ("B", "C"),
              ("C", "D"), ("X", "Y")]
@@ -216,7 +216,7 @@ def test_seq3_patterns_boundary_and_gap_paths(tmp_path):
     """Tiny bucket width forces triples to span 2 and 3 buckets, and one
     bucket holds >4 events to exercise the gap-sentinel payload; result
     must equal the brute-force sliding window over the full stream."""
-    from odinson_ray.pipelines.queries15 import q_seq3_patterns
+    from odinson_ray.pipelines.queries.events import q_seq3_patterns
 
     rows = []
     eid = 0
@@ -249,7 +249,7 @@ def test_seq3_patterns_boundary_and_gap_paths(tmp_path):
 
 
 def test_value_cume_dist_matches_pandas(tmp_path):
-    from odinson_ray.pipelines.queries15 import q_value_cume_dist
+    from odinson_ray.pipelines.queries.events import q_value_cume_dist
 
     vals = [1.0, 2.0, 2.0, 3.0, 1.0, 5.0]
     types = ["A", "A", "A", "A", "B", "B"]
@@ -269,7 +269,7 @@ def test_market_share_snowflake(tmp_path):
     """Hand-built Q8 snowflake: only region-ASIA customers' orders count;
     the target nation's supplier carries 100 of the 400 revenue ->
     share 0.25; the out-of-region order is excluded entirely."""
-    from odinson_ray.pipelines.queries15 import q_market_share
+    from odinson_ray.pipelines.queries.relational import q_market_share
 
     pq.write_table(pa.table({
         "r_regionkey": pa.array([0, 1], pa.int64()),
@@ -310,7 +310,7 @@ def test_seq3_patterns_property_random_streams(tmp_path):
     """Randomized pin: any mix of users, duplicate timestamps and bucket
     widths must reproduce the brute-force sliding-window counts."""
     rng = np.random.default_rng(77)
-    from odinson_ray.pipelines.queries15 import q_seq3_patterns
+    from odinson_ray.pipelines.queries.events import q_seq3_patterns
 
     n = 400
     df = pd.DataFrame({
@@ -364,7 +364,7 @@ def test_mmr_rerank_diversifies_vs_pure_relevance(tmp_path):
     """vec2 is nearly identical to vec1, vec3 is diverse: at lam=0.5 the
     third MMR pick must be the diverse vec3, while lam=1.0 degrades to
     pure relevance order (0, 1, 2)."""
-    from odinson_ray.pipelines.queries15 import q_mmr_rerank
+    from odinson_ray.pipelines.queries.similarity import q_mmr_rerank
 
     vecs = {
         0: [1.0, 0.0],            # the query row itself (sim 1 -> rank 1)
@@ -389,7 +389,7 @@ def test_mmr_rerank_diversifies_vs_pure_relevance(tmp_path):
 def test_top_orders_with_ties_returns_all_tied_rows(tmp_path):
     """k=2 over values with a 3-way tie at the 2nd rank -> 4 rows (RANK
     <= k semantics), not 2."""
-    from odinson_ray.pipelines.queries15 import q_top_orders_with_ties
+    from odinson_ray.pipelines.queries.relational import q_top_orders_with_ties
 
     pq.write_table(pa.table({
         "o_orderkey": pa.array([1, 2, 3, 4, 5], pa.int64()),
@@ -403,7 +403,7 @@ def test_top_orders_with_ties_returns_all_tied_rows(tmp_path):
 def test_missing_days_detects_calendar_gaps(tmp_path):
     """Type A active on days 1 and 3 (day 2 missing); type B active on
     all three days -> exactly one gap cell."""
-    from odinson_ray.pipelines.queries15 import q_missing_days
+    from odinson_ray.pipelines.queries.events import q_missing_days
 
     rows = [("A", "2020-01-01"), ("A", "2020-01-03"),
             ("B", "2020-01-01"), ("B", "2020-01-02"), ("B", "2020-01-03")]
@@ -422,8 +422,8 @@ def test_nb_min_count_prunes_model_to_priors(tmp_path):
     every doc scores priors + n_tok * per-lang default, which favors the
     lang with the LARGER token total's smaller denominator — here 'en'
     for every doc (hand-computed). The driver held zero vocab rows."""
-    from odinson_ray.pipelines.queries15 import (_nb_model,
-                                                 q_nb_lang_confusion)
+    from odinson_ray.pipelines.queries.text import (_nb_model,
+                                                    q_nb_lang_confusion)
 
     docs = [("en", "the cat"), ("en", "the dog"), ("en", "the cow"),
             ("de", "der hund baum wald")]
@@ -458,8 +458,8 @@ def test_graph_sweeps_with_forced_spill_match_default(tmp_path, monkeypatch):
     import ray.data as rd
 
     import odinson_ray.pipelines.kg as kg_mod
-    from odinson_ray.pipelines.queries15 import (q_kg_harmonic,
-                                                 q_kg_stress_paths)
+    from odinson_ray.pipelines.queries.graph import (q_kg_harmonic,
+                                                     q_kg_stress_paths)
 
     edges = [("S", "A"), ("S", "B"), ("A", "C"), ("B", "C"),
              ("C", "D"), ("X", "Y")]
@@ -492,7 +492,7 @@ def test_ab_test_metrics_matches_hand_computation(tmp_path):
     Welch t-statistic must equal the closed-form numbers."""
     import hashlib
 
-    from odinson_ray.pipelines.queries15 import q_ab_test_metrics
+    from odinson_ray.pipelines.queries.events import q_ab_test_metrics
 
     def variant(uid):
         return int(hashlib.md5(str(uid).encode()).hexdigest()[:8], 16) & 1
@@ -523,7 +523,7 @@ def test_kg_sp_tree_min_parent_diamond(tmp_path, monkeypatch):
     import ray.data as rd
 
     import odinson_ray.pipelines.kg as kg_mod
-    from odinson_ray.pipelines.queries15 import q_kg_sp_tree
+    from odinson_ray.pipelines.queries.graph import q_kg_sp_tree
 
     edges = [("S", "A"), ("S", "B"), ("A", "C"), ("B", "C"), ("C", "D")]
     trip = pa.table({
@@ -541,7 +541,7 @@ def test_revenue_pareto_crossing_exactness(tmp_path):
     """Hand case: spends 50, 30, 15, 5 (total 100); 80% is crossed by
     the THIRD customer inclusive (50+30=80 < 80? no: 80*5=400 >= 400 ->
     the SECOND customer crosses exactly at 80%)."""
-    from odinson_ray.pipelines.queries15 import q_revenue_pareto
+    from odinson_ray.pipelines.queries.relational import q_revenue_pareto
 
     pq.write_table(pa.table({
         "o_custkey": pa.array([1, 2, 3, 4], pa.int64()),
@@ -555,7 +555,7 @@ def test_revenue_pareto_crossing_exactness(tmp_path):
 def test_gini_extremes(tmp_path):
     """Perfect equality -> gini 0; extreme concentration -> near
     (n-1)/n. Checked against the closed-form rank formula."""
-    from odinson_ray.pipelines.queries15 import q_gini_value
+    from odinson_ray.pipelines.queries.relational import q_gini_value
 
     pq.write_table(pa.table({
         "o_custkey": pa.array([1, 2, 3, 4], pa.int64()),
@@ -581,7 +581,7 @@ def test_waiting_suppliers_property_random(tmp_path):
     EXISTS/NOT-EXISTS semantics over random orders/lineitems must match
     exactly (including distinct-supplier multiplicity cases)."""
     rng = np.random.default_rng(11)
-    from odinson_ray.pipelines.queries15 import q_waiting_suppliers
+    from odinson_ray.pipelines.queries.relational import q_waiting_suppliers
 
     n_orders, n_lines = 60, 400
     status = rng.choice(["F", "O"], n_orders, p=[0.7, 0.3])
@@ -622,7 +622,7 @@ def test_waiting_suppliers_property_random(tmp_path):
 def test_top_orders_with_ties_property_random(tmp_path):
     """Randomized WITH TIES pin vs pandas RANK()<=k."""
     rng = np.random.default_rng(23)
-    from odinson_ray.pipelines.queries15 import q_top_orders_with_ties
+    from odinson_ray.pipelines.queries.relational import q_top_orders_with_ties
 
     n = 500
     price = np.round(rng.integers(1, 40, n) * 1.0, 2)  # many ties
@@ -643,7 +643,7 @@ def test_top_orders_with_ties_property_random(tmp_path):
 def test_lorenz_deciles_hand_case(tmp_path):
     """Ten customers spending 1..10 cents: decile d covers
     sum(1..d)/55 of revenue."""
-    from odinson_ray.pipelines.queries15 import q_lorenz_deciles
+    from odinson_ray.pipelines.queries.relational import q_lorenz_deciles
 
     pq.write_table(pa.table({
         "o_custkey": pa.array(range(1, 11), pa.int64()),

@@ -24,7 +24,7 @@ def _ts(s):
 def test_bracket_revenue_disjunction_and_cents(tmp_path):
     """Only lines inside SOME bracket count; revenue is exact floor
     cents of ext*(1-disc)."""
-    from odinson_ray.pipelines.queries16 import q_bracket_revenue
+    from odinson_ray.pipelines.queries.relational import q_bracket_revenue
 
     pq.write_table(pa.table({
         "p_partkey": pa.array([1, 2, 3, 4], pa.int64()),
@@ -53,7 +53,7 @@ def test_bracket_revenue_disjunction_and_cents(tmp_path):
 def test_late_order_priority_exists_semantics(tmp_path):
     """An order counts ONCE however many late lines it has; orders with
     only on-time lines and priorities with no late orders drop out."""
-    from odinson_ray.pipelines.queries16 import q_late_order_priority
+    from odinson_ray.pipelines.queries.relational import q_late_order_priority
 
     pq.write_table(pa.table({
         "o_orderkey": pa.array([1, 2, 3], pa.int64()),
@@ -77,7 +77,7 @@ def test_late_order_priority_exists_semantics(tmp_path):
 def test_user_coverage_overlap_once_and_bucket_crossing(tmp_path):
     """Overlapping intervals count once; an interval crossing the
     coarse bucket boundary is split exactly (clip is lossless)."""
-    from odinson_ray.pipelines.queries16 import q_user_coverage
+    from odinson_ray.pipelines.queries.events import q_user_coverage
 
     base = _ts("2024-01-01 00:00:00")
     rows = [
@@ -137,7 +137,7 @@ def test_interval_coverage_randomized_vs_bruteforce():
 def test_user_type_kl_zero_for_global_mix_and_brute_force(tmp_path):
     """A user whose mix equals the global mix scores ~0 (floor can dip
     a term to -1 µ-unit); every user matches the brute-force formula."""
-    from odinson_ray.pipelines.queries16 import q_user_type_kl
+    from odinson_ray.pipelines.queries.events import q_user_type_kl
 
     base = _ts("2024-01-01")
     # global mix: a:6, b:3 ; user 1 mirrors it (a:4, b:2),

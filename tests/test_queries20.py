@@ -32,7 +32,7 @@ def test_transitive_closure_cycle_and_chain():
 
 @pytest.mark.usefixtures("ray_session")
 def test_cube_totals_consistent(sf_dir):
-    from odinson_ray.pipelines.queries20 import q_cube_lineitem
+    from odinson_ray.pipelines.queries.relational import q_cube_lineitem
 
     out = q_cube_lineitem(sf_dir).to_pandas()
     grand = out.query("l_returnflag == 'ALL' and l_linestatus == 'ALL'")
@@ -48,7 +48,7 @@ def test_cube_totals_consistent(sf_dir):
 
 @pytest.mark.usefixtures("ray_session")
 def test_attribution_window_and_ties(tmp_path):
-    from odinson_ray.pipelines.queries20 import q_attribution_first_touch
+    from odinson_ray.pipelines.queries.events import q_attribution_first_touch
 
     US = 1_000_000
     H = 3600 * US
@@ -114,7 +114,7 @@ def test_compression_quality_twin(sf_dir):
     """Recompute twin for the no-oracle compressibility signal."""
     import zlib
 
-    from odinson_ray.pipelines.queries20 import q_compression_quality
+    from odinson_ray.pipelines.queries.text import q_compression_quality
 
     out = (q_compression_quality(sf_dir).to_pandas()
            .set_index("doc_id").sort_index())

@@ -59,16 +59,16 @@ def empty_sf(tmp_path_factory):
     "q_promo_share", "q_cep_conversions",
 ])
 def test_empty_inputs(empty_sf, qname):
-    from odinson_ray.pipelines import queries8 as q8
+    from odinson_ray.pipelines.queries import QUERIES
 
-    assert _rows(getattr(q8, qname)(empty_sf)) == 0
+    assert _rows(QUERIES[qname.removeprefix("q_")](empty_sf)) == 0
 
 
 def test_cep_reset_semantics(tmp_path):
     """view->purchase with reset: each view streak converts at most one
     purchase; purchases with no view since the previous purchase do NOT
     count; ts ties break by event_id."""
-    from odinson_ray.pipelines.queries8 import q_cep_conversions
+    from odinson_ray.pipelines.queries.events import q_cep_conversions
 
     t0 = 1_600_000_000_000_000
     rows = [
@@ -104,7 +104,7 @@ def test_caption_pairs_scan_crosses_media_spans(tmp_path):
     """doc_id=0 has image AND audio with ONE sentence: the audio span's
     nearest preceding text must skip over the image span; the image's
     following caption is empty (no later text span)."""
-    from odinson_ray.pipelines.queries8 import q_media_caption_pairs
+    from odinson_ray.pipelines.queries.formats import q_media_caption_pairs
 
     sent = " ".join(f"w{i}" for i in range(10))       # one 10-token sentence
     long = " ".join(f"t{i}" for i in range(30))       # two sentences

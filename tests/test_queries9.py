@@ -71,9 +71,9 @@ def empty_sf(tmp_path_factory):
     ("q_json_props_stats", 0), ("q_hive_pruned_agg", 0),
 ])
 def test_empty_inputs(empty_sf, qname, n):
-    from odinson_ray.pipelines import queries9 as q9
+    from odinson_ray.pipelines.queries import QUERIES
 
-    got = getattr(q9, qname)(empty_sf)
+    got = QUERIES[qname.removeprefix("q_")](empty_sf)
     assert _rows(got) == n
     if qname == "q_small_qty_revenue":
         assert got["rev_cents"].tolist() == [0]
@@ -82,7 +82,7 @@ def test_empty_inputs(empty_sf, qname, n):
 def test_q13_counts_zero_order_customers(tmp_path):
     """sf0.01 has no order-less customer, so the oracle gate never
     exercises the zero-fill arm of the left-outer join."""
-    from odinson_ray.pipelines.queries9 import q_tpch_q13
+    from odinson_ray.pipelines.queries.relational import q_tpch_q13
 
     pq.write_table(pa.table({
         "c_custkey": pa.array([1, 2, 3, 4], pa.int64())}),
