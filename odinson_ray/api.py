@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from .common.collector import collector_paused
 from .core.engine import DocumentEngine, Extractor, Mention
 from .core.matcher import Compiler, Ctx, sentence_mask
 from .core.selector import select_matches
@@ -28,6 +29,7 @@ class OdinsonEngine:
     visits only the sentences that hold a pattern's required terms. The
     documents are read, never written: several engines may share them."""
 
+    @collector_paused
     def __init__(self, docs: Sequence[AnnotatedDocument]):
         self.docs = list(docs)
         self.compiler = Compiler()
@@ -76,6 +78,7 @@ class OdinsonEngine:
 
     # ------------------------------------------------------------ extraction
 
+    @collector_paused
     def extract_mentions(self, extractors: List[Extractor],
                          allow_trigger_overlaps: bool = False,
                          disable_match_selector: bool = False) -> List[Mention]:
@@ -88,6 +91,7 @@ class OdinsonEngine:
             )
         return out
 
+    @collector_paused
     def extract_no_state(self, extractors: List[Extractor],
                          allow_trigger_overlaps: bool = False,
                          disable_match_selector: bool = False) -> List[Mention]:
@@ -100,6 +104,7 @@ class OdinsonEngine:
             )
         return out
 
+    @collector_paused
     def query(self, pattern: str, n: Optional[int] = None,
               disable_match_selector: bool = False,
               after=None) -> List[Mention]:

@@ -99,8 +99,16 @@ class BatchVocab:
 
     def _ensure_agg(self):
         if self._agg_tid is None:
+            # ``norm`` reads only raw and word: the other layers' terms
+            # (tags, entity labels) keep their own form, so a batch whose
+            # words are already normal needs no gather
+            used = np.zeros(len(self.terms), bool)
+            for name in ("raw", "word"):
+                if name in self.fields:
+                    used[self.fields[name]] = True
             self._agg_map, self._agg_terms, self._agg_tid = self._normal_forms(
-                [normalize_unicode_aggressively(t) for t in self.terms])
+                [normalize_unicode_aggressively(t) if u else t
+                 for t, u in zip(self.terms, used.tolist())])
 
     def _normal_forms(self, forms: list):
         """(term id -> normalized id, normalized terms, normalized term ->

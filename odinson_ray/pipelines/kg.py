@@ -22,6 +22,7 @@ import shutil
 import tempfile
 from typing import Optional
 
+from ..common.collector import collector_paused
 from ..stages.canon import canonicalize_dataset
 from ..stages.link import build_alias_table, make_linker
 from ..stages.match import GrammarMatcher, match_batches
@@ -116,6 +117,7 @@ class TripleCounter(GrammarMatcher):
         super().__init__(rules_yaml, variables)
         self._alias = build_alias_table(())  # identity/open-world linking
 
+    @collector_paused
     def __call__(self, batch):
         from ..stages.link import canon_key, link_surface, map_unique_strings
         from ..stages.triples import partial_count_triples, svo_or_error_triples

@@ -21,9 +21,13 @@ from . import query
 
 
 def _query_vec(sf_dir: str) -> np.ndarray:
-    emb = pd.read_parquet(f"{sf_dir}/embeddings.parquet")
-    row = emb[emb.vec_id == 0].iloc[0]
-    return np.asarray(row.embedding, dtype=np.float64)
+    """The ``vec_id == 0`` row's embedding: a pushdown-filtered read of
+    that one column, not the whole table."""
+    import pyarrow.dataset as pads
+
+    emb = pads.dataset(f"{sf_dir}/embeddings.parquet").to_table(
+        columns=["embedding"], filter=pads.field("vec_id") == 0)["embedding"]
+    return np.asarray(emb[0].as_py(), dtype=np.float64)
 
 
 ORACLE_ANN_TOPK = """

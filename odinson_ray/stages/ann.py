@@ -416,7 +416,11 @@ def _pq_layout_dir(sf_dir: str, m: int, codes: int) -> str:
 
 def _train_codebooks(sample: np.ndarray, m: int, codes: int) -> np.ndarray:
     """(m, codes, sub_dim) codebooks via seeded Lloyd on the sample.
-    Empty clusters re-seed deterministically from the farthest points."""
+    Empty clusters re-seed deterministically from the farthest points:
+    the empty cells, in order, take the sample points farthest from
+    their nearest centroid of the round, farthest first."""
+    from .sample import _argmin_sqdist
+
     n, d = sample.shape
     sub = d // m
     books = np.zeros((m, codes, sub))
@@ -427,15 +431,14 @@ def _train_codebooks(sample: np.ndarray, m: int, codes: int) -> np.ndarray:
         if len(C) < codes:  # tiny corpora: pad with jittered copies
             C = np.concatenate([C, C[: codes - len(C)] + 1e-6])
         for _ in range(PQ_ITERS):
-            from .sample import _argmin_sqdist
-
             a = _argmin_sqdist(X, C)
-            for c in range(codes):
-                mask = a == c
-                if mask.any():
-                    C[c] = X[mask].mean(axis=0)
-                else:
-                    C[c] = X[d2.min(axis=1).argmax()]
+            counts = np.bincount(a, minlength=codes)
+            far = np.argsort(-((X - C[a]) ** 2).sum(axis=1), kind="stable")
+            empty = np.flatnonzero(counts == 0)
+            for c in np.flatnonzero(counts):
+                C[c] = X[a == c].mean(axis=0)
+            # cycling when the empty cells outnumber the sample points
+            C[empty] = X[far[np.arange(len(empty)) % n]]
         books[j] = C
     return books
 

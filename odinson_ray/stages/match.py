@@ -23,6 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..common.collector import collector_paused
 from ..common.normalize import normalize_unicode, sanitize_token
 from ..core.engine import DocumentEngine
 from ..core.sentence import (
@@ -347,6 +348,7 @@ class GrammarMatcher:
                 keep.append(True)
         return keep
 
+    @collector_paused
     def __call__(self, batch: pa.Table) -> pa.Table:
         if "spans" not in batch.column_names and "text" in batch.column_names:
             # raw documents table: interleave INSIDE the matcher. A separate

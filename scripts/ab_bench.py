@@ -12,7 +12,10 @@ working tree are measured as they are.
 
 Prints per pair every metric of the result line on both sides with its
 ratio (tree over ref), ``calib_s``, ``correct`` and ``failed``; then per
-metric the median and quartiles of each side and the median pair ratio;
+metric the median and quartiles of each side, the median pair ratio and,
+for a rate or a time, the median pair ratio of the values normalized by
+each run's own ``calib_s`` (a rate times ``calib_s``, seconds divided by
+it), which takes the host's speed level of the moment out of each run;
 then one JSON object holding every run.
 """
 
@@ -56,7 +59,19 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) ->
     info, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {"seed": seed, "calib_s": info["calib_s"], "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "units": {k: v["unit"] for k, v in result["metrics"].items()}}
+
+
+def calib_normalized(run: dict, k: str):
+    """Metric ``k`` of ``run`` per its ``calib_s``: a rate times it, seconds
+    divided by it; None for other units."""
+    unit = run["units"][k]
+    if unit.endswith("/s"):
+        return run["metrics"][k] * run["calib_s"]
+    if unit == "s":
+        return run["metrics"][k] / run["calib_s"]
+    return None
 
 
 def quartiles(values):
@@ -105,13 +120,21 @@ def main(argv=None) -> int:
         a = [r["metrics"][k] for r in runs["ref"]]
         b = [r["metrics"][k] for r in runs["tree"]]
         ratios = [y / x for x, y in zip(a, b) if x]
+        na = [calib_normalized(r, k) for r in runs["ref"]]
+        nb = [calib_normalized(r, k) for r in runs["tree"]]
+        calib_ratios = [y / x for x, y in zip(na, nb) if x]
         summary[k] = {"ref_q1_median_q3": quartiles(a), "tree_q1_median_q3": quartiles(b),
                       "pair_ratios": ratios,
-                      "median_ratio": statistics.median(ratios) if ratios else None}
+                      "median_ratio": statistics.median(ratios) if ratios else None,
+                      "calib_pair_ratios": calib_ratios,
+                      "calib_median_ratio":
+                          statistics.median(calib_ratios) if calib_ratios else None}
         qa, qb = summary[k]["ref_q1_median_q3"], summary[k]["tree_q1_median_q3"]
         print(f"{k}: ref {qa[1]:.4g} [{qa[0]:.4g}, {qa[2]:.4g}]  "
               f"tree {qb[1]:.4g} [{qb[0]:.4g}, {qb[2]:.4g}]  "
-              + (f"median pair ratio {summary[k]['median_ratio']:.3f}" if ratios else ""))
+              + (f"median pair ratio {summary[k]['median_ratio']:.3f}" if ratios else "")
+              + (f" (per calib_s {summary[k]['calib_median_ratio']:.3f})"
+                 if calib_ratios else ""))
     print(json.dumps({"workload": args.workload, "ref": args.ref, "ref_commit": commit,
                       "seconds": args.seconds, "trace": args.trace,
                       "summary": summary, "runs": runs}))

@@ -207,6 +207,23 @@ def test_pq_topk_recall_vs_brute_force(sf_dir):
     assert (merged.score_pq - merged.score_bf).abs().max() <= 1e-9
 
 
+def test_pq_codebooks_reseed_an_empty_cell_from_the_farthest_point():
+    """Duplicate seed centroids leave cells empty: each takes the sample
+    point farthest from its nearest centroid, so the outlier gets a cell."""
+    import numpy as np
+
+    from odinson_ray.stages.ann import _train_codebooks
+
+    sample = np.zeros((40, 4))
+    sample[17] = [10.0, -10.0, 5.0, 5.0]
+    books = _train_codebooks(sample, m=2, codes=4)
+    assert books.shape == (2, 4, 2) and np.isfinite(books).all()
+    for j in range(2):
+        outlier = sample[17, 2 * j:2 * j + 2]
+        assert np.isclose(((books[j] - outlier) ** 2).sum(axis=1).min(), 0.0)
+        assert np.isclose(((books[j]) ** 2).sum(axis=1).min(), 0.0)
+
+
 def test_pq_layout_deterministic_and_cached(sf_dir):
     from odinson_ray.stages.ann import build_pq_layout
 

@@ -302,3 +302,42 @@ def test_identity_normalization_reads_the_field_ids():
         got = [(m.start, m.end) for m in select_matches(q.matches(Ctx(mixed.sentences[0], 0)))]
         assert got == want, pattern
         assert got == [(m.start, m.end) for m in select_matches(q.matches(Ctx(sent, 0)))]
+
+
+def test_aggressive_identity_is_checked_over_the_norm_layers_only():
+    """``norm`` reads raw and word only: upper-case tags in the same batch
+    vocabulary do not force the per-batch gather of the raw ids."""
+    clean = CorpusIndex([AnnotatedDocument("d", [SentenceIndex(
+        {"raw": ["the", "fast", "cat"], "tag": ["DT", "JJ", "NN"]})])])
+    v = clean.groups[0][0]
+    assert v._mapped_flat("agg", "raw") is v.fields["raw"]
+    assert [m.start for m in compiler.compile("[norm=cat]").matches(
+        Ctx(clean.sentences[0], 0))] == [2]
+
+
+def test_norm_queries_match_the_postings_path_on_mixed_case():
+    sents = [
+        SentenceIndex({"raw": ["The", "FAST", "cat", "dt"], "word": ["the", "fast", "Cat", "DT"],
+                       "tag": ["DT", "JJ", "NN", "NN"], "lemma": ["the", "fast", "cat", "dt"]}),
+        SentenceIndex({"raw": ["nn", "Caf\u00e9", "CAT", "the"], "word": ["NN", "cafe", "cat", "the"],
+                       "tag": ["NN", "NN", "NN", "DT"], "lemma": ["nn", "cafe", "cat", "the"]}),
+        SentenceIndex({"raw": ["a", "fast", "cat"], "word": ["a", "fast", "cat"],
+                       "tag": ["DT", "JJ", "NN"], "lemma": ["a", "fast", "cat"]}),
+    ]
+    # lower-case raw and word, with other layers holding upper-case tags
+    # and the lower-case forms of those tags: the identity path
+    lower = [sents[2], SentenceIndex({"raw": ["the", "cat", "dt"], "word": ["the", "cat", "dt"],
+                                      "tag": ["DT", "NN", "NN"], "lemma": ["dt", "nn", "dt"]})]
+    for group, identity in ((sents, False), (lower, True)):
+        corpus = CorpusIndex([AnnotatedDocument("d", group)])
+        v = corpus.groups[0][0]
+        assert (v._mapped_flat("agg", "raw") is v.fields["raw"]) is identity
+        for pattern in ("cat", "[norm=the] [norm=fast]", "[norm=dt]", "[norm=nn]", "[norm=cafe]",
+                        "[norm=/c.*/]", "[norm=/.*a.*/]", "[norm=/[dn]./]", "[norm=DT]",
+                        "[norm=the] [tag=JJ]? [norm=/c.*/]"):
+            q = compiler.compile(pattern)
+            for i, sent in enumerate(group):
+                got = [(m.start, m.end)
+                       for m in select_matches(q.matches(Ctx(corpus.sentences[i], i)))]
+                want = [(m.start, m.end) for m in select_matches(q.matches(Ctx(sent, i)))]
+                assert got == want, (pattern, identity, i)
