@@ -156,9 +156,8 @@ def headline_pipeline(sf_dir: str, num_cpus: int, replicate: int):
     replicated `replicate`x in-stream (single read, copies tagged with
     disjoint doc_id offsets — identical bytes at every parallelism level)."""
     import pyarrow.compute as pc
-    import ray
 
-    from odinson_ray.pipelines.kg import FLAGSHIP_RULES, count_triples
+    from odinson_ray.pipelines.kg import FLAGSHIP_RULES, count_triples, link_triples
     from odinson_ray.stages.triples import aggregate_triples
     from odinson_ray.sources.io import read_table
 
@@ -250,19 +249,12 @@ def headline_pipeline(sf_dir: str, num_cpus: int, replicate: int):
         return n_docs, n_triples, round(time.time() - t_start, 3)
     # unfused control topology (BENCH_FUSED=0): mention rows cross the
     # object store and the downstream chain runs as task-pool stages
-    from odinson_ray.stages.canon import canonicalize_dataset
-    from odinson_ray.stages.link import build_alias_table, make_linker
     from odinson_ray.stages.match import GrammarMatcher, match_batches
-    from odinson_ray.stages.triples import mentions_to_triples
+    from odinson_ray.stages.triples import svo_or_error_triples
 
     mentions = match_batches(docs, GrammarMatcher, FLAGSHIP_RULES)
-    events = mentions.map_batches(
-        lambda t: t.filter(pc.equal(t["label"], "SVO")), batch_format="pyarrow"
-    )
-    raw_triples = events.map_batches(mentions_to_triples, batch_format="pyarrow")
-    canon_ds, mapping = canonicalize_dataset(raw_triples, columns=("subj", "obj"))
-    alias_ref = ray.put(build_alias_table(mapping.keys()))
-    linked = canon_ds.map_batches(make_linker(alias_ref, ("subj", "obj")), batch_format="pyarrow")
+    linked = link_triples(mentions.map_batches(svo_or_error_triples,
+                                               batch_format="pyarrow"))
     agg = aggregate_triples(linked)
     if os.environ.get("BENCH_STATS") == "1":
         agg = agg.materialize()

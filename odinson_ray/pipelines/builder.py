@@ -1,6 +1,6 @@
 """Composable pipeline builder (SURVEY §2.10): the flagship chain
-``read -> annotate -> match(grammar) -> link -> canonicalize -> triples
--> write`` with every stage injectable.
+``read -> annotate -> match(grammar) -> triples -> canonicalize -> link
+-> aggregate -> write`` with every stage injectable.
 
     from odinson_ray.pipelines.builder import Pipeline
 
@@ -14,7 +14,11 @@
           .build())                          # -> ray.data.Dataset
     # or: .write(out_dir) to end in a pred-partitioned parquet sink
 
-Stages not configured fall back to the flagship defaults; ``annotator``
+Triples are projected from the grammar's ``SVO`` events, plus one
+reserved ``__error__`` triple per failed document. Stages not configured
+fall back to the flagship defaults: with none of annotator, transform,
+edges or alias table set, ``build`` is the fused ``triples_dataset``;
+otherwise the mention stream ends in ``kg.link_triples``. ``annotator``
 switches between the inline deterministic path (None, fastest — nothing
 nested crosses the object store) and a two-stage heavy-model actor pool
 (a callable class, loaded once per actor)."""
@@ -36,11 +40,9 @@ class Pipeline:
         self._concurrency = 4
         self._batch_size = 256
         self._transforms: List[Callable] = []
-        self._canonicalize = True
         self._canon_edges = ()
         self._alias_table = None
         self._aggregate = True
-        self._event_label = "SVO"
 
     # ------------------------------------------------------------ stages
 
@@ -67,12 +69,8 @@ class Pipeline:
         self._transforms.append(fn)
         return self
 
-    def events(self, label: str):
-        self._event_label = label
-        return self
-
-    def canonicalize(self, on: bool = True, edges=()):
-        self._canonicalize = on
+    def canonicalize(self, edges=()):
+        """Equivalence edges (surface pairs) merged by canonicalization."""
         self._canon_edges = edges
         return self
 
@@ -145,40 +143,20 @@ class Pipeline:
 
     def build(self):
         """Full chain -> Dataset of (canonical) triples."""
-        import pyarrow.compute as pc
-        import ray
-
-        from ..stages.canon import canonicalize_dataset
-        from ..stages.link import build_alias_table, make_linker
-        from ..stages.triples import aggregate_triples, mentions_to_triples
-        from .kg import triples_dataset
+        from ..stages.triples import aggregate_triples, svo_or_error_triples
+        from .kg import link_triples, triples_dataset
 
         if (self._annotator is None and not self._transforms
-                and not self._canon_edges and self._alias_table is None
-                and self._event_label == "SVO"):
+                and not self._canon_edges and self._alias_table is None):
             # default shape: reuse the fused fast path (identical output)
             return triples_dataset(self._sf_dir, self._rules,
                                    concurrency=self._concurrency,
                                    batch_size=self._batch_size,
-                                   aggregate=self._aggregate,
-                                   canonicalize=self._canonicalize)
-        mentions = self.mentions()
-        label = self._event_label
-        events = mentions.map_batches(
-            lambda t: t.filter(pc.equal(t["label"], label)),
-            batch_format="pyarrow",
-        )
-        ds = events.map_batches(mentions_to_triples, batch_format="pyarrow")
-        if self._canonicalize:
-            ds, mapping = canonicalize_dataset(
-                ds, columns=("subj", "obj"), extra_edges=self._canon_edges)
-            alias = (self._alias_table if self._alias_table is not None
-                     else build_alias_table(mapping.keys()))
-            ds = ds.map_batches(make_linker(ray.put(alias), ("subj", "obj")),
-                                batch_format="pyarrow")
-        if self._aggregate:
-            ds = aggregate_triples(ds)
-        return ds
+                                   aggregate=self._aggregate)
+        raw = self.mentions().map_batches(svo_or_error_triples,
+                                          batch_format="pyarrow")
+        ds = link_triples(raw, self._canon_edges, self._alias_table)
+        return aggregate_triples(ds) if self._aggregate else ds
 
     def write(self, out_dir: str, partition_cols=("pred",)):
         ds = self.build()

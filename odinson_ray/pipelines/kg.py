@@ -1,15 +1,20 @@
-"""Flagship pipeline: interleaved docs -> annotate -> match -> link ->
-canonicalize -> triples (the full north-rule KG construction chain).
+"""Flagship pipeline: interleaved docs -> annotate -> match -> triples ->
+canonicalize -> link (the full north-rule KG construction chain).
 
     read_parquet(documents)                      # pruned columnar read
       -> map_batches(build_interleaved)          # input-shape projection
       -> map_batches(DeterministicAnnotator)     # pluggable annotation
       -> match_batches(GrammarMatcher)           # per-doc cascade, no shuffle
-      -> map_batches(mentions_to_triples)        # SVO projection
-      -> canonicalize (distinct-vocab shuffle + broadcast back)
-      -> map_batches(make_linker(broadcast alias table))
+      -> map_batches(svo_or_error_triples)       # SVO + __error__ projection
+      -> link_triples:
+           map_batches(canon_columns(broadcast edge roots))
+           map_batches(link_columns(broadcast alias table))
       -> combine_aggregate (per-batch partial counts, then one task or,
          for a large output, groupby.aggregate(Sum))        # only wide op
+
+``TripleCounter`` runs the same per-batch functions, match through
+partial counts, inside one matcher task (the default of
+``triples_dataset``).
 
 The default grammar extracts (subject, verb, object) events over the
 deterministic annotation layers plus maximal B-TECH entity runs.
@@ -23,8 +28,8 @@ import tempfile
 from typing import Optional
 
 from ..common.collector import collector_paused
-from ..stages.canon import canonicalize_dataset
-from ..stages.link import build_alias_table, make_linker
+from ..stages.canon import canon_columns, canonicalize_dataset
+from ..stages.link import build_alias_table, link_columns, make_linker
 from ..stages.match import GrammarMatcher, match_batches
 from ..stages.triples import aggregate_triples
 
@@ -103,12 +108,13 @@ class TripleCounter(GrammarMatcher):
     throughput.
 
     VALIDITY: only when canonicalization has NO extra equivalence edges —
-    then the root map is empty, canon is the pure per-row function
-    ``"ent:" + canon_key(s)``, and the identity alias table makes linking
-    pure as well, so no driver-coordinated broadcast is needed. That is
-    exactly the flagship configuration; ``triples_dataset`` falls back to
-    the unfused stage chain whenever edges / checkpoints / unaggregated
-    output are requested."""
+    then the root map is empty and the identity alias table is built from
+    no surfaces, so ``canon_columns`` and ``link_columns`` (the very
+    functions ``link_triples`` maps over a Dataset) need no
+    driver-coordinated broadcast. That is exactly the flagship
+    configuration; ``triples_dataset`` takes the ``link_triples`` stage
+    chain whenever checkpoints or unaggregated output are requested, and
+    ``Pipeline.build`` whenever edges or an alias table are set."""
 
     #: the aggregation key tuple shared with stages/triples.aggregate_triples
     KEYS = ("subj_canon", "pred", "obj_canon", "subj", "obj")
@@ -119,26 +125,16 @@ class TripleCounter(GrammarMatcher):
 
     @collector_paused
     def __call__(self, batch):
-        from ..stages.link import canon_key, link_surface, map_unique_strings
+        # imported per call: a tracer patches these module attributes
         from ..stages.triples import partial_count_triples, svo_or_error_triples
 
         mentions = super().__call__(batch)
         # failed docs flow as reserved error triples through the SAME
-        # canon/link/aggregate chain (shared projection with the
-        # unfused path and the shard runners)
-        t = svo_or_error_triples(mentions)
-        for col in ("subj", "obj"):
-            t = t.append_column(
-                col + "_canon",
-                map_unique_strings(t[col], lambda s: "ent:" + canon_key(s)),
-            )
-            # same linking work as the unfused chain (columns are dropped
-            # by the aggregate keys, but throughput numbers stay honest)
-            t = t.append_column(
-                col + "_ent",
-                map_unique_strings(t[col], lambda s: link_surface(s, self._alias)),
-            )
-        return partial_count_triples(t, self.KEYS)
+        # canon/link/aggregate chain as the unfused path
+        return partial_count_triples(
+            link_columns(canon_columns(svo_or_error_triples(mentions), {}),
+                         self._alias),
+            self.KEYS)
 
 
 def count_triples(docs, rules_yaml: str = FLAGSHIP_RULES, concurrency: Optional[int] = None,
@@ -191,15 +187,24 @@ def checkpoint_triples(raw_triples, checkpoint_dir: Optional[str] = None):
     return read_table(checkpoint_dir)
 
 
+def link_triples(raw, edges=(), alias_table=None):
+    """The Dataset tail of every unfused path: canonicalize the raw
+    triples against ``edges``, then link them against ``alias_table``
+    (default: the identity table over the edge-touched keys)."""
+    import ray
+
+    canon, roots = canonicalize_dataset(raw, extra_edges=edges)
+    alias = alias_table if alias_table is not None else build_alias_table(roots.keys())
+    return canon.map_batches(make_linker(ray.put(alias)), batch_format="pyarrow")
+
+
 def triples_dataset(sf_dir: str, rules_yaml: str = FLAGSHIP_RULES,
                     concurrency: Optional[int] = None, batch_size: int = 256,
                     aggregate: bool = True,
-                    canonicalize: bool = True,
                     checkpoint_dir: Optional[str] = None):
-    """Full KG pipeline; returns the aggregated triple Dataset."""
-    import ray
-
-    if aggregate and canonicalize and checkpoint_dir is None:
+    """Full KG pipeline; returns the aggregated triple Dataset, or with
+    ``aggregate=False`` the linked per-mention triples."""
+    if aggregate and checkpoint_dir is None:
         # fused fast path (identical output, fewer dispatched tasks and
         # no nested-mentions object-store hop — see TripleCounter)
         return fused_triple_counts(sf_dir, rules_yaml, concurrency=concurrency,
@@ -210,23 +215,14 @@ def triples_dataset(sf_dir: str, rules_yaml: str = FLAGSHIP_RULES,
                                 batch_size=batch_size)
     raw_triples = mentions.map_batches(svo_or_error_triples,
                                        batch_format="pyarrow")
-    if not canonicalize:
-        return raw_triples
-    # Since canonicalization needs no whole-corpus vocabulary pass (the
-    # broadcast side is edge-derived only), the triple stream has exactly
-    # ONE consumer and flows end-to-end with no pin and no spill. A
-    # parquet checkpoint (write-to-temp + atomic rename, resumable) is
-    # inserted only when the caller asks for one via ``checkpoint_dir``.
+    # The triple stream has exactly ONE consumer and flows end-to-end
+    # with no pin and no spill; a parquet checkpoint of the raw stream
+    # (write-to-temp + atomic rename, resumable) is inserted only when
+    # the caller asks for one via ``checkpoint_dir``.
     if checkpoint_dir is not None:
         raw_triples = checkpoint_triples(raw_triples, checkpoint_dir)
-    canon_ds, mapping = canonicalize_dataset(raw_triples, columns=("subj", "obj"))
-    alias_ref = ray.put(build_alias_table(mapping.keys()))
-    linked = canon_ds.map_batches(
-        make_linker(alias_ref, ("subj", "obj")), batch_format="pyarrow"
-    )
-    if not aggregate:
-        return linked
-    return aggregate_triples(linked)
+    linked = link_triples(raw_triples)
+    return aggregate_triples(linked) if aggregate else linked
 
 
 def run_flagship(sf_dir: str, out_dir: Optional[str] = None, concurrency: Optional[int] = None,
@@ -238,5 +234,4 @@ def run_flagship(sf_dir: str, out_dir: Optional[str] = None, concurrency: Option
     ds = triples_dataset(sf_dir, concurrency=concurrency)
     if out_dir:
         ds.write_parquet(out_dir, partition_cols=list(partition_cols))
-        return ds
     return ds

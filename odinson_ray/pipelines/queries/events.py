@@ -842,18 +842,15 @@ FROM events
 """
 
 
-@query("value_percent_rank", oracle=ORACLE_VALUE_PERCENT_RANK)
-def q_value_percent_rank(sf_dir: str):
-    """PERCENT_RANK() OVER (PARTITION BY event_type ORDER BY value) for
-    every event — exact, WITHOUT a per-key sort of the raw rows. The
-    distinct-value histogram (value is 2dp-quantized, so per-key distinct
-    count is bounded — value_quantiles documents the same precondition)
-    yields rank(v) = 1 + #smaller from cumulative counts; the per-value
-    rank table then joins BACK to the event stream on a composite
-    (event_type, value) key — a distributed hash_join, never a broadcast
-    of the value dictionary."""
-    from odinson_ray.stages.shuffle import hash_join
-
+def _value_rank(sf_dir: str, col: str, rank_of):
+    """Every event with ``col`` = ``rank_of(smaller, equal, n)`` of its
+    value within its event_type, rounded to 6 places — exact, WITHOUT a
+    per-key sort of the raw rows. The distinct-value histogram (value is
+    2dp-quantized, so per-key distinct count is bounded — value_quantiles
+    documents the same precondition) gives per value the counts of
+    smaller and equal values; the per-value rank table then joins BACK to
+    the event stream on a composite (event_type, value) key — a
+    distributed hash_join, never a broadcast of the value dictionary."""
     events = table(sf_dir, "events",
                    columns=["event_id", "event_type", "value"])
 
@@ -864,13 +861,12 @@ def q_value_percent_rank(sf_dir: str):
         o = pc.sort_indices(g["value"])
         v = g["value"].take(o)
         c = g["c"].take(o).to_numpy(zero_copy_only=False)
-        n = int(c.sum())
-        smaller = np.concatenate([[0], np.cumsum(c)[:-1]])
-        prk = np.round(smaller / max(n - 1, 1), 6)
+        cume = np.cumsum(c)
+        r = np.round(rank_of(cume - c, c, int(cume[-1])), 6)
         key = pc.binary_join_element_wise(
             g["event_type"].take(o).cast(pa.string()),
             pc.cast(v, pa.string()), "|")
-        return pa.table({"_ck": key, "prk": pa.array(prk, pa.float64())})
+        return pa.table({"_ck": key, col: pa.array(r, pa.float64())})
 
     rank_table = hist.groupby("event_type").map_groups(
         ranks, batch_format="pyarrow")
@@ -889,8 +885,17 @@ def q_value_percent_rank(sf_dir: str):
                                ("value", pa.float64()),
                                ("_ck", pa.string())]),
         right_schema=pa.schema([("_ck", pa.string()),
-                                ("prk", pa.float64())]))
-    return joined.select_columns(["event_id", "event_type", "value", "prk"])
+                                (col, pa.float64())]))
+    return joined.select_columns(["event_id", "event_type", "value", col])
+
+
+@query("value_percent_rank", oracle=ORACLE_VALUE_PERCENT_RANK)
+def q_value_percent_rank(sf_dir: str):
+    """PERCENT_RANK() OVER (PARTITION BY event_type ORDER BY value) for
+    every event: (#smaller) / (n - 1) per (type, value), by
+    :func:`_value_rank`."""
+    return _value_rank(sf_dir, "prk",
+                       lambda smaller, equal, n: smaller / max(n - 1, 1))
 
 
 # ===================================== per-group winsorization
@@ -3178,48 +3183,10 @@ FROM events
 @query("value_cume_dist", oracle=ORACLE_VALUE_CUME_DIST)
 def q_value_cume_dist(sf_dir: str):
     """CUME_DIST() OVER (PARTITION BY event_type ORDER BY value) for
-    every event — the value_percent_rank machinery with the inclusive
-    numerator: the 2dp-quantized distinct-value histogram yields
-    cd(v) = (#smaller + #equal) / n per (type, value), then one
-    distributed join back onto the event stream. No per-key sort of raw
-    rows, no driver materialization."""
-    events = table(sf_dir, "events",
-                   columns=["event_id", "event_type", "value"])
-
-    hist = combine_aggregate(events, ["event_type", "value"],
-                             [("c", None, "count_all")])
-
-    def ranks(g: pa.Table) -> pa.Table:
-        o = pc.sort_indices(g["value"])
-        v = g["value"].take(o)
-        c = g["c"].take(o).to_numpy(zero_copy_only=False)
-        n = int(c.sum())
-        cume = np.cumsum(c)
-        cd = np.round(cume / n, 6)
-        key = pc.binary_join_element_wise(
-            g["event_type"].take(o).cast(pa.string()),
-            pc.cast(v, pa.string()), "|")
-        return pa.table({"_ck": key, "cd": pa.array(cd, pa.float64())})
-
-    rank_table = hist.groupby("event_type").map_groups(
-        ranks, batch_format="pyarrow")
-
-    def with_key(t: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(
-            t["event_type"].cast(pa.string()),
-            pc.cast(t["value"], pa.string()), "|")
-        return t.append_column("_ck", key)
-
-    joined = hash_join(
-        events.map_batches(with_key, batch_format="pyarrow"),
-        rank_table, on="_ck",
-        left_schema=pa.schema([("event_id", pa.int64()),
-                               ("event_type", pa.string()),
-                               ("value", pa.float64()),
-                               ("_ck", pa.string())]),
-        right_schema=pa.schema([("_ck", pa.string()),
-                                ("cd", pa.float64())]))
-    return joined.select_columns(["event_id", "event_type", "value", "cd"])
+    every event: the value_percent_rank machinery with the inclusive
+    numerator, (#smaller + #equal) / n per (type, value)."""
+    return _value_rank(sf_dir, "cd",
+                       lambda smaller, equal, n: (smaller + equal) / n)
 
 
 # ===================================== calendar gap detection (backfill)

@@ -542,23 +542,17 @@ def q_kg_provenance(sf_dir: str, k_docs: int = 5):
     construction pipeline ships alongside the graph (reference parity:
     Odinson mentions carry their docId/sentenceId provenance,
     core/src/main/scala/ai/lum/odinson/Mention.scala). Shape: doc-granular
-    triples from the unfused mention chain, per-batch distinct
+    triples (``triples_dataset(aggregate=False)``), per-batch distinct
     (triple, doc) combiner, one count groupby, grouped_topk k=5 +
     segmented concat for the doc list (the inverted_postings shape — a
     boilerplate triple's full doc set never lands in one task)."""
-    from odinson_ray.stages.canon import canonicalize_dataset
     from odinson_ray.stages.shuffle import grouped_topk, hash_join
-    from odinson_ray.stages.triples import mentions_to_triples
 
-    from ..kg import mentions_dataset
+    from ..kg import triples_dataset
 
     SEP = "\x1f"
 
-    mentions = mentions_dataset(sf_dir).map_batches(
-        lambda t: t.filter(pc.equal(t["label"], "SVO")),
-        batch_format="pyarrow")
-    trips, _roots = canonicalize_dataset(
-        mentions.map_batches(mentions_to_triples, batch_format="pyarrow"))
+    trips = triples_dataset(sf_dir, aggregate=False)
 
     def keyed_distinct(t: pa.Table) -> pa.Table:
         tk = pc.binary_join_element_wise(
@@ -2546,16 +2540,10 @@ def q_kg_temporal_triples(sf_dir: str):
     distinct on (triple, doc), then a per-batch min/max/count combiner
     so the final groupby sees one row per (triple, batch) — shuffle
     volume is triple-vocabulary-bounded, never corpus-bounded."""
-    from odinson_ray.stages.canon import canonicalize_dataset
-    from odinson_ray.stages.triples import mentions_to_triples
 
-    from ..kg import mentions_dataset
+    from ..kg import triples_dataset
 
-    mentions = mentions_dataset(sf_dir).map_batches(
-        lambda t: t.filter(pc.equal(t["label"], "SVO")),
-        batch_format="pyarrow")
-    trips, _roots = canonicalize_dataset(
-        mentions.map_batches(mentions_to_triples, batch_format="pyarrow"))
+    trips = triples_dataset(sf_dir, aggregate=False)
 
     def keyed_distinct(t: pa.Table) -> pa.Table:
         tk = pc.binary_join_element_wise(
@@ -2818,17 +2806,11 @@ def q_kg_triple_confidence(sf_dir: str):
     doc->source map is corpus-sized, so no broadcast); n_docs and
     n_sources come from two combiner-fed aggregates merged by one
     vocabulary-bounded join."""
-    from odinson_ray.stages.canon import canonicalize_dataset
     from odinson_ray.stages.shuffle import hash_join
-    from odinson_ray.stages.triples import mentions_to_triples
 
-    from ..kg import mentions_dataset
+    from ..kg import triples_dataset
 
-    mentions = mentions_dataset(sf_dir).map_batches(
-        lambda t: t.filter(pc.equal(t["label"], "SVO")),
-        batch_format="pyarrow")
-    trips, _roots = canonicalize_dataset(
-        mentions.map_batches(mentions_to_triples, batch_format="pyarrow"))
+    trips = triples_dataset(sf_dir, aggregate=False)
 
     def keyed_distinct(t: pa.Table) -> pa.Table:
         tk = pc.binary_join_element_wise(
@@ -2901,16 +2883,9 @@ def q_kg_pred_cooccurrence(sf_dir: str):
     C(#preds, 2) <= C(6, 2) — bounded by the predicate vocabulary)."""
     from ray.data.aggregate import Sum
 
-    from odinson_ray.stages.canon import canonicalize_dataset
-    from odinson_ray.stages.triples import mentions_to_triples
+    from ..kg import triples_dataset
 
-    from ..kg import mentions_dataset
-
-    mentions = mentions_dataset(sf_dir).map_batches(
-        lambda t: t.filter(pc.equal(t["label"], "SVO")),
-        batch_format="pyarrow")
-    trips, _roots = canonicalize_dataset(
-        mentions.map_batches(mentions_to_triples, batch_format="pyarrow"))
+    trips = triples_dataset(sf_dir, aggregate=False)
 
     dp = combine_aggregate(trips, ["doc_id", "pred"], [])
 
@@ -2979,17 +2954,11 @@ def q_kg_entity_timeline(sf_dir: str):
     Endpoint union → distinct (entity, doc) → combiner min/max/count;
     active days from a second distinct (entity, day) aggregate; ONE
     vocabulary-bounded join merges the two."""
-    from odinson_ray.stages.canon import canonicalize_dataset
     from odinson_ray.stages.shuffle import hash_join
-    from odinson_ray.stages.triples import mentions_to_triples
 
-    from ..kg import mentions_dataset
+    from ..kg import triples_dataset
 
-    mentions = mentions_dataset(sf_dir).map_batches(
-        lambda t: t.filter(pc.equal(t["label"], "SVO")),
-        batch_format="pyarrow")
-    trips, _roots = canonicalize_dataset(
-        mentions.map_batches(mentions_to_triples, batch_format="pyarrow"))
+    trips = triples_dataset(sf_dir, aggregate=False)
 
     def ent_doc(t: pa.Table) -> pa.Table:
         ent = pa.chunked_array([t["subj_canon"].combine_chunks(),
@@ -3766,22 +3735,16 @@ def q_kg_delta_report(sf_dir: str):
     every canonical triple is classified added / removed / changed by
     its per-half support counts; stable triples are excluded.
 
-    Shape: ONE pass over the doc-granular mention chain — a per-batch
+    Shape: ONE pass over the doc-granular triples — a per-batch
     (triple-key, n_old, n_new) combiner, one triple groupby, a
     vectorized classify. Support counts are integers; nothing float
     ever decides a status."""
-    from odinson_ray.stages.canon import canonicalize_dataset
-    from odinson_ray.stages.triples import mentions_to_triples
 
-    from ..kg import mentions_dataset
+    from ..kg import triples_dataset
 
     SEP = "\x1f"
 
-    mentions = mentions_dataset(sf_dir).map_batches(
-        lambda t: t.filter(pc.equal(t["label"], "SVO")),
-        batch_format="pyarrow")
-    trips, _roots = canonicalize_dataset(
-        mentions.map_batches(mentions_to_triples, batch_format="pyarrow"))
+    trips = triples_dataset(sf_dir, aggregate=False)
 
     def partial(t: pa.Table) -> pa.Table:
         did = pc.cast(pc.utf8_slice_codeunits(t["doc_id"], 4, 99),

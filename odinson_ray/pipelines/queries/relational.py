@@ -135,36 +135,39 @@ GROUP BY n_name
 """
 
 
+def _dim_map(sf_dir: str, name: str, key: str, value: str) -> dict:
+    """{key: value} over a fixed-size dimension table (nation, region)."""
+    return {r[key]: r[value]
+            for r in table(sf_dir, name, columns=[key, value]).take_all()}
+
+
+def _with_supp_nation(sf_dir: str, li):
+    """``li`` (with ``l_suppkey``) plus each supplier's ``s_nationkey``:
+    the supplier table grows with scale, so it is a size-gated join, not
+    a driver dict."""
+    return broadcast_or_join(
+        li, table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"]),
+        on="l_suppkey", right_on="s_suppkey",
+        right_schema=pa.schema([("s_suppkey", pa.int64()),
+                                ("s_nationkey", pa.int32())]))
+
+
 @query("revenue_by_nation", oracle=ORACLE_REVENUE_BY_NATION)
 def q_revenue_by_nation(sf_dir: str):
-    """lineitem -> supplier -> nation via broadcast dims + grouped sum."""
-    import ray
-
-    supp = pd.read_parquet(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"])
-    nation = pd.read_parquet(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
-    s2n = dict(zip(supp.s_suppkey, supp.s_nationkey))
-    n2name = dict(zip(nation.n_nationkey, nation.n_name))
-    lookup = ray.put({k: n2name[v] for k, v in s2n.items()})
-
-    from odinson_ray.stages.link import get_broadcast
-
-    def enrich(t: pa.Table) -> pa.Table:
-        # broadcast dim lookup + MAP-SIDE COMBINE: collapse each batch to
-        # one row per nation before the global groupby (Ray's aggregate
-        # sort-shuffles every input row otherwise)
-        names = get_broadcast(lookup)
-        keys = t["l_suppkey"].to_numpy(zero_copy_only=False)
+    """lineitem -> supplier (size-gated join) -> grouped sum per nation
+    key, named from the nation dimension after the aggregate."""
+    def project(t: pa.Table) -> pa.Table:
         rev = pc.multiply(t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        return pa.table({
-            "n_name": pa.array([names[k] for k in keys], pa.string()),
-            "revenue": rev,
-        })
+        return pa.table({"s_nationkey": t["s_nationkey"], "revenue": rev})
 
     li = table(sf_dir, "lineitem",
                columns=["l_suppkey", "l_extendedprice", "l_discount"])
-    out = combine_aggregate(li.map_batches(enrich, batch_format="pyarrow"),
-                            "n_name", [("revenue", "revenue", "sum")]
-                            ).to_pandas()
+    out = combine_aggregate(
+        _with_supp_nation(sf_dir, li).map_batches(project, batch_format="pyarrow"),
+        "s_nationkey", [("revenue", "revenue", "sum")]).to_pandas()
+    names = _dim_map(sf_dir, "nation", "n_nationkey", "n_name")
+    out = (out.assign(n_name=out["s_nationkey"].map(names))
+           .groupby("n_name", as_index=False)["revenue"].sum())
     out["revenue"] = out["revenue"].round(2)
     return out
 
@@ -479,13 +482,9 @@ def q_star_join_revenue(sf_dir: str):
     from odinson_ray.stages.link import get_broadcast
     from odinson_ray.stages.shuffle import hash_join
 
-    nation = pd.read_parquet(f"{sf_dir}/nation.parquet",
-                             columns=["n_nationkey", "n_regionkey"])
-    region = pd.read_parquet(f"{sf_dir}/region.parquet",
-                             columns=["r_regionkey", "r_name"])
-    rname = dict(zip(region.r_regionkey, region.r_name))
-    nat_to_region = {int(n): rname[int(r)] for n, r in
-                     zip(nation.n_nationkey, nation.n_regionkey)}
+    rname = _dim_map(sf_dir, "region", "r_regionkey", "r_name")
+    nat_to_region = {int(n): rname[r] for n, r in
+                     _dim_map(sf_dir, "nation", "n_nationkey", "n_regionkey").items()}
     dims = ray.put(nat_to_region)
 
     def order_project(t: pa.Table) -> pa.Table:
@@ -2058,30 +2057,20 @@ GROUP BY 1, 2, 3
 @query("nation_trade", oracle=ORACLE_NATION_TRADE)
 def q_nation_trade(sf_dir: str):
     """Revenue between (supplier nation, customer nation, ship year),
-    cross-nation only. Scale shape: the customer dimension is NOT
-    broadcast (it scales with the corpus) — orders pick up the customer
-    nation via one distributed hash join; lineitem collapses through a
-    map-side (orderkey, supp_nation, year) combiner with the supplier
-    nation from the broadcast supplier->nation map (the one genuinely
-    dim-sized lookup, as in q_revenue_by_nation); the big join keys on
-    orderkey; a 3-key combiner finishes. Both joins are
-    ``broadcast_or_join`` (zero-shuffle while the right side fits the
-    broadcast size, hash join when it doesn't).
+    cross-nation only. Scale shape: neither the customer nor the
+    supplier dimension is a driver dict (both scale with the corpus) —
+    orders pick up the customer nation and lineitem the supplier nation
+    through ``broadcast_or_join`` (zero-shuffle while the right side fits
+    the broadcast size, hash join when it doesn't); lineitem collapses
+    through a map-side (orderkey, supp nation, year) combiner; the big
+    join keys on orderkey; a 3-key combiner finishes. Only the fixed-size
+    nation names are a broadcast dict.
     """
-    import pandas as pd
     import ray
 
     from odinson_ray.stages.link import get_broadcast
-    from odinson_ray.stages.shuffle import broadcast_or_join
 
-    supp = pd.read_parquet(f"{sf_dir}/supplier.parquet",
-                           columns=["s_suppkey", "s_nationkey"])
-    nation = pd.read_parquet(f"{sf_dir}/nation.parquet",
-                             columns=["n_nationkey", "n_name"])
-    n2name = dict(zip(nation.n_nationkey, nation.n_name))
-    s2name = ray.put({k: n2name[v] for k, v in
-                      zip(supp.s_suppkey, supp.s_nationkey)})
-    names_ref = ray.put(n2name)
+    names_ref = ray.put(_dim_map(sf_dir, "nation", "n_nationkey", "n_name"))
 
     orders_cn = broadcast_or_join(
         table(sf_dir, "orders",
@@ -2095,8 +2084,6 @@ def q_nation_trade(sf_dir: str):
                                 ("c_nationkey", pa.int32())]))
 
     def li_partial(t: pa.Table) -> pa.Table:
-        lk = get_broadcast(s2name)
-        keys = t["l_suppkey"].to_numpy(zero_copy_only=False)
         year = pc.cast(pc.year(t["l_shipdate"].cast(pa.timestamp("us"))),
                        pa.int64())
         cents = _cents(pc.multiply(
@@ -2104,21 +2091,21 @@ def q_nation_trade(sf_dir: str):
             pc.subtract(pa.scalar(1.0), t["l_discount"])))
         base = pa.table({
             "l_orderkey": t["l_orderkey"],
-            "supp_nation": pa.array([lk[k] for k in keys], pa.string()),
+            "s_nationkey": t["s_nationkey"],
             "l_year": year, "cents": cents})
-        return partial_aggregate(base, ["l_orderkey", "supp_nation", "l_year"],
+        return partial_aggregate(base, ["l_orderkey", "s_nationkey", "l_year"],
                                  [("pc_", "cents", "sum")])
 
-    li = table(
+    li = _with_supp_nation(sf_dir, table(
         sf_dir, "lineitem",
         columns=["l_orderkey", "l_suppkey", "l_shipdate",
-                 "l_extendedprice", "l_discount"]).map_batches(
+                 "l_extendedprice", "l_discount"])).map_batches(
         li_partial, batch_format="pyarrow")
 
     joined = broadcast_or_join(
         li, orders_cn, on="l_orderkey", right_on="o_orderkey",
         left_schema=pa.schema([("l_orderkey", pa.int64()),
-                               ("supp_nation", pa.string()),
+                               ("s_nationkey", pa.int32()),
                                ("l_year", pa.int64()),
                                ("pc_", pa.int64())]),
         right_schema=pa.schema([("o_orderkey", pa.int64()),
@@ -2126,13 +2113,16 @@ def q_nation_trade(sf_dir: str):
 
     def finish_project(t: pa.Table) -> pa.Table:
         lk = get_broadcast(names_ref)
-        ck = t["c_nationkey"].to_numpy(zero_copy_only=False)
-        cust = pa.array([lk[k] for k in ck], pa.string())
-        t = pa.table({"supp_nation": t["supp_nation"], "cust_nation": cust,
+
+        def named(col):
+            return pa.array([lk[k] for k in t[col].to_numpy(zero_copy_only=False)],
+                            pa.string())
+
+        t = pa.table({"supp_nation": named("s_nationkey"),
+                      "cust_nation": named("c_nationkey"),
                       "l_year": t["l_year"], "pc_": t["pc_"]})
-        t = t.filter(pc.invert(pc.equal(t["supp_nation"],
-                                        t["cust_nation"])))
-        return t
+        return t.filter(pc.invert(pc.equal(t["supp_nation"],
+                                           t["cust_nation"])))
 
     return combine_aggregate(
         joined.map_batches(finish_project, batch_format="pyarrow"),

@@ -65,8 +65,28 @@ def build_root_map(extra_edges: Iterable[Tuple[str, str]]) -> Dict[str, str]:
     return {k: uf.find(k) for k in touched}
 
 
+def canon_columns(batch: pa.Table, roots: Dict[str, str],
+                  columns=("subj", "obj")) -> pa.Table:
+    """Append ``col_canon = "ent:" + root(key(col))`` for each of
+    ``columns`` present in ``batch``: one :func:`canon_key` per unique
+    surface plus a lookup into the edge-touched ``roots`` (every other
+    key is its own root)."""
+    from .link import map_unique_strings
+
+    def one(s: str) -> str:
+        k = canon_key(s)
+        return "ent:" + roots.get(k, k)
+
+    for col in columns:
+        if col in batch.column_names:
+            batch = batch.append_column(
+                col + "_canon", map_unique_strings(batch[col], one)
+            )
+    return batch
+
+
 def canonicalize_dataset(ds, columns=("subj", "obj"), extra_edges=()):
-    """Canonicalize surface columns: ``col_canon = "ent:" + root(key(col))``.
+    """Canonicalize surface columns with :func:`canon_columns`.
 
     Returns (mapped_ds, root_map). The broadcast ``root_map`` covers only
     edge-touched keys (small side); every other surface maps to its own
@@ -80,20 +100,7 @@ def canonicalize_dataset(ds, columns=("subj", "obj"), extra_edges=()):
     mapping_ref = ray.put(roots)
 
     def apply_canon(batch: pa.Table) -> pa.Table:
-        from .link import map_unique_strings
-
-        m = get_broadcast(mapping_ref)
-
-        def one(s: str) -> str:
-            k = canon_key(s)
-            return "ent:" + m.get(k, k)
-
-        for col in columns:
-            if col in batch.column_names:
-                batch = batch.append_column(
-                    col + "_canon", map_unique_strings(batch[col], one)
-                )
-        return batch
+        return canon_columns(batch, get_broadcast(mapping_ref), columns)
 
     # stateless fn: fuses with neighbors, reserves no actor CPUs
     mapped = ds.map_batches(apply_canon, batch_format="pyarrow")

@@ -95,18 +95,25 @@ def get_broadcast(ref):
     return _BROADCAST_CACHE[key]
 
 
+def link_columns(batch: pa.Table, alias_table, columns=("subj", "obj"),
+                 suffix="_ent") -> pa.Table:
+    """Append ``col + suffix`` = the linked entity id of each surface in
+    ``columns``, one :func:`link_surface` call per unique surface."""
+    for col in columns:
+        linked = map_unique_strings(
+            batch[col], lambda s: link_surface(s, alias_table)
+        )
+        batch = batch.append_column(col + suffix, linked)
+    return batch
+
+
 def make_linker(alias_table_ref, columns=("subj", "obj"), suffix="_ent"):
-    """Stateless map_batches fn: broadcast-alias-table lookup per batch.
-    Fuses with neighboring stages; no actor CPU reservation."""
+    """Stateless map_batches fn: :func:`link_columns` against the
+    broadcast alias table. Fuses with neighboring stages; no actor CPU
+    reservation."""
 
     def link_batch(batch: pa.Table) -> pa.Table:
-        alias_table = get_broadcast(alias_table_ref)
-        for col in columns:
-            linked = map_unique_strings(
-                batch[col], lambda s: link_surface(s, alias_table)
-            )
-            batch = batch.append_column(col + suffix, linked)
-        return batch
+        return link_columns(batch, get_broadcast(alias_table_ref), columns,
+                            suffix)
 
     return link_batch
-

@@ -194,54 +194,17 @@ def _count_error_triples(shard_out: str) -> int:
 def kg_run_sharded(sf_dir: str, out_dir: str, num_shards: int = 4,
                    rules_yaml: Optional[str] = None,
                    concurrency: Optional[int] = None) -> Dict[str, dict]:
-    """Checkpointed flagship run: documents split into doc_id-range shards;
-    each shard runs the full KG pipeline and writes its triples partition."""
-    import pyarrow.compute as pc
+    """Checkpointed flagship run: documents split into ``num_shards``
+    doc_id-range shards named "0", "1", ...; each shard runs the full KG
+    pipeline and writes its triples partition (:func:`kg_run_fragments`)."""
     import pyarrow.parquet as pq
-    from ..sources.io import table
 
-    from ..pipelines.kg import FLAGSHIP_RULES
-    from ..stages.match import GrammarMatcher, match_batches
-    from ..stages.triples import svo_or_error_triples
-
-    rules = rules_yaml or FLAGSHIP_RULES
     n_rows = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     bounds = [round(i * n_rows / num_shards) for i in range(num_shards + 1)]
-
-    def run_shard(shard: str, shard_out: str) -> dict:
-        i = int(shard)
-        lo, hi = bounds[i], bounds[i + 1]
-        docs = table(sf_dir, "documents",
-                     columns=_doc_columns(sf_dir))
-        docs = docs.map_batches(
-            # replace_schema_metadata: the source parquet's b'pandas'
-            # metadata makes pa.Schema unhashable and defeats Ray Data's
-            # schema dedup downstream ("Failed to hash the schemas")
-            lambda t: t.filter(
-                pc.and_(pc.greater_equal(t["doc_id"], lo), pc.less(t["doc_id"], hi))
-            ).replace_schema_metadata(None),
-            batch_format="pyarrow",
-        )
-        # interleaving runs INSIDE the matcher tasks (raw-table input):
-        # the standalone build_interleaved stage both shipped the nested
-        # spans column through the object store AND dropped any
-        # caller-supplied metadata columns before the matcher saw them
-        mentions = match_batches(docs, GrammarMatcher, rules,
-                                 concurrency=concurrency)
-        triples = mentions.map_batches(svo_or_error_triples,
-                                       batch_format="pyarrow")
-        triples.write_parquet(shard_out)
-        n_rows = sum(
-            pq.read_metadata(os.path.join(shard_out, f)).num_rows
-            for f in os.listdir(shard_out)
-            if f.endswith(".parquet")
-        )
-        n_err = _count_error_triples(shard_out)
-        # lineage carries the failure stream per shard (ADVICE r04 last
-        # mile): a resumed 100-TB run can audit errors without re-reading
-        return {"docs": hi - lo, "triples": n_rows - n_err, "errors": n_err}
-
-    return run_sharded([str(i) for i in range(num_shards)], run_shard, out_dir)
+    return kg_run_fragments(
+        sf_dir, out_dir,
+        [(str(i), bounds[i], bounds[i + 1]) for i in range(num_shards)],
+        rules_yaml, concurrency)
 
 
 def fragment_content_version(sf_dir: str, lo: int, hi: int) -> str:
@@ -306,7 +269,10 @@ def kg_run_fragments(sf_dir: str, out_dir: str, fragments, rules_yaml: Optional[
             ).replace_schema_metadata(None),
             batch_format="pyarrow",
         )
-        # raw-table input: interleave inside the matcher (see kg_run_sharded)
+        # interleaving runs INSIDE the matcher tasks (raw-table input):
+        # the standalone build_interleaved stage both shipped the nested
+        # spans column through the object store AND dropped any
+        # caller-supplied metadata columns before the matcher saw them
         mentions = match_batches(docs, GrammarMatcher, rules,
                                  concurrency=concurrency)
         triples = mentions.map_batches(svo_or_error_triples,
@@ -317,6 +283,8 @@ def kg_run_fragments(sf_dir: str, out_dir: str, fragments, rules_yaml: Optional[
             for f in os.listdir(shard_out) if f.endswith(".parquet")
         )
         n_err = _count_error_triples(shard_out)
+        # lineage carries the failure stream per shard (ADVICE r04 last
+        # mile): a resumed 100-TB run can audit errors without re-reading
         return {"docs": hi - lo, "triples": n_rows - n_err, "errors": n_err}
 
     return run_sharded([name for name, _, _, _ in frags], run_shard, out_dir,

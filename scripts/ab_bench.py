@@ -17,6 +17,12 @@ for a rate or a time, the median pair ratio of the values normalized by
 each run's own ``calib_s`` (a rate times ``calib_s``, seconds divided by
 it), which takes the host's speed level of the moment out of each run;
 then one JSON object holding every run.
+
+Each run also records as ``left_running`` every process (pid and
+arguments) that appeared while its ``run.py`` ran, carries that run's
+``AB_BENCH_RUN`` environment mark (inherited by everything the run
+starts, also once reparented) and is still alive up to 10 s after the
+run exited; pair lines and the summary count them.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
+import uuid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -46,19 +54,53 @@ def export_ref(ref: str, dest: str) -> str:
     return commit
 
 
+def live_pids() -> set:
+    return {int(d) for d in os.listdir("/proc") if d.isdigit()}
+
+
+def proc_file(pid: int, name: str) -> bytes:
+    try:
+        with open(f"/proc/{pid}/{name}", "rb") as f:
+            return f.read()
+    except OSError:
+        return b""
+
+
+def left_running(before: set, mark: str, wait_s: float = 10.0) -> list:
+    """Processes started since ``before`` whose environment holds ``mark``
+    and that are still alive (zombies have no command line) after polling
+    for up to ``wait_s`` seconds: [{"pid", "args"}]."""
+    deadline = time.monotonic() + wait_s
+    while True:
+        left = []
+        for pid in sorted(live_pids() - before):
+            args = proc_file(pid, "cmdline").replace(b"\0", b" ").strip()
+            if args and mark.encode() in proc_file(pid, "environ").split(b"\0"):
+                left.append({"pid": pid, "args": args.decode(errors="replace")})
+        if not left or time.monotonic() >= deadline:
+            return left
+        time.sleep(0.25)
+
+
 def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run from ``root``: its two result lines."""
+    """One ``perfbench/run.py`` run from ``root``: its two result lines and
+    the processes it left running."""
+    token = uuid.uuid4().hex
+    before = live_pids()
     p = subprocess.run([sys.executable, os.path.join("perfbench", "run.py"),
                         "--workload", workload, "--seed", str(seed),
                         "--seconds", str(seconds), "--trace", str(trace)],
-                       cwd=root, capture_output=True, text=True)
+                       cwd=root, capture_output=True, text=True,
+                       env=dict(os.environ, AB_BENCH_RUN=token))
+    left = left_running(before, f"AB_BENCH_RUN={token}")
     lines = p.stdout.strip().splitlines()
     if p.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"run.py failed in {root} (seed {seed}, exit {p.returncode}):\n"
-                           f"{p.stdout[-2000:]}\n{p.stderr[-2000:]}")
+                           f"{p.stdout[-2000:]}\n{p.stderr[-2000:]}\nleft running: {left}")
     info, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {"seed": seed, "calib_s": info["calib_s"], "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
+            "left_running": left,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "units": {k: v["unit"] for k, v in result["metrics"].items()}}
 
@@ -111,7 +153,13 @@ def main(argv=None) -> int:
             print(f"pair {i + 1} seed {seed} first={order[0]}: " + "; ".join(cells)
                   + f"; calib_s {ref['calib_s']:.3f}/{tree['calib_s']:.3f}"
                   + f"; correct {ref['correct']}/{tree['correct']}"
-                  + f"; failed {ref['failed']}/{tree['failed']}", flush=True)
+                  + f"; failed {ref['failed']}/{tree['failed']}"
+                  + f"; left_running {len(ref['left_running'])}/{len(tree['left_running'])}",
+                  flush=True)
+            for side, run in (("ref", ref), ("tree", tree)):
+                for proc in run["left_running"]:
+                    print(f"  {side} left running: pid {proc['pid']}: {proc['args']}",
+                          flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -135,9 +183,11 @@ def main(argv=None) -> int:
               + (f"median pair ratio {summary[k]['median_ratio']:.3f}" if ratios else "")
               + (f" (per calib_s {summary[k]['calib_median_ratio']:.3f})"
                  if calib_ratios else ""))
+    left = {side: sum(len(r["left_running"]) for r in runs[side]) for side in runs}
+    print(f"left_running: ref {left['ref']} tree {left['tree']} processes")
     print(json.dumps({"workload": args.workload, "ref": args.ref, "ref_commit": commit,
                       "seconds": args.seconds, "trace": args.trace,
-                      "summary": summary, "runs": runs}))
+                      "left_running": left, "summary": summary, "runs": runs}))
     return 0
 
 

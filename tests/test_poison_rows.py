@@ -144,3 +144,37 @@ def test_sharded_lineage_records_error_counts(tmp_path):
         n_err = d.count_rows(filter=pads.field("pred") == "__error__")
         assert n_err == rec["errors"]
         assert d.count_rows() - n_err == rec["triples"]
+
+
+def _sorted_triples(df):
+    cols = ["subj_canon", "pred", "obj_canon", "subj", "obj", "n"]
+    return df[cols].sort_values(cols).reset_index(drop=True)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_builder_staged_path_reports_exact_error_count(tmp_path):
+    """A transform forces the builder off the fused path onto its
+    mention stream + ``link_triples``; the failure stream must survive
+    that path as it does the fused one."""
+    from odinson_ray.pipelines.builder import Pipeline
+    from odinson_ray.pipelines.kg import triples_dataset
+
+    sf = _poison_corpus(tmp_path, n_docs=20, n_poison=7)
+    staged = (Pipeline(sf).match(concurrency=2)
+              .transform(lambda t: t).build().to_pandas())
+    err = staged.query("subj_canon == 'ent:__error__'")
+    assert len(err) == 1 and int(err.iloc[0].n) == 7
+    fused = triples_dataset(sf).to_pandas()
+    assert _sorted_triples(staged).equals(_sorted_triples(fused))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_provenance_reports_error_triple_doc_count(tmp_path):
+    from odinson_ray.pipelines.queries.graph import q_kg_provenance
+
+    sf = _poison_corpus(tmp_path, n_docs=20, n_poison=7)
+    out = q_kg_provenance(sf).to_pandas()
+    err = out.query("subj_canon == 'ent:__error__'")
+    assert len(err) == 1
+    assert err.iloc[0].pred == "__error__"
+    assert int(err.iloc[0].n_docs) == 7
