@@ -7,10 +7,13 @@ NormalizedTokenStream for the synonym-merged ``norm`` field
 (core/.../lucene/analysis/NormalizedTokenStream.scala:24-63), and the
 BinaryDocValues dependency graph).
 
-Built on the fly inside map_batches, one BatchVocab per batch. An
-in-memory engine indexes its whole corpus once (:class:`CorpusIndex`): one
-BatchVocab per distinct layer set, over which a query's candidate
-sentences are found before any sentence is visited.
+Every BatchVocab comes from :meth:`BatchVocab.from_layers`: one per
+annotated batch (``stages.annotate``), one per decoded group of a
+``sentences`` column (``stages.match``) and, for an in-memory engine, one
+per distinct layer set of its corpus (:class:`CorpusIndex`), over which a
+query's candidate sentences are found before any sentence is visited. A
+vocabulary-backed sentence reads a token layer it does not hold from its
+vocabulary (:meth:`BatchVocab.tokens`) on first use.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..common.normalize import (
     normalize_unicode,
@@ -65,7 +70,7 @@ class BatchVocab:
     :meth:`query_memo`, whose entries die with the compiled query."""
 
     __slots__ = (
-        "terms", "fields", "offsets", "num_sents",
+        "terms", "fields", "offsets", "num_sents", "_bounds", "_flat_tokens",
         "_nfkc_map", "_nfkc_tid", "_nfkc_terms",
         "_agg_map", "_agg_tid", "_agg_terms",
         "_mapped", "_postings", "_sent_of", "_query_memo",
@@ -79,6 +84,8 @@ class BatchVocab:
         self.fields = fields
         self.offsets = offsets
         self.num_sents = len(offsets) - 1
+        self._bounds: List[int] = offsets.tolist()
+        self._flat_tokens: Dict[str, List[str]] = {}
         self._nfkc_map: Optional[np.ndarray] = None
         self._nfkc_tid: Optional[Dict[str, int]] = None
         self._nfkc_terms: Optional[np.ndarray] = None
@@ -89,6 +96,41 @@ class BatchVocab:
         self._postings: Dict = {}  # (field, term) -> {slot: positions}
         self._sent_of: Optional[np.ndarray] = None
         self._query_memo = weakref.WeakKeyDictionary()
+
+    @classmethod
+    def from_layers(cls, layers: Dict[str, Tuple[np.ndarray, Sequence[str]]],
+                    offsets: np.ndarray) -> "BatchVocab":
+        """The vocabulary of the sentences bounded by ``offsets`` whose
+        layer ``name`` holds the flat tokens ``uniques[codes]``, for
+        ``layers[name] == (codes, uniques)``; ``uniques`` may repeat a
+        string, and layers may share one ``uniques`` list. One hash encode
+        over the distinct lists gives each distinct string one term id, in
+        first-seen order."""
+        starts: Dict[int, int] = {}  # id(uniques) -> its offset in the encode
+        parts = []
+        for _, uniques in layers.values():
+            if id(uniques) not in starts:
+                starts[id(uniques)] = sum(map(len, parts))
+                parts.append(np.asarray(uniques, dtype=object))
+        enc = pc.dictionary_encode(pa.array(np.concatenate(parts), pa.string()))
+        tid = enc.indices.to_numpy(zero_copy_only=False)
+        ids: Dict[str, np.ndarray] = {}
+        for name, (codes, uniques) in layers.items():
+            remap = tid[starts[id(uniques)]:][:len(uniques)]
+            # distinct uniques in first-seen order: the codes are the ids
+            ids[name] = (codes if np.array_equal(remap, np.arange(len(remap)))
+                         else remap.take(codes))
+        if "word" in ids and np.array_equal(ids["word"], ids["raw"]):
+            ids["word"] = ids["raw"]  # one array: the norm field reads raw once
+        return cls(enc.dictionary.to_numpy(zero_copy_only=False), ids, offsets)
+
+    def tokens(self, field: str, slot: int) -> List[str]:
+        """Sentence ``slot``'s ``field`` tokens: the first read of a field
+        gathers its strings over every sentence once."""
+        flat = self._flat_tokens.get(field)
+        if flat is None:
+            flat = self._flat_tokens[field] = self.terms[self.fields[field]].tolist()
+        return flat[self._bounds[slot]:self._bounds[slot + 1]]
 
     # ------------------------------------------------- normalized views
 
@@ -261,7 +303,7 @@ class SentenceIndex:
     """Inverted positional structures for one sentence."""
 
     __slots__ = ("length", "fields", "graph", "_postings", "_trav_starts",
-                 "vocab", "slot", "_shared", "field_loader", "lazy_layers")
+                 "vocab", "slot", "_shared")
 
     def __init__(
         self,
@@ -273,8 +315,6 @@ class SentenceIndex:
         shared: Optional[SharedGraphContext] = None,
         vocab: Optional[BatchVocab] = None,
         slot: int = -1,
-        field_loader: Optional[Callable[[int, str], Optional[List[str]]]] = None,
-        lazy_layers: Tuple[str, ...] = (),
     ):
         # `raw` is required (displayField); other layers optional
         self.length = len(fields.get("raw") or next(iter(fields.values())))
@@ -301,13 +341,11 @@ class SentenceIndex:
             self._trav_starts = weakref.WeakKeyDictionary()
         self._postings: Dict[str, Dict[str, List[int]]] = {}
         # optional batch-vocab backing: term/predicate lookups resolve
-        # against the batch-level lazy inverted index at this slot
+        # against the batch-level lazy inverted index at this slot, and a
+        # token layer of the vocabulary missing from ``fields`` is read
+        # from it only when something reads the strings
         self.vocab = vocab
         self.slot = slot
-        # derived token layers materialized only when actually read
-        # (verbosity="all" output, non-vocab postings fallback)
-        self.field_loader = field_loader
-        self.lazy_layers = lazy_layers
 
     # ------------------------------------------------------------ postings
 
@@ -402,17 +440,16 @@ class SentenceIndex:
 
     def _field(self, field: str) -> Optional[List[str]]:
         v = self.fields.get(field)
-        if v is None and self.field_loader is not None and field in self.lazy_layers:
-            v = self.field_loader(self.slot, field)
-            if v is not None:
-                self.fields[field] = v
+        if v is None and self.vocab is not None and field in self.vocab.fields:
+            v = self.fields[field] = self.vocab.tokens(field, self.slot)
         return v
 
     def all_fields(self) -> Dict[str, List[str]]:
-        """fields dict with every lazy layer materialized (for
+        """fields dict with every layer of the vocabulary materialized (for
         verbosity='all' output paths that iterate all stored layers)."""
-        for name in self.lazy_layers:
-            self._field(name)
+        if self.vocab is not None:
+            for name in self.vocab.fields:
+                self._field(name)
         return self.fields
 
     def tokens(self, field: str = "raw") -> List[str]:
@@ -428,7 +465,6 @@ class SentenceIndex:
         view.fields = fields
         view._postings = {}
         view.vocab, view.slot = vocab, slot
-        view.field_loader, view.lazy_layers = None, ()
         return view
 
 
@@ -503,17 +539,17 @@ _DERIVED_FIELDS = frozenset(EDGE_FIELDS + (NORM_FIELD,))
 
 
 def _index_layers(sent: SentenceIndex) -> Optional[Dict[str, Sequence[str]]]:
-    """A sentence's token layers (lazy ones read through its loader, never
-    cached into it), or None when it is outside CorpusIndex's clean
-    subset."""
-    names = set(sent.fields).union(sent.lazy_layers)
-    if "raw" not in names or not _DERIVED_FIELDS.isdisjoint(names):
-        return None
+    """A sentence's token layers (those it has not read yet come from its
+    vocabulary, never cached into it), or None when it is outside
+    CorpusIndex's clean subset."""
     layers = sent.fields
-    if len(names) > len(layers):
+    missing = () if sent.vocab is None else sent.vocab.fields.keys() - layers.keys()
+    if missing:
         layers = dict(layers)
-        for name in names.difference(layers):
-            layers[name] = sent.field_loader(sent.slot, name) if sent.field_loader else None
+        for name in missing:
+            layers[name] = sent.vocab.tokens(name, sent.slot)
+    if "raw" not in layers or not _DERIVED_FIELDS.isdisjoint(layers):
+        return None
     for toks in layers.values():
         if toks is None or len(toks) != sent.length:
             return None
@@ -522,20 +558,22 @@ def _index_layers(sent: SentenceIndex) -> Optional[Dict[str, Sequence[str]]]:
 
 def _group_vocab(names: Sequence[str], members: List[Dict[str, Sequence[str]]]
                  ) -> Optional[BatchVocab]:
-    """One BatchVocab over sentences carrying the same layers, term ids in
-    first-seen order; None when a token is not a string (the sentences
-    stay unindexed)."""
+    """One BatchVocab over sentences carrying the same layers; None when a
+    token is not a string or not encodable text (a lone surrogate): the
+    sentences stay unindexed."""
     offsets = np.zeros(len(members) + 1, np.int64)
     np.cumsum([len(m["raw"]) for m in members], out=offsets[1:])
     tid: Dict[str, int] = {}
     try:
-        ids = {name: np.fromiter((tid.setdefault(t, len(tid)) for m in members for t in m[name]),
-                                 np.int32, int(offsets[-1]))
-               for name in names}
+        codes = {name: np.fromiter((tid.setdefault(t, len(tid)) for m in members for t in m[name]),
+                                   np.int32, int(offsets[-1]))
+                 for name in names}
     except TypeError:  # an unhashable token
         return None
-    if not all(isinstance(t, str) for t in tid):
+    uniques = list(tid)
+    if not all(isinstance(t, str) for t in uniques):
         return None
-    if "word" in ids and np.array_equal(ids["word"], ids["raw"]):
-        ids["word"] = ids["raw"]  # one array: the norm field reads raw once
-    return BatchVocab(np.array(list(tid), dtype=object), ids, offsets)
+    try:
+        return BatchVocab.from_layers({name: (c, uniques) for name, c in codes.items()}, offsets)
+    except UnicodeEncodeError:
+        return None

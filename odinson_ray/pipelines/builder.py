@@ -17,11 +17,13 @@
 Triples are projected from the grammar's ``SVO`` events, plus one
 reserved ``__error__`` triple per failed document. Stages not configured
 fall back to the flagship defaults: with none of annotator, transform,
-edges or alias table set, ``build`` is the fused ``triples_dataset``;
-otherwise the mention stream ends in ``kg.link_triples``. ``annotator``
-switches between the inline deterministic path (None, fastest — nothing
-nested crosses the object store) and a two-stage heavy-model actor pool
-(a callable class, loaded once per actor)."""
+edges or alias table set, an aggregating ``build`` runs the fused
+``TripleCounter`` tasks of ``triples_dataset``; otherwise the mention
+stream ends in ``kg.link_triples``. The grammar's ``variables`` reach
+the matcher on every path. ``annotator`` switches between the inline
+deterministic path (None, fastest — nothing nested crosses the object
+store) and a two-stage heavy-model actor pool (a callable class, loaded
+once per actor)."""
 
 from __future__ import annotations
 
@@ -88,12 +90,10 @@ class Pipeline:
         """Build up to the mention stream (no KG tail)."""
         from ..stages.annotate import annotate_stage
         from ..stages.match import GrammarMatcher, match_batches
-        from .kg import mentions_dataset
+        from .kg import _read_docs
 
         if self._annotator is None:
-            ds = mentions_dataset(self._sf_dir, self._rules,
-                                  concurrency=self._concurrency,
-                                  batch_size=self._batch_size)
+            docs, concurrency = _read_docs(self._sf_dir), self._concurrency
         else:
             from ..sources.interleaved import read_interleaved
 
@@ -131,28 +131,29 @@ class Pipeline:
                     "(streaming-executor deadlock otherwise)",
                     RuntimeWarning,
                 )
-            docs = read_interleaved(self._sf_dir)
-            annotated = annotate_stage(docs, self._annotator,
-                                       concurrency=pool_a)
-            ds = match_batches(annotated, GrammarMatcher, self._rules,
-                               self._variables, concurrency=pool_m,
-                               batch_size=self._batch_size)
+            docs = annotate_stage(read_interleaved(self._sf_dir), self._annotator,
+                                  concurrency=pool_a)
+            concurrency = pool_m
+        ds = match_batches(docs, GrammarMatcher, self._rules, self._variables,
+                           concurrency=concurrency, batch_size=self._batch_size)
         for fn in self._transforms:
             ds = ds.map_batches(fn, batch_format="pyarrow")
         return ds
 
     def build(self):
         """Full chain -> Dataset of (canonical) triples."""
+        from ..stages.match import match_batches
         from ..stages.triples import aggregate_triples, svo_or_error_triples
-        from .kg import link_triples, triples_dataset
+        from .kg import TripleCounter, _read_docs, link_triples
 
-        if (self._annotator is None and not self._transforms
+        if (self._aggregate and self._annotator is None and not self._transforms
                 and not self._canon_edges and self._alias_table is None):
-            # default shape: reuse the fused fast path (identical output)
-            return triples_dataset(self._sf_dir, self._rules,
-                                   concurrency=self._concurrency,
-                                   batch_size=self._batch_size,
-                                   aggregate=self._aggregate)
+            # default shape: the fused TripleCounter tasks of
+            # triples_dataset (identical output)
+            partials = match_batches(_read_docs(self._sf_dir), TripleCounter, self._rules,
+                                     self._variables, concurrency=self._concurrency,
+                                     batch_size=self._batch_size)
+            return aggregate_triples(partials, pre_counted=True)
         raw = self.mentions().map_batches(svo_or_error_triples,
                                           batch_format="pyarrow")
         ds = link_triples(raw, self._canon_edges, self._alias_table)

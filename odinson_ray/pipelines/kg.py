@@ -51,7 +51,7 @@ rules:
 """
 
 
-def _read_docs(sf_dir: str, docs_per_block: int):
+def _read_docs(sf_dir: str, docs_per_block: int = 5000):
     """Pruned flagship read of the documents table.
 
     Columns: the four the deterministic annotation path derives from

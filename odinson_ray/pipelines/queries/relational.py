@@ -165,6 +165,8 @@ def q_revenue_by_nation(sf_dir: str):
     out = combine_aggregate(
         _with_supp_nation(sf_dir, li).map_batches(project, batch_format="pyarrow"),
         "s_nationkey", [("revenue", "revenue", "sum")]).to_pandas()
+    # an empty aggregate's frame has no columns
+    out = out.reindex(columns=["s_nationkey", "revenue"])
     names = _dim_map(sf_dir, "nation", "n_nationkey", "n_name")
     out = (out.assign(n_name=out["s_nationkey"].map(names))
            .groupby("n_name", as_index=False)["revenue"].sum())

@@ -9,15 +9,19 @@ The grammar is compiled once per task (the reference compiles once per
 engine: RuleReader.compileRuleStream): :func:`match_batches` maps a plain
 function that builds the matcher on its first batch, so warm worker
 processes serve job after job without an actor start. Per batch the
-matcher builds
-per-document inverted structures and runs the per-document cascade
-(priorities + state confined to the document, SURVEY §3.1 — no
-distributed state, no shuffle).
+matcher builds the batch's sentences over one vocabulary per batch
+(``BatchVocab.from_layers``): raw text is annotated by
+``annotate_texts_vectorized``, a pre-annotated ``sentences`` column is
+decoded by :func:`decode_sentences`, one vocabulary per set of present
+layers. It then runs the per-document cascade (priorities + state
+confined to the document, SURVEY §3.1 — no distributed state, no
+shuffle). A document the batch path cannot take is built alone: its
+texts annotated by themselves, or its structs decoded one by one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -37,7 +41,7 @@ from ..core.traversal import DirectedGraph
 from ..lang.rules import RuleReader
 from ..sources.interleaved import build_interleaved
 from ..sources.odinson_json import fields_to_metadata
-from .annotate import annotate_texts_vectorized, annotate_tokens_fast
+from .annotate import annotate_texts_vectorized
 
 ARG_TYPE = pa.struct(
     [
@@ -56,21 +60,18 @@ EMPTY_ARGS: List[Dict] = []  # shared, never mutated (pa.array only reads)
 
 def sentence_index_from_struct(s: Dict, *, vocab: Optional[BatchVocab] = None,
                                slot: int = -1,
-                               shared: Optional[SharedGraphContext] = None,
-                               field_loader=None,
-                               lazy_layers: Tuple[str, ...] = ()) -> SentenceIndex:
+                               shared: Optional[SharedGraphContext] = None) -> SentenceIndex:
     """One ``sentences`` struct -> SentenceIndex.
 
     Single-dict form: ``s`` is the struct as Python (layers, ``graph``);
     tokens are sanitized and edge labels normalized here. Batch form
     (``vocab`` given, from :func:`decode_sentences`): ``s`` holds only the
-    sanitized ``raw`` tokens, the graph comes from ``shared`` and the
-    other layers load lazily through ``field_loader``. A struct whose
-    ``raw`` (display) layer is null raises ValueError."""
+    sanitized ``raw`` tokens of vocabulary slot ``slot``, the graph comes
+    from ``shared`` and the other layers are read from ``vocab`` when
+    something reads them. A struct whose ``raw`` (display) layer is null
+    raises ValueError."""
     if vocab is not None:
-        return SentenceIndex(s, take_ownership=True, shared=shared, vocab=vocab,
-                             slot=slot, field_loader=field_loader,
-                             lazy_layers=lazy_layers)
+        return SentenceIndex(s, take_ownership=True, shared=shared, vocab=vocab, slot=slot)
     if s.get("raw") is None:
         raise ValueError("sentence has a null raw layer")
     graph = s.get("graph") or {}
@@ -146,40 +147,19 @@ def _decode_group(layers: Dict[str, tuple], sel: np.ndarray, n_sents: int,
                   raw_lens: np.ndarray, graphs: _Graphs, out: list):
     """Decode the flat sentences ``sel`` (all with the same present
     ``layers``) into ``out``, backed by one BatchVocab: each layer is
-    dictionary-encoded, sanitized once per unique term and re-uniqued into
-    one sorted term list."""
+    dictionary-encoded and sanitized once per unique token."""
     whole = len(sel) == n_sents
     idx = None if whole else pa.array(sel)
-    dicts, codes = {}, {}
+    coded = {}
     for name, (lists, values) in layers.items():
         enc = pc.dictionary_encode(values if whole else pc.list_flatten(lists.take(idx)))
-        codes[name] = enc.indices.to_numpy(zero_copy_only=False)
-        dicts[name] = np.array([sanitize_token(t) for t in enc.dictionary.to_pylist()],
-                               dtype=object)
-    terms = np.unique(np.concatenate(list(dicts.values())))
-    ids = {name: np.searchsorted(terms, dicts[name]).astype(np.int32)[codes[name]]
-           for name in layers}
-    if "word" in ids and np.array_equal(ids["word"], ids["raw"]):
-        ids["word"] = ids["raw"]  # one array: the norm field reads raw once
-    offsets = np.concatenate(([0], np.cumsum(raw_lens[sel])))
-    vocab = BatchVocab(terms, ids, offsets)
-    off = offsets.tolist()
-    raw = terms[ids["raw"]].tolist()
-    lazy = tuple(name for name in layers if name != "raw")
-    flat_cache: Dict[str, list] = {}
-
-    def field_loader(slot: int, field: str):
-        flat = flat_cache.get(field)
-        if flat is None:
-            flat = flat_cache[field] = terms[ids[field]].tolist()
-        return flat[off[slot]:off[slot + 1]]
-
+        coded[name] = (enc.indices.to_numpy(zero_copy_only=False),
+                       [sanitize_token(t) for t in enc.dictionary.to_numpy(zero_copy_only=False)])
+    vocab = BatchVocab.from_layers(coded, np.concatenate(([0], np.cumsum(raw_lens[sel]))))
     for slot, j in enumerate(sel.tolist()):
-        a, b = off[slot], off[slot + 1]
-        out[j] = sentence_index_from_struct(
-            {"raw": raw[a:b]}, vocab=vocab, slot=slot,
-            shared=graphs.context(j, b - a),
-            field_loader=field_loader, lazy_layers=lazy)
+        raw = vocab.tokens("raw", slot)
+        out[j] = sentence_index_from_struct({"raw": raw}, vocab=vocab, slot=slot,
+                                            shared=graphs.context(j, len(raw)))
 
 
 def decode_sentences(col, keep: Optional[List[bool]] = None
@@ -232,7 +212,7 @@ def decode_sentences(col, keep: Optional[List[bool]] = None
     sig = np.zeros(n_sents, np.int64)
     for i, valid in enumerate(present.values()):
         sig |= valid.astype(np.int64) << i
-    for s in np.unique(sig[use]).tolist():
+    for s in sorted(set(sig[use].tolist())):
         group = {name: layers[name] for i, name in enumerate(present) if s >> i & 1}
         _decode_group(group, np.flatnonzero(use & (sig == s)), n_sents, raw_lens,
                       graphs, out)
@@ -298,19 +278,6 @@ class GrammarMatcher:
         self._pushdown = bool(self._filters) and all(
             f is not None for f in self._filters
         )
-
-    def _sentences_from_texts(self, texts: List[str]) -> List[SentenceIndex]:
-        # NOTE: annotate_tokens_fast must be imported at module level — a
-        # lazy import here would execute inside Ray workers, where the
-        # package is only available by-value (no importable module)
-        out = []
-        for text in texts:
-            toks = text.split(" ") if text else []
-            fields, edges, roots = annotate_tokens_fast(toks)
-            out.append(SentenceIndex(fields, edges, roots,
-                                     prenormalized_labels=True,
-                                     take_ownership=True))
-        return out
 
     METADATA_COLUMNS = ("lang", "source", "pub_date", "citations", "metadata",
                         "metadata_json")
@@ -453,8 +420,9 @@ class GrammarMatcher:
             try:
                 sent_indexes = None if sents_per_doc is None else sents_per_doc[row_idx]
                 if sent_indexes is None and spans_texts is not None:
-                    # batch-wide annotate failed
-                    sent_indexes = self._sentences_from_texts(spans_texts[row_idx])
+                    # the batch-wide annotate failed: annotate this
+                    # document alone
+                    sent_indexes = annotate_texts_vectorized(spans_texts[row_idx])
                 elif sent_indexes is None:
                     # outside the batch decode's clean subset; a null cell
                     # is a document with no sentences

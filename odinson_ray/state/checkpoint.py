@@ -194,13 +194,19 @@ def _count_error_triples(shard_out: str) -> int:
 def kg_run_sharded(sf_dir: str, out_dir: str, num_shards: int = 4,
                    rules_yaml: Optional[str] = None,
                    concurrency: Optional[int] = None) -> Dict[str, dict]:
-    """Checkpointed flagship run: documents split into ``num_shards``
-    doc_id-range shards named "0", "1", ...; each shard runs the full KG
-    pipeline and writes its triples partition (:func:`kg_run_fragments`)."""
+    """Checkpointed flagship run: the sorted ``doc_id`` column cut into
+    ``num_shards`` doc_id ranges of about equal document count, named
+    "0", "1", ...; each shard runs the full KG pipeline and writes its
+    triples partition (:func:`kg_run_fragments`). With more shards than
+    documents, some ranges hold no document."""
+    import numpy as np
     import pyarrow.parquet as pq
 
-    n_rows = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    bounds = [round(i * n_rows / num_shards) for i in range(num_shards + 1)]
+    ids = np.sort(pq.read_table(f"{sf_dir}/documents.parquet",
+                                columns=["doc_id"])["doc_id"].drop_null().to_numpy())
+    end = int(ids[-1]) + 1 if len(ids) else 0
+    bounds = [int(ids[c]) if c < len(ids) else end
+              for c in (round(i * len(ids) / num_shards) for i in range(num_shards + 1))]
     return kg_run_fragments(
         sf_dir, out_dir,
         [(str(i), bounds[i], bounds[i + 1]) for i in range(num_shards)],
@@ -244,6 +250,7 @@ def kg_run_fragments(sf_dir: str, out_dir: str, fragments, rules_yaml: Optional[
     - DELETE: with ``retract_missing``, fragments dropped from the list
       have their outputs removed and are marked retracted."""
     import pyarrow.compute as pc
+    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
     from ..sources.io import table
 
@@ -278,14 +285,18 @@ def kg_run_fragments(sf_dir: str, out_dir: str, fragments, rules_yaml: Optional[
         triples = mentions.map_batches(svo_or_error_triples,
                                        batch_format="pyarrow")
         triples.write_parquet(shard_out)
+        os.makedirs(shard_out, exist_ok=True)  # an empty stream writes no directory
         n_rows = sum(
             pq.read_metadata(os.path.join(shard_out, f)).num_rows
             for f in os.listdir(shard_out) if f.endswith(".parquet")
         )
-        n_err = _count_error_triples(shard_out)
+        n_err = _count_error_triples(shard_out) if n_rows else 0
+        doc_id = pads.field("doc_id")
+        n_docs = pads.dataset(f"{sf_dir}/documents.parquet").count_rows(
+            filter=(doc_id >= lo) & (doc_id < hi))
         # lineage carries the failure stream per shard (ADVICE r04 last
         # mile): a resumed 100-TB run can audit errors without re-reading
-        return {"docs": hi - lo, "triples": n_rows - n_err, "errors": n_err}
+        return {"docs": n_docs, "triples": n_rows - n_err, "errors": n_err}
 
     return run_sharded([name for name, _, _, _ in frags], run_shard, out_dir,
                        versions=versions, retract_missing=retract_missing)

@@ -16,7 +16,11 @@ metric the median and quartiles of each side, the median pair ratio and,
 for a rate or a time, the median pair ratio of the values normalized by
 each run's own ``calib_s`` (a rate times ``calib_s``, seconds divided by
 it), which takes the host's speed level of the moment out of each run;
-then one JSON object holding every run.
+then, per end-to-end metric of ``BENCHMARK.json`` (read, never written),
+how many pairs the tree won by that metric's ``better`` direction (ties
+count for neither side) and whether the tree's median is worse than the
+ref's by more than the metric's ``bound``; then one JSON object holding
+every run.
 
 Each run also records as ``left_running`` every process (pid and
 arguments) that appeared while its ``run.py`` ran, carries that run's
@@ -116,6 +120,24 @@ def calib_normalized(run: dict, k: str):
     return None
 
 
+def end_to_end_metrics() -> dict:
+    """name -> {"better", "bound", ...} of BENCHMARK.json's end-to-end metrics."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return {m["name"]: m for m in json.load(f)["end_to_end"]}
+
+
+def verdict(spec: dict, ref: list, tree: list) -> dict:
+    """Pairs the tree won by ``spec["better"]`` and whether its median is
+    worse than the ref's by more than ``spec["bound"]`` (a fraction of the
+    ref's median)."""
+    sign = 1 if spec["better"] == "higher" else -1
+    won = sum(sign * (b - a) > 0 for a, b in zip(ref, tree))
+    ma, mb = statistics.median(ref), statistics.median(tree)
+    worse = sign * (ma - mb) > spec["bound"] * abs(ma)
+    return {"better": spec["better"], "bound": spec["bound"], "pairs_won": won,
+            "pairs": len(ref), "worse_than_bound": worse}
+
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -183,6 +205,14 @@ def main(argv=None) -> int:
               + (f"median pair ratio {summary[k]['median_ratio']:.3f}" if ratios else "")
               + (f" (per calib_s {summary[k]['calib_median_ratio']:.3f})"
                  if calib_ratios else ""))
+    for k, spec in end_to_end_metrics().items():
+        if k not in summary:
+            continue
+        v = summary[k]["verdict"] = verdict(
+            spec, [r["metrics"][k] for r in runs["ref"]], [r["metrics"][k] for r in runs["tree"]])
+        print(f"{k} ({v['better']} is better): tree won {v['pairs_won']}/{v['pairs']} pairs; "
+              f"tree median worse than the ref's by more than {v['bound']:.0%}: "
+              f"{'YES' if v['worse_than_bound'] else 'no'}")
     left = {side: sum(len(r["left_running"]) for r in runs[side]) for side in runs}
     print(f"left_running: ref {left['ref']} tree {left['tree']} processes")
     print(json.dumps({"workload": args.workload, "ref": args.ref, "ref_commit": commit,

@@ -288,7 +288,7 @@ def test_select_matches_plain_ngram_fast_path():
 
 def test_index_does_not_load_or_write_lazy_layers():
     """A vocabulary-backed input sentence (lazy derived layers) is read
-    through its loader without materializing the layers into it."""
+    from its vocabulary without materializing the layers into it."""
     from odinson_ray.stages.annotate import annotate_texts_vectorized
 
     sents = annotate_texts_vectorized(["the fast spark scan", "a big join", ""])
@@ -297,6 +297,45 @@ def test_index_does_not_load_or_write_lazy_layers():
     assert not engine.index.unindexed.any()
     assert [(s.vocab, s.slot, sorted(s.fields)) for s in sents] == before
     for pattern in ("[tag=NN & !word=spark]", "[lemma=/s.*/]", "fast spark"):
+        assert rows(engine.query(pattern)) == rows(oracle_query(engine, pattern))
+
+
+def test_from_layers_interns_each_string_once():
+    """One id per distinct string across every layer: uniques that repeat
+    a string (two control tokens sanitized alike) share it, a word layer
+    equal to raw shares raw's id array, and empty layers build."""
+    import numpy as np
+
+    from odinson_ray.common.normalize import sanitize_token
+    from odinson_ray.core.sentence import BatchVocab
+
+    raw_u = [sanitize_token(t) for t in ("\x01", "cat", "\x02")]
+    codes = np.array([0, 1, 2, 1], np.int32)
+    v = BatchVocab.from_layers({"raw": (codes, raw_u), "word": (codes, ["dog", "cat", "dog"]),
+                                "tag": (np.zeros(4, np.int32), ["NN"])},
+                               np.array([0, 2, 4]))
+    assert raw_u[0] == raw_u[2] and sorted(v.terms) == sorted({*raw_u, "dog", "NN"})
+    assert v.fields["raw"].tolist() == [0, 1, 0, 1]
+    assert [v.tokens("word", k) for k in (0, 1)] == [["dog", "cat"], ["dog", "cat"]]
+    assert v.tokens("raw", 1) == [raw_u[0], "cat"]
+    same = BatchVocab.from_layers({"raw": (codes, raw_u), "word": (codes.copy(), list(raw_u))},
+                                  np.array([0, 4]))
+    assert same.fields["word"] is same.fields["raw"]
+    empty = BatchVocab.from_layers({"raw": (np.zeros(0, np.int32), []),
+                                    "tag": (np.zeros(0, np.int32), [])}, np.array([0, 0]))
+    assert len(empty.terms) == 0 and empty.tokens("tag", 0) == []
+    assert empty.term_mask("raw", "cat") is None
+
+
+def test_unencodable_token_leaves_sentence_unindexed():
+    """A lone surrogate cannot enter the vocabulary's Arrow encode: the
+    sentences of its layer set stay outside the index and are still
+    matched."""
+    docs = [AnnotatedDocument("d", [SentenceIndex({"raw": ["the", "cat\ud800"]}),
+                                    SentenceIndex({"raw": ["the", "cat"]})])]
+    engine = OdinsonEngine(docs)
+    assert engine.index.unindexed.tolist() == [True, True]
+    for pattern in ("the", "[raw=/cat.*/]"):
         assert rows(engine.query(pattern)) == rows(oracle_query(engine, pattern))
 
 

@@ -33,6 +33,26 @@ def empty_sf(tmp_path_factory):
         "vec_id": pa.array([], pa.int64()),
         "embedding": pa.array([], pa.list_(pa.float32())),
         "label": pa.array([], pa.int32())}), str(d / "embeddings.parquet"))
+    pq.write_table(pa.table({
+        "l_orderkey": pa.array([], pa.int64()),
+        "l_suppkey": pa.array([], pa.int64()),
+        "l_extendedprice": pa.array([], pa.float64()),
+        "l_discount": pa.array([], pa.float64()),
+        "l_shipdate": pa.array([], pa.timestamp("us"))}),
+        str(d / "lineitem.parquet"))
+    pq.write_table(pa.table({
+        "s_suppkey": pa.array([], pa.int64()),
+        "s_nationkey": pa.array([], pa.int32())}), str(d / "supplier.parquet"))
+    pq.write_table(pa.table({
+        "c_custkey": pa.array([], pa.int64()),
+        "c_nationkey": pa.array([], pa.int32())}), str(d / "customer.parquet"))
+    pq.write_table(pa.table({
+        "n_nationkey": pa.array([], pa.int32()),
+        "n_name": pa.array([], pa.string()),
+        "n_regionkey": pa.array([], pa.int32())}), str(d / "nation.parquet"))
+    pq.write_table(pa.table({
+        "r_regionkey": pa.array([], pa.int32()),
+        "r_name": pa.array([], pa.string())}), str(d / "region.parquet"))
     return str(d)
 
 
@@ -41,7 +61,8 @@ def empty_sf(tmp_path_factory):
     "q_equidepth_histogram", "q_late_events", "q_user_active_time",
     "q_source_token_share", "q_funnel_window", "q_window_join_counts",
     "q_collocations_llr", "q_pca_topcomp", "q_mg_heavy_hitters",
-    "q_corpus_shuffle_head",
+    "q_corpus_shuffle_head", "q_revenue_by_nation", "q_star_join_revenue",
+    "q_nation_trade",
 ])
 def test_empty_corpus_yields_empty(empty_sf, qname):
     from odinson_ray.pipelines.queries import QUERIES

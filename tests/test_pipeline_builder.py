@@ -68,3 +68,31 @@ def test_builder_overcommitted_pools_shrink_not_hang(ray_session, sf_dir):
         n = ds.count()
     assert n > 0
     assert any("resized" in str(x.message) for x in w)
+
+
+def test_builder_passes_rule_variables(ray_session, sf_dir):
+    """``rules(yaml, variables)`` reaches the matcher on the fused and the
+    staged path: a ``${verb}`` grammar gives the literal grammar's output."""
+    import pandas as pd
+
+    from odinson_ray.pipelines.builder import Pipeline
+
+    grammar = """
+rules:
+  - name: svo
+    label: SVO
+    type: event
+    pattern: |
+      trigger = [word=%s]
+      subject = >nsubj []
+      object = >dobj []
+"""
+    with_var = Pipeline(sf_dir).rules(grammar % "${verb}", {"verb": "scan"}).match(concurrency=2)
+    literal = Pipeline(sf_dir).rules(grammar % "scan").match(concurrency=2)
+    a, b = with_var.build().to_pandas(), literal.build().to_pandas()
+    assert len(b) > 0
+    pd.testing.assert_frame_equal(_sorted(a), _sorted(b))
+    cols = ["doc_id", "sent_id", "label", "start", "end", "text"]
+    a, b = with_var.mentions().to_pandas()[cols], literal.mentions().to_pandas()[cols]
+    assert len(b) > 0
+    pd.testing.assert_frame_equal(_sorted(a), _sorted(b))

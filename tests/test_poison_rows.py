@@ -70,6 +70,38 @@ def test_error_rows_surface_in_fused_flagship_output():
     assert row.partial_n == 1  # exactly the one poisoned doc
 
 
+def test_failed_batch_annotate_annotates_each_document_alone(monkeypatch):
+    """When the batch-wide annotate raises, each document is annotated by
+    itself: the one whose texts still fail becomes an error row, the
+    others keep exactly their batch-path mentions."""
+    import odinson_ray.stages.match as match
+    from odinson_ray.pipelines.kg import FLAGSHIP_RULES
+    from odinson_ray.sources.interleaved import SPAN_TYPE
+
+    texts = ["scan rows cols now go", "the spark join a big table", "poison scan rows cols"]
+    batch = pa.table({
+        "doc_id": pa.array(["d1", "d2", "d3"], pa.string()),
+        "spans": pa.array([[{"kind": "text", "text": t, "media_ref": "", "offset": 0}]
+                           for t in texts], pa.list_(SPAN_TYPE)),
+    })
+    matcher = match.GrammarMatcher(FLAGSHIP_RULES, verbosity="all")
+    want = matcher(batch).to_pylist()
+    real = match.annotate_texts_vectorized
+
+    def poisoned(sent_texts):
+        if any(t.startswith("poison") for t in sent_texts):
+            raise ValueError("poison text")
+        return real(sent_texts)
+
+    monkeypatch.setattr(match, "annotate_texts_vectorized", poisoned)
+    got = matcher(batch).to_pylist()
+    errors = [r for r in got if r["label"] == match.GrammarMatcher.ERROR_LABEL]
+    assert [(r["doc_id"], r["found_by"]) for r in errors] == [("d3", "ValueError: poison text")]
+    clean = [r for r in want if r["doc_id"] != "d3"]
+    assert {r["doc_id"] for r in clean} == {"d1", "d2"}
+    assert [r for r in got if r["doc_id"] != "d3"] == clean
+
+
 def _poison_corpus(tmp_path, n_docs=20, n_poison=7):
     import numpy as np
     import pandas as pd

@@ -200,6 +200,38 @@ def test_checkpoint_resume(sf_dir, tmp_path):
         assert os.path.getmtime(os.path.join(out, d)) == mtime
 
 
+@pytest.mark.parametrize("num_shards", [2, 30])
+def test_sharded_run_covers_sparse_doc_ids(tmp_path, num_shards):
+    """Shards are doc_id ranges cut from the sorted doc_id column: with
+    doc_ids 100-119 their union is the unsharded raw triple stream, and
+    a range that holds no document writes an empty shard."""
+    import pyarrow.dataset as pads
+
+    from odinson_ray.pipelines.kg import mentions_dataset
+    from odinson_ray.state.checkpoint import kg_run_sharded
+    from odinson_ray.stages.triples import svo_or_error_triples
+
+    words = ["scan", "join", "sort", "rows", "cols", "spark", "fast", "data"]
+    pd.DataFrame({
+        "doc_id": np.arange(100, 120, dtype=np.int64),
+        "text": [" ".join(words[(d + k) % 8] for k in range(9)) for d in range(20)],
+        "lang": ["en"] * 20, "source": ["src0"] * 20,
+    }).to_parquet(tmp_path / "documents.parquet", index=False)
+    sf = str(tmp_path)
+    out = str(tmp_path / "kg_out")
+    manifest = kg_run_sharded(sf, out, num_shards=num_shards, concurrency=2)
+    assert len(manifest) == num_shards
+    assert sum(rec["docs"] for rec in manifest.values()) == 20
+    got = pd.concat([pads.dataset(f"{out}/shard={s}").to_table().to_pandas()
+                     for s in manifest], ignore_index=True)
+    want = mentions_dataset(sf).map_batches(
+        svo_or_error_triples, batch_format="pyarrow").to_pandas()
+    cols = sorted(want.columns)
+    assert len(want) > 0 and sorted(got.columns) == cols
+    assert got[cols].sort_values(cols).reset_index(drop=True).equals(
+        want[cols].sort_values(cols).reset_index(drop=True))
+
+
 def test_media_features_stub(sf_dir):
     from odinson_ray.stages.media import media_features
 

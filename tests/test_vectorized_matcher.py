@@ -100,3 +100,17 @@ def test_vectorized_lazy_fields_materialize():
     assert s.all_fields() == fields
     assert sents[1].tokens() == []
     assert sents[1].length == 0
+
+
+@pytest.mark.parametrize("texts", [
+    ["the spark scan a table", "", "a  b", "naïve CAFÉ Spark spark",
+     "ctl\x01 tab\tx \x7f Data", "Data data DATA"],
+    ["", "", ""],  # every sentence empty
+    [],
+])
+def test_vectorized_layers_equal_per_sentence_annotation(texts):
+    sents = annotate_texts_vectorized(texts)
+    assert len(sents) == len(texts)
+    for text, s in zip(texts, sents):
+        fields, _, _ = annotate_tokens_fast(text.split(" ") if text else [])
+        assert s.all_fields() == fields
