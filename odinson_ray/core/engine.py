@@ -158,9 +158,8 @@ class MemoryState:
 class DocumentEngine:
     """Runs a compiled grammar cascade over one annotated document."""
 
-    def __init__(self, doc: AnnotatedDocument, max_tokens: int = MAX_TOKENS_PER_SENTENCE):
+    def __init__(self, doc: AnnotatedDocument):
         self.doc = doc
-        self.max_tokens = max_tokens
 
     def _passes_metadata(self, extractor: Extractor) -> bool:
         if not extractor.metadata_filter:
@@ -172,7 +171,7 @@ class DocumentEngine:
             return []
         out = []
         for sent_idx, sent in enumerate(self.doc.sentences):
-            if sent.length > self.max_tokens:
+            if sent.length > MAX_TOKENS_PER_SENTENCE:
                 continue  # reference skips long sentences at index time
             ctx = Ctx(sent, sent_idx, state, not disable_match_selector)
             candidates = extractor.query.matches(ctx)

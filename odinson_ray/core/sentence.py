@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import weakref
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -310,7 +311,6 @@ class SentenceIndex:
         fields: Dict[str, Sequence[str]],
         graph_edges: Sequence[Tuple[int, int, str]] = (),
         graph_roots: Sequence[int] = (),
-        prenormalized_labels: bool = False,
         take_ownership: bool = False,
         shared: Optional[SharedGraphContext] = None,
         vocab: Optional[BatchVocab] = None,
@@ -330,9 +330,7 @@ class SentenceIndex:
             self.graph = shared.graph
             self._trav_starts = shared.trav_starts
         else:
-            self.graph = DirectedGraph(
-                graph_edges, graph_roots, self.length, prenormalized=prenormalized_labels
-            )
+            self.graph = DirectedGraph(graph_edges, graph_roots, self.length)
             # per-sentence memo for traversal endpoint pre-filter sets, keyed
             # by the compiled step OBJECT. Weak keys: on a persistent engine
             # each ad-hoc query()'s step objects would otherwise be pinned by
@@ -488,28 +486,36 @@ class CorpusIndex:
     vectorized passes over flat id arrays and its candidate sentences a
     bool mask computed before any sentence is visited.
 
-    Sentences outside the clean subset keep their own per-sentence
-    postings and are always visited: a missing ``raw`` layer, a layer
-    whose length differs from the sentence's, a null or non-string token,
-    or a stored layer named like a derived field (``norm``, ``incoming``,
-    ``outgoing``). The caller's SentenceIndex objects are never written:
-    an indexed sentence is served by an engine-owned copy
-    (:meth:`SentenceIndex.backed_by`)."""
+    A sentence longer than ``MAX_TOKENS_PER_SENTENCE`` is never a
+    candidate, as the reference never indexes it (and extraction skips
+    it). Other sentences outside the clean subset keep their own
+    per-sentence postings and are always visited (``unindexed``): a
+    missing ``raw`` layer, a layer whose length differs from the
+    sentence's, a null or non-string token, or a stored layer named like
+    a derived field (``norm``, ``incoming``, ``outgoing``). The caller's
+    SentenceIndex objects are never written: an indexed sentence is
+    served by an engine-owned copy (:meth:`SentenceIndex.backed_by`)."""
 
     def __init__(self, docs: Sequence["AnnotatedDocument"]):
         #: per corpus slot, in (document, sentence) order
         self.keys: List[Tuple[str, int]] = []
         self.sentences: List[SentenceIndex] = []
         groups: Dict[Tuple[str, ...], List[Tuple[int, Dict[str, Sequence[str]]]]] = {}
+        too_long: List[int] = []
         for doc in docs:
             for i, sent in enumerate(doc.sentences):
                 slot = len(self.sentences)
                 self.keys.append((doc.doc_id, i))
                 self.sentences.append(sent)
+                if sent.length > MAX_TOKENS_PER_SENTENCE:
+                    too_long.append(slot)
+                    continue
                 layers = _index_layers(sent)
                 if layers is not None:
                     groups.setdefault(tuple(sorted(layers)), []).append((slot, layers))
+        #: per corpus slot: visited by every query (not in any group)
         self.unindexed = np.ones(len(self.sentences), bool)
+        self.unindexed[too_long] = False
         #: (vocabulary, the corpus slots it backs, in vocabulary slot order)
         self.groups: List[Tuple[BatchVocab, np.ndarray]] = []
         for names, members in groups.items():
@@ -558,22 +564,22 @@ def _index_layers(sent: SentenceIndex) -> Optional[Dict[str, Sequence[str]]]:
 
 def _group_vocab(names: Sequence[str], members: List[Dict[str, Sequence[str]]]
                  ) -> Optional[BatchVocab]:
-    """One BatchVocab over sentences carrying the same layers; None when a
-    token is not a string or not encodable text (a lone surrogate): the
-    sentences stay unindexed."""
+    """One BatchVocab over sentences carrying the same layers, one Arrow
+    dictionary encode per layer; None when a layer's tokens do not make
+    an Arrow string array without nulls (None, bytes, numbers, a lone
+    surrogate): the sentences stay unindexed."""
     offsets = np.zeros(len(members) + 1, np.int64)
     np.cumsum([len(m["raw"]) for m in members], out=offsets[1:])
-    tid: Dict[str, int] = {}
-    try:
-        codes = {name: np.fromiter((tid.setdefault(t, len(tid)) for m in members for t in m[name]),
-                                   np.int32, int(offsets[-1]))
-                 for name in names}
-    except TypeError:  # an unhashable token
-        return None
-    uniques = list(tid)
-    if not all(isinstance(t, str) for t in uniques):
-        return None
-    try:
-        return BatchVocab.from_layers({name: (c, uniques) for name, c in codes.items()}, offsets)
-    except UnicodeEncodeError:
-        return None
+    layers = {}
+    for name in names:
+        flat = list(chain.from_iterable(m[name] for m in members))
+        try:
+            arr = pa.array(flat) if flat else pa.array([], pa.string())
+        except (pa.ArrowException, UnicodeError):
+            return None
+        if arr.type != pa.string() or arr.null_count:
+            return None
+        enc = pc.dictionary_encode(arr)
+        layers[name] = (enc.indices.to_numpy(zero_copy_only=False),
+                        enc.dictionary.to_numpy(zero_copy_only=False))
+    return BatchVocab.from_layers(layers, offsets)

@@ -6,6 +6,18 @@ k-core/k-truss, components and SCCs, label propagation, random walks,
 shortest paths, link prediction, rule mining, provenance and temporal
 triples. ``ORACLE_KG_TRIPLES``, ``_KG_TRIPLES_BODY`` and
 ``_KG_DOC_TRIPLES_BODY`` are the SQL every graph oracle starts from.
+
+The graph front end makes each decision once:
+
+- ``_kg_edges`` / ``_kg_directed_edges``: the distinct undirected
+  (lo, hi) or directed (src, dst) edge list, lazy (a query that reads it
+  more than once pins it);
+- ``_kg_vertices``: the distinct vertex set of a directed edge list;
+- ``_kg_seeds``: the ``n`` seed entities, top out-degree with ties to the
+  smallest id (the oracles' ``ORDER BY d DESC, src LIMIT n``);
+- ``stages.graph.symmetric_adjacency``, ``stages.graph._iter_partitions``
+  and ``sources.io.pin``: both directions of an undirected edge, the
+  shuffle width of a driver-iterative loop and a round's pin.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from odinson_ray.sources.io import read_table, table
+from odinson_ray.sources.io import pin, table
 from odinson_ray.stages.shuffle import (coarse_groups, combine_aggregate,
                                         global_topk, hash_join,
                                         partial_aggregate)
@@ -64,6 +76,68 @@ def q_kg_triples(sf_dir: str):
 
 
 _KG_TRIPLES_BODY = ORACLE_KG_TRIPLES.strip().rstrip(";")
+
+
+# ===================================== graph front end
+
+
+def _directed(t: pa.Table) -> pa.Table:
+    """(src, dst) = (subj_canon, obj_canon) of each triple."""
+    return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
+
+
+def _undirected(t: pa.Table, carry=()) -> pa.Table:
+    """(lo, hi) = the ordered endpoints of each triple, plus its
+    ``carry`` columns; self-loops dropped."""
+    lo = pc.min_element_wise(t["subj_canon"], t["obj_canon"])
+    hi = pc.max_element_wise(t["subj_canon"], t["obj_canon"])
+    e = pa.table({"lo": lo, "hi": hi, **{c: t[c] for c in carry}})
+    return e.filter(pc.not_equal(e["lo"], e["hi"]))
+
+
+def _kg_edges(sf_dir: str):
+    """Distinct undirected (lo, hi) edges of the canonical triple graph,
+    lazy."""
+    from ..kg import triples_dataset
+
+    return combine_aggregate(
+        triples_dataset(sf_dir).map_batches(_undirected, batch_format="pyarrow"),
+        ["lo", "hi"], [])
+
+
+def _kg_directed_edges(sf_dir: str):
+    """Distinct directed (src, dst) edges of the canonical triple graph,
+    lazy."""
+    from ..kg import triples_dataset
+
+    return combine_aggregate(
+        triples_dataset(sf_dir).map_batches(_directed, batch_format="pyarrow"),
+        ["src", "dst"], [])
+
+
+def _endpoints(t: pa.Table) -> pa.Table:
+    """(v): every edge's src, then every edge's dst."""
+    return pa.table({"v": pa.concat_arrays([t["src"].combine_chunks(),
+                                            t["dst"].combine_chunks()])})
+
+
+def _kg_vertices(edges):
+    """Distinct endpoint set (column v) of a (src, dst) edge Dataset,
+    materialized."""
+    return combine_aggregate(
+        edges.map_batches(_endpoints, batch_format="pyarrow"),
+        "v", []).materialize()
+
+
+def _kg_seeds(edges, n: int = 1) -> list:
+    """The ``n`` seed entities of a (src, dst) edge Dataset: top
+    out-degree, ties to the smallest id (the oracles' ``ORDER BY d DESC,
+    src LIMIT n``), in that order."""
+    from ray.data.aggregate import Count
+
+    deg = edges.groupby("src").aggregate(Count(alias_name="d"))
+    return [r["src"] for r in
+            global_topk(deg, ["d", "src"], [True, False], n).take_all()]
 
 
 ORACLE_KG_ENTITY_DEGREES = f"""
@@ -154,38 +228,10 @@ def q_pagerank_entities(sf_dir: str, iters: int = 3, damping: float = 0.85,
     run can restart from the last written iteration."""
     from ray.data.aggregate import Count
 
-    from odinson_ray.stages.shuffle import hash_join
-
-    from ..kg import triples_dataset
-
-    def pin(lazy_ds, name):
-        if checkpoint_dir is None:
-            return lazy_ds.materialize()
-        import os
-        import shutil
-        path = os.path.join(checkpoint_dir, name)
-        shutil.rmtree(path, ignore_errors=True)
-        os.makedirs(path, exist_ok=True)
-        lazy_ds.write_parquet(path)
-        return read_table(path)
-
-    ds = triples_dataset(sf_dir)
-
-    def to_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-
-    edges = combine_aggregate(ds.map_batches(to_edges, batch_format="pyarrow"),
-                              ["src", "dst"], [])
-    edges = pin(edges, "edges")  # consumed K+2 times below
+    # consumed K+2 times below
+    edges = pin(_kg_directed_edges(sf_dir), "edges", checkpoint_dir)
     deg = edges.groupby("src").aggregate(Count(alias_name="d"))
-
-    def endpoints(t: pa.Table) -> pa.Table:
-        v = pa.concat_arrays([t["src"].combine_chunks(), t["dst"].combine_chunks()])
-        return pa.table({"v": v})
-
-    nodes = combine_aggregate(
-        edges.map_batches(endpoints, batch_format="pyarrow"),
-        "v", []).materialize()
+    nodes = _kg_vertices(edges)
     n_nodes = nodes.count()
     base = (1.0 - damping) / n_nodes
 
@@ -195,7 +241,8 @@ def q_pagerank_entities(sf_dir: str, iters: int = 3, damping: float = 0.85,
     rank_schema = pa.schema([("v", str_t), ("r", f64)])
     edges_d = hash_join(edges, deg, on="src",
                         left_schema=edge_schema, right_schema=deg_schema)
-    edges_d = pin(edges_d, "edges_d")  # (src, dst, d): reused every iteration
+    # (src, dst, d): reused every iteration
+    edges_d = pin(edges_d, "edges_d", checkpoint_dir)
     ed_schema = pa.schema([("src", str_t), ("dst", str_t), ("d", pa.int64())])
 
     r0 = 1.0 / n_nodes
@@ -225,7 +272,7 @@ def q_pagerank_entities(sf_dir: str, iters: int = 3, damping: float = 0.85,
 
         ranks = joined.map_batches(new_rank, batch_format="pyarrow")
         if checkpoint_dir is not None:
-            ranks = pin(ranks, f"ranks_{it}")
+            ranks = pin(ranks, f"ranks_{it}", checkpoint_dir)
     return ranks.map_batches(
         lambda t: pa.table({"entity": t["v"], "rank": pc.round(t["r"], 6)}),
         batch_format="pyarrow",
@@ -256,25 +303,11 @@ def q_kg_triangles(sf_dir: str):
     high-rank by (degree, id), wedges enumerated over OUT-neighbors only,
     so a degree-d hub costs O(sqrt(m)) amortized out-degree instead of
     d^2 wedge rows in one join group."""
-    from odinson_ray.stages.graph import triangle_count
-
-    from ..kg import triples_dataset
-
-    ds = triples_dataset(sf_dir)
-
-    def to_undirected(t: pa.Table) -> pa.Table:
-        lo = pc.min_element_wise(t["subj_canon"], t["obj_canon"])
-        hi = pc.max_element_wise(t["subj_canon"], t["obj_canon"])
-        e = pa.table({"lo": lo, "hi": hi})
-        e = e.filter(pc.not_equal(e["lo"], e["hi"]))  # drop self-loops
-        return e
-
-    edges = combine_aggregate(
-        ds.map_batches(to_undirected, batch_format="pyarrow"),
-        ["lo", "hi"], [])
     import pandas as _pd
 
-    return _pd.DataFrame({"n_triangles": [triangle_count(edges)]})
+    from odinson_ray.stages.graph import triangle_count
+
+    return _pd.DataFrame({"n_triangles": [triangle_count(_kg_edges(sf_dir))]})
 
 
 # ===================================== Adamic-Adar link prediction
@@ -313,31 +346,14 @@ def q_adamic_adar(sf_dir: str, k: int = 10):
     the standard guard against hub pair-matrix blowup."""
     from odinson_ray.stages.graph import adamic_adar_pairs
 
-    from ..kg import triples_dataset
-
-    ds = triples_dataset(sf_dir)
-
-    def to_undirected(t: pa.Table) -> pa.Table:
-        lo = pc.min_element_wise(t["subj_canon"], t["obj_canon"])
-        hi = pc.max_element_wise(t["subj_canon"], t["obj_canon"])
-        e = pa.table({"lo": lo, "hi": hi})
-        e = e.filter(pc.not_equal(e["lo"], e["hi"]))
-        return e
-
-    edges = combine_aggregate(
-        ds.map_batches(to_undirected, batch_format="pyarrow"),
-        ["lo", "hi"], [])
     # PIN before fan-out: adamic_adar_pairs consumes edges on both sides
     # of its self-join; left lazy, the plan would run the finishing merge
     # once per side. Entity-pair scale, so cheap.
-    edges = edges.materialize()
-    aa = adamic_adar_pairs(edges)
+    aa = adamic_adar_pairs(_kg_edges(sf_dir).materialize())
 
     def rounded(t: pa.Table) -> pa.Table:
         return t.set_column(t.schema.get_field_index("aa"), "aa",
                             pc.round(t["aa"], 6))
-
-    from odinson_ray.stages.shuffle import global_topk
 
     return global_topk(aa.map_batches(rounded, batch_format="pyarrow"),
                        ["aa", "n1", "n2"], [True, False, False], k)
@@ -382,20 +398,8 @@ def q_kg_kcore(sf_dir: str, k: int = 2, rounds: int = 3):
     with their in-subgraph degree."""
     from odinson_ray.stages.graph import kcore_edges, vertex_degrees
 
-    from ..kg import triples_dataset
-
-    ds = triples_dataset(sf_dir)
-
-    def to_undirected(t: pa.Table) -> pa.Table:
-        lo = pc.min_element_wise(t["subj_canon"], t["obj_canon"])
-        hi = pc.max_element_wise(t["subj_canon"], t["obj_canon"])
-        e = pa.table({"lo": lo, "hi": hi})
-        e = e.filter(pc.not_equal(e["lo"], e["hi"]))
-        return e
-
-    edges = combine_aggregate(
-        ds.map_batches(to_undirected, batch_format="pyarrow"),
-        ["lo", "hi"], []).materialize()  # pinned: consumed once per peel round
+    # pinned: consumed once per peel round
+    edges = _kg_edges(sf_dir).materialize()
     core = kcore_edges(edges, k=k, rounds=rounds)
     return vertex_degrees(core)
 
@@ -432,23 +436,8 @@ def q_kg_bfs_levels(sf_dir: str, rounds: int = 3):
     set stay Datasets (pinned per round: each is consumed by the next
     join AND the union, the fan-out rule). Rounds are bounded, so the
     oracle unrolls as a depth-capped recursive CTE."""
-    from ray.data.aggregate import Count
-
-    from odinson_ray.stages.shuffle import global_topk, hash_join
-
-    from ..kg import triples_dataset
-
-    def to_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-
-    edges = combine_aggregate(
-        triples_dataset(sf_dir)
-        .map_batches(to_edges, batch_format="pyarrow"),
-        ["src", "dst"], []).materialize()
-
-    deg = edges.groupby("src").aggregate(Count(alias_name="d"))
-    seed = global_topk(deg, ["d", "src"], [True, False], 1).to_pandas()
-    seed_v = seed["src"].iloc[0]
+    edges = _kg_directed_edges(sf_dir).materialize()
+    seed_v = _kg_seeds(edges)[0]
 
     import ray.data as rdn
 
@@ -628,24 +617,6 @@ FROM raw7
 """
 
 
-def _kg_edges(sf_dir: str):
-    """Distinct undirected (lo, hi) edges of the canonical triple graph —
-    the shared front end of the kg_* graph queries."""
-    from ..kg import triples_dataset
-
-    def to_undirected(t: pa.Table) -> pa.Table:
-        lo = pc.min_element_wise(t["subj_canon"], t["obj_canon"])
-        hi = pc.max_element_wise(t["subj_canon"], t["obj_canon"])
-        e = pa.table({"lo": lo, "hi": hi})
-        e = e.filter(pc.not_equal(e["lo"], e["hi"]))
-        return e
-
-    return combine_aggregate(
-        triples_dataset(sf_dir)
-        .map_batches(to_undirected, batch_format="pyarrow"),
-        ["lo", "hi"], [])
-
-
 # ===================================== label-propagation communities
 
 
@@ -689,18 +660,8 @@ def q_kg_label_prop(sf_dir: str, rounds: int = 3,
     option connected_components/pagerank have)."""
     from odinson_ray.stages.graph import label_propagation
 
-    pin = None
-    if checkpoint_dir is not None:
-        import os
-        import shutil
-        def pin(lazy_ds, name):
-            path = os.path.join(checkpoint_dir, name)
-            shutil.rmtree(path, ignore_errors=True)
-            os.makedirs(path, exist_ok=True)
-            lazy_ds.write_parquet(path)
-            return read_table(path)
-
-    labels = label_propagation(_kg_edges(sf_dir), rounds=rounds, pin=pin)
+    labels = label_propagation(_kg_edges(sf_dir), rounds=rounds,
+                               checkpoint_dir=checkpoint_dir)
     return labels.map_batches(
         lambda t: pa.table({"entity": t["v"], "community": t["lab"]}),
         batch_format="pyarrow")
@@ -806,20 +767,13 @@ def q_gnn_neighbor_agg(sf_dir: str):
     pipeline needs at scale: one hash join (directed edge x feature) +
     one map-side-combined mean per hop — features stay Datasets, the
     feature of a hub is never materialized per-edge on the driver."""
+    from odinson_ray.stages.graph import symmetric_adjacency
     from odinson_ray.stages.shuffle import hash_join
 
     str_t, f64 = pa.string(), pa.float64()
 
-    def both(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "a": pa.concat_arrays([t["lo"].combine_chunks(),
-                                   t["hi"].combine_chunks()]),
-            "b": pa.concat_arrays([t["hi"].combine_chunks(),
-                                   t["lo"].combine_chunks()]),
-        })
-
-    bedges = _kg_edges(sf_dir).map_batches(
-        both, batch_format="pyarrow").materialize()  # consumed 3x below
+    # consumed 3x below
+    bedges = symmetric_adjacency(_kg_edges(sf_dir), "a", "b").materialize()
     bd_schema = pa.schema([("a", str_t), ("b", str_t)])
 
     def deg_project(t: pa.Table) -> pa.Table:
@@ -1066,15 +1020,9 @@ def q_kg_pmi_edges(sf_dir: str):
 
     trips = triples_dataset(sf_dir).materialize()  # pairs + marginals + N
 
-    def to_pairs(t: pa.Table) -> pa.Table:
-        lo = pc.min_element_wise(t["subj_canon"], t["obj_canon"])
-        hi = pc.max_element_wise(t["subj_canon"], t["obj_canon"])
-        e = pa.table({"lo": lo, "hi": hi, "n": t["n"]})
-        e = e.filter(pc.not_equal(e["lo"], e["hi"]))
-        return e
-
     pairs = combine_aggregate(
-        trips.map_batches(to_pairs, batch_format="pyarrow"),
+        trips.map_batches(_undirected, fn_kwargs={"carry": ("n",)},
+                          batch_format="pyarrow"),
         ["lo", "hi"], [("c_ab", "n", "sum")])
 
     def to_marginals(t: pa.Table) -> pa.Table:
@@ -1278,48 +1226,6 @@ def q_kg_qa_pairs(sf_dir: str):
     return joined.map_batches(finish, batch_format="pyarrow")
 
 
-# ---------------------------------- shared directed-KG helpers
-def _kg_directed_edges(sf_dir: str):
-    """Distinct DIRECTED (src, dst) edges of the canonical triple graph,
-    materialized — the shared front end of kg_hits/kg_ppr/kg_scc_seed
-    (the directed twin of _kg_edges)."""
-    from ..kg import triples_dataset
-
-    def to_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-
-    return combine_aggregate(
-        triples_dataset(sf_dir)
-        .map_batches(to_edges, batch_format="pyarrow"),
-        ["src", "dst"], []).materialize()
-
-
-def _kg_seed(edges) -> str:
-    """Deterministic seed entity: max out-degree, ties lexicographic —
-    the ONE seed rule shared by kg_bfs_levels/kg_ppr/kg_scc_seed (and
-    mirrored by their oracles' ORDER BY d DESC, src LIMIT 1)."""
-    from ray.data.aggregate import Count
-
-    from odinson_ray.stages.shuffle import global_topk
-
-    deg = edges.groupby("src").aggregate(Count(alias_name="d"))
-    return global_topk(deg, ["d", "src"], [True, False], 1) \
-        .to_pandas()["src"].iloc[0]
-
-
-def _kg_vertices(edges):
-    """Distinct endpoint set (column v) of a (src, dst) edge Dataset."""
-
-    def endpoints(t: pa.Table) -> pa.Table:
-        v = pa.concat_arrays([t["src"].combine_chunks(),
-                              t["dst"].combine_chunks()])
-        return pa.table({"v": v})
-
-    return combine_aggregate(
-        edges.map_batches(endpoints, batch_format="pyarrow"),
-        "v", []).materialize()
-
-
 # ===================================== HITS link analysis
 
 
@@ -1363,7 +1269,7 @@ def q_kg_hits(sf_dir: str, iters: int = 2):
 
     str_t, f64 = pa.string(), pa.float64()
 
-    edges = _kg_directed_edges(sf_dir).map_batches(
+    edges = _kg_directed_edges(sf_dir).materialize().map_batches(
         lambda t: pa.table({"s": t["src"], "o": t["dst"]}).filter(
             pc.not_equal(t["src"], t["dst"])),
         batch_format="pyarrow").materialize()  # consumed 2x/iter
@@ -1460,20 +1366,13 @@ def q_kg_random_walks(sf_dir: str, steps: int = 3):
     task, no driver state."""
     import hashlib
 
+    from odinson_ray.stages.graph import symmetric_adjacency
     from odinson_ray.stages.shuffle import grouped_topk, hash_join
 
     str_t = pa.string()
 
-    def both(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "a": pa.concat_arrays([t["lo"].combine_chunks(),
-                                   t["hi"].combine_chunks()]),
-            "b": pa.concat_arrays([t["hi"].combine_chunks(),
-                                   t["lo"].combine_chunks()]),
-        })
-
-    adj = _kg_edges(sf_dir).map_batches(
-        both, batch_format="pyarrow").materialize()  # consumed per step
+    # consumed per step
+    adj = symmetric_adjacency(_kg_edges(sf_dir), "a", "b").materialize()
     adj_schema = pa.schema([("a", str_t), ("b", str_t)])
 
     def verts(t: pa.Table) -> pa.Table:
@@ -1641,9 +1540,9 @@ def q_kg_ppr(sf_dir: str, iters: int = 2, damping: float = 0.85):
 
     str_t, f64 = pa.string(), pa.float64()
 
-    edges = _kg_directed_edges(sf_dir)
+    edges = _kg_directed_edges(sf_dir).materialize()
     deg = edges.groupby("src").aggregate(Count(alias_name="d"))
-    seed_v = _kg_seed(edges)
+    seed_v = _kg_seeds(edges)[0]
     nodes = _kg_vertices(edges)
 
     e_schema = pa.schema([("src", str_t), ("dst", str_t)])
@@ -1729,8 +1628,8 @@ def q_kg_scc_seed(sf_dir: str, max_rounds: int = 50):
 
     str_t = pa.string()
 
-    edges = _kg_directed_edges(sf_dir)
-    seed_v = _kg_seed(edges)
+    edges = _kg_directed_edges(sf_dir).materialize()
+    seed_v = _kg_seeds(edges)[0]
 
     def reach(direction: str):
         return reach_fixpoint(edges, seed_v, direction,
@@ -2088,11 +1987,6 @@ def q_kg_rule_implications(sf_dir: str):
                      merge_post=conf)
 
 
-def _spo(sf_dir: str):
-
-    return _kg_distinct_spo(sf_dir)
-
-
 # ===================================== transitive-relation discovery
 _TRANS_MID_CAP = 1000
 
@@ -2138,7 +2032,7 @@ def q_kg_transitive_preds(sf_dir: str):
 
     from odinson_ray.stages.shuffle import hash_join
 
-    spo = _spo(sf_dir)
+    spo = _kg_distinct_spo(sf_dir)
 
     def as_in(t: pa.Table) -> pa.Table:   # r-edges arriving AT the middle
         return pa.table({
@@ -2254,7 +2148,7 @@ def q_kg_composition_rules(sf_dir: str):
 
     from odinson_ray.stages.shuffle import hash_join
 
-    spo = _spo(sf_dir)
+    spo = _kg_distinct_spo(sf_dir)
 
     def as_in(t: pa.Table) -> pa.Table:
         return pa.table({"m": t["o"], "r1": t["pred"], "x": t["s"]})
@@ -2837,7 +2731,7 @@ def q_kg_triple_confidence(sf_dir: str):
 
     nsrc = combine_aggregate(tsrc, "tk", [("n_sources", None, "count_all")])
 
-    both = hash_join(
+    support = hash_join(
         ndocs, nsrc, on="tk",
         left_schema=pa.schema([("tk", pa.string()),
                                ("n_docs", pa.int64())]),
@@ -2856,7 +2750,7 @@ def q_kg_triple_confidence(sf_dir: str):
             "n_sources": t["n_sources"],
             "confidence": pc.multiply(t["n_docs"], t["n_sources"])})
 
-    return both.map_batches(finish, batch_format="pyarrow")
+    return support.map_batches(finish, batch_format="pyarrow")
 
 
 # ===================================== predicate co-occurrence
@@ -2989,7 +2883,7 @@ def q_kg_entity_timeline(sf_dir: str):
                           ["entity", "day"], []),
         "entity", [("n_active_days", None, "count_all")])
 
-    both = hash_join(
+    spans = hash_join(
         win, days, on="entity",
         left_schema=pa.schema([("entity", pa.string()),
                                ("d0", pa.int64()), ("d1", pa.int64()),
@@ -3005,7 +2899,7 @@ def q_kg_entity_timeline(sf_dir: str):
             "n_docs": t["n_docs"],
             "n_active_days": t["n_active_days"]})
 
-    return both.map_batches(finish, batch_format="pyarrow")
+    return spans.map_batches(finish, batch_format="pyarrow")
 
 
 # ===================================== entity-resolution funnel
@@ -3184,8 +3078,7 @@ def q_kg_shortest_cost(sf_dir: str, hops: int = 4):
     trips = triples_dataset(sf_dir).materialize()
 
     def to_wedges(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"],
-                         "n": t["n"]})
+        return _directed(t).append_column("n", t["n"])
 
     wedges = combine_aggregate(
         trips.map_batches(to_wedges, batch_format="pyarrow"),
@@ -3199,7 +3092,7 @@ def q_kg_shortest_cost(sf_dir: str, hops: int = 4):
 
     # wedges IS the distinct directed edge set — reuse it for the seed
     # rule instead of re-running the matcher through _kg_directed_edges
-    seed = _kg_seed(wedges)
+    seed = _kg_seeds(wedges)[0]
     dist = rd_mod.from_arrow(pa.table({
         "entity": pa.array([seed], S), "cost": pa.array([0], I)}))
 
@@ -3216,28 +3109,6 @@ def q_kg_shortest_cost(sf_dir: str, hops: int = 4):
                 .groupby("entity").aggregate(Min("cost", alias_name="cost"))
                 ).materialize()
     return dist
-
-
-def _iter_pin(checkpoint_dir):
-    """Round-pin strategy for the iterative graph sweeps: object-store
-    materialize by default, parquet spill when ``checkpoint_dir`` is set
-    (the connected_components/PageRank discipline, canon.py:164) —
-    bounds object-store residency on long iterations and makes each
-    round restartable."""
-
-    def pin(lazy_ds, name):
-        if checkpoint_dir is None:
-            return lazy_ds.materialize()
-        import os
-        import shutil
-
-        path = os.path.join(checkpoint_dir, name)
-        shutil.rmtree(path, ignore_errors=True)
-        os.makedirs(path, exist_ok=True)
-        lazy_ds.write_parquet(path)
-        return read_table(path)
-
-    return pin
 
 
 # ===================================== multi-source harmonic centrality
@@ -3279,30 +3150,15 @@ def q_kg_harmonic(sf_dir: str, n_seeds: int = 3, rounds: int = 3,
     anti join against the visited set on a packed (seed, entity) key.
     Everything stays a Dataset; per-round materialize pins only the
     (new) frontier, never the edge list twice."""
-    from ray.data.aggregate import Count, Sum
-
-    from ..kg import triples_dataset
+    from ray.data.aggregate import Sum
 
     import ray.data as rdn
 
-    def to_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
+    from odinson_ray.stages.graph import _iter_partitions
 
-    edges = combine_aggregate(
-        triples_dataset(sf_dir)
-        .map_batches(to_edges, batch_format="pyarrow"),
-        ["src", "dst"], []).materialize()
-
-    pin = _iter_pin(checkpoint_dir)
-    # shuffle width scales with the graph: 512-way partitioning is the
-    # web-scale default, but on a small graph it is pure dispatch
-    # overhead (the oracle-sized run spends its wall in empty partitions)
-    parts = int(min(512, max(8, edges.count() // 5_000)))
-    deg = edges.groupby("src").aggregate(Count(alias_name="d"))
-    seeds = global_topk(deg, ["d", "src"], [True, False], n_seeds)
-    seed_tbl = pa.concat_tables(
-        [b for b in seeds.iter_batches(batch_format="pyarrow")])
-    seed_vals = seed_tbl["src"].to_pylist()
+    edges = _kg_directed_edges(sf_dir).materialize()
+    parts = _iter_partitions(edges.count())
+    seed_vals = _kg_seeds(edges, n_seeds)
 
     SEP = "\x1f"
 
@@ -3340,10 +3196,10 @@ def q_kg_harmonic(sf_dir: str, n_seeds: int = 3, rounds: int = 3,
                 "level": pa.array(np.full(t.num_rows, lvl), pa.int64()),
             }),
             batch_format="pyarrow")
-        new = pin(new, f"frontier_{r}")
+        new = pin(new, f"frontier_{r}", checkpoint_dir)
         if new.count() == 0:
             break
-        visited = pin(visited.union(new), f"visited_{r}")
+        visited = pin(visited.union(new), f"visited_{r}", checkpoint_dir)
         frontier = new
 
     def contrib(t: pa.Table) -> pa.Table:
@@ -3445,28 +3301,16 @@ def q_kg_stress_paths(sf_dir: str, n_seeds: int = 3, rounds: int = 3,
     shortest-path-DAG edges), then one reverse sweep per level — each
     round is hash joins + a (seed, vertex) groupby-sum; everything
     stays a Dataset, only per-round frontiers are pinned."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     import ray.data as rdn
 
-    from ..kg import triples_dataset
+    from odinson_ray.stages.graph import _iter_partitions
 
-    def to_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
+    edges = _kg_directed_edges(sf_dir).materialize()
+    parts = _iter_partitions(edges.count())
+    seed_vals = _kg_seeds(edges, n_seeds)
 
-    edges = combine_aggregate(
-        triples_dataset(sf_dir)
-        .map_batches(to_edges, batch_format="pyarrow"),
-        ["src", "dst"], []).materialize()
-
-    parts = int(min(512, max(8, edges.count() // 5_000)))  # see harmonic
-    deg = edges.groupby("src").aggregate(Count(alias_name="d"))
-    seeds = global_topk(deg, ["d", "src"], [True, False], n_seeds)
-    seed_vals = pa.concat_tables(
-        [b for b in seeds.iter_batches(batch_format="pyarrow")]
-    )["src"].to_pylist()
-
-    pin = _iter_pin(checkpoint_dir)
     lvl0 = rdn.from_arrow(pa.table({
         "seed": pa.array(seed_vals, pa.string()),
         "entity": pa.array(seed_vals, pa.string()),
@@ -3495,13 +3339,13 @@ def q_kg_stress_paths(sf_dir: str, n_seeds: int = 3, rounds: int = 3,
         new = pin(hash_join(sums, visited, on="_k", how="anti",
                             partitions=parts).map_batches(
             lambda t: t.select(["seed", "entity", "sig"]),
-            batch_format="pyarrow"), f"sig_{r}")
+            batch_format="pyarrow"), f"sig_{r}", checkpoint_dir)
         if new.count() == 0:
             break
         sig_levels.append(new)
         visited = pin(visited.union(new.map_batches(
             lambda t: _pack_pair(t).select(["_k"]),
-            batch_format="pyarrow")), f"svisited_{r}")
+            batch_format="pyarrow")), f"svisited_{r}", checkpoint_dir)
 
     deepest = len(sig_levels) - 1
     # reverse continuation counts g[r]; deepest level has no in-horizon
@@ -3510,7 +3354,7 @@ def q_kg_stress_paths(sf_dir: str, n_seeds: int = 3, rounds: int = 3,
         lambda t: pa.table({
             "seed": t["seed"], "entity": t["entity"],
             "g": pa.array(np.zeros(t.num_rows, np.int64), pa.int64()),
-        }), batch_format="pyarrow"), f"g_{deepest}")}
+        }), batch_format="pyarrow"), f"g_{deepest}", checkpoint_dir)}
     for r in range(deepest - 1, -1, -1):
         cand = hash_join(
             sig_levels[r].map_batches(
@@ -3547,7 +3391,7 @@ def q_kg_stress_paths(sf_dir: str, n_seeds: int = 3, rounds: int = 3,
             }), batch_format="pyarrow")
         g_levels[r] = pin(gr.map_batches(
             lambda t: t.select(["seed", "entity", "g"]),
-            batch_format="pyarrow").union(zeros), f"g_{r}")
+            batch_format="pyarrow").union(zeros), f"g_{r}", checkpoint_dir)
 
     # through(v) = sum over seeds of sig * g, interior vertices only
     out_parts = []
@@ -3618,25 +3462,15 @@ def q_kg_sp_tree(sf_dir: str, rounds: int = 3):
     Shape: the kg_bfs frontier expansion, plus one parent resolution
     per level — a frontier x edges hash join semi-filtered to the next
     level, folded by a (dst -> min src) groupby. Integer/string only."""
-    from ray.data.aggregate import Count, Min
+    from ray.data.aggregate import Min
 
     import ray.data as rdn
 
-    from ..kg import triples_dataset
+    from odinson_ray.stages.graph import _iter_partitions
 
-    def to_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-
-    edges = combine_aggregate(
-        triples_dataset(sf_dir)
-        .map_batches(to_edges, batch_format="pyarrow"),
-        ["src", "dst"], []).materialize()
-    parts = int(min(512, max(8, edges.count() // 5_000)))
-
-    deg = edges.groupby("src").aggregate(Count(alias_name="d"))
-    seed = pa.concat_tables(list(
-        global_topk(deg, ["d", "src"], [True, False], 1)
-        .iter_batches(batch_format="pyarrow")))["src"][0].as_py()
+    edges = _kg_directed_edges(sf_dir).materialize()
+    parts = _iter_partitions(edges.count())
+    seed = _kg_seeds(edges)[0]
 
     level_ds = {0: rdn.from_arrow(pa.table({
         "entity": pa.array([seed], pa.string())})).materialize()}
@@ -3807,15 +3641,7 @@ def q_kg_reciprocity(sf_dir: str):
     metric for relation directionality. One distributed semi join of
     the edge set against its own packed reverse keys; counts are
     integers, the ratio is one division."""
-    from ..kg import triples_dataset
-
-    def to_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-
-    edges = combine_aggregate(
-        triples_dataset(sf_dir)
-        .map_batches(to_edges, batch_format="pyarrow"),
-        ["src", "dst"], []).materialize()
+    edges = _kg_directed_edges(sf_dir).materialize()
     n_edges = edges.count()
 
     SEP = "\x1f"
@@ -3887,35 +3713,21 @@ def q_kg_assortativity(sf_dir: str):
     sufficient-stats combiner."""
     from odinson_ray.stages.shuffle import broadcast_or_join
 
-    from ..kg import triples_dataset
-
-    def to_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t["subj_canon"], "dst": t["obj_canon"]})
-
-    edges = combine_aggregate(
-        triples_dataset(sf_dir)
-        .map_batches(to_edges, batch_format="pyarrow"),
-        ["src", "dst"], []).materialize()
-
-    def endpoints(t: pa.Table) -> pa.Table:
-        ent = pa.concat_arrays([t["src"].combine_chunks().cast(pa.string()),
-                                t["dst"].combine_chunks().cast(pa.string())])
-        return pa.table({"entity": ent})
-
+    edges = _kg_directed_edges(sf_dir).materialize()
     deg = combine_aggregate(
-        edges.map_batches(endpoints, batch_format="pyarrow"),
-        "entity", [("d", None, "count_all")]).materialize()
+        edges.map_batches(_endpoints, batch_format="pyarrow"),
+        "v", [("d", None, "count_all")]).materialize()
 
     s_schema = pa.schema([("src", pa.string()), ("dst", pa.string())])
-    d_schema = pa.schema([("entity", pa.string()), ("d", pa.int64())])
+    d_schema = pa.schema([("v", pa.string()), ("d", pa.int64())])
     with_src = broadcast_or_join(
-        edges, deg, on="src", right_on="entity",
+        edges, deg, on="src", right_on="v",
         left_schema=s_schema, right_schema=d_schema)
     with_both = broadcast_or_join(
         with_src.map_batches(
             lambda t: pa.table({"dst": t["dst"], "dx": t["d"]}),
             batch_format="pyarrow"),
-        deg, on="dst", right_on="entity",
+        deg, on="dst", right_on="v",
         left_schema=pa.schema([("dst", pa.string()), ("dx", pa.int64())]),
         right_schema=d_schema)
 
@@ -4054,7 +3866,7 @@ def q_kg_reach_counts(sf_dir: str):
 
     from odinson_ray.stages.graph import transitive_closure
 
-    R = transitive_closure(_kg_directed_edges(sf_dir),
+    R = transitive_closure(_kg_directed_edges(sf_dir).materialize(),
                            max_rounds=_REACH_MAX_ROUNDS)
     counts = R.groupby("src").aggregate(Count(alias_name="n_reach"))
     return counts.map_batches(
@@ -4102,8 +3914,8 @@ def q_kg_bowtie(sf_dir: str, max_rounds: int = 50):
     nothing beyond vertex sets ever materializes."""
     from odinson_ray.stages.graph import bowtie_parts
 
-    edges = _kg_directed_edges(sf_dir)
-    return bowtie_parts(edges, _kg_seed(edges), max_rounds=max_rounds)
+    edges = _kg_directed_edges(sf_dir).materialize()
+    return bowtie_parts(edges, _kg_seeds(edges)[0], max_rounds=max_rounds)
 
 
 ORACLE_KG_SCC = f"""
@@ -4140,4 +3952,4 @@ def q_kg_scc(sf_dir: str):
     recursive transitive closure, min over each vertex's mutual set."""
     from odinson_ray.stages.graph import scc_decomposition
 
-    return scc_decomposition(_kg_directed_edges(sf_dir))
+    return scc_decomposition(_kg_directed_edges(sf_dir).materialize())

@@ -93,6 +93,24 @@ def read_table(path, columns=None, override_num_blocks=None):
         _strip_meta, batch_format="pyarrow")
 
 
+def pin(ds, name: str, checkpoint_dir: "str | None"):
+    """Pin a Dataset that an iterative plan reads again, so its lineage
+    runs once: ``materialize()`` into the object store, or, when
+    ``checkpoint_dir`` is set, a parquet spill to
+    ``checkpoint_dir/name`` read back (object-store residency bounded to
+    about one round, and a killed run can restart from the last
+    written pin)."""
+    if checkpoint_dir is None:
+        return ds.materialize()
+    import shutil
+
+    path = os.path.join(checkpoint_dir, name)
+    shutil.rmtree(path, ignore_errors=True)
+    os.makedirs(path, exist_ok=True)
+    ds.write_parquet(path)
+    return read_table(path)
+
+
 def table_path(sf_dir: str, name: str) -> str:
     """The ``name`` table of a data dir: ``{name}.lance`` when present,
     else ``{name}.parquet``."""

@@ -17,9 +17,10 @@ annotator so fixtures and DuckDB oracles can re-derive every layer:
             "conj" (5k <- 5(k-1)); sentence root is token 0
 
 Inline in the matcher (no ``sentences`` column), a whole batch of texts
-goes through :func:`annotate_texts_vectorized`: these rules run once per
-unique token, and the batch's six layers become one vocabulary
-(``BatchVocab.from_layers``) that the matcher's term lookups scan.
+goes through :func:`annotate_texts_vectorized`: the layer rules
+(:func:`token_layers`) run once per unique token, and the batch's six
+layers become one vocabulary (``BatchVocab.from_layers``) that the
+matcher's term lookups scan.
 
 Pre-annotated inputs (e.g. the ExampleDocs fixture corpus) bypass this
 stage — annotation is pluggable, mirroring the reference's pluggable
@@ -110,7 +111,7 @@ _GRAPH_CACHE: Dict[int, object] = {}
 def annotate_texts_vectorized(sent_texts: List[str]) -> List[SentenceIndex]:
     """All sentence texts of a batch -> SentenceIndex list over one
     BatchVocab: the tokens are dictionary-encoded by Arrow and
-    :func:`annotate_tokens_fast` runs once over the unique tokens, so every
+    :func:`token_layers` runs once over the unique tokens, so every
     layer equals its per-sentence annotation. A sentence holds its
     raw/word tokens; the derived layers' strings are gathered from the
     vocabulary only if something reads them, while the matcher's
@@ -119,7 +120,7 @@ def annotate_texts_vectorized(sent_texts: List[str]) -> List[SentenceIndex]:
     tok_lists = [t.split(" ") if t else [] for t in sent_texts]
     enc = pc.dictionary_encode(pa.array([tok for toks in tok_lists for tok in toks], pa.string()))
     codes = enc.indices.to_numpy(zero_copy_only=False)
-    fields, _, _ = annotate_tokens_fast(enc.dictionary.to_numpy(zero_copy_only=False).tolist())
+    fields = token_layers(enc.dictionary.to_numpy(zero_copy_only=False).tolist())
     counts = np.fromiter((len(t) for t in tok_lists), np.int64, len(tok_lists))
     vocab = BatchVocab.from_layers({name: (codes, uniques) for name, uniques in fields.items()},
                                    np.concatenate(([0], np.cumsum(counts))))
@@ -128,21 +129,25 @@ def annotate_texts_vectorized(sent_texts: List[str]) -> List[SentenceIndex]:
             for i, toks in enumerate(tok_lists)]
 
 
+def token_layers(toks: List[str]) -> Dict[str, List[str]]:
+    """The six token layers of a token list, position by position."""
+    return {
+        "raw": toks,
+        "word": toks,
+        "lemma": [t.lower() for t in toks],
+        "tag": [tag_of(t) for t in toks],
+        "chunk": ["O"] * len(toks),
+        "entity": ["B-TECH" if t in TECH_WORDS else "O" for t in toks],
+    }
+
+
 def annotate_tokens_fast(toks: List[str]):
     """The deterministic annotation of one tokenized sentence: its token
     layers, its edges as (src, dst, label) TUPLES (what SentenceIndex
     consumes directly) and its roots. annotate_sentence wraps it into the
     ``sentences`` struct — the DuckDB oracles encode these rules."""
     n = len(toks)
-    fields = {
-        "raw": toks,
-        "word": toks,
-        "lemma": [t.lower() for t in toks],
-        "tag": [tag_of(t) for t in toks],
-        "chunk": ["O"] * n,
-        "entity": ["B-TECH" if t in TECH_WORDS else "O" for t in toks],
-    }
-    return fields, group_edges(n), ([0] if n else [])
+    return token_layers(toks), group_edges(n), ([0] if n else [])
 
 
 def _append_sentences(batch: pa.Table, annotate_fn) -> pa.Table:

@@ -165,24 +165,10 @@ def connected_components(edges_ds, max_rounds: int = 25,
     ``stats["rounds"]`` is 0 on the driver path."""
     import ray.data
 
-    from ..sources.io import read_table
     from ray.data.aggregate import Min
 
+    from ..sources.io import pin
     from .shuffle import hash_join
-
-    def pin(lazy_ds, name):
-        """Pin an iteration result: object-store materialize by default,
-        parquet spill when checkpoint_dir is set."""
-        if checkpoint_dir is None:
-            return lazy_ds.materialize()
-        import os
-        import shutil
-
-        path = os.path.join(checkpoint_dir, name)
-        shutil.rmtree(path, ignore_errors=True)
-        os.makedirs(path, exist_ok=True)
-        lazy_ds.write_parquet(path)
-        return read_table(path)
 
     _nbr_schema = pa.schema([("node", pa.string()), ("nbr", pa.string())])
     _lbl_schema = pa.schema([("node", pa.string()), ("label", pa.string())])
@@ -206,7 +192,7 @@ def connected_components(edges_ds, max_rounds: int = 25,
         nblocks = max(8, 2 * int(ray.cluster_resources().get("CPU", 4)))
     except Exception:
         nblocks = 8
-    edges_pinned = pin(edges.repartition(nblocks), "cc_edges")
+    edges_pinned = pin(edges.repartition(nblocks), "cc_edges", checkpoint_dir)
     if edges_pinned.count() <= small_graph_threshold:
         uf = UnionFind()
         nodes: set = set()
@@ -226,7 +212,7 @@ def connected_components(edges_ds, max_rounds: int = 25,
     nbrs = pin(
         edges_pinned.map_batches(symmetric, batch_format="pyarrow")
         .repartition(nblocks),
-        "cc_nbrs",
+        "cc_nbrs", checkpoint_dir,
     )
     # initial labels: label(node) = node (distinct nodes via groupby-min)
     labels = pin(
@@ -236,7 +222,7 @@ def connected_components(edges_ds, max_rounds: int = 25,
         )
         .groupby("node")
         .aggregate(Min("label", alias_name="label")),
-        "cc_labels_init",
+        "cc_labels_init", checkpoint_dir,
     )
     from ray.data.aggregate import Max
 
@@ -301,7 +287,7 @@ def connected_components(edges_ds, max_rounds: int = 25,
         new_labels = pin(
             jumped.map_batches(finish_round, batch_format="pyarrow")
             .repartition(nblocks),
-            f"cc_labels_{rnd % 2}",
+            f"cc_labels_{rnd % 2}", checkpoint_dir,
         )
         changed = int(new_labels.sum("chg") or 0)
         labels = new_labels.drop_columns(["chg"])

@@ -9,7 +9,16 @@ out-degree O(sqrt(m)) amortized here, so no join group explodes
 (VERDICT r03 #2 / "Next round" #3).
 
 Edge Datasets use the canonical undirected form: columns (lo, hi) string,
-lo < hi, distinct, no self-loops.
+lo < hi, distinct, no self-loops. Directed edge Datasets are (src, dst).
+
+Shared front end, one function per decision:
+
+- :func:`symmetric_adjacency` — each undirected edge in both directions,
+  under the caller's two column names;
+- :func:`_iter_partitions` — the shuffle width of a driver-iterative
+  loop, sized from the edge count;
+- ``sources.io.pin`` — a round's pin (materialize, or a parquet spill
+  under ``checkpoint_dir``).
 """
 
 from __future__ import annotations
@@ -21,6 +30,18 @@ from .shuffle import combine_aggregate, partial_aggregate
 
 _STR = pa.string()
 _EDGE_SCHEMA = pa.schema([("lo", _STR), ("hi", _STR)])
+
+
+def symmetric_adjacency(edges, a: str, b: str):
+    """Each undirected (lo, hi) edge in both directions: rows (a, b) =
+    (lo, hi) and (hi, lo)."""
+
+    def mirror(t: pa.Table) -> pa.Table:
+        lo, hi = t["lo"], t["hi"]
+        return pa.table({a: pa.chunked_array(lo.chunks + hi.chunks, lo.type),
+                         b: pa.chunked_array(hi.chunks + lo.chunks, lo.type)})
+
+    return edges.map_batches(mirror, batch_format="pyarrow")
 
 
 def vertex_degrees(edges):
@@ -175,7 +196,8 @@ def triangles_per_vertex(edges):
         "v", [("n_tri", None, "count_all")])
 
 
-def label_propagation(edges, rounds: int | None = 3, pin=None,
+def label_propagation(edges, rounds: int | None = 3,
+                      checkpoint_dir: "str | None" = None,
                       max_rounds: int = 100):
     """Synchronous label-propagation community detection over an
     undirected (lo, hi) edge Dataset: every vertex starts with its own
@@ -189,9 +211,9 @@ def label_propagation(edges, rounds: int | None = 3, pin=None,
     map-side-combined max-count per v, one join to keep argmax rows and
     a min-label groupby for the tie-break. NO per-vertex map_groups —
     the argmax decomposes into aggregates, so tiny per-vertex groups
-    never form (the repo's coarse-partition discipline). ``pin``
-    overrides the per-round pin (parquet spill for graphs near
-    object-store capacity, as in connected_components/pagerank).
+    never form (the repo's coarse-partition discipline).
+    ``checkpoint_dir`` spills the per-round pins to parquet
+    (``sources.io.pin``, as in connected_components/pagerank).
 
     ``rounds=None`` runs to the synchronous fixpoint (labels unchanged
     between rounds — checked by one anti join, a COUNT on the driver)
@@ -199,19 +221,11 @@ def label_propagation(edges, rounds: int | None = 3, pin=None,
     never a silently-unconverged result."""
     from ray.data.aggregate import Max, Min
 
+    from ..sources.io import pin
     from .shuffle import hash_join
 
-    if pin is None:
-        def pin(ds, _name):
-            return ds.materialize()
-
-    def both(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "a": pa.chunked_array(t["lo"].chunks + t["hi"].chunks),
-            "b": pa.chunked_array(t["hi"].chunks + t["lo"].chunks),
-        })
-
-    bedges = pin(edges.map_batches(both, batch_format="pyarrow"), "bedges")
+    bedges = pin(symmetric_adjacency(edges, "a", "b"), "bedges",
+                 checkpoint_dir)
     bd_schema = pa.schema([("a", _STR), ("b", _STR)])
     lab_schema = pa.schema([("v", _STR), ("lab", _STR)])
 
@@ -222,7 +236,7 @@ def label_propagation(edges, rounds: int | None = 3, pin=None,
     labels = pin(
         bedges.map_batches(init_labels, batch_format="pyarrow")
         .groupby("v").aggregate(Min("lab", alias_name="lab")),
-        "labels_0")
+        "labels_0", checkpoint_dir)
 
     r = 0
     while True:
@@ -238,7 +252,8 @@ def label_propagation(edges, rounds: int | None = 3, pin=None,
 
         counts = combine_aggregate(joined, ["a", "lab"],
                                    [("c", None, "count_all")])
-        counts = pin(counts, f"counts_{r}")  # consumed by maxc AND the join
+        # consumed by maxc AND the join
+        counts = pin(counts, f"counts_{r}", checkpoint_dir)
         maxc = counts.groupby("a").aggregate(Max("c", alias_name="mc"))
         cnt_schema = pa.schema([("a", _STR), ("lab", _STR), ("c", pa.int64())])
         mc_schema = pa.schema([("a", _STR), ("mc", pa.int64())])
@@ -252,7 +267,7 @@ def label_propagation(edges, rounds: int | None = 3, pin=None,
                          ).map_batches(keep_best, batch_format="pyarrow")
         new_labels = pin(
             best.groupby("v").aggregate(Min("lab", alias_name="lab")),
-            f"labels_{r}")
+            f"labels_{r}", checkpoint_dir)
         if rounds is None:
             # fixpoint check: any (v, lab) pair not present verbatim in
             # the previous labels means something changed
@@ -295,13 +310,7 @@ def adamic_adar_pairs(edges, max_center_degree: int = 1000):
 
     degs = vertex_degrees(edges)
 
-    def both_directions(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "v": pa.chunked_array(t["lo"].chunks + t["hi"].chunks),
-            "n": pa.chunked_array(t["hi"].chunks + t["lo"].chunks),
-        })
-
-    adj = edges.map_batches(both_directions, batch_format="pyarrow")
+    adj = symmetric_adjacency(edges, "v", "n")
     adj_schema = pa.schema([("v", _STR), ("n", _STR)])
     deg_schema = pa.schema([("v", _STR), ("deg", pa.int64())])
     with_deg = hash_join(adj, degs, on="v",
@@ -390,13 +399,7 @@ def jaccard_pairs(edges, max_center_degree: int = 1000):
 
     degs = vertex_degrees(edges).materialize()  # consumed 3x below
 
-    def both_directions(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "v": pa.chunked_array(t["lo"].chunks + t["hi"].chunks),
-            "n": pa.chunked_array(t["hi"].chunks + t["lo"].chunks),
-        })
-
-    adj = edges.map_batches(both_directions, batch_format="pyarrow")
+    adj = symmetric_adjacency(edges, "v", "n")
     adj_schema = pa.schema([("v", _STR), ("n", _STR)])
     deg_schema = pa.schema([("v", _STR), ("deg", pa.int64())])
     with_deg = hash_join(adj, degs, on="v",
@@ -590,14 +593,7 @@ def maximal_independent_set(edges, max_rounds: int = 30,
 
     _S = pa.string()
 
-    def both_dirs(t: pa.Table) -> pa.Table:
-        a = pa.chunked_array([t["lo"].combine_chunks(),
-                              t["hi"].combine_chunks()])
-        b = pa.chunked_array([t["hi"].combine_chunks(),
-                              t["lo"].combine_chunks()])
-        return pa.table({"a": a, "b": b})
-
-    adj = edges.map_batches(both_dirs, batch_format="pyarrow").materialize()
+    adj = symmetric_adjacency(edges, "a", "b").materialize()
 
     verts = (combine_aggregate(adj, "a", [])
              .map_batches(lambda t: t.rename_columns(["v"]),
@@ -926,17 +922,17 @@ def scc_decomposition(edges, max_pivots: int = 200, max_trim_rounds: int = 50):
                         batch_format="pyarrow")))
             agg = sides.groupby("v").aggregate(MinA("b", alias_name="mn"),
                                                Max("b", alias_name="mx"))
-            both = _cap_blocks(agg.map_batches(
+            two_sided = _cap_blocks(agg.map_batches(
                 lambda t: t.filter(pc.and_(pc.equal(t["mn"], 1),
                                            pc.equal(t["mx"], 2)))
                 .select(["v"]),
                 batch_format="pyarrow"), parts)
-            singles = anti_v(verts, both)
+            singles = anti_v(verts, two_sided)
             if singles.count() == 0:
                 return verts, e
             out_parts.append(label(singles, None))
-            verts = both  # every surviving edge endpoint is in `both`
-            e = induced(e, both)
+            verts = two_sided  # every surviving edge endpoint is in it
+            e = induced(e, two_sided)
         return verts, e  # trim is an optimization: the pivot phase finishes
 
     queue = [(edges.materialize(), all_v)]

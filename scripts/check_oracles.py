@@ -3,7 +3,11 @@ entry AND its oracle_sql() on the same sf dir, compare row count, column
 names and order-insensitive values. Usage:
 
     python scripts/check_oracles.py [--shuffle-joins] [--one-partition] [--from QUERY]
-                                    [sf_dir] [query ...]
+                                    [sf_dir] [query | domain ...]
+
+A ``domain`` is the name of a query module under
+``odinson_ray/pipelines/queries/`` (``graph``, ``dedup``, ...) and stands
+for every query that module declares.
 
 ``--shuffle-joins`` sets ``stages.shuffle.BROADCAST_BYTES`` to -1 first,
 so every ``broadcast_or_join`` (and every other broadcastable check)
@@ -120,7 +124,8 @@ def main():
     for name, fn in qs.items():
         if name == start:
             start = None
-        if start is not None or (only and name not in only):
+        domain = fn.__module__.rsplit(".", 1)[-1]
+        if start is not None or (only and not only & {name, domain}):
             continue
         print(f"RUN {name}", flush=True)
         t0 = time.time()

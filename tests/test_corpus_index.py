@@ -271,6 +271,36 @@ def test_query_n_zero_and_negative():
         engine.query("the", n=-1)
 
 
+def test_query_skips_sentences_over_the_token_cap():
+    """A sentence longer than MAX_TOKENS_PER_SENTENCE is not searched,
+    whether the corpus index holds its layers or not: query, after=
+    pagination and extraction agree on the 100-token sentence alone."""
+    long_clean = SentenceIndex({"raw": ["cat"] * 150})
+    fits = SentenceIndex({"raw": ["cat"] * 100})
+    long_ragged = SentenceIndex({"raw": ["cat"] * 150, "tag": ["NN"] * 3})
+    engine = OdinsonEngine([AnnotatedDocument("d", [long_clean, fits, long_ragged])])
+    want = [("d", 1, i) for i in range(100)]
+
+    def spans(mentions):
+        return [(m.doc_id, m.sent_idx, m.start) for m in mentions]
+
+    assert spans(engine.query("cat")) == want
+    pages, after = [], None
+    while True:
+        page = engine.query("cat", n=40, after=after)
+        if not page:
+            break
+        pages.append(page)
+        after = page[-1]
+    assert [len(p) for p in pages] == [40, 40, 20]
+    assert spans(m for p in pages for m in p) == want
+    assert spans(engine.query("cat", after=("d", 0))) == want
+    assert engine.query("cat", after=("d", 1)) == []
+    rules = engine.compile_rule_string(
+        "rules:\n  - {name: c, label: Cat, type: basic, pattern: cat}")
+    assert sorted(spans(engine.extract_mentions(rules))) == want
+
+
 def test_select_matches_plain_ngram_fast_path():
     """Plain disjoint n-grams come back unchanged; the same spans through
     the general path (a subclass the fast path does not take) agree."""
@@ -328,15 +358,22 @@ def test_from_layers_interns_each_string_once():
 
 
 def test_unencodable_token_leaves_sentence_unindexed():
-    """A lone surrogate cannot enter the vocabulary's Arrow encode: the
-    sentences of its layer set stay outside the index and are still
-    matched."""
+    """A lone surrogate cannot enter the vocabulary's Arrow encode, and
+    bytes, None or a number make no Arrow string layer: the sentences of
+    its layer set stay outside the index and are still matched."""
     docs = [AnnotatedDocument("d", [SentenceIndex({"raw": ["the", "cat\ud800"]}),
                                     SentenceIndex({"raw": ["the", "cat"]})])]
     engine = OdinsonEngine(docs)
     assert engine.index.unindexed.tolist() == [True, True]
     for pattern in ("the", "[raw=/cat.*/]"):
         assert rows(engine.query(pattern)) == rows(oracle_query(engine, pattern))
+    for odd in (b"cat", None, 7):
+        sents = [SentenceIndex({"raw": ["the", "cat"], "tag": ["DT", tag]},
+                               take_ownership=True) for tag in (odd, "NN")]
+        engine = OdinsonEngine([AnnotatedDocument("d", sents)])
+        assert engine.index.unindexed.tolist() == [True, True], odd
+        for pattern in ("the", "[raw=/cat.*/]"):
+            assert rows(engine.query(pattern)) == rows(oracle_query(engine, pattern))
 
 
 # ------------------------------------------------------------------ guards

@@ -81,10 +81,7 @@ def test_vectorized_path_matches_reference_path(seed):
         for t in ts:
             toks = t.split(" ") if t else []
             fields, edges, roots = annotate_tokens_fast(toks)
-            rsents.append(
-                SentenceIndex(fields, edges, roots,
-                              prenormalized_labels=True, take_ownership=True)
-            )
+            rsents.append(SentenceIndex(fields, edges, roots, take_ownership=True))
         got.extend(_mention_rows(f"d{d}", vsents, extractors))
         expect.extend(_mention_rows(f"d{d}", rsents, extractors))
     assert got == expect
